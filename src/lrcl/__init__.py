@@ -37,6 +37,7 @@ from .model import (
     backward,
     expand_head,
     forward,
+    label_rows,
     merge_and_reset,
     new_network,
     reset_adapter,
@@ -104,6 +105,7 @@ __all__ = [
     "frobenius_norm",
     "gen_gaussian_stream",
     "hadamard",
+    "label_rows",
     "load_csv_stream",
     "matmul",
     "merge_and_reset",

@@ -24,7 +24,7 @@ from .metrics import avg_anytime, plasticity, stability, tradeoff
 from .model import save_checkpoint
 from .regularize import parse_strategy
 from .tasks import TaskStream, gen_gaussian_stream, load_csv_stream
-from .tensor import format_float
+from .tensor import atomic_write, format_float
 from .trainer import (
     RunRecord,
     TrainConfig,
@@ -223,11 +223,13 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     return experiment_config_from_raw(parse_config_text(text))
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _check_out_dir(path: str) -> None:
+    """Fail before any compute when path cannot become the output directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"cannot use {path!r} as output directory: {probe!r} is not a directory")
 
 
 def accuracy_matrix_csv(record: RunRecord) -> str:
@@ -267,15 +269,15 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     metrics = compute_metrics(record, refs)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "accuracy_matrix.csv"), accuracy_matrix_csv(record))
-    _atomic_write(
+    atomic_write(os.path.join(cfg.out_dir, "accuracy_matrix.csv"), accuracy_matrix_csv(record))
+    atomic_write(
         os.path.join(cfg.out_dir, "metrics.json"),
         json.dumps(metrics, indent=2, sort_keys=True) + "\n",
     )
     jsonl = "".join(json.dumps(log, sort_keys=True) + "\n" for log in record.task_logs)
-    _atomic_write(os.path.join(cfg.out_dir, "run.jsonl"), jsonl)
+    atomic_write(os.path.join(cfg.out_dir, "run.jsonl"), jsonl)
     ref_lines = ["task,ref_accuracy"] + [f"{i},{format_float(r)}" for i, r in enumerate(refs)]
-    _atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(ref_lines) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(ref_lines) + "\n")
     return 0
 
 
@@ -291,7 +293,7 @@ def cmd_compare_strategies(cfg: ExperimentConfig) -> int:
             metrics = compute_metrics(record, refs)
             rows.append(_metrics_row([strategy, str(seed)], metrics))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "strategies.csv"), "\n".join(rows) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "strategies.csv"), "\n".join(rows) + "\n")
     return 0
 
 
@@ -317,7 +319,7 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
             metrics = compute_metrics(record, refs)
             rows.append(_metrics_row([parameter, format_float(value), str(seed)], metrics))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "sweep.csv"), "\n".join(rows) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "sweep.csv"), "\n".join(rows) + "\n")
     return 0
 
 
@@ -348,7 +350,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
                     if t == i:
                         snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
                         save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
-        _atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -360,7 +362,7 @@ def cmd_reference(cfg: ExperimentConfig) -> int:
         refs = reference_accuracies(prepare_base_network(config, stream), config, stream)
         rows.extend(f"{seed},{i},{format_float(r)}" for i, r in enumerate(refs))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(rows) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(rows) + "\n")
     return 0
 
 
@@ -376,7 +378,7 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     net.head.class_ids = []
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
-    _atomic_write(
+    atomic_write(
         os.path.join(cfg.out_dir, "pretrain.json"),
         json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n",
     )
@@ -412,6 +414,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad --seed value {args.seed!r}")
             if not cfg.seeds:
                 raise ConfigError("--seed produced no seeds")
+        _check_out_dir(cfg.out_dir)
 
         if args.command == "run":
             return cmd_run(cfg)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ForwardCache, Network, forward
+from .model import ForwardCache, Network, forward, label_rows
 from .tasks import Dataset
-from .tensor import Matrix, RngState, _softmax_rows, read_matrix_csv, write_matrix_csv
+from .tensor import Matrix, RngState, _softmax_rows, atomic_write, read_matrix_csv, write_matrix_csv
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,7 @@ def _onehot_minus_probs(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _sample_classes(probs: np.ndarray, rng: RngState) -> np.ndarray:
     """One class index per row, inverse-CDF on the given stream."""
     out = np.empty(probs.shape[0], dtype=np.int64)
-    for k in range(probs.shape[0]):
-        u = rng.next_float()
+    for k, u in enumerate(rng.floats(probs.shape[0]).tolist()):
         acc = 0.0
         idx = probs.shape[1] - 1
         for c in range(probs.shape[1]):
@@ -222,7 +221,7 @@ def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | 
     acc = _Accumulator(net, factor_space)
 
     if kind.name == "empirical":
-        rows = np.array([net.head.row_of(y) for y in data.y], dtype=np.int64)
+        rows = label_rows(net.head, data.y)
         acc.add(cache, _onehot_minus_probs(probs, rows))
     elif kind.name == "sampled":
         if rng is None:
@@ -304,9 +303,7 @@ def save_fisher(f: FisherDiag, directory, kind_label: str = "", gamma_history: l
         for k, (ma, mb) in enumerate(zip(f.fa, f.fb)):
             write_matrix_csv(os.path.join(directory, f"layer{k}_fa.csv"), ma)
             write_matrix_csv(os.path.join(directory, f"layer{k}_fb.csv"), mb)
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_fisher(directory) -> FisherDiag:

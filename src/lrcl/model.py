@@ -22,7 +22,7 @@ from .tensor import (
     Matrix,
     RngState,
     _check_finite,
-    _softmax_rows,
+    atomic_write,
     read_matrix_csv,
     uniform_matrix,
     write_matrix_csv,
@@ -207,7 +207,12 @@ class GradientBundle:
     d_bias: np.ndarray
 
 
-def _label_rows(head: Head, labels: list[int]) -> np.ndarray:
+def label_rows(head: Head, labels: list[int]) -> np.ndarray:
+    """Head row of each label; LabelError for a class the head does not know.
+
+    The head does not change while a task trains, so callers map a task's
+    labels once and slice the result per batch.
+    """
     return np.array([head.row_of(y) for y in labels], dtype=np.int64)
 
 
@@ -215,18 +220,20 @@ def _loss_and_dlogits(logits: np.ndarray, rows: np.ndarray) -> tuple[float, np.n
     """Mean negative log-likelihood and its logit gradient (softmax - onehot)/m."""
     m = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(m), rows]))
-    probs = _softmax_rows(logits)
-    g = probs.copy()
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(m), rows]))
+    g = e / z
     g[np.arange(m), rows] -= 1.0
     g /= m
     return loss, g
 
 
-def backward(net: Network, cache: ForwardCache, labels: list[int]) -> tuple[float, GradientBundle]:
-    """Loss plus gradients for the adapters and the head (base W held fixed)."""
-    rows = _label_rows(net.head, labels)
+def backward(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, GradientBundle]:
+    """Loss plus gradients for the adapters and the head (base W held fixed).
+
+    rows holds the head row of each sample's label, from label_rows.
+    """
     loss, g = _loss_and_dlogits(cache.logits, rows)
 
     d_v = g.T @ cache.feature
@@ -253,13 +260,12 @@ def backward(net: Network, cache: ForwardCache, labels: list[int]) -> tuple[floa
     return loss, GradientBundle(d_a, d_b, d_dw, d_v, d_bias)
 
 
-def backward_wrt_base(net: Network, cache: ForwardCache, labels: list[int]) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+def backward_wrt_base(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Loss plus gradients with each layer's base matrix W as the free variable.
 
-    Used for pretraining the backbone; the adapters are held fixed. Returns
-    (loss, d_w per layer, d_v, d_bias).
+    Used for pretraining the backbone; the adapters are held fixed. rows
+    are head rows, as for backward. Returns (loss, d_w per layer, d_v, d_bias).
     """
-    rows = _label_rows(net.head, labels)
     loss, g = _loss_and_dlogits(cache.logits, rows)
 
     d_v = g.T @ cache.feature
@@ -340,9 +346,7 @@ def save_checkpoint(net: Network, directory, seed: int | None = None) -> None:
     if net.head.V is not None:
         write_matrix_csv(os.path.join(directory, "head_V.csv"), net.head.V)
         write_matrix_csv(os.path.join(directory, "head_b.csv"), net.head.b)
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(directory) -> Network:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .fisher import FisherDiag
-from .tensor import Matrix, RngState
+from .tensor import Matrix, RngState, uniform_matrix
 
 STRATEGIES = ("none", "deltaw", "separate", "precomputed_uniform", "precomputed_dataset")
 
@@ -136,11 +136,11 @@ def divergence_witness(rng: RngState, dims: tuple[int, int, int], trials: int) -
 
     hits = 0
     for _ in range(trials):
-        A0 = np.array([[rng.uniform(-1, 1) for _ in range(r)] for _ in range(d_o)])
-        B0 = np.array([[rng.uniform(-1, 1) for _ in range(d_i)] for _ in range(r)])
-        A = A0 + np.array([[rng.uniform(-1, 1) for _ in range(r)] for _ in range(d_o)])
-        B = B0 + np.array([[rng.uniform(-1, 1) for _ in range(d_i)] for _ in range(r)])
-        F = np.array([[rng.next_float() for _ in range(d_i)] for _ in range(d_o)])
+        A0 = uniform_matrix(rng, d_o, r, -1.0, 1.0).a
+        B0 = uniform_matrix(rng, r, d_i, -1.0, 1.0).a
+        A = A0 + uniform_matrix(rng, d_o, r, -1.0, 1.0).a
+        B = B0 + uniform_matrix(rng, r, d_i, -1.0, 1.0).a
+        F = rng.floats(d_o * d_i).reshape(d_o, d_i)
 
         dev = A @ B - A0 @ B0
         r_dw = 0.5 * float(np.sum(F * dev * dev))

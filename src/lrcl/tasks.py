@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError, ParseError, ProtocolError
-from .tensor import Matrix, RngState, format_float
+from .tensor import Matrix, RngState, atomic_write, format_float
 
 
 @dataclass
@@ -101,18 +101,15 @@ class TaskStream:
 def _sphere_point(rng: RngState, dim: int, radius: float) -> np.ndarray:
     """Uniform point on the radius sphere (normalized Gaussian direction)."""
     while True:
-        v = np.array([rng.normal() for _ in range(dim)])
+        v = rng.normals(dim)
         norm = float(np.sqrt((v * v).sum()))
         if norm > 1e-12:
             return v * (radius / norm)
 
 
 def _class_blob(rng: RngState, mean: np.ndarray, sigma: float, n: int) -> np.ndarray:
-    out = np.empty((n, mean.size))
-    for i in range(n):
-        for j in range(mean.size):
-            out[i, j] = mean[j] + sigma * rng.normal()
-    return out
+    """n samples of N(mean, sigma^2 I), drawn in row-major order."""
+    return mean + sigma * rng.normals(n * mean.size).reshape(n, mean.size)
 
 
 def gen_gaussian_stream(
@@ -179,16 +176,18 @@ def gen_gaussian_stream(
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     """Header f0..f{d-1},label; full-precision decimals."""
-    dim = dataset.dim
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"f{j}" for j in range(dim)] + ["label"]) + "\n")
-        for i in range(dataset.n):
-            row = [format_float(v) for v in dataset.X.a[i]] + [str(dataset.y[i])]
-            fh.write(",".join(row) + "\n")
+    lines = [",".join([f"f{j}" for j in range(dataset.dim)] + ["label"])]
+    for i in range(dataset.n):
+        lines.append(",".join([format_float(v) for v in dataset.X.a[i]] + [str(dataset.y[i])]))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_dataset_csv(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset csv: {exc}")
+    with fh:
         header = fh.readline().strip()
         if not header:
             raise ParseError("empty csv", line=1)

@@ -9,6 +9,7 @@ so that seeded experiments reproduce bit for bit.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .errors import NumericalError, ParameterError, ParseError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class RngState:
@@ -34,10 +38,10 @@ class RngState:
         self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -57,6 +61,53 @@ class RngState:
         radius = math.sqrt(-2.0 * math.log(u1))
         self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
         return radius * math.cos(2.0 * math.pi * u2)
+
+    def floats(self, n: int) -> np.ndarray:
+        """The next n values of next_float, as one float64 array.
+
+        The counters state + k*gamma (k = 1..n) are mixed in uint64 array
+        arithmetic, which wraps modulo 2**64 like the masked scalar path.
+        (Arrays, not numpy scalars: scalar overflow warns.)
+        """
+        if n < 0:
+            raise ParameterError(f"cannot draw {n} floats")
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+    def normals(self, n: int) -> np.ndarray:
+        """The next n values of normal(), as one float64 array.
+
+        A pending spare comes first; a sine variate left over becomes the
+        new spare. log, cos and sin stay on `math`, because numpy's differ
+        from it in the last bit on some inputs. Products and the square
+        root are correctly rounded in both, so they run on arrays.
+        """
+        if n < 0:
+            raise ParameterError(f"cannot draw {n} normals")
+        out = np.empty(n)
+        start = 0
+        if n and self._spare_normal is not None:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+            start = 1
+        pairs = (n - start + 1) // 2
+        u = self.floats(2 * pairs)
+        log_u1 = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, pairs)
+        angle = (2.0 * math.pi * u[1::2]).tolist()
+        radius = np.sqrt(-2.0 * log_u1)
+        draws = np.empty(2 * pairs)
+        draws[0::2] = radius * np.fromiter(map(math.cos, angle), np.float64, pairs)
+        draws[1::2] = radius * np.fromiter(map(math.sin, angle), np.float64, pairs)
+        out[start:] = draws[: n - start]
+        if 2 * pairs > n - start:
+            self._spare_normal = float(draws[-1])
+        return out
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection, so no modulo bias."""
@@ -96,9 +147,9 @@ class RngState:
 
 
 def _splitmix_finalize(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (z + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -192,9 +243,7 @@ def uniform_matrix(rng: RngState, rows: int, cols: int, lo: float, hi: float) ->
     """Entries i.i.d. uniform on [lo, hi), drawn in row-major order."""
     if not lo < hi:
         raise ParameterError(f"uniform_matrix needs lo < hi, got [{lo}, {hi})")
-    span = hi - lo
-    vals = [lo + span * rng.next_float() for _ in range(rows * cols)]
-    return Matrix(rows, cols, vals)
+    return Matrix(rows, cols, lo + (hi - lo) * rng.floats(rows * cols))
 
 
 def frobenius_norm(a: Matrix) -> float:
@@ -234,10 +283,25 @@ def matrix_to_csv_lines(m: Matrix) -> list[str]:
     return [",".join(format_float(v) for v in row) for row in m.a]
 
 
+def atomic_write(path, text: str) -> None:
+    """Replace path with text in one rename; on failure the old file stays.
+
+    The text goes to a temporary file beside path, which is renamed over
+    path only once fully written and is removed if anything fails.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_matrix_csv(path, m: Matrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in matrix_to_csv_lines(m):
-            fh.write(line + "\n")
+    atomic_write(path, "".join(line + "\n" for line in matrix_to_csv_lines(m)))
 
 
 def read_matrix_csv(path) -> Matrix:

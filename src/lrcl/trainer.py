@@ -29,6 +29,7 @@ from .model import (
     backward_wrt_base,
     expand_head,
     forward,
+    label_rows,
     merge_and_reset,
     new_network,
     reset_adapter,
@@ -158,6 +159,7 @@ def train_task(
     head_state = AdamState(head_params).configure(config.beta1, config.beta2, config.epsilon)
 
     order = list(range(task_data.n))
+    rows = label_rows(net.head, task_data.y)
     trace = []
     for epoch in range(config.epochs):
         lr = _epoch_lr(config.lr, epoch, config.epochs, config.lr_schedule)
@@ -169,9 +171,8 @@ def train_task(
         for start, stop in slices:
             idx = order[start:stop]
             x = Matrix.from_array(task_data.X.a[idx])
-            labels = [task_data.y[i] for i in idx]
             _, cache = forward(net, x)
-            ce, grads = backward(net, cache, labels)
+            ce, grads = backward(net, cache, rows[idx])
 
             total = ce
             if strategy == "deltaw":
@@ -316,15 +317,15 @@ def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network
     head_params = [net.head.V, net.head.b]
     base_state = AdamState(base_params).configure(config.beta1, config.beta2, config.epsilon)
     head_state = AdamState(head_params).configure(config.beta1, config.beta2, config.epsilon)
+    rows = label_rows(net.head, train_ds.y)
 
     for epoch in range(config.pretrain_epochs):
         lr = _epoch_lr(config.pretrain_lr, epoch, config.pretrain_epochs, config.lr_schedule)
         head_lr = _epoch_lr(config.head_lr, epoch, config.pretrain_epochs, config.lr_schedule)
         for start, stop in _batch_slices(train_ds.n, config.batch_size):
             x = Matrix.from_array(train_ds.X.a[start:stop])
-            labels = train_ds.y[start:stop]
             _, cache = forward(net, x)
-            loss, d_w, d_v, d_bias = backward_wrt_base(net, cache, labels)
+            loss, d_w, d_v, d_bias = backward_wrt_base(net, cache, rows[start:stop])
             if not math.isfinite(loss):
                 raise NumericalError("pretraining loss became non-finite")
             adam_step(base_state, base_params, d_w, lr)

@@ -1,7 +1,14 @@
 """Shared helpers: small random networks and batches for oracle tests."""
 
-import numpy as np
-import pytest
+import os
+
+# Threaded BLAS only slows these tiny matrices down; OpenBLAS reads the
+# setting when numpy loads it, so it must be set before the import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from lrcl.model import Network, expand_head, new_network, reset_adapter
 from lrcl.tensor import Matrix, RngState

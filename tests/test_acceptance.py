@@ -23,6 +23,7 @@ from lrcl.model import (
     backward_wrt_base,
     expand_head,
     forward,
+    label_rows,
     merge_and_reset,
     reset_adapter,
 )
@@ -88,9 +89,9 @@ def grads_close(analytic, fd, rel=1e-5, tiny=1e-8):
 def persample_update_grads(net, x_row, label, use_base=False):
     _, cache = forward(net, x_row)
     if use_base:
-        _, d_w, _, _ = backward_wrt_base(net, cache, [label])
+        _, d_w, _, _ = backward_wrt_base(net, cache, label_rows(net.head, [label]))
         return [-g for g in d_w]
-    _, grads = backward(net, cache, [label])
+    _, grads = backward(net, cache, label_rows(net.head, [label]))
     return [-g for g in grads.d_delta_w]
 
 
@@ -137,11 +138,11 @@ class TestCriterion1GradientCorrectness:
 
             def task_loss():
                 _, cache = forward(net, x)
-                loss, _ = backward(net, cache, labels)
+                loss, _ = backward(net, cache, label_rows(net.head, labels))
                 return loss
 
             _, cache = forward(net, x)
-            _, grads = backward(net, cache, labels)
+            _, grads = backward(net, cache, label_rows(net.head, labels))
             for k, layer in enumerate(net.layers):
                 ok &= grads_close(grads.d_a[k], central_diff(task_loss, layer.A))
                 ok &= grads_close(grads.d_b[k], central_diff(task_loss, layer.B))
@@ -180,8 +181,8 @@ class TestCriterion2UpdateGradientIdentity:
             net = make_net((6, 6, 6), rank=2, seed=seed + 80, nonzero_adapter=True)
             x, labels = make_batch(net, 4, seed=seed + 880)
             _, cache = forward(net, x)
-            _, grads = backward(net, cache, labels)
-            _, d_w, _, _ = backward_wrt_base(net, cache, labels)
+            _, grads = backward(net, cache, label_rows(net.head, labels))
+            _, d_w, _, _ = backward_wrt_base(net, cache, label_rows(net.head, labels))
             for k in range(len(net.layers)):
                 ok &= bool(np.allclose(grads.d_delta_w[k], d_w[k], rtol=0, atol=1e-12))
 

@@ -132,6 +132,33 @@ class TestRunCommand:
             warnings.simplefilter("ignore")
             assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
 
+    def test_missing_csv_exits_2_with_one_line(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.csv"
+        cfg_path = write_config(tmp_path, TINY + f"csv_path = {missing}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "nowhere.csv" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "diagnose", "pretrain"])
+    def test_out_below_regular_file_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before --out was checked")
+
+        for name in ("run_continual", "track_fisher_drift", "pretrain_report"):
+            monkeypatch.setattr(cli_mod, name, no_compute)
+        blocker = tmp_path / "plain_file"
+        blocker.write_text("not a directory\n")
+        cfg_path = write_config(tmp_path)
+        for out in (blocker, blocker / "out", blocker / "deeper" / "out"):
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+        assert blocker.read_text() == "not a directory\n"
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -228,3 +255,32 @@ class TestInputsUntouched:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         assert open(cfg_path, "rb").read() == before
+
+
+class TestGoldenOutputs:
+    """`lrcl run` on TINY at seed 0 reproduces the recorded bytes.
+
+    Floating-point bits depend on the numpy and BLAS builds, so the digests
+    hold only on the platform they were recorded on.
+    """
+
+    PLATFORM = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+    DIGESTS = {
+        "accuracy_matrix.csv": "eb19a51e00aac5a8294f8721335b8c343b40924e2feec7124772c52a8d896ad2",
+        "metrics.json": "90ee77f5102e278e2587754ae643671144ed105fc75712e4335feeecbb37bfde",
+        "references.csv": "d8d30a6147e1ce8dd3878f12b7d80eab25902bb793044af268aaa11b987bf50d",
+    }
+
+    def test_run_matches_recorded_digests(self, tmp_path):
+        import hashlib
+
+        import numpy as np
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+        if here != self.PLATFORM:
+            pytest.skip(f"digests were recorded on {self.PLATFORM}, this is {here}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(out), "--seed", "0"]) == 0
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert got == self.DIGESTS

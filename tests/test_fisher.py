@@ -19,7 +19,7 @@ from lrcl.fisher import (
     uniform_fisher,
     zeros_like,
 )
-from lrcl.model import backward, forward
+from lrcl.model import backward, forward, label_rows
 from lrcl.tasks import Dataset, concat_datasets
 from lrcl.tensor import Matrix, RngState, _softmax_rows
 
@@ -33,7 +33,7 @@ def persample_loglik_grads(net, x_row: Matrix, label: int):
     with one sample that is minus the log-likelihood gradient.
     """
     _, cache = forward(net, x_row)
-    _, grads = backward(net, cache, [label])
+    _, grads = backward(net, cache, label_rows(net.head, [label]))
     d_dw = [-g for g in grads.d_delta_w]
     d_a = [-g for g in grads.d_a]
     d_b = [-g for g in grads.d_b]

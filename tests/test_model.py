@@ -14,6 +14,7 @@ from lrcl.model import (
     backward_wrt_base,
     expand_head,
     forward,
+    label_rows,
     load_checkpoint,
     merge_and_reset,
     new_network,
@@ -103,7 +104,7 @@ class TestBackward:
         net.head.b.a[:] = 0.0
         x, labels = make_batch(net, 6, seed=5)
         _, cache = forward(net, x)
-        loss, _ = backward(net, cache, labels)
+        loss, _ = backward(net, cache, label_rows(net.head, labels))
         assert abs(loss - math.log(5)) < 1e-12
 
     def test_unknown_label_raises(self):
@@ -111,7 +112,7 @@ class TestBackward:
         x, _ = make_batch(net, 2, seed=3)
         _, cache = forward(net, x)
         with pytest.raises(LabelError):
-            backward(net, cache, [0, 99])
+            backward(net, cache, label_rows(net.head, [0, 99]))
 
     def test_gradients_match_finite_differences(self):
         net = make_net((6, 6, 6), rank=2, seed=11, nonzero_adapter=True)
@@ -119,11 +120,11 @@ class TestBackward:
 
         def loss_fn():
             _, cache = forward(net, x)
-            loss, _ = backward(net, cache, labels)
+            loss, _ = backward(net, cache, label_rows(net.head, labels))
             return loss
 
         _, cache = forward(net, x)
-        _, grads = backward(net, cache, labels)
+        _, grads = backward(net, cache, label_rows(net.head, labels))
 
         for k, layer in enumerate(net.layers):
             assert_grad_close(grads.d_a[k], central_diff(loss_fn, layer.A))
@@ -137,7 +138,7 @@ class TestBackward:
             net = make_net((6, 5, 4), rank=2, seed=seed, nonzero_adapter=True)
             x, labels = make_batch(net, 5, seed=seed + 100)
             _, cache = forward(net, x)
-            _, grads = backward(net, cache, labels)
+            _, grads = backward(net, cache, label_rows(net.head, labels))
             for k, layer in enumerate(net.layers):
                 assert np.allclose(grads.d_a[k], grads.d_delta_w[k] @ layer.B.a.T, atol=1e-10)
                 assert np.allclose(grads.d_b[k], layer.A.a.T @ grads.d_delta_w[k], atol=1e-10)
@@ -150,8 +151,8 @@ class TestBackward:
             net = make_net((6, 6, 6), rank=2, seed=seed, nonzero_adapter=True)
             x, labels = make_batch(net, 4, seed=seed + 77)
             _, cache = forward(net, x)
-            loss_a, grads = backward(net, cache, labels)
-            loss_b, d_w, d_v, d_bias = backward_wrt_base(net, cache, labels)
+            loss_a, grads = backward(net, cache, label_rows(net.head, labels))
+            loss_b, d_w, d_v, d_bias = backward_wrt_base(net, cache, label_rows(net.head, labels))
             assert loss_a == loss_b
             for k in range(len(net.layers)):
                 assert np.allclose(grads.d_delta_w[k], d_w[k], rtol=0, atol=1e-12)
@@ -169,9 +170,9 @@ class TestBackward:
             layer.A.a[:] = 0.0
 
         _, cache = forward(net, x)
-        _, grads = backward(net, cache, labels)
+        _, grads = backward(net, cache, label_rows(net.head, labels))
         _, cache_m = forward(merged, x)
-        _, d_w, _, _ = backward_wrt_base(merged, cache_m, labels)
+        _, d_w, _, _ = backward_wrt_base(merged, cache_m, label_rows(merged.head, labels))
         for k in range(len(net.layers)):
             assert np.allclose(grads.d_delta_w[k], d_w[k], rtol=1e-10, atol=1e-12)
 

@@ -14,7 +14,7 @@ from lrcl.tasks import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from lrcl.tensor import Matrix
+from lrcl.tensor import Matrix, RngState
 
 
 def small_stream(seed=0, **overrides):
@@ -51,6 +51,29 @@ class TestGaussianStream:
             assert ta.train.y == tb.train.y
             assert np.array_equal(ta.test.X.a, tb.test.X.a)
         assert np.array_equal(a.pretrain.X.a, b.pretrain.X.a)
+
+    def test_matches_scalar_draw_oracle(self):
+        # the per-element scalar loop the generator replaces, kept as its reference
+        seed, dim, sigma, n_train, n_test = 9, 4, 0.5, 10, 5
+        stream = small_stream(seed=seed)
+        rng_means = RngState(seed).derive("class-means")
+        rng_samples = RngState(seed).derive("class-samples")
+        means = []
+        for _ in range(3 * 2 + 2):
+            v = np.array([rng_means.normal() for _ in range(dim)])
+            means.append(v * (3.0 / float(np.sqrt((v * v).sum()))))
+
+        def blob(cid, n):
+            return np.array([[means[cid][j] + sigma * rng_samples.normal() for j in range(dim)] for _ in range(n)])
+
+        for task in stream.tasks:
+            blobs = {cid: blob(cid, n_train + n_test) for cid in task.class_ids}
+            train = [blobs[cid][i] for i in range(n_train) for cid in task.class_ids]
+            test = [blobs[cid][n_train + i] for i in range(n_test) for cid in task.class_ids]
+            assert np.array_equal(task.train.X.a, np.vstack(train))
+            assert np.array_equal(task.test.X.a, np.vstack(test))
+        pre = np.vstack([blob(cid, 8) for cid in stream.pretrain_class_ids])
+        assert np.array_equal(stream.pretrain.X.a, pre)
 
     def test_different_seed_differs(self):
         a = small_stream(seed=5)

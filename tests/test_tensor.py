@@ -234,6 +234,73 @@ class TestRng:
         assert abs(arr.std() - 1.0) < 0.01
 
 
+class TestBulkDraws:
+    """floats(n) and normals(n) against n scalar draws, bit for bit.
+
+    Every synthetic stream and initial weight comes from the bulk path, so
+    a silent difference here would shift every recorded output.
+    """
+
+    SEEDS = (0, 7, 2**64 - 1)
+    SIZES = (0, 1, 2, 7, 10001)
+
+    @staticmethod
+    def _pair(seed, spare):
+        bulk, scalar = RngState(seed), RngState(seed)
+        if spare:  # leave a sine variate pending on both
+            bulk.normal()
+            scalar.normal()
+        return bulk, scalar
+
+    @staticmethod
+    def _assert_same_state(bulk, scalar):
+        assert bulk._state == scalar._state
+        assert bulk._spare_normal == scalar._spare_normal
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_floats_equal_scalar_draws(self, seed, n, spare):
+        bulk, scalar = self._pair(seed, spare)
+        got = bulk.floats(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tolist() == [scalar.next_float() for _ in range(n)]
+        self._assert_same_state(bulk, scalar)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_normals_equal_scalar_draws(self, seed, n, spare):
+        bulk, scalar = self._pair(seed, spare)
+        got = bulk.normals(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tolist() == [scalar.normal() for _ in range(n)]
+        self._assert_same_state(bulk, scalar)
+
+    def test_mixed_sequence_stays_in_step(self):
+        bulk, scalar = RngState(12345), RngState(12345)
+        for n in (3, 0, 1, 4, 5, 2):
+            assert bulk.normals(n).tolist() == [scalar.normal() for _ in range(n)]
+            assert bulk.floats(n).tolist() == [scalar.next_float() for _ in range(n)]
+            assert bulk.next_u64() == scalar.next_u64()
+        self._assert_same_state(bulk, scalar)
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 1), (-0.25, 0.75), (2.0, 3.5)])
+    def test_uniform_matrix_equals_scalar_uniforms(self, lo, hi):
+        bulk, scalar = RngState(3), RngState(3)
+        m = uniform_matrix(bulk, 4, 5, lo, hi)
+        assert m.data == [scalar.uniform(lo, hi) for _ in range(20)]
+        self._assert_same_state(bulk, scalar)
+
+    def test_negative_count_rejected(self):
+        r = RngState(1)
+        with pytest.raises(ParameterError):
+            r.floats(-1)
+        with pytest.raises(ParameterError):
+            r.normals(-1)
+        assert r._state == RngState(1)._state
+
+
 class TestMatrixCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = RngState(55)
@@ -242,6 +309,42 @@ class TestMatrixCsv:
         write_matrix_csv(path, m)
         back = read_matrix_csv(path)
         assert back.data == m.data
+
+    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
+        import lrcl.tensor as tensor_mod
+
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, Matrix(1, 2, [1.0, 2.0]))
+        before = path.read_bytes()
+
+        class HalfWrite:
+            """File that stores half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        def failing_replace(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+
+        if fail_at == "write":
+            monkeypatch.setattr(tensor_mod, "open", lambda *a, **k: HalfWrite(open(*a, **k)), raising=False)
+        else:
+            monkeypatch.setattr(tensor_mod.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_matrix_csv(path, Matrix(2, 2, [3.0, 4.0, 5.0, 6.0]))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
     def test_ragged_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
