@@ -1,10 +1,14 @@
 """Experiment runner: single runs, strategy comparisons, sweeps, drift diagnostics.
 
-Configuration is a flat ``key = value`` text file (``#`` starts a comment);
-unknown keys are rejected before any compute happens. Every output file is
-written atomically (temp file, then rename) and uses full-precision
-shortest round-trip decimals, so reruns with the same config and seed are
-byte-identical where the contract requires it.
+Configuration is a flat ``key = value`` text file (``#`` starts a comment).
+The keys are the fields of ``TrainConfig`` (``lambda`` names ``lam``; the
+seed comes from ``seeds``), of ``StreamConfig``, and the run-control fields
+of ``ExperimentConfig``; each value is parsed by its field's type. Unknown
+keys and malformed values are rejected before any compute happens.
+
+Every output file is written atomically (temp file, then rename) and uses
+full-precision shortest round-trip decimals, so reruns with the same
+config and seed are byte-identical where the contract requires it.
 
 Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
 """
@@ -13,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .diagnostics import REGIMES, track_fisher_drift
-from .errors import ConfigError, EngineError, NumericalError, ParseError
+from .errors import ConfigError, EngineError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
 from .model import save_checkpoint
 from .regularize import parse_strategy
-from .tasks import TaskStream, gen_gaussian_stream, load_csv_stream
+from .tasks import StreamConfig, TaskStream
 from .tensor import atomic_write, format_float
 from .trainer import (
     RunRecord,
@@ -41,112 +47,30 @@ DEFAULT_GAMMA_GRID = (0.0, 0.3, 0.5, 0.9, 1.0)
 
 @dataclass
 class ExperimentConfig:
-    """Training hyperparameters plus stream shape, seeds and sweep grids."""
+    """Training hyperparameters and stream shape, plus seeds and sweep grids.
 
-    # training (mirrors TrainConfig)
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 0.05
-    head_lr: float = 1e-6
-    lam: float = 1e7
-    gamma: float = 0.9
-    rank: int = 4
-    strategy: str = "deltaw"
-    estimator: str = "empirical"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    lr_schedule: str = "cosine"
-    shuffle: bool = False
-    hidden_dims: tuple[int, ...] = (48, 48)
-    b_init_scale: float = 1.0
-    w0_identity_scale: float = 0.5
-    w0_noise_scale: float = 0.3
-    w0_feature_gain: float = 8.0
-    pretrain_mode: str = "train"
-    pretrain_epochs: int = 20
-    pretrain_lr: float = 0.005
-    # stream
-    num_tasks: int = 5
-    classes_per_task: int = 4
-    dim: int = 16
-    radius: float = 3.0
-    sigma: float = 1.0
-    n_train: int = 200
-    n_test: int = 100
-    pretrain_classes: int = 8
-    pretrain_n: int = 200
-    csv_path: str | None = None
-    # run control
+    Every field of ``train`` and ``stream`` is a config key, except
+    ``train.seed``: each run takes its seed from ``seeds``.
+    """
+
+    train: TrainConfig = field(default_factory=TrainConfig)
+    stream: StreamConfig = field(default_factory=StreamConfig)
     seeds: tuple[int, ...] = (0,)
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     gamma_grid: tuple[float, ...] = DEFAULT_GAMMA_GRID
     strategies: tuple[str, ...] = DEFAULT_STRATEGIES
     out_dir: str = "out"
 
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("need at least one seed")
+        self.strategies = tuple(parse_strategy(s) for s in self.strategies)
+
     def train_config(self, seed: int, **overrides) -> TrainConfig:
-        cfg = TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            head_lr=self.head_lr,
-            lam=self.lam,
-            gamma=self.gamma,
-            rank=self.rank,
-            strategy=self.strategy,
-            estimator=EstimatorKind.parse(self.estimator),
-            seed=seed,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            lr_schedule=self.lr_schedule,
-            shuffle=self.shuffle,
-            hidden_dims=self.hidden_dims,
-            b_init_scale=self.b_init_scale,
-            w0_identity_scale=self.w0_identity_scale,
-            w0_noise_scale=self.w0_noise_scale,
-            w0_feature_gain=self.w0_feature_gain,
-            pretrain_mode=self.pretrain_mode,
-            pretrain_epochs=self.pretrain_epochs,
-            pretrain_lr=self.pretrain_lr,
-        )
-        return replace(cfg, **overrides) if overrides else cfg
+        return replace(self.train, seed=seed, **overrides)
 
     def build_stream(self, seed: int) -> TaskStream:
-        if self.csv_path:
-            return load_csv_stream(self.csv_path, self.num_tasks, seed)
-        return gen_gaussian_stream(
-            num_tasks=self.num_tasks,
-            classes_per_task=self.classes_per_task,
-            dim=self.dim,
-            radius=self.radius,
-            sigma=self.sigma,
-            n_train=self.n_train,
-            n_test=self.n_test,
-            seed=seed,
-            pretrain_classes=self.pretrain_classes,
-            pretrain_n=self.pretrain_n,
-        )
-
-
-_INT_KEYS = {
-    "epochs", "batch_size", "rank", "pretrain_epochs", "num_tasks",
-    "classes_per_task", "dim", "n_train", "n_test", "pretrain_classes", "pretrain_n",
-}
-_FLOAT_KEYS = {
-    "lr", "head_lr", "lambda", "gamma", "beta1", "beta2", "epsilon",
-    "radius", "sigma", "b_init_scale", "w0_identity_scale", "w0_noise_scale", "w0_feature_gain", "pretrain_lr",
-}
-_BOOL_KEYS = {"shuffle"}
-_STR_KEYS = {"strategy", "estimator", "lr_schedule", "pretrain_mode", "csv_path", "out_dir"}
-_INT_LIST_KEYS = {"seeds", "hidden_dims"}
-_FLOAT_LIST_KEYS = {"lambda_grid", "gamma_grid"}
-_STR_LIST_KEYS = {"strategies"}
-
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
-    | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_LIST_KEYS
-)
+        return self.stream.build_stream(seed)
 
 
 def parse_config_text(text: str) -> dict:
@@ -164,52 +88,71 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    low = value.lower()
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key} must be true or false, got {value!r}")
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+_SCALAR_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str, EstimatorKind: EstimatorKind.parse}
+
+
+def _parser(annotation):
+    """Value parser for a field annotated T, T | None or tuple[T, ...]."""
+    if typing.get_origin(annotation) is tuple:
+        item = _SCALAR_PARSERS[typing.get_args(annotation)[0]]
+        return lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
+    kinds = [a for a in typing.get_args(annotation) if a is not type(None)]
+    return _SCALAR_PARSERS[kinds[0] if kinds else annotation]
+
+
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _config_keys() -> dict:
+    """key -> (section, field name, parser); section None is run control."""
+    keys = {}
+    for name, hint in _field_types(ExperimentConfig).items():
+        if not is_dataclass(hint):
+            keys[name] = (None, name, _parser(hint))
+            continue
+        for inner, inner_hint in _field_types(hint).items():
+            if inner != "seed":
+                keys["lambda" if inner == "lam" else inner] = (name, inner, _parser(inner_hint))
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def experiment_config_from_raw(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _ALL_KEYS
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
+    sections = {"train": {}, "stream": {}, None: {}}
     for key, value in raw.items():
-        name = "lam" if key == "lambda" else key
+        section, name, parse = CONFIG_KEYS[key]
         try:
-            if key in _INT_KEYS:
-                kwargs[name] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[name] = float(value)
-            elif key in _BOOL_KEYS:
-                kwargs[name] = _parse_bool(value, key)
-            elif key in _INT_LIST_KEYS:
-                kwargs[name] = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-            elif key in _FLOAT_LIST_KEYS:
-                kwargs[name] = tuple(float(v.strip()) for v in value.split(",") if v.strip())
-            elif key in _STR_LIST_KEYS:
-                kwargs[name] = tuple(parse_strategy(v) for v in value.split(",") if v.strip())
-            else:
-                kwargs[name] = value
-        except ValueError as exc:
+            sections[section][name] = parse(value)
+        except (ValueError, ParameterError) as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}")
-    cfg = ExperimentConfig(**kwargs)
-    _validate_experiment_config(cfg)
-    return cfg
-
-
-def _validate_experiment_config(cfg: ExperimentConfig) -> None:
-    if not cfg.seeds:
-        raise ConfigError("need at least one seed")
-    cfg.train_config(cfg.seeds[0])  # delegate hyperparameter validation
-    parse_strategy(cfg.strategy)
-    for s in cfg.strategies:
-        parse_strategy(s)
-    EstimatorKind.parse(cfg.estimator)
+    return ExperimentConfig(
+        train=TrainConfig(**sections["train"]),
+        stream=StreamConfig(**sections["stream"]),
+        **sections[None],
+    )
 
 
 def load_experiment_config(path: str | None) -> ExperimentConfig:
@@ -281,50 +224,46 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_compare_strategies(cfg: ExperimentConfig) -> int:
-    rows = ["strategy,seed,final_acc,avg,stability,plasticity,tradeoff"]
+def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str) -> int:
+    """One stream and one reference set per seed, then one continual run per override.
+
+    runs holds (row label, TrainConfig overrides) pairs; each output row is
+    the label (one value per column), the seed and the run's metrics.
+    """
+    if not runs:
+        raise ConfigError(f"{grid_key} is empty")
+    rows = [",".join(columns + ["seed", "final_acc", "avg", "stability", "plasticity", "tradeoff"])]
     for seed in cfg.seeds:
+        configs = [cfg.train_config(seed, **overrides) for _, overrides in runs]  # validated before compute
         stream = cfg.build_stream(seed)
         base_cfg = cfg.train_config(seed)
         refs = reference_accuracies(prepare_base_network(base_cfg, stream), base_cfg, stream)
-        for strategy in cfg.strategies:
-            config = cfg.train_config(seed, strategy=strategy)
-            record = run_continual(config, stream)
-            metrics = compute_metrics(record, refs)
-            rows.append(_metrics_row([strategy, str(seed)], metrics))
+        for (label, _), config in zip(runs, configs):
+            metrics = compute_metrics(run_continual(config, stream), refs)
+            rows.append(_metrics_row(label + [str(seed)], metrics))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write(os.path.join(cfg.out_dir, "strategies.csv"), "\n".join(rows) + "\n")
+    atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
     return 0
+
+
+def cmd_compare_strategies(cfg: ExperimentConfig) -> int:
+    runs = [([strategy], {"strategy": strategy}) for strategy in cfg.strategies]
+    return _run_grid(cfg, "strategies", ["strategy"], runs, "strategies.csv")
+
+
+_SWEEPS = {"lambda": ("lam", "lambda_grid"), "gamma": ("gamma", "gamma_grid")}
 
 
 def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
-    if parameter == "lambda":
-        grid = cfg.lambda_grid
-    elif parameter == "gamma":
-        grid = cfg.gamma_grid
-    else:
+    if parameter not in _SWEEPS:
         raise ConfigError(f"sweep parameter must be lambda or gamma, got {parameter!r}")
-    if not grid:
-        raise ConfigError("sweep grid is empty")
-
-    rows = ["parameter,value,seed,final_acc,avg,stability,plasticity,tradeoff"]
-    for seed in cfg.seeds:
-        stream = cfg.build_stream(seed)
-        base_cfg = cfg.train_config(seed)
-        refs = reference_accuracies(prepare_base_network(base_cfg, stream), base_cfg, stream)
-        for value in grid:
-            override = {"lam": value} if parameter == "lambda" else {"gamma": value}
-            config = cfg.train_config(seed, **override)
-            record = run_continual(config, stream)
-            metrics = compute_metrics(record, refs)
-            rows.append(_metrics_row([parameter, format_float(value), str(seed)], metrics))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write(os.path.join(cfg.out_dir, "sweep.csv"), "\n".join(rows) + "\n")
-    return 0
+    name, grid_key = _SWEEPS[parameter]
+    runs = [([parameter, format_float(value)], {name: value}) for value in getattr(cfg, grid_key)]
+    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, "sweep.csv")
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
-    tracked = list(range(min(3, cfg.num_tasks)))
+    tracked = list(range(min(3, cfg.stream.num_tasks)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)

@@ -68,7 +68,10 @@ class EstimatorKind:
         text = text.strip().lower()
         if text.startswith("exact_subset"):
             inner = text[len("exact_subset"):].strip("() ")
-            return cls.exact_subset(int(inner))
+            try:
+                return cls.exact_subset(int(inner))
+            except ValueError:
+                raise ParameterError(f"exact_subset needs an integer size, got {text!r}")
         return cls(text)
 
     def label(self) -> str:

@@ -8,7 +8,7 @@ seeded Gaussian-mixture generator or from a CSV file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -261,6 +261,33 @@ def load_csv_stream(path, num_tasks: int, seed: int) -> TaskStream:
     return TaskStream(tasks=tasks)
 
 
+@dataclass
+class StreamConfig:
+    """Shape of a task stream: a seeded Gaussian mixture, or a labelled CSV.
+
+    The defaults are the benchmark fixture (see ``standard_stream``). With
+    ``csv_path`` set, only ``num_tasks`` applies.
+    """
+
+    num_tasks: int = 5
+    classes_per_task: int = 4
+    dim: int = 16
+    radius: float = 3.0
+    sigma: float = 1.0
+    n_train: int = 200
+    n_test: int = 100
+    pretrain_classes: int = 8
+    pretrain_n: int = 200
+    csv_path: str | None = None
+
+    def build_stream(self, seed: int) -> TaskStream:
+        if self.csv_path:
+            return load_csv_stream(self.csv_path, self.num_tasks, seed)
+        shape = asdict(self)
+        del shape["csv_path"]
+        return gen_gaussian_stream(seed=seed, **shape)
+
+
 def standard_stream(seed: int) -> TaskStream:
     """The benchmark fixture: five 4-class tasks in 16 dimensions.
 
@@ -269,15 +296,4 @@ def standard_stream(seed: int) -> TaskStream:
     classes. Hard enough that an unregularized run visibly forgets, small
     enough for minutes-scale runs.
     """
-    return gen_gaussian_stream(
-        num_tasks=5,
-        classes_per_task=4,
-        dim=16,
-        radius=3.0,
-        sigma=1.0,
-        n_train=200,
-        n_test=100,
-        seed=seed,
-        pretrain_classes=8,
-        pretrain_n=200,
-    )
+    return StreamConfig().build_stream(seed)

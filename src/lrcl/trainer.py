@@ -66,7 +66,6 @@ class TrainConfig:
     pretrain_mode: str = "train"
     pretrain_epochs: int = 20
     pretrain_lr: float = 0.005
-    keep_fisher_snapshots: bool = False
 
     def __post_init__(self):
         self.strategy = parse_strategy(self.strategy)
@@ -278,9 +277,7 @@ class RunRecord:
     loss_traces: list[list[float]]
     adapter_norms: list[float]
     task_logs: list[dict]
-    config_echo: dict
     wall_time_s: float
-    fisher_snapshots: list[FisherDiag] | None = None
 
 
 def _stratified_split(data: Dataset, train_frac: float, rng: RngState) -> tuple[Dataset, Dataset]:
@@ -380,7 +377,6 @@ def run_continual(config: TrainConfig, stream: TaskStream) -> RunRecord:
     traces: list[list[float]] = []
     norms: list[float] = []
     logs: list[dict] = []
-    snapshots: list[FisherDiag] | None = [] if config.keep_fisher_snapshots else None
 
     for t, task in enumerate(stream.tasks):
         result = learner.step(task)
@@ -399,17 +395,13 @@ def run_continual(config: TrainConfig, stream: TaskStream) -> RunRecord:
                 "row": row,
             }
         )
-        if snapshots is not None and result.fisher_t is not None:
-            snapshots.append(result.fisher_t)
 
     return RunRecord(
         acc_matrix=acc,
         loss_traces=traces,
         adapter_norms=norms,
         task_logs=logs,
-        config_echo=config_echo(config),
         wall_time_s=time.perf_counter() - started,
-        fisher_snapshots=snapshots,
     )
 
 
@@ -432,35 +424,6 @@ def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
 
 def reference_accuracies(net_w0: Network, config: TrainConfig, stream: TaskStream) -> list[float]:
     return [run_reference(net_w0, config, task) for task in stream.tasks]
-
-
-def config_echo(config: TrainConfig) -> dict:
-    echo = {
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "lr": config.lr,
-        "head_lr": config.head_lr,
-        "lambda": config.lam,
-        "gamma": config.gamma,
-        "rank": config.rank,
-        "strategy": config.strategy,
-        "estimator": config.estimator.label(),
-        "seed": config.seed,
-        "beta1": config.beta1,
-        "beta2": config.beta2,
-        "epsilon": config.epsilon,
-        "lr_schedule": config.lr_schedule,
-        "shuffle": config.shuffle,
-        "hidden_dims": list(config.hidden_dims),
-        "b_init_scale": config.b_init_scale,
-        "w0_identity_scale": config.w0_identity_scale,
-        "w0_noise_scale": config.w0_noise_scale,
-        "w0_feature_gain": config.w0_feature_gain,
-        "pretrain_mode": config.pretrain_mode,
-        "pretrain_epochs": config.pretrain_epochs,
-        "pretrain_lr": config.pretrain_lr,
-    }
-    return echo
 
 
 def desk_profile(seed: int, **overrides) -> TrainConfig:

@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from lrcl.cli import (
+    CONFIG_KEYS,
     ExperimentConfig,
     experiment_config_from_raw,
     load_experiment_config,
@@ -13,6 +16,7 @@ from lrcl.cli import (
     parse_config_text,
 )
 from lrcl.errors import ConfigError, ParseError
+from lrcl.fisher import EstimatorKind
 
 TINY = """
 # smallest config that exercises the whole pipeline
@@ -68,23 +72,84 @@ class TestConfigParsing:
 
     def test_lambda_maps_to_field(self):
         cfg = experiment_config_from_raw({"lambda": "12.5"})
-        assert cfg.lam == 12.5
+        assert cfg.train.lam == 12.5
 
     def test_spec_defaults(self):
         cfg = ExperimentConfig()
-        assert cfg.lam == 1e7
-        assert cfg.gamma == 0.9
-        assert cfg.beta1 == 0.9
-        assert cfg.beta2 == 0.999
-        assert cfg.epsilon == 1e-8
-        assert cfg.num_tasks == 5 and cfg.classes_per_task == 4 and cfg.dim == 16
+        assert cfg.train.lam == 1e7
+        assert cfg.train.gamma == 0.9
+        assert cfg.train.beta1 == 0.9
+        assert cfg.train.beta2 == 0.999
+        assert cfg.train.epsilon == 1e-8
+        assert cfg.stream.num_tasks == 5 and cfg.stream.classes_per_task == 4 and cfg.stream.dim == 16
 
     def test_full_round_trip(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_experiment_config(path)
-        assert cfg.num_tasks == 3
-        assert cfg.hidden_dims == (8, 8)
-        assert cfg.lam == 1.0
+        assert cfg.stream.num_tasks == 3
+        assert cfg.train.hidden_dims == (8, 8)
+        assert cfg.train.lam == 1.0
+
+    # one non-default value per key: (config text, field path, parsed value)
+    NON_DEFAULTS = {
+        "epochs": ("7", "train.epochs", 7),
+        "batch_size": ("16", "train.batch_size", 16),
+        "lr": ("0.2", "train.lr", 0.2),
+        "head_lr": ("1e-3", "train.head_lr", 1e-3),
+        "lambda": ("2.5", "train.lam", 2.5),
+        "gamma": ("0.5", "train.gamma", 0.5),
+        "rank": ("3", "train.rank", 3),
+        "strategy": ("Separate", "train.strategy", "separate"),
+        "estimator": ("exact_subset(3)", "train.estimator", EstimatorKind.exact_subset(3)),
+        "beta1": ("0.8", "train.beta1", 0.8),
+        "beta2": ("0.99", "train.beta2", 0.99),
+        "epsilon": ("0.1", "train.epsilon", 0.1),
+        "lr_schedule": ("constant", "train.lr_schedule", "constant"),
+        "shuffle": ("yes", "train.shuffle", True),
+        "hidden_dims": ("5,6,7", "train.hidden_dims", (5, 6, 7)),
+        "b_init_scale": ("2", "train.b_init_scale", 2.0),
+        "w0_identity_scale": ("0.25", "train.w0_identity_scale", 0.25),
+        "w0_noise_scale": ("0.1", "train.w0_noise_scale", 0.1),
+        "w0_feature_gain": ("4", "train.w0_feature_gain", 4.0),
+        "pretrain_mode": ("random", "train.pretrain_mode", "random"),
+        "pretrain_epochs": ("3", "train.pretrain_epochs", 3),
+        "pretrain_lr": ("0.01", "train.pretrain_lr", 0.01),
+        "num_tasks": ("2", "stream.num_tasks", 2),
+        "classes_per_task": ("3", "stream.classes_per_task", 3),
+        "dim": ("8", "stream.dim", 8),
+        "radius": ("2", "stream.radius", 2.0),
+        "sigma": ("0.5", "stream.sigma", 0.5),
+        "n_train": ("20", "stream.n_train", 20),
+        "n_test": ("10", "stream.n_test", 10),
+        "pretrain_classes": ("0", "stream.pretrain_classes", 0),
+        "pretrain_n": ("30", "stream.pretrain_n", 30),
+        "csv_path": ("data.csv", "stream.csv_path", "data.csv"),
+        "seeds": ("3, 4", "seeds", (3, 4)),
+        "lambda_grid": ("1,2", "lambda_grid", (1.0, 2.0)),
+        "gamma_grid": ("0.25", "gamma_grid", (0.25,)),
+        "strategies": ("none,Precomputed-Uniform", "strategies", ("none", "precomputed_uniform")),
+        "out_dir": ("elsewhere", "out_dir", "elsewhere"),
+    }
+
+    def test_key_set_matches_readme_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config format", 1)[1].split("###", 1)[0]
+        documented = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        assert len(documented) == 37
+        assert set(CONFIG_KEYS) == documented == set(self.NON_DEFAULTS)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULTS))
+    def test_each_key_sets_exactly_its_field(self, key):
+        text, path, value = self.NON_DEFAULTS[key]
+        expected = ExperimentConfig()
+        *outer, name = path.split(".")
+        owner = getattr(expected, outer[0]) if outer else expected
+        assert getattr(owner, name) != value
+        setattr(owner, name, value)
+        assert experiment_config_from_raw({key: text}) == expected
 
 
 class TestRunCommand:
@@ -159,6 +224,29 @@ class TestRunCommand:
             assert len(err) == 1 and err[0].startswith("error:")
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "line",
+        ["estimator = exact_subset(abc)", "lambda = nan", "lr = inf", "b_init_scale = -inf",
+         "lambda_grid = 0,nan", "gamma_grid = 0.5,inf"],
+    )
+    def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the config was checked")
+
+        for name in ("run_continual", "reference_accuracies", "track_fisher_drift", "pretrain_report"):
+            monkeypatch.setattr(cli_mod, name, no_compute)
+        key = line.split("=")[0].strip()
+        kept = [l for l in TINY.splitlines() if l.split("=")[0].strip() != key]
+        cfg_path = write_config(tmp_path, "\n".join(kept + [line]) + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -201,6 +289,27 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path, TINY + "lambda_grid =\n")
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", cfg_path, "--out", str(out), "--parameter", "lambda"]) == 2
+        assert not out.exists()
+
+    def test_empty_strategies_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY + "strategies =\n")
+        out = tmp_path / "cmp"
+        assert main(["compare-strategies", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    def test_grid_value_checked_before_compute(self, tmp_path, monkeypatch):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the grid was checked")
+
+        for name in ("run_continual", "reference_accuracies"):
+            monkeypatch.setattr(cli_mod, name, no_compute)
+        cfg_path = write_config(tmp_path, TINY + "gamma_grid = 0.5,2\n")
+        out = tmp_path / "gsweep"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--parameter", "gamma"]) == 2
         assert not out.exists()
 
 
