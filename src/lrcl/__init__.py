@@ -46,7 +46,6 @@ from .regularize import (
     PenaltyTerm,
     divergence_witness,
     penalty_deltaw,
-    penalty_precomputed,
     penalty_separate,
 )
 from .tasks import Dataset, Task, TaskStream, gen_gaussian_stream, load_csv_stream, standard_stream
@@ -111,7 +110,6 @@ __all__ = [
     "merge_and_reset",
     "new_network",
     "penalty_deltaw",
-    "penalty_precomputed",
     "penalty_separate",
     "plasticity",
     "precompute_dataset_fisher",

@@ -264,7 +264,6 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
     tracked = list(range(min(3, cfg.stream.num_tasks)))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
@@ -289,6 +288,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
                     if t == i:
                         snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
                         save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
+        os.makedirs(cfg.out_dir, exist_ok=True)
         atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
     return 0
 

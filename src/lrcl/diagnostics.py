@@ -23,9 +23,10 @@ from .errors import MetricError, ParameterError
 from .fisher import FisherDiag, fisher_norm, flatten
 from .metrics import AccuracyMatrix
 from .model import accuracy
+from .regularize import STRATEGIES
 from .tasks import TaskStream, concat_datasets
 from .tensor import RngState
-from .trainer import ContinualLearner, TrainConfig, _build_fixed_fisher, prepare_base_network
+from .trainer import TrainConfig, start_learner
 
 REGIMES = ("rehearsal_free", "rehearsal_based")
 
@@ -124,18 +125,20 @@ def track_fisher_drift(
     The row at task_trained == task_data compares a snapshot with itself
     and is exactly (1, 1, 1); later rows compare the regime's Fisher
     against that snapshot. All recomputations happen on the post-merge
-    model, with the estimator the config names.
+    model, with the estimator the config names. The strategy must learn a
+    Fisher after each task (deltaw or separate): the rehearsal-free regime
+    compares against that accumulator.
     """
+    if not STRATEGIES[config.strategy].learned:
+        raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
     if regime not in REGIMES:
         raise ParameterError(f"unknown regime {regime!r}; pick one of {REGIMES}")
     for i in tracked_tasks:
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
 
-    stream.validate()
-    net = prepare_base_network(config, stream)
-    f_fixed = _build_fixed_fisher(net, config, stream)
-    learner = ContinualLearner(net, config, f_fixed=f_fixed)
+    learner = start_learner(config, stream)
+    net = learner.net
     rng_diag = RngState(config.seed).derive("drift-estimates")
 
     snapshots: dict[int, FisherDiag] = {}

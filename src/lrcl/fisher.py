@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ForwardCache, Network, forward, label_rows
+from .model import ForwardCache, Network, dz_per_layer, forward, label_rows
 from .tasks import Dataset
 from .tensor import Matrix, RngState, _softmax_rows, atomic_write, read_matrix_csv, write_matrix_csv
 
@@ -132,28 +132,6 @@ def fisher_norm(f: FisherDiag) -> float:
     return float(np.sqrt(np.dot(flat, flat)))
 
 
-def _persample_dz(net: Network, cache: ForwardCache, g_logits: np.ndarray) -> list[np.ndarray]:
-    """Backpropagate one logit-gradient row per sample down to each layer.
-
-    No batch averaging happens here, so row k of every returned matrix is
-    the gradient for sample k alone.
-    """
-    d_h = g_logits @ net.head.V.a
-    n_layers = len(net.layers)
-    dzs: list = [None] * n_layers
-    for k in range(n_layers - 1, -1, -1):
-        layer = net.layers[k]
-        if k == n_layers - 1:
-            d_z = d_h
-        else:
-            h_out = cache.inputs[k + 1]
-            d_z = d_h * (1.0 - h_out * h_out)
-        dzs[k] = d_z
-        if k > 0:
-            d_h = d_z @ layer.W.a + (d_z @ layer.A.a) @ layer.B.a
-    return dzs
-
-
 class _Accumulator:
     """Running sums of squared per-sample gradients, update and factor space."""
 
@@ -166,7 +144,7 @@ class _Accumulator:
             self.sb = [np.zeros((l.rank, l.d_in)) for l in net.layers]
 
     def add(self, cache: ForwardCache, g_logits: np.ndarray) -> None:
-        dzs = _persample_dz(self.net, cache, g_logits)
+        dzs = dz_per_layer(self.net, cache, g_logits)
         for k, layer in enumerate(self.net.layers):
             dz2 = dzs[k] * dzs[k]
             h = cache.inputs[k]

@@ -229,21 +229,17 @@ def _loss_and_dlogits(logits: np.ndarray, rows: np.ndarray) -> tuple[float, np.n
     return loss, g
 
 
-def backward(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, GradientBundle]:
-    """Loss plus gradients for the adapters and the head (base W held fixed).
+def dz_per_layer(net: Network, cache: ForwardCache, g_logits: np.ndarray) -> list[np.ndarray]:
+    """Backpropagate logit gradients to each layer's pre-activation gradient d_z.
 
-    rows holds the head row of each sample's label, from label_rows.
+    Nothing is summed over the batch: row i of every returned matrix comes
+    from row i of g_logits alone. Layer k's weight gradient is then
+    d_z[k]^T h[k], summed over the rows for training and squared row by row
+    for the Fisher.
     """
-    loss, g = _loss_and_dlogits(cache.logits, rows)
-
-    d_v = g.T @ cache.feature
-    d_bias = g.sum(axis=0)[:, None]
-    d_h = g @ net.head.V.a
-
+    d_h = g_logits @ net.head.V.a
     n_layers = len(net.layers)
-    d_a: list = [None] * n_layers
-    d_b: list = [None] * n_layers
-    d_dw: list = [None] * n_layers
+    dzs: list = [None] * n_layers
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
         if k == n_layers - 1:
@@ -251,12 +247,27 @@ def backward(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float
         else:
             h_out = cache.inputs[k + 1]  # tanh(z_k)
             d_z = d_h * (1.0 - h_out * h_out)
-        h_in = cache.inputs[k]
-        d_dw[k] = d_z.T @ h_in
-        d_a[k] = d_dw[k] @ layer.B.a.T
-        d_b[k] = layer.A.a.T @ d_dw[k]
+        dzs[k] = d_z
         if k > 0:
             d_h = d_z @ layer.W.a + (d_z @ layer.A.a) @ layer.B.a
+    return dzs
+
+
+def _weight_grads(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+    """Mean loss, d_w per layer (gradient of the full weight matrix), d_v, d_bias."""
+    loss, g = _loss_and_dlogits(cache.logits, rows)
+    d_w = [d_z.T @ h_in for d_z, h_in in zip(dz_per_layer(net, cache, g), cache.inputs)]
+    return loss, d_w, g.T @ cache.feature, g.sum(axis=0)[:, None]
+
+
+def backward(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, GradientBundle]:
+    """Loss plus gradients for the adapters and the head (base W held fixed).
+
+    rows holds the head row of each sample's label, from label_rows.
+    """
+    loss, d_dw, d_v, d_bias = _weight_grads(net, cache, rows)
+    d_a = [dw @ layer.B.a.T for dw, layer in zip(d_dw, net.layers)]
+    d_b = [layer.A.a.T @ dw for dw, layer in zip(d_dw, net.layers)]
     return loss, GradientBundle(d_a, d_b, d_dw, d_v, d_bias)
 
 
@@ -266,25 +277,7 @@ def backward_wrt_base(net: Network, cache: ForwardCache, rows: np.ndarray) -> tu
     Used for pretraining the backbone; the adapters are held fixed. rows
     are head rows, as for backward. Returns (loss, d_w per layer, d_v, d_bias).
     """
-    loss, g = _loss_and_dlogits(cache.logits, rows)
-
-    d_v = g.T @ cache.feature
-    d_bias = g.sum(axis=0)[:, None]
-    d_h = g @ net.head.V.a
-
-    n_layers = len(net.layers)
-    d_w: list = [None] * n_layers
-    for k in range(n_layers - 1, -1, -1):
-        layer = net.layers[k]
-        if k == n_layers - 1:
-            d_z = d_h
-        else:
-            h_out = cache.inputs[k + 1]
-            d_z = d_h * (1.0 - h_out * h_out)
-        d_w[k] = d_z.T @ cache.inputs[k]
-        if k > 0:
-            d_h = d_z @ layer.W.a + (d_z @ layer.A.a) @ layer.B.a
-    return loss, d_w, d_v, d_bias
+    return _weight_grads(net, cache, rows)
 
 
 def merge_and_reset(net: Network, rng: RngState, b_scale: float = 1.0) -> None:

@@ -9,8 +9,9 @@ with gradients lam * (F o AB) B^T for A and lam * A^T (F o AB) for B; the
 product AB is formed transiently per layer and never stored between
 steps. The factor-space penalty instead anchors A at zero and B at its
 per-task initialization with separate diagonals for each factor. The
-precomputed variant reuses the update-space formula with a Fisher that
-never changes across tasks.
+precomputed strategies reuse the update-space formula with a Fisher that
+never changes across tasks; STRATEGIES says, per strategy, which penalty
+and which Fisher a run uses.
 
 The two placements genuinely disagree: projecting a diagonal update-space
 Fisher onto the factors keeps only the diagonal of J^T F J and drops the
@@ -31,13 +32,49 @@ from .errors import ParameterError, ShapeError
 from .fisher import FisherDiag
 from .tensor import Matrix, RngState, uniform_matrix
 
-STRATEGIES = ("none", "deltaw", "separate", "precomputed_uniform", "precomputed_dataset")
+
+@dataclass(frozen=True)
+class Strategy:
+    """Where a strategy puts its penalty and which Fisher weights it.
+
+    penalty: "update" (penalty_deltaw on AB), "factor" (penalty_separate
+    on A and B) or None. learned: the space, "update" or "factor", of the
+    Fisher the learner estimates after each task and folds into its decayed
+    accumulator, or None. fixed: the Fisher held for the whole run instead,
+    "uniform" (all ones) or "dataset" (estimated once on the union of every
+    task's training data), or None.
+
+    Entries are plain data, not functions: the code that reads an entry
+    calls through the defining module, so a function patched there is the
+    one that runs.
+    """
+
+    penalty: str | None
+    learned: str | None
+    fixed: str | None
+
+    def penalty_term(self, As: list[Matrix], Bs: list[Matrix], B_inits: list[Matrix] | None, f: FisherDiag | None, lam: float) -> PenaltyTerm | None:
+        """The penalty at (A, B), or None for a strategy without one."""
+        if self.penalty == "update":
+            return penalty_deltaw(As, Bs, f, lam)
+        if self.penalty == "factor":
+            return penalty_separate(As, Bs, B_inits, f, lam)
+        return None
+
+
+STRATEGIES = {
+    "none": Strategy(penalty=None, learned=None, fixed=None),
+    "deltaw": Strategy(penalty="update", learned="update", fixed=None),
+    "separate": Strategy(penalty="factor", learned="factor", fixed=None),
+    "precomputed_uniform": Strategy(penalty="update", learned=None, fixed="uniform"),
+    "precomputed_dataset": Strategy(penalty="update", learned=None, fixed="dataset"),
+}
 
 
 def parse_strategy(text: str) -> str:
     norm = text.strip().lower().replace("-", "_")
     if norm not in STRATEGIES:
-        raise ParameterError(f"unknown strategy {text!r}; pick one of {STRATEGIES}")
+        raise ParameterError(f"unknown strategy {text!r}; pick one of {tuple(STRATEGIES)}")
     return norm
 
 
@@ -99,11 +136,6 @@ def penalty_separate(
         grad_a.append(lam * FA.a * A.a)
         grad_b.append(lam * FB.a * db)
     return PenaltyTerm(value, grad_a, grad_b)
-
-
-def penalty_precomputed(As: list[Matrix], Bs: list[Matrix], f_fixed: FisherDiag, lam: float) -> PenaltyTerm:
-    """Update-space formula with a Fisher that is fixed for the whole run."""
-    return penalty_deltaw(As, Bs, f_fixed, lam)
 
 
 def project_update_fisher(f: FisherDiag, A0s: list[Matrix], B0s: list[Matrix]) -> FisherDiag:

@@ -136,6 +136,8 @@ def gen_gaussian_stream(
         raise ParameterError("radius and sigma must be positive")
     if num_tasks < 1 or classes_per_task < 1 or n_train < 1 or n_test < 1:
         raise ParameterError("counts must be positive")
+    if pretrain_classes < 0:
+        raise ParameterError(f"pretrain_classes must be >= 0, got {pretrain_classes}")
 
     rng_means = RngState(seed).derive("class-means")
     rng_samples = RngState(seed).derive("class-samples")

@@ -228,17 +228,6 @@ def hadamard(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_array(a.a * b.a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return Matrix.from_array(a.a.T)
-
-
-def add_scaled(alpha: float, a: Matrix, beta: float, b: Matrix) -> Matrix:
-    """alpha*a + beta*b, elementwise."""
-    if a.shape != b.shape:
-        raise ShapeError("add_scaled shape mismatch", a.shape, b.shape)
-    return Matrix.from_array(alpha * a.a + beta * b.a)
-
-
 def uniform_matrix(rng: RngState, rows: int, cols: int, lo: float, hi: float) -> Matrix:
     """Entries i.i.d. uniform on [lo, hi), drawn in row-major order."""
     if not lo < hi:
@@ -250,37 +239,16 @@ def frobenius_norm(a: Matrix) -> float:
     return float(np.sqrt(np.sum(a.a * a.a)))
 
 
-def row_softmax(a: Matrix) -> Matrix:
-    """Softmax of each row, max-subtracted for stability."""
-    return Matrix.from_array(_softmax_rows(a.a))
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row, max-subtracted for stability."""
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def row_argmax(a: Matrix) -> list[int]:
-    """Index of each row's maximum; ties resolve to the lowest index."""
-    return a.a.argmax(axis=1).tolist()
-
-
-def total_sum(a: Matrix) -> float:
-    return float(a.a.sum())
-
-
-def total_mean(a: Matrix) -> float:
-    return float(a.a.mean())
-
-
 def format_float(x: float) -> str:
     """Shortest decimal that round-trips to the same float64."""
     return repr(float(x))
-
-
-def matrix_to_csv_lines(m: Matrix) -> list[str]:
-    return [",".join(format_float(v) for v in row) for row in m.a]
 
 
 def atomic_write(path, text: str) -> None:
@@ -301,7 +269,7 @@ def atomic_write(path, text: str) -> None:
 
 
 def write_matrix_csv(path, m: Matrix) -> None:
-    atomic_write(path, "".join(line + "\n" for line in matrix_to_csv_lines(m)))
+    atomic_write(path, "".join(",".join(format_float(v) for v in row) + "\n" for row in m.a))
 
 
 def read_matrix_csv(path) -> Matrix:

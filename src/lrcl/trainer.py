@@ -13,7 +13,6 @@ are dropped when the step returns.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .model import (
     new_network,
     reset_adapter,
 )
-from .regularize import parse_strategy, penalty_deltaw, penalty_precomputed, penalty_separate
+from .regularize import STRATEGIES, parse_strategy
 from .tasks import Dataset, Task, TaskStream
 from .tensor import Matrix, RngState
 
@@ -147,10 +146,10 @@ def train_task(
     if task_data.n < 1:
         raise DataError("cannot train on an empty task")
 
-    strategy = config.strategy
+    strategy = STRATEGIES[config.strategy]
     As = [layer.A for layer in net.layers]
     Bs = [layer.B for layer in net.layers]
-    b_inits = [layer.B.copy() for layer in net.layers] if strategy == "separate" else None
+    b_inits = [layer.B.copy() for layer in net.layers] if strategy.penalty == "factor" else None
 
     adapter_params = net.trainable_adapters()
     head_params = [net.head.V, net.head.b]
@@ -174,14 +173,7 @@ def train_task(
             ce, grads = backward(net, cache, rows[idx])
 
             total = ce
-            if strategy == "deltaw":
-                pen = penalty_deltaw(As, Bs, f_cum, config.lam)
-            elif strategy == "separate":
-                pen = penalty_separate(As, Bs, b_inits, f_cum, config.lam)
-            elif strategy in ("precomputed_uniform", "precomputed_dataset"):
-                pen = penalty_precomputed(As, Bs, f_cum, config.lam)
-            else:
-                pen = None
+            pen = strategy.penalty_term(As, Bs, b_inits, f_cum, config.lam)
             if pen is not None:
                 total += pen.value
                 for k in range(len(net.layers)):
@@ -206,8 +198,6 @@ class StepResult:
     loss_trace: list[float]
     fisher_t: FisherDiag | None
     adapter_norm: float
-    train_seconds: float
-    fisher_seconds: float
 
 
 class ContinualLearner:
@@ -220,13 +210,14 @@ class ContinualLearner:
     def __init__(self, net: Network, config: TrainConfig, f_fixed: FisherDiag | None = None):
         self.net = net
         self.config = config
-        self.f_cum = zeros_like(net, factor_space=(config.strategy == "separate"))
+        self.strategy = STRATEGIES[config.strategy]
+        self.f_cum = zeros_like(net, factor_space=(self.strategy.learned == "factor"))
         self.f_fixed = f_fixed
         root = RngState(config.seed)
         self._rng_init = root.derive("adapter-init")
         self._rng_train = root.derive("train")
         self._rng_fisher = root.derive("fisher")
-        if config.strategy.startswith("precomputed") and f_fixed is None:
+        if self.strategy.fixed and f_fixed is None:
             raise ConfigError("precomputed strategies need a fixed Fisher")
 
     def step(self, task: Task) -> StepResult:
@@ -234,25 +225,14 @@ class ContinualLearner:
         reset_adapter(self.net, self._rng_init, b_scale=cfg.b_init_scale)
         expand_head(self.net, task.class_ids, self._rng_init)
 
-        if cfg.strategy in ("deltaw", "separate"):
-            f_pen = self.f_cum
-        elif cfg.strategy.startswith("precomputed"):
-            f_pen = self.f_fixed
-        else:
-            f_pen = None
-
-        t0 = time.perf_counter()
+        f_pen = self.f_fixed if self.strategy.fixed else self.f_cum
         trace = train_task(self.net, task.train, f_pen, cfg, self._rng_train)
-        t1 = time.perf_counter()
 
         fisher_t = None
-        if cfg.strategy == "deltaw":
-            fisher_t = fisher_mod.estimate(self.net, task.train, cfg.estimator, self._rng_fisher)
+        if self.strategy.learned:
+            estimate = fisher_mod.estimate_factor_space if self.strategy.learned == "factor" else fisher_mod.estimate
+            fisher_t = estimate(self.net, task.train, cfg.estimator, self._rng_fisher)
             self.f_cum = accumulate(self.f_cum, fisher_t, cfg.gamma)
-        elif cfg.strategy == "separate":
-            fisher_t = fisher_mod.estimate_factor_space(self.net, task.train, cfg.estimator, self._rng_fisher)
-            self.f_cum = accumulate(self.f_cum, fisher_t, cfg.gamma)
-        t2 = time.perf_counter()
 
         norm_sq = 0.0
         for layer in self.net.layers:
@@ -260,13 +240,7 @@ class ContinualLearner:
             norm_sq += float(np.sum(delta * delta))
         merge_and_reset(self.net, self._rng_init, b_scale=cfg.b_init_scale)
 
-        return StepResult(
-            loss_trace=trace,
-            fisher_t=fisher_t,
-            adapter_norm=math.sqrt(norm_sq),
-            train_seconds=t1 - t0,
-            fisher_seconds=t2 - t1,
-        )
+        return StepResult(loss_trace=trace, fisher_t=fisher_t, adapter_norm=math.sqrt(norm_sq))
 
 
 @dataclass
@@ -277,7 +251,6 @@ class RunRecord:
     loss_traces: list[list[float]]
     adapter_norms: list[float]
     task_logs: list[dict]
-    wall_time_s: float
 
 
 def _stratified_split(data: Dataset, train_frac: float, rng: RngState) -> tuple[Dataset, Dataset]:
@@ -350,28 +323,28 @@ def prepare_base_network(config: TrainConfig, stream: TaskStream) -> Network:
     return new_network(dims, config.rank, rng, config.w0_identity_scale, config.w0_noise_scale, config.w0_feature_gain)
 
 
-def _build_fixed_fisher(net: Network, config: TrainConfig, stream: TaskStream) -> FisherDiag | None:
-    if config.strategy == "precomputed_uniform":
-        return uniform_fisher(net)
-    if config.strategy == "precomputed_dataset":
+def start_learner(config: TrainConfig, stream: TaskStream) -> ContinualLearner:
+    """A learner on the base network, with the fixed Fisher its strategy needs."""
+    stream.validate()
+    net = prepare_base_network(config, stream)
+    fixed = STRATEGIES[config.strategy].fixed
+    f_fixed = None
+    if fixed == "uniform":
+        f_fixed = uniform_fisher(net)
+    elif fixed == "dataset":
         probe = net.copy()
         rng = RngState(config.seed).derive("precompute")
-        all_ids = [cid for task in stream.tasks for cid in task.class_ids]
-        expand_head(probe, all_ids, rng)
-        return precompute_dataset_fisher(probe, stream.all_train(), config.estimator, rng)
-    return None
+        expand_head(probe, [cid for task in stream.tasks for cid in task.class_ids], rng)
+        f_fixed = precompute_dataset_fisher(probe, stream.all_train(), config.estimator, rng)
+    return ContinualLearner(net, config, f_fixed=f_fixed)
 
 
 def run_continual(config: TrainConfig, stream: TaskStream) -> RunRecord:
     """Full sequential run over the stream, filling the accuracy matrix."""
     if stream.num_tasks < 1:
         raise DataError("stream has no tasks")
-    stream.validate()
-
-    started = time.perf_counter()
-    net = prepare_base_network(config, stream)
-    f_fixed = _build_fixed_fisher(net, config, stream)
-    learner = ContinualLearner(net, config, f_fixed=f_fixed)
+    learner = start_learner(config, stream)
+    net = learner.net
 
     acc = AccuracyMatrix(stream.num_tasks)
     traces: list[list[float]] = []
@@ -390,19 +363,11 @@ def run_continual(config: TrainConfig, stream: TaskStream) -> RunRecord:
                 "class_ids": list(task.class_ids),
                 "loss_trace": result.loss_trace,
                 "adapter_norm": result.adapter_norm,
-                "train_seconds": result.train_seconds,
-                "fisher_seconds": result.fisher_seconds,
                 "row": row,
             }
         )
 
-    return RunRecord(
-        acc_matrix=acc,
-        loss_traces=traces,
-        adapter_norms=norms,
-        task_logs=logs,
-        wall_time_s=time.perf_counter() - started,
-    )
+    return RunRecord(acc_matrix=acc, loss_traces=traces, adapter_norms=norms, task_logs=logs)
 
 
 def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:

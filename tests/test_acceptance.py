@@ -30,7 +30,6 @@ from lrcl.model import (
 from lrcl.regularize import (
     divergence_witness,
     penalty_deltaw,
-    penalty_precomputed,
     penalty_separate,
 )
 from lrcl.tasks import Dataset, standard_stream
@@ -149,7 +148,7 @@ class TestCriterion1GradientCorrectness:
             ok &= grads_close(grads.d_v, central_diff(task_loss, net.head.V))
             ok &= grads_close(grads.d_bias, central_diff(task_loss, net.head.b))
 
-            # penalty gradients, all three strategies
+            # penalty gradients, both placements
             As = [l.A for l in net.layers]
             Bs = [l.B for l in net.layers]
             b_inits = [Matrix.from_array(l.B.a * 0.5) for l in net.layers]
@@ -163,7 +162,6 @@ class TestCriterion1GradientCorrectness:
             for name, value_fn, pen in (
                 ("deltaw", lambda: penalty_deltaw(As, Bs, f_dw, lam).value, penalty_deltaw(As, Bs, f_dw, lam)),
                 ("separate", lambda: penalty_separate(As, Bs, b_inits, f_sep, lam).value, penalty_separate(As, Bs, b_inits, f_sep, lam)),
-                ("precomputed", lambda: penalty_precomputed(As, Bs, f_dw, lam).value, penalty_precomputed(As, Bs, f_dw, lam)),
             ):
                 for k in range(len(net.layers)):
                     ok &= grads_close(pen.grad_a[k], central_diff(value_fn, As[k]))

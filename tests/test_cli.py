@@ -177,10 +177,10 @@ class TestRunCommand:
         out_b = tmp_path / "b"
         assert main(["run", "--config", cfg_path, "--out", str(out_a)]) == 0
         assert main(["run", "--config", cfg_path, "--out", str(out_b)]) == 0
-        bytes_a = (out_a / "accuracy_matrix.csv").read_bytes()
-        bytes_b = (out_b / "accuracy_matrix.csv").read_bytes()
-        assert bytes_a == bytes_b
-        assert (out_a / "metrics.json").read_bytes() == (out_b / "metrics.json").read_bytes()
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == ["accuracy_matrix.csv", "metrics.json", "references.csv", "run.jsonl"]
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_bad_key_exits_2_without_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY + "bogus_key = 1\n")
@@ -228,7 +228,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "line",
         ["estimator = exact_subset(abc)", "lambda = nan", "lr = inf", "b_init_scale = -inf",
-         "lambda_grid = 0,nan", "gamma_grid = 0.5,inf"],
+         "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -331,6 +331,24 @@ class TestDiagnoseCommand:
         snap_dir = out / "fisher_snapshots_seed0" / "task0"
         assert (snap_dir / "manifest.json").exists()
 
+    @pytest.mark.parametrize("strategy", ["none", "precomputed_uniform", "precomputed_dataset"])
+    def test_strategy_without_learned_fisher_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, strategy):
+        import lrcl.diagnostics as diagnostics_mod
+        import lrcl.trainer as trainer_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the strategy was checked")
+
+        monkeypatch.setattr(diagnostics_mod, "start_learner", no_compute)
+        monkeypatch.setattr(trainer_mod, "prepare_base_network", no_compute)
+        cfg_path = write_config(tmp_path, TINY + f"strategy = {strategy}\n")
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "deltaw" in err[0] and "separate" in err[0]
+        assert not out.exists()
+
 
 class TestReferenceAndPretrain:
     def test_reference_csv(self, tmp_path):
@@ -380,16 +398,36 @@ class TestGoldenOutputs:
         "references.csv": "d8d30a6147e1ce8dd3878f12b7d80eab25902bb793044af268aaa11b987bf50d",
     }
 
-    def test_run_matches_recorded_digests(self, tmp_path):
-        import hashlib
+    # strategies.csv of compare-strategies on TINY with all five
+    # strategies, estimator = exact_subset(3) and shuffle = true
+    STRATEGIES_CSV = "9184592910d6b1b3d24f17ca640107e9b9464232bd0bede0664e156bd8627ed4"
 
+    def _skip_on_other_platform(self):
         import numpy as np
 
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
         if here != self.PLATFORM:
             pytest.skip(f"digests were recorded on {self.PLATFORM}, this is {here}")
+
+    def test_run_matches_recorded_digests(self, tmp_path):
+        import hashlib
+
+        self._skip_on_other_platform()
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path), "--out", str(out), "--seed", "0"]) == 0
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.DIGESTS}
         assert got == self.DIGESTS
+
+    def test_compare_strategies_matches_recorded_digest(self, tmp_path):
+        import hashlib
+
+        self._skip_on_other_platform()
+        text = TINY + (
+            "strategies = none,deltaw,separate,precomputed_uniform,precomputed_dataset\n"
+            "estimator = exact_subset(3)\n"
+            "shuffle = true\n"
+        )
+        out = tmp_path / "out"
+        assert main(["compare-strategies", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0"]) == 0
+        assert hashlib.sha256((out / "strategies.csv").read_bytes()).hexdigest() == self.STRATEGIES_CSV

@@ -9,7 +9,6 @@ from lrcl.regularize import (
     divergence_witness,
     parse_strategy,
     penalty_deltaw,
-    penalty_precomputed,
     penalty_separate,
     project_update_fisher,
 )
@@ -194,23 +193,6 @@ class TestPenaltySeparate:
         f = FisherDiag([rand_fisher(rng, 3, 3)])
         with pytest.raises(ParameterError):
             penalty_separate([A], [B], [B], f, 1.0)
-
-
-class TestPenaltyPrecomputed:
-    def test_same_formula_as_deltaw(self):
-        rng = RngState(14)
-        A = rand_matrix(rng, 5, 2)
-        B = rand_matrix(rng, 2, 5)
-        f = FisherDiag([rand_fisher(rng, 5, 5)])
-        p1 = penalty_deltaw([A], [B], f, 2.0)
-        p2 = penalty_precomputed([A], [B], f, 2.0)
-        assert p1.value == p2.value
-        assert np.array_equal(p1.grad_a[0], p2.grad_a[0])
-
-    def test_anchor_zero(self):
-        f = FisherDiag([Matrix.full(2, 2, 1.0)])
-        pen = penalty_precomputed([Matrix.zeros(2, 1)], [Matrix(1, 2, [1, 1])], f, 2.0)
-        assert pen.value == 0.0
 
 
 class TestProjection:
