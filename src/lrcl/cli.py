@@ -27,7 +27,7 @@ from .diagnostics import REGIMES, track_fisher_drift
 from .errors import ConfigError, EngineError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
-from .model import save_checkpoint
+from .model import Network, save_checkpoint
 from .regularize import parse_strategy
 from .tasks import StreamConfig, TaskStream
 from .tensor import atomic_write, format_float
@@ -35,6 +35,7 @@ from .trainer import (
     RunRecord,
     TrainConfig,
     prepare_base_network,
+    pretrain_key,
     pretrain_report,
     reference_accuracies,
     run_continual,
@@ -207,8 +208,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     seed = cfg.seeds[0]
     stream = cfg.build_stream(seed)
     config = cfg.train_config(seed)
-    record = run_continual(config, stream)
-    refs = reference_accuracies(prepare_base_network(config, stream), config, stream)
+    base = prepare_base_network(config, stream)
+    record = run_continual(config, stream, base)
+    refs = reference_accuracies(base, config, stream)
     metrics = compute_metrics(record, refs)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -224,8 +226,19 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _base_network(bases: dict[tuple, Network], config: TrainConfig, stream: TaskStream) -> Network:
+    """The backbone for config, pretrained on first use of its pretrain_key."""
+    key = pretrain_key(config)
+    if key not in bases:
+        bases[key] = prepare_base_network(config, stream)
+    return bases[key]
+
+
 def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str) -> int:
     """One stream and one reference set per seed, then one continual run per override.
+
+    The references and the runs of a seed share one pretrained backbone per
+    pretrain_key, so an override of a pretraining field pretrains anew.
 
     runs holds (row label, TrainConfig overrides) pairs; each output row is
     the label (one value per column), the seed and the run's metrics.
@@ -236,10 +249,11 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
     for seed in cfg.seeds:
         configs = [cfg.train_config(seed, **overrides) for _, overrides in runs]  # validated before compute
         stream = cfg.build_stream(seed)
+        bases: dict[tuple, Network] = {}
         base_cfg = cfg.train_config(seed)
-        refs = reference_accuracies(prepare_base_network(base_cfg, stream), base_cfg, stream)
+        refs = reference_accuracies(_base_network(bases, base_cfg, stream), base_cfg, stream)
         for (label, _), config in zip(runs, configs):
-            metrics = compute_metrics(run_continual(config, stream), refs)
+            metrics = compute_metrics(run_continual(config, stream, _base_network(bases, config, stream)), refs)
             rows.append(_metrics_row(label + [str(seed)], metrics))
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
@@ -267,27 +281,15 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
+        logs, rows, _ = track_fisher_drift(config, stream, tracked, REGIMES)
         lines = ["task_trained,task_data,regime,norm_ratio,spearman,cosine"]
-        for regime in REGIMES:
-            log, rows, _ = track_fisher_drift(config, stream, tracked, regime)
-            for r in rows:
-                lines.append(
-                    ",".join(
-                        [
-                            str(r.task_trained),
-                            str(r.task_data),
-                            r.regime,
-                            format_float(r.norm_ratio),
-                            format_float(r.spearman),
-                            format_float(r.cosine),
-                        ]
-                    )
-                )
-            if regime == "rehearsal_free":
-                for t, i, snap in log.entries:
-                    if t == i:
-                        snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
-                        save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
+        for r in rows:
+            values = [format_float(v) for v in (r.norm_ratio, r.spearman, r.cosine)]
+            lines.append(",".join([str(r.task_trained), str(r.task_data), r.regime] + values))
+        for t, i, snap in logs["rehearsal_free"].entries:
+            if t == i:
+                snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
+                save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
         os.makedirs(cfg.out_dir, exist_ok=True)
         atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
     return 0

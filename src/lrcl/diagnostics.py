@@ -42,16 +42,11 @@ def norm_ratio(f_now: FisherDiag, f_orig: FisherDiag) -> float:
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks; runs of equal values share their mean rank."""
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(v)] - 1
     ranks = np.empty(len(v))
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        mean_rank = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -118,65 +113,77 @@ def track_fisher_drift(
     config: TrainConfig,
     stream: TaskStream,
     tracked_tasks: list[int],
-    regime: str,
-) -> tuple[FisherSnapshotLog, list[DriftRow], AccuracyMatrix]:
-    """Drive a continual run and report Fisher drift for the tracked tasks.
+    regimes: tuple[str, ...] = REGIMES,
+) -> tuple[dict[str, FisherSnapshotLog], list[DriftRow], AccuracyMatrix]:
+    """Drive one continual run and report Fisher drift for the tracked tasks.
 
-    The row at task_trained == task_data compares a snapshot with itself
-    and is exactly (1, 1, 1); later rows compare the regime's Fisher
-    against that snapshot. All recomputations happen on the post-merge
-    model, with the estimator the config names. The strategy must learn a
-    Fisher after each task (deltaw or separate): the rehearsal-free regime
-    compares against that accumulator.
+    Measuring drift leaves the learner untouched, so one trajectory serves
+    every requested regime. Returns one log per regime and the rows of each
+    regime in the order of regimes. The row at task_trained == task_data
+    compares a snapshot with itself and is exactly (1, 1, 1); later rows
+    compare the regime's Fisher against that snapshot. All recomputations
+    happen on the post-merge model, with the estimator the config names;
+    each regime draws from its own stream, so its rows equal those of a
+    run that tracks that regime alone, and estimates that draw nothing are
+    shared between regimes. The strategy must learn a Fisher after each
+    task (deltaw or separate): the rehearsal-free regime compares against
+    that accumulator.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
-    if regime not in REGIMES:
-        raise ParameterError(f"unknown regime {regime!r}; pick one of {REGIMES}")
+    if not regimes or len(set(regimes)) < len(regimes) or not set(regimes) <= set(REGIMES):
+        raise ParameterError(f"regimes must be distinct names from {REGIMES}, got {regimes!r}")
     for i in tracked_tasks:
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
 
     learner = start_learner(config, stream)
     net = learner.net
-    rng_diag = RngState(config.seed).derive("drift-estimates")
-
-    snapshots: dict[int, FisherDiag] = {}
-    log_entries: list[tuple[int, int, FisherDiag]] = []
-    rows: list[DriftRow] = []
+    tracked = sorted(tracked_tasks)
+    rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in regimes}
+    snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in regimes}
+    logs = {regime: FisherSnapshotLog(regime=regime, entries=[]) for regime in regimes}
+    rows: dict[str, list[DriftRow]] = {regime: [] for regime in regimes}
     acc = AccuracyMatrix(stream.num_tasks)
 
     for t, task in enumerate(stream.tasks):
         learner.step(task)
         acc.add_row([accuracy(net, stream.tasks[i].test.X, stream.tasks[i].test.y) for i in range(t + 1)])
 
-        pooled = None
-        for i in sorted(tracked_tasks):
-            if i > t:
-                continue
-            f_now = fisher_mod.estimate(net, stream.tasks[i].train, config.estimator, rng_diag)
-            log_entries.append((t, i, f_now))
-            if i == t:
-                snapshots[i] = f_now
-                rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
-                continue
-            base = snapshots[i]
-            if regime == "rehearsal_free":
-                comparator = learner.f_cum
-            else:
-                if pooled is None:
-                    joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
-                    pooled = fisher_mod.estimate(net, joined, config.estimator, rng_diag)
-                comparator = pooled
-            rows.append(
-                DriftRow(
-                    task_trained=t,
-                    task_data=i,
-                    regime=regime,
-                    norm_ratio=norm_ratio(f_now, base),
-                    spearman=spearman(flatten(comparator), flatten(base)),
-                    cosine=cosine_sim(flatten(comparator), flatten(base)),
+        shared: dict[int, FisherDiag] = {}
+        for regime in regimes:
+            rng = rngs[regime]
+            pooled = None
+            for i in tracked:
+                if i > t:
+                    continue
+                f_now = shared.get(i)
+                if f_now is None:
+                    f_now = fisher_mod.estimate(net, stream.tasks[i].train, config.estimator, rng)
+                    if not config.estimator.draws:
+                        shared[i] = f_now
+                logs[regime].entries.append((t, i, f_now))
+                if i == t:
+                    snapshots[regime][i] = f_now
+                    rows[regime].append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
+                    continue
+                base = snapshots[regime][i]
+                if regime == "rehearsal_free":
+                    comparator = learner.f_cum
+                else:
+                    if pooled is None:
+                        joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
+                        pooled = fisher_mod.estimate(net, joined, config.estimator, rng)
+                    comparator = pooled
+                rows[regime].append(
+                    DriftRow(
+                        task_trained=t,
+                        task_data=i,
+                        regime=regime,
+                        norm_ratio=norm_ratio(f_now, base),
+                        spearman=spearman(flatten(comparator), flatten(base)),
+                        cosine=cosine_sim(flatten(comparator), flatten(base)),
+                    )
                 )
-            )
 
-    return FisherSnapshotLog(regime=regime, entries=log_entries), rows, acc
+    return logs, [row for regime in regimes for row in rows[regime]], acc

@@ -74,6 +74,11 @@ class EstimatorKind:
                 raise ParameterError(f"exact_subset needs an integer size, got {text!r}")
         return cls(text)
 
+    @property
+    def draws(self) -> bool:
+        """Whether an estimate consumes the rng: a subset draw or a class draw."""
+        return self.name in ("exact_subset", "sampled")
+
     def label(self) -> str:
         if self.name == "exact_subset":
             return f"exact_subset({self.subset})"
@@ -171,27 +176,22 @@ def _onehot_minus_probs(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _sample_classes(probs: np.ndarray, rng: RngState) -> np.ndarray:
-    """One class index per row, inverse-CDF on the given stream."""
-    out = np.empty(probs.shape[0], dtype=np.int64)
-    for k, u in enumerate(rng.floats(probs.shape[0]).tolist()):
-        acc = 0.0
-        idx = probs.shape[1] - 1
-        for c in range(probs.shape[1]):
-            acc += probs[k, c]
-            if u < acc:
-                idx = c
-                break
-        out[k] = idx
-    return out
+    """One class index per row, inverse-CDF on the given stream.
+
+    Each row's cumulative sum runs left to right; a draw that no sum
+    exceeds falls to the last class.
+    """
+    hits = rng.floats(probs.shape[0])[:, None] < np.cumsum(probs, axis=1)
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), probs.shape[1] - 1)
 
 
 def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None, factor_space: bool) -> FisherDiag:
     if data.n < 1:
         raise DataError("cannot estimate Fisher on an empty dataset")
+    if kind.draws and rng is None:
+        raise ParameterError(f"the {kind.label()} estimator needs an rng for its draws")
 
     if kind.name == "exact_subset":
-        if rng is None:
-            raise ParameterError("exact_subset needs an rng for the draw")
         take = min(kind.subset, data.n)
         idx = sorted(rng.sample_indices(data.n, take))  # set draw; fixed order keeps sums stable
         data = data.subset(idx)
@@ -205,8 +205,6 @@ def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | 
         rows = label_rows(net.head, data.y)
         acc.add(cache, _onehot_minus_probs(probs, rows))
     elif kind.name == "sampled":
-        if rng is None:
-            raise ParameterError("sampled estimator needs an rng")
         rows = _sample_classes(probs, rng)
         acc.add(cache, _onehot_minus_probs(probs, rows))
     else:  # exact: full class sum, each class weighted by its probability

@@ -138,6 +138,8 @@ def gen_gaussian_stream(
         raise ParameterError("counts must be positive")
     if pretrain_classes < 0:
         raise ParameterError(f"pretrain_classes must be >= 0, got {pretrain_classes}")
+    if pretrain_classes > 0 and pretrain_n < 1:
+        raise ParameterError(f"pretrain_n must be >= 1 when pretrain_classes > 0, got {pretrain_n}")
 
     rng_means = RngState(seed).derive("class-means")
     rng_samples = RngState(seed).derive("class-samples")

@@ -82,6 +82,8 @@ class TrainConfig:
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.pretrain_lr <= 0:
             raise ConfigError("pretrain_lr must be positive")
+        if self.pretrain_epochs < 0:
+            raise ConfigError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.pretrain_mode not in ("train", "random"):
             raise ConfigError(f"unknown pretrain mode {self.pretrain_mode!r}")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
@@ -323,10 +325,28 @@ def prepare_base_network(config: TrainConfig, stream: TaskStream) -> Network:
     return new_network(dims, config.rank, rng, config.w0_identity_scale, config.w0_noise_scale, config.w0_feature_gain)
 
 
-def start_learner(config: TrainConfig, stream: TaskStream) -> ContinualLearner:
-    """A learner on the base network, with the fixed Fisher its strategy needs."""
+# every TrainConfig field that pretrain_report or prepare_base_network reads;
+# rank counts because new_network draws B from the pretraining stream
+_PRETRAIN_FIELDS = (
+    "seed", "pretrain_mode", "hidden_dims", "rank", "w0_identity_scale", "w0_noise_scale",
+    "w0_feature_gain", "pretrain_epochs", "pretrain_lr", "head_lr", "lr_schedule",
+    "batch_size", "beta1", "beta2", "epsilon",
+)
+
+
+def pretrain_key(config: TrainConfig) -> tuple:
+    """Configs with equal keys get the same base network from one stream."""
+    return tuple(getattr(config, name) for name in _PRETRAIN_FIELDS)
+
+
+def start_learner(config: TrainConfig, stream: TaskStream, base: Network | None = None) -> ContinualLearner:
+    """A learner on the base network, with the fixed Fisher its strategy needs.
+
+    A given base must come from prepare_base_network with a config of the
+    same pretrain_key; the learner trains a copy and leaves it untouched.
+    """
     stream.validate()
-    net = prepare_base_network(config, stream)
+    net = base.copy() if base is not None else prepare_base_network(config, stream)
     fixed = STRATEGIES[config.strategy].fixed
     f_fixed = None
     if fixed == "uniform":
@@ -339,11 +359,14 @@ def start_learner(config: TrainConfig, stream: TaskStream) -> ContinualLearner:
     return ContinualLearner(net, config, f_fixed=f_fixed)
 
 
-def run_continual(config: TrainConfig, stream: TaskStream) -> RunRecord:
-    """Full sequential run over the stream, filling the accuracy matrix."""
+def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None = None) -> RunRecord:
+    """Full sequential run over the stream, filling the accuracy matrix.
+
+    base, when given, is used as start_learner uses it.
+    """
     if stream.num_tasks < 1:
         raise DataError("stream has no tasks")
-    learner = start_learner(config, stream)
+    learner = start_learner(config, stream, base)
     net = learner.net
 
     acc = AccuracyMatrix(stream.num_tasks)

@@ -38,6 +38,7 @@ from lrcl.trainer import (
     ContinualLearner,
     desk_profile,
     prepare_base_network,
+    pretrain_key,
     reference_accuracies,
     run_continual,
     train_task,
@@ -103,11 +104,13 @@ def campaign():
     for seed in SEEDS:
         stream = standard_stream(seed)
         base_cfg = desk_profile(seed)
-        refs[seed] = reference_accuracies(prepare_base_network(base_cfg, stream), base_cfg, stream)
+        base = prepare_base_network(base_cfg, stream)
+        refs[seed] = reference_accuracies(base, base_cfg, stream)
 
         def run(strategy, lam, gamma=0.9):
             cfg = desk_profile(seed, strategy=strategy, lam=lam, gamma=gamma)
-            rec = run_continual(cfg, stream)
+            assert pretrain_key(cfg) == pretrain_key(base_cfg)
+            rec = run_continual(cfg, stream, base)
             abar, avg = avg_anytime(rec.acc_matrix)
             return {
                 "final": abar[-1],
@@ -432,8 +435,9 @@ class TestCriterion10FisherDrift:
         for seed in SEEDS:
             stream = standard_stream(seed)
             cfg = desk_profile(seed, **DRIFT_OVERRIDES)
-            _, rows_free, _ = track_fisher_drift(cfg, stream, [0, 1, 2], "rehearsal_free")
-            _, rows_reh, _ = track_fisher_drift(cfg, stream, [0, 1, 2], "rehearsal_based")
+            _, rows, _ = track_fisher_drift(cfg, stream, [0, 1, 2], ("rehearsal_free", "rehearsal_based"))
+            rows_free = [r for r in rows if r.regime == "rehearsal_free"]
+            rows_reh = [r for r in rows if r.regime == "rehearsal_based"]
             for r in rows_free + rows_reh:
                 if r.task_trained == r.task_data:
                     self_ok &= r.norm_ratio == 1.0 and r.spearman == 1.0 and r.cosine == 1.0

@@ -228,7 +228,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "line",
         ["estimator = exact_subset(abc)", "lambda = nan", "lr = inf", "b_init_scale = -inf",
-         "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3"],
+         "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3",
+         "pretrain_epochs = -5", "pretrain_n = -3"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -244,7 +245,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not out.exists()
 
     def test_seed_flag_overrides(self, tmp_path):
@@ -375,6 +376,29 @@ class TestReferenceAndPretrain:
         assert [l.W.shape for l in net.layers] == [(8, 6), (8, 8)]
 
 
+class TestPretrainOncePerSeed:
+    @pytest.mark.parametrize(
+        "command,seeds",
+        [(["run"], [0]), (["compare-strategies"], [0, 7]), (["sweep", "--parameter", "lambda"], [0, 7]),
+         (["sweep", "--parameter", "gamma"], [0, 7]), (["diagnose"], [0, 7])],
+    )
+    def test_one_pretrain_per_seed(self, tmp_path, monkeypatch, command, seeds):
+        import lrcl.trainer as trainer_mod
+
+        calls = []
+        real = trainer_mod.pretrain_report
+
+        def spy(config, pretrain_set):
+            calls.append(config.seed)
+            return real(config, pretrain_set)
+
+        monkeypatch.setattr(trainer_mod, "pretrain_report", spy)
+        text = TINY + "lambda_grid = 0,1,10\ngamma_grid = 0,0.5\n"
+        out = tmp_path / "out"
+        assert main(command + ["--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
+        assert calls == seeds
+
+
 class TestInputsUntouched:
     def test_commands_do_not_mutate_config_file(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -410,6 +434,13 @@ class TestGoldenOutputs:
         if here != self.PLATFORM:
             pytest.skip(f"digests were recorded on {self.PLATFORM}, this is {here}")
 
+    # every file diagnose writes on TINY at seeds 0 and 7: sha256 over the
+    # sorted "relative/path sha256-of-bytes" lines
+    DIAGNOSE_TREES = {
+        ("exact", "deltaw"): "afb6834164e454f17d07a5c94573990252a9da62e09e578b506e5f020693e60c",
+        ("sampled", "separate"): "790c78bc5a5cdaab74b9630151331ca779c1a9cddc6af23abe96eac7afa6c09f",
+    }
+
     def test_run_matches_recorded_digests(self, tmp_path):
         import hashlib
 
@@ -431,3 +462,16 @@ class TestGoldenOutputs:
         out = tmp_path / "out"
         assert main(["compare-strategies", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0"]) == 0
         assert hashlib.sha256((out / "strategies.csv").read_bytes()).hexdigest() == self.STRATEGIES_CSV
+
+    @pytest.mark.parametrize("estimator,strategy", sorted(DIAGNOSE_TREES))
+    def test_diagnose_matches_recorded_digest(self, tmp_path, estimator, strategy):
+        import hashlib
+
+        self._skip_on_other_platform()
+        text = TINY + f"estimator = {estimator}\nstrategy = {strategy}\n"
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
+        tree = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            tree.update(f"{path.relative_to(out).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+        assert tree.hexdigest() == self.DIAGNOSE_TREES[(estimator, strategy)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrcl.diagnostics import (
+    REGIMES,
     DriftRow,
     _average_ranks,
     cosine_sim,
@@ -61,6 +62,30 @@ class TestSpearman:
     def test_hand_computed_closed_form(self):
         # d = (0, -1, 1, 0): rho = 1 - 6*2/(4*15) = 0.8
         assert abs(spearman([1, 2, 3, 4], [1, 3, 2, 4]) - 0.8) < 1e-15
+
+    @staticmethod
+    def _loop_ranks(v):
+        order = np.argsort(v, kind="stable")
+        ranks = np.empty(len(v))
+        i = 0
+        while i < len(v):
+            j = i
+            while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+                j += 1
+            for k in range(i, j + 1):
+                ranks[order[k]] = 0.5 * (i + j) + 1.0
+            i = j + 1
+        return ranks
+
+    def test_average_ranks_match_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        cases = [np.zeros(0), np.array([4.0]), np.full(9, 2.5), np.array([0.0, -0.0, 1.0, -0.0])]
+        for n in (2, 3, 17, 300):
+            cases.append(rng.normal(size=n))
+            cases.append(rng.integers(0, 4, size=n).astype(float))  # heavy ties
+            cases.append(np.round(rng.exponential(size=n), 1))
+        for v in cases:
+            assert _average_ranks(v).tobytes() == self._loop_ranks(v).tobytes()
 
     def test_average_ranks_for_ties(self):
         ranks = _average_ranks(np.array([2.0, 1.0, 2.0, 5.0]))
@@ -131,7 +156,7 @@ class TestCosine:
 
 
 class TestTrackFisherDrift:
-    def _run(self, regime, seed=0):
+    def _run(self, regimes, seed=0, estimator="empirical"):
         stream = gen_gaussian_stream(
             num_tasks=3, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
             n_train=24, n_test=12, seed=seed, pretrain_classes=4, pretrain_n=24,
@@ -139,11 +164,12 @@ class TestTrackFisherDrift:
         cfg = TrainConfig(
             seed=seed, epochs=3, batch_size=12, lr=0.05, head_lr=1e-6, epsilon=0.1,
             hidden_dims=(8, 8), rank=2, pretrain_epochs=4, pretrain_lr=0.005, lam=1.0,
+            estimator=estimator,
         )
-        return track_fisher_drift(cfg, stream, [0, 1], regime)
+        return track_fisher_drift(cfg, stream, [0, 1], regimes)
 
     def test_self_comparison_rows_exact(self):
-        _, rows, _ = self._run("rehearsal_free")
+        _, rows, _ = self._run(("rehearsal_free",))
         for r in rows:
             if r.task_trained == r.task_data:
                 assert r.norm_ratio == 1.0
@@ -151,33 +177,53 @@ class TestTrackFisherDrift:
                 assert r.cosine == 1.0
 
     def test_row_coverage(self):
-        _, rows, _ = self._run("rehearsal_free")
+        _, rows, _ = self._run(("rehearsal_free",))
         pairs = {(r.task_trained, r.task_data) for r in rows}
         assert pairs == {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)}
 
     def test_log_ordered_and_consistent(self):
-        log, rows, acc = self._run("rehearsal_based")
+        logs, rows, acc = self._run(("rehearsal_based",))
+        log = logs["rehearsal_based"]
         trained = [t for t, _, _ in log.entries]
         assert trained == sorted(trained)
         assert log.regime == "rehearsal_based"
         assert acc.complete
 
     def test_metric_ranges(self):
-        for regime in ("rehearsal_free", "rehearsal_based"):
-            _, rows, _ = self._run(regime)
-            for r in rows:
-                assert r.norm_ratio >= 0.0
-                assert -1.0 <= r.spearman <= 1.0
-                assert 0.0 <= r.cosine <= 1.0
+        _, rows, _ = self._run(("rehearsal_free", "rehearsal_based"))
+        assert {r.regime for r in rows} == {"rehearsal_free", "rehearsal_based"}
+        for r in rows:
+            assert r.norm_ratio >= 0.0
+            assert -1.0 <= r.spearman <= 1.0
+            assert 0.0 <= r.cosine <= 1.0
 
     def test_same_training_trajectory_in_both_regimes(self):
-        _, _, acc_free = self._run("rehearsal_free")
-        _, _, acc_reh = self._run("rehearsal_based")
+        _, _, acc_free = self._run(("rehearsal_free",))
+        _, _, acc_reh = self._run(("rehearsal_based",))
         assert acc_free.rows == acc_reh.rows
+
+    @pytest.mark.parametrize("estimator", ["empirical", "sampled", "exact_subset(5)"])
+    def test_joint_run_equals_one_run_per_regime(self, estimator):
+        # each regime replays its own draws, so tracking both at once changes
+        # neither regime's rows, logs or accuracies
+        logs, rows, acc = self._run(REGIMES, estimator=estimator)
+        assert [r.regime for r in rows] == sorted((r.regime for r in rows), key=REGIMES.index)
+        for regime in REGIMES:
+            logs_one, rows_one, acc_one = self._run((regime,), estimator=estimator)
+            assert rows_one == [r for r in rows if r.regime == regime]
+            assert acc_one.rows == acc.rows
+            for (t, i, f), (t1, i1, f1) in zip(logs[regime].entries, logs_one[regime].entries, strict=True):
+                assert (t, i) == (t1, i1)
+                assert flatten(f).tobytes() == flatten(f1).tobytes()
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ParameterError):
-            self._run("replay")
+            self._run(("replay",))
+
+    @pytest.mark.parametrize("regimes", [(), ("rehearsal_free", "rehearsal_free"), "rehearsal_free"])
+    def test_empty_repeated_or_bare_regimes_rejected(self, regimes):
+        with pytest.raises(ParameterError):
+            self._run(regimes)
 
     def test_tracked_task_must_exist(self):
         stream = gen_gaussian_stream(
@@ -187,7 +233,7 @@ class TestTrackFisherDrift:
         cfg = TrainConfig(seed=0, epochs=2, hidden_dims=(8, 8), rank=2, lam=1.0,
                           pretrain_epochs=2, pretrain_lr=0.005, epsilon=0.1, head_lr=1e-6)
         with pytest.raises(ParameterError):
-            track_fisher_drift(cfg, stream, [5], "rehearsal_free")
+            track_fisher_drift(cfg, stream, [5])
 
 
 class TestSeededTrends:
@@ -202,7 +248,7 @@ class TestSeededTrends:
         for seed in range(5):
             cfg = TrainConfig(seed=seed, lam=3.0, gamma=0.9, epsilon=0.1,
                               hidden_dims=(16, 16), epochs=30)
-            _, rows, _ = track_fisher_drift(cfg, standard_stream(seed), [0], "rehearsal_free")
+            _, rows, _ = track_fisher_drift(cfg, standard_stream(seed), [0], ("rehearsal_free",))
             r0 = [r for r in rows if r.task_data == 0]
             wins += r0[-1].spearman > r0[-1].cosine
         assert wins >= 4

@@ -8,6 +8,7 @@ from lrcl.fisher import (
     EstimatorKind,
     FisherDiag,
     _Accumulator,
+    _sample_classes,
     accumulate,
     estimate,
     estimate_factor_space,
@@ -78,6 +79,18 @@ class TestEstimatorKind:
             EstimatorKind.parse("bogus")
         with pytest.raises(ParameterError):
             EstimatorKind.exact_subset(0)
+
+    def test_draws(self):
+        assert not EstimatorKind.empirical().draws
+        assert not EstimatorKind.exact().draws
+        assert EstimatorKind.sampled().draws
+        assert EstimatorKind.exact_subset(3).draws
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.sampled(), EstimatorKind.exact_subset(2)])
+    def test_drawing_kinds_need_an_rng(self, kind):
+        net = make_net((4, 4), rank=1, seed=3)
+        with pytest.raises(ParameterError):
+            estimate(net, make_dataset(net, 4, seed=4), kind)
 
 
 class TestEmpirical:
@@ -182,6 +195,28 @@ class TestSampled:
         oracle = empirical_oracle(net, Dataset(data.X, drawn))
         for layer_f, o in zip(f.fdw, oracle):
             assert np.allclose(layer_f.a, o, rtol=0, atol=1e-10)
+
+    def test_sample_classes_match_loop_oracle(self):
+        gen = np.random.default_rng(21)
+        for case in range(200):
+            n, c = int(gen.integers(1, 12)), int(gen.integers(1, 7))
+            probs = _softmax_rows(gen.normal(scale=float(gen.choice([0.1, 3.0, 40.0])), size=(n, c)))
+            if case % 5 == 0:
+                probs *= 0.9  # rows summing below 1 exercise the last-class fallback
+            got = _sample_classes(probs, RngState(case))
+            rng = RngState(case)
+            want = []
+            for k in range(n):
+                u = rng.next_float()
+                acc = 0.0
+                pick = c - 1
+                for j in range(c):
+                    acc += probs[k, j]
+                    if u < acc:
+                        pick = j
+                        break
+                want.append(pick)
+            assert got.tolist() == want
 
     def test_estimators_agree_on_deterministic_predictions(self):
         # logits so far apart the softmax is exactly one-hot: every variant

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -293,6 +294,45 @@ class TestPretrain:
         stream.pretrain = None
         with pytest.raises(ProtocolError):
             prepare_base_network(tiny_config(seed=9), stream)
+
+
+def _weight_bytes(net):
+    return [(m.shape, m.a.tobytes()) for l in net.layers for m in (l.W, l.A, l.B)]
+
+
+class TestSharedBase:
+    # one changed value per TrainConfig field; pretraining reads a field
+    # exactly when the field is part of pretrain_key
+    CHANGED = dict(
+        epochs=5, batch_size=8, lr=0.1, head_lr=1e-2, lam=3.0, gamma=0.5, rank=3,
+        strategy="separate", estimator=EstimatorKind.exact(), seed=1, beta1=0.8, beta2=0.99,
+        epsilon=0.01, lr_schedule="constant", shuffle=True, hidden_dims=(8, 6), b_init_scale=2.0,
+        w0_identity_scale=0.4, w0_noise_scale=0.2, w0_feature_gain=4.0, pretrain_mode="random",
+        pretrain_epochs=3, pretrain_lr=0.01,
+    )
+
+    def test_key_changes_exactly_when_base_weights_change(self):
+        assert set(self.CHANGED) == {f.name for f in fields(TrainConfig)}
+        stream = tiny_stream(12)
+        cfg = tiny_config(seed=0, pretrain_mode="train")
+        weights = _weight_bytes(prepare_base_network(cfg, stream))
+        for name, value in self.CHANGED.items():
+            other = replace(cfg, **{name: value})
+            assert getattr(other, name) != getattr(cfg, name), name
+            key_moved = trainer_mod.pretrain_key(other) != trainer_mod.pretrain_key(cfg)
+            weights_moved = _weight_bytes(prepare_base_network(other, stream)) != weights
+            assert key_moved == weights_moved, name
+
+    @pytest.mark.parametrize("strategy", ["deltaw", "separate", "precomputed_dataset"])
+    def test_learner_leaves_shared_base_untouched(self, strategy):
+        stream = tiny_stream(13)
+        cfg = tiny_config(seed=13, strategy=strategy)
+        base = prepare_base_network(cfg, stream)
+        before = _weight_bytes(base)
+        shared = run_continual(cfg, stream, base)
+        assert _weight_bytes(base) == before
+        assert base.head.class_ids == [] and base.head.V is None
+        assert shared.acc_matrix.rows == run_continual(cfg, stream).acc_matrix.rows
 
 
 class TestDeskProfile:
