@@ -59,6 +59,7 @@ from .trainer import (
     desk_profile,
     pretrain,
     run_continual,
+    run_many,
     run_reference,
     train_task,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "pretrain",
     "reset_adapter",
     "run_continual",
+    "run_many",
     "run_reference",
     "stability",
     "standard_stream",

@@ -27,19 +27,11 @@ from .diagnostics import REGIMES, track_fisher_drift
 from .errors import ConfigError, EngineError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
-from .model import Network, save_checkpoint
+from .model import save_checkpoint
 from .regularize import parse_strategy
 from .tasks import StreamConfig, TaskStream
 from .tensor import atomic_write, format_float
-from .trainer import (
-    RunRecord,
-    TrainConfig,
-    prepare_base_network,
-    pretrain_key,
-    pretrain_report,
-    reference_accuracies,
-    run_continual,
-)
+from .trainer import RunRecord, TrainConfig, pretrain_report, run_many
 
 DEFAULT_STRATEGIES = ("none", "precomputed_dataset", "separate", "deltaw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)
@@ -66,6 +58,10 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("need at least one seed")
         self.strategies = tuple(parse_strategy(s) for s in self.strategies)
+        stream = self.stream
+        if self.train.pretrain_mode == "train" and stream.pretrain_classes > 0 and not stream.csv_path:
+            if stream.pretrain_n < 2:  # pretraining holds out a share of each class
+                raise ConfigError(f"pretrain_n must be >= 2 when pretrain_mode = train, got {stream.pretrain_n}")
 
     def train_config(self, seed: int, **overrides) -> TrainConfig:
         return replace(self.train, seed=seed, **overrides)
@@ -204,13 +200,10 @@ def _metrics_row(prefix: list[str], metrics: dict) -> str:
     return ",".join(prefix + [format_float(v) if v is not None else "" for v in ordered])
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
+def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
     seed = cfg.seeds[0]
-    stream = cfg.build_stream(seed)
     config = cfg.train_config(seed)
-    base = prepare_base_network(config, stream)
-    record = run_continual(config, stream, base)
-    refs = reference_accuracies(base, config, stream)
+    refs, (record,) = run_many(cfg.build_stream(seed), config, [config], jobs)
     metrics = compute_metrics(record, refs)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -226,19 +219,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _base_network(bases: dict[tuple, Network], config: TrainConfig, stream: TaskStream) -> Network:
-    """The backbone for config, pretrained on first use of its pretrain_key."""
-    key = pretrain_key(config)
-    if key not in bases:
-        bases[key] = prepare_base_network(config, stream)
-    return bases[key]
-
-
-def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str) -> int:
+def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str, jobs: int) -> int:
     """One stream and one reference set per seed, then one continual run per override.
 
-    The references and the runs of a seed share one pretrained backbone per
-    pretrain_key, so an override of a pretraining field pretrains anew.
+    run_many shares one pretrained backbone per pretrain_key among the
+    references and the runs of a seed.
 
     runs holds (row label, TrainConfig overrides) pairs; each output row is
     the label (one value per column), the seed and the run's metrics.
@@ -248,32 +233,28 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
     rows = [",".join(columns + ["seed", "final_acc", "avg", "stability", "plasticity", "tradeoff"])]
     for seed in cfg.seeds:
         configs = [cfg.train_config(seed, **overrides) for _, overrides in runs]  # validated before compute
-        stream = cfg.build_stream(seed)
-        bases: dict[tuple, Network] = {}
-        base_cfg = cfg.train_config(seed)
-        refs = reference_accuracies(_base_network(bases, base_cfg, stream), base_cfg, stream)
-        for (label, _), config in zip(runs, configs):
-            metrics = compute_metrics(run_continual(config, stream, _base_network(bases, config, stream)), refs)
-            rows.append(_metrics_row(label + [str(seed)], metrics))
+        refs, records = run_many(cfg.build_stream(seed), cfg.train_config(seed), configs, jobs)
+        for (label, _), record in zip(runs, records):
+            rows.append(_metrics_row(label + [str(seed)], compute_metrics(record, refs)))
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
     return 0
 
 
-def cmd_compare_strategies(cfg: ExperimentConfig) -> int:
+def cmd_compare_strategies(cfg: ExperimentConfig, jobs: int) -> int:
     runs = [([strategy], {"strategy": strategy}) for strategy in cfg.strategies]
-    return _run_grid(cfg, "strategies", ["strategy"], runs, "strategies.csv")
+    return _run_grid(cfg, "strategies", ["strategy"], runs, "strategies.csv", jobs)
 
 
 _SWEEPS = {"lambda": ("lam", "lambda_grid"), "gamma": ("gamma", "gamma_grid")}
 
 
-def cmd_sweep(cfg: ExperimentConfig, parameter: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig, parameter: str, jobs: int) -> int:
     if parameter not in _SWEEPS:
         raise ConfigError(f"sweep parameter must be lambda or gamma, got {parameter!r}")
     name, grid_key = _SWEEPS[parameter]
     runs = [([parameter, format_float(value)], {name: value}) for value in getattr(cfg, grid_key)]
-    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, "sweep.csv")
+    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, "sweep.csv", jobs)
 
 
 def cmd_diagnose(cfg: ExperimentConfig) -> int:
@@ -295,12 +276,10 @@ def cmd_diagnose(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_reference(cfg: ExperimentConfig) -> int:
+def cmd_reference(cfg: ExperimentConfig, jobs: int) -> int:
     rows = ["seed,task,ref_accuracy"]
     for seed in cfg.seeds:
-        stream = cfg.build_stream(seed)
-        config = cfg.train_config(seed)
-        refs = reference_accuracies(prepare_base_network(config, stream), config, stream)
+        refs, _ = run_many(cfg.build_stream(seed), cfg.train_config(seed), [], jobs)
         rows.extend(f"{seed},{i},{format_float(r)}" for i, r in enumerate(refs))
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(rows) + "\n")
@@ -326,6 +305,30 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# the commands whose trainings run_many spreads over --jobs workers
+_POOLED_COMMANDS = ("run", "compare-strategies", "sweep", "reference")
+
+
+def _jobs(text: str | None) -> int:
+    """--jobs N; by default one worker per usable CPU, or 1 where fork is missing."""
+    if text is None:
+        if not hasattr(os, "fork"):
+            return 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"bad --jobs value {text!r}: expected an integer >= 1")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--jobs above 1 needs the fork start method, which this platform lacks")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrcl",
@@ -339,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, help="seed or comma-separated seeds (overrides config)")
         if name == "sweep":
             p.add_argument("--parameter", default="lambda", choices=("lambda", "gamma"))
+        if name in _POOLED_COMMANDS:
+            p.add_argument("--jobs", default=None, help="worker processes (default: usable CPUs)")
     return parser
 
 
@@ -355,18 +360,19 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"bad --seed value {args.seed!r}")
             if not cfg.seeds:
                 raise ConfigError("--seed produced no seeds")
+        jobs = _jobs(args.jobs) if args.command in _POOLED_COMMANDS else 1
         _check_out_dir(cfg.out_dir)
 
         if args.command == "run":
-            return cmd_run(cfg)
+            return cmd_run(cfg, jobs)
         if args.command == "compare-strategies":
-            return cmd_compare_strategies(cfg)
+            return cmd_compare_strategies(cfg, jobs)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.parameter)
+            return cmd_sweep(cfg, args.parameter, jobs)
         if args.command == "diagnose":
             return cmd_diagnose(cfg)
         if args.command == "reference":
-            return cmd_reference(cfg)
+            return cmd_reference(cfg, jobs)
         if args.command == "pretrain":
             return cmd_pretrain(cfg)
         raise ConfigError(f"unknown command {args.command!r}")

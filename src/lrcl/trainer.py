@@ -410,8 +410,58 @@ def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
     return accuracy(net, task.test.X, task.test.y)
 
 
-def reference_accuracies(net_w0: Network, config: TrainConfig, stream: TaskStream) -> list[float]:
-    return [run_reference(net_w0, config, task) for task in stream.tasks]
+# the work list of the run_many call in progress; forked pool workers
+# inherit it, so the stream and the base networks are never pickled
+_UNITS: list[tuple] = []
+
+
+def _run_unit(index: int):
+    fn, args = _UNITS[index]
+    return fn(*args)
+
+
+def run_many(
+    stream: TaskStream, base_cfg: TrainConfig, configs: list[TrainConfig], jobs: int = 1
+) -> tuple[list[float], list[RunRecord]]:
+    """base_cfg's reference accuracy on every task, and one continual run per config.
+
+    One base network is pretrained per pretrain_key, in this process, and
+    every unit (a reference or a run) trains a copy of it. The units are
+    independent and seed-exact, so with jobs > 1 they run on a pool of
+    forked workers and return exactly what the serial loop returns; the
+    results are read in serial order, so a failure raises the error the
+    serial loop would raise first.
+    """
+    bases: dict[tuple, Network] = {}
+    for config in [base_cfg, *configs]:
+        if pretrain_key(config) not in bases:
+            bases[pretrain_key(config)] = prepare_base_network(config, stream)
+    units = [(run_reference, (bases[pretrain_key(base_cfg)], base_cfg, task)) for task in stream.tasks]
+    units += [(run_continual, (config, stream, bases[pretrain_key(config)])) for config in configs]
+    n_refs = stream.num_tasks
+    jobs = min(jobs, len(units))
+    global _UNITS
+    _UNITS = units
+    try:
+        if jobs > 1:
+            # imported here, not with lrcl: together they take ~20 ms
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # unlike multiprocessing.Pool, the executor raises when a worker
+            # dies (say, killed for memory) instead of waiting forever
+            pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+            try:
+                longest_first = [*range(n_refs, len(units)), *range(n_refs)]
+                pending = {i: pool.submit(_run_unit, i) for i in longest_first}
+                results = [pending[i].result() for i in range(len(units))]
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            results = [fn(*args) for fn, args in units]
+    finally:
+        _UNITS = []
+    return results[:n_refs], results[n_refs:]
 
 
 def desk_profile(seed: int, **overrides) -> TrainConfig:

@@ -39,8 +39,7 @@ from lrcl.trainer import (
     desk_profile,
     prepare_base_network,
     pretrain_key,
-    reference_accuracies,
-    run_continual,
+    run_many,
     train_task,
 )
 
@@ -101,29 +100,23 @@ def campaign():
     started = time.perf_counter()
     refs = {}
     metrics = {}
+    keys = [("none", 0.0, 0.9)]
+    keys += [(strategy, COMPARISON_LAMBDA, 0.9) for strategy in ("precomputed_dataset", "separate", "deltaw")]
+    keys += [("deltaw", lam, 0.9) for lam in LAMBDA_GRID[1:]]
+    keys += [("deltaw", COMPARISON_LAMBDA, 0.0)]
     for seed in SEEDS:
-        stream = standard_stream(seed)
         base_cfg = desk_profile(seed)
-        base = prepare_base_network(base_cfg, stream)
-        refs[seed] = reference_accuracies(base, base_cfg, stream)
-
-        def run(strategy, lam, gamma=0.9):
-            cfg = desk_profile(seed, strategy=strategy, lam=lam, gamma=gamma)
-            assert pretrain_key(cfg) == pretrain_key(base_cfg)
-            rec = run_continual(cfg, stream, base)
+        configs = [desk_profile(seed, strategy=strategy, lam=lam, gamma=gamma) for strategy, lam, gamma in keys]
+        # one pretrain per seed: every run shares the references' base
+        assert all(pretrain_key(cfg) == pretrain_key(base_cfg) for cfg in configs)
+        refs[seed], records = run_many(standard_stream(seed), base_cfg, configs, jobs=2)
+        for key, rec in zip(keys, records):
             abar, avg = avg_anytime(rec.acc_matrix)
-            return {
+            metrics[(*key, seed)] = {
                 "final": abar[-1],
                 "stability": stability(rec.acc_matrix),
                 "plasticity": plasticity(rec.acc_matrix, refs[seed]),
             }
-
-        metrics[("none", 0.0, 0.9, seed)] = run("none", 0.0)
-        for strategy in ("precomputed_dataset", "separate", "deltaw"):
-            metrics[(strategy, COMPARISON_LAMBDA, 0.9, seed)] = run(strategy, COMPARISON_LAMBDA)
-        for lam in LAMBDA_GRID[1:]:
-            metrics[("deltaw", lam, 0.9, seed)] = run("deltaw", lam)
-        metrics[("deltaw", COMPARISON_LAMBDA, 0.0, seed)] = run("deltaw", COMPARISON_LAMBDA, gamma=0.0)
     return {"refs": refs, "metrics": metrics, "seconds": time.perf_counter() - started}
 
 

@@ -10,6 +10,7 @@ import pytest
 from lrcl.cli import (
     CONFIG_KEYS,
     ExperimentConfig,
+    build_parser,
     experiment_config_from_raw,
     load_experiment_config,
     main,
@@ -69,6 +70,12 @@ class TestConfigParsing:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             experiment_config_from_raw({"epochs": "many"})
+
+    def test_single_pretrain_sample_needs_random_mode(self):
+        with pytest.raises(ConfigError, match="pretrain_n"):
+            experiment_config_from_raw({"pretrain_n": "1"})
+        assert experiment_config_from_raw({"pretrain_n": "1", "pretrain_mode": "random"}).stream.pretrain_n == 1
+        assert experiment_config_from_raw({"pretrain_n": "1", "pretrain_classes": "0"}).stream.pretrain_n == 1
 
     def test_lambda_maps_to_field(self):
         cfg = experiment_config_from_raw({"lambda": "12.5"})
@@ -213,7 +220,7 @@ class TestRunCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before --out was checked")
 
-        for name in ("run_continual", "track_fisher_drift", "pretrain_report"):
+        for name in ("run_many", "track_fisher_drift", "pretrain_report"):
             monkeypatch.setattr(cli_mod, name, no_compute)
         blocker = tmp_path / "plain_file"
         blocker.write_text("not a directory\n")
@@ -229,7 +236,7 @@ class TestRunCommand:
         "line",
         ["estimator = exact_subset(abc)", "lambda = nan", "lr = inf", "b_init_scale = -inf",
          "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3",
-         "pretrain_epochs = -5", "pretrain_n = -3"],
+         "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -237,7 +244,7 @@ class TestRunCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the config was checked")
 
-        for name in ("run_continual", "reference_accuracies", "track_fisher_drift", "pretrain_report"):
+        for name in ("run_many", "track_fisher_drift", "pretrain_report"):
             monkeypatch.setattr(cli_mod, name, no_compute)
         key = line.split("=")[0].strip()
         kept = [l for l in TINY.splitlines() if l.split("=")[0].strip() != key]
@@ -306,8 +313,7 @@ class TestSweepCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the grid was checked")
 
-        for name in ("run_continual", "reference_accuracies"):
-            monkeypatch.setattr(cli_mod, name, no_compute)
+        monkeypatch.setattr(cli_mod, "run_many", no_compute)
         cfg_path = write_config(tmp_path, TINY + "gamma_grid = 0.5,2\n")
         out = tmp_path / "gsweep"
         assert main(["sweep", "--config", cfg_path, "--out", str(out), "--parameter", "gamma"]) == 2
@@ -397,6 +403,83 @@ class TestPretrainOncePerSeed:
         out = tmp_path / "out"
         assert main(command + ["--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
         assert calls == seeds
+
+
+class TestJobs:
+    """--jobs N spreads a command's trainings over N forked workers, byte for byte."""
+
+    TEXT = TINY + (
+        "strategies = none,deltaw,separate,precomputed_uniform,precomputed_dataset\n"
+        "estimator = exact_subset(3)\n"
+        "shuffle = true\n"
+        "gamma_grid = 0,0.5,0.9\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "gamma"], ["reference"]]
+    )
+    def test_outputs_identical_for_any_jobs(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, self.TEXT)
+        trees = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"out{jobs}"
+            assert main(command + ["--config", cfg_path, "--out", str(out), "--seed", "0,7", "--jobs", jobs]) == 0
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+        assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
+
+    @pytest.mark.parametrize("command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "lambda"]])
+    def test_failure_line_independent_of_jobs(self, tmp_path, capfd, command):
+        import warnings
+
+        cfg_path = write_config(tmp_path, TINY.replace("lr = 0.05", "lr = 1e200"))
+        errs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's overflow warnings; forked workers inherit the filter
+            for jobs in ("1", "2"):
+                out = tmp_path / f"out{jobs}"
+                assert main(command + ["--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 3
+                errs.append(capfd.readouterr().err)
+                assert not out.exists()
+        assert errs == ["numerical failure: parameters left the finite range during Adam update\n"] * 2
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_bad_jobs_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, value):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before --jobs was checked")
+
+        monkeypatch.setattr(cli_mod, "run_many", no_compute)
+        out = tmp_path / "out"
+        assert main(["compare-strategies", "--config", write_config(tmp_path), "--out", str(out), "--jobs", value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--jobs" in err[0]
+        assert not out.exists()
+
+
+class TestReadme:
+    def test_cli_flags_match_parser(self):
+        import argparse
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## CLI", 1)[1].split("###", 1)[0]
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        commands = set(subparsers.choices)
+        documented = {}
+        for line in section.splitlines():
+            if line.startswith("| `--"):
+                flag_cell, commands_cell = re.split(r"(?<!\\)\|", line)[1:3]
+                flag = re.match(r"\s*`(--[a-z-]+)", flag_cell).group(1)
+                named = set(re.findall(r"`([a-z-]+)`", commands_cell))
+                documented[flag] = commands if commands_cell.strip() == "all" else named
+        parsed = {}
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    if flag.startswith("--") and flag != "--help":
+                        parsed.setdefault(flag, set()).add(name)
+        assert "--jobs" in documented
+        assert documented == parsed
 
 
 class TestInputsUntouched:

@@ -124,12 +124,7 @@ class TestTwoCodePaths:
         # metrics computed by the library vs inline re-derivation from the
         # raw per-task accuracies of a real run
         from lrcl.tasks import gen_gaussian_stream
-        from lrcl.trainer import (
-            TrainConfig,
-            prepare_base_network,
-            reference_accuracies,
-            run_continual,
-        )
+        from lrcl.trainer import TrainConfig, run_many
 
         stream = gen_gaussian_stream(
             num_tasks=3, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
@@ -138,8 +133,7 @@ class TestTwoCodePaths:
         cfg = TrainConfig(seed=2, epochs=3, batch_size=12, lr=0.05, head_lr=1e-6,
                           epsilon=0.1, hidden_dims=(8, 8), rank=2,
                           pretrain_epochs=4, pretrain_lr=0.005, lam=1.0)
-        record = run_continual(cfg, stream)
-        refs = reference_accuracies(prepare_base_network(cfg, stream), cfg, stream)
+        refs, (record,) = run_many(stream, cfg, [cfg])
         rows = record.acc_matrix.rows
         T = len(rows)
 

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import os
+import signal
 import weakref
 from dataclasses import fields, replace
 
@@ -23,8 +25,8 @@ from lrcl.trainer import (
     prepare_base_network,
     pretrain,
     pretrain_report,
-    reference_accuracies,
     run_continual,
+    run_many,
     run_reference,
     train_task,
 )
@@ -166,12 +168,28 @@ class TestTrainTask:
         assert pinned.adapter_norms[1] <= 1e-3 * free.adapter_norms[1]
 
 
+class TestRunMany:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        parent = os.getpid()
+
+        def killed_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(trainer_mod, "run_reference", killed_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            run_many(tiny_stream(), tiny_config(), [], jobs=2)
+        assert trainer_mod._UNITS == []
+
+
 class TestRunContinual:
     def test_single_task_stream(self):
         stream = tiny_stream(num_tasks=1)
-        record = run_continual(tiny_config(), stream)
+        refs, (record,) = run_many(stream, tiny_config(), [tiny_config()])
         assert record.acc_matrix.T == 1
-        refs = reference_accuracies(prepare_base_network(tiny_config(), stream), tiny_config(), stream)
         assert 0.0 <= plasticity(record.acc_matrix, refs)
         with pytest.raises(MetricError):
             stability(record.acc_matrix)
