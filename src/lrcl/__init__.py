@@ -49,7 +49,7 @@ from .regularize import (
     penalty_separate,
 )
 from .tasks import Dataset, Task, TaskStream, gen_gaussian_stream, load_csv_stream, standard_stream
-from .tensor import Matrix, RngState, frobenius_norm, hadamard, matmul, uniform_matrix
+from .tensor import RngState, uniform_matrix
 from .trainer import (
     AdamState,
     ContinualLearner,
@@ -77,7 +77,6 @@ __all__ = [
     "Head",
     "LabelError",
     "LoRALinear",
-    "Matrix",
     "MetricError",
     "Network",
     "NumericalError",
@@ -102,12 +101,9 @@ __all__ = [
     "estimate_factor_space",
     "expand_head",
     "forward",
-    "frobenius_norm",
     "gen_gaussian_stream",
-    "hadamard",
     "label_rows",
     "load_csv_stream",
-    "matmul",
     "merge_and_reset",
     "new_network",
     "penalty_deltaw",

@@ -23,6 +23,8 @@ import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
+import numpy as np
+
 from .diagnostics import REGIMES, track_fisher_drift
 from .errors import ConfigError, EngineError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, save_fisher
@@ -293,9 +295,6 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
         raise ConfigError("stream has no pretraining classes")
     config = cfg.train_config(seed)
     net, acc = pretrain_report(config, stream.pretrain)
-    net.head.V = None
-    net.head.b = None
-    net.head.class_ids = []
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
     atomic_write(
@@ -363,18 +362,21 @@ def main(argv: list[str] | None = None) -> int:
         jobs = _jobs(args.jobs) if args.command in _POOLED_COMMANDS else 1
         _check_out_dir(cfg.out_dir)
 
-        if args.command == "run":
-            return cmd_run(cfg, jobs)
-        if args.command == "compare-strategies":
-            return cmd_compare_strategies(cfg, jobs)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.parameter, jobs)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg)
-        if args.command == "reference":
-            return cmd_reference(cfg, jobs)
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg)
+        # the program reports NaN/Inf itself, in one line; numpy's warnings
+        # would add lines that depend on --jobs (forked workers inherit this)
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                return cmd_run(cfg, jobs)
+            if args.command == "compare-strategies":
+                return cmd_compare_strategies(cfg, jobs)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, args.parameter, jobs)
+            if args.command == "diagnose":
+                return cmd_diagnose(cfg)
+            if args.command == "reference":
+                return cmd_reference(cfg, jobs)
+            if args.command == "pretrain":
+                return cmd_pretrain(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError, ParameterError, ShapeError
 from .model import ForwardCache, Network, dz_per_layer, forward, label_rows
 from .tasks import Dataset
-from .tensor import Matrix, RngState, _softmax_rows, atomic_write, read_matrix_csv, write_matrix_csv
+from .tensor import RngState, _check_finite, _softmax_rows, atomic_write, read_matrix_csv, write_matrix_csv
 
 
 @dataclass(frozen=True)
@@ -87,49 +87,43 @@ class EstimatorKind:
 
 @dataclass
 class FisherDiag:
-    """Per-layer nonnegative diagonals; factor-space blocks are optional."""
+    """Per-layer finite, nonnegative diagonals; factor-space blocks are optional."""
 
-    fdw: list[Matrix]
-    fa: list[Matrix] | None = None
-    fb: list[Matrix] | None = None
+    fdw: list[np.ndarray]
+    fa: list[np.ndarray] | None = None
+    fb: list[np.ndarray] | None = None
 
     def __post_init__(self):
         for group in (self.fdw, self.fa, self.fb):
             if group is None:
                 continue
             for m in group:
-                if (m.a < 0).any():
+                _check_finite(m)
+                if (m < 0).any():
                     raise ParameterError("Fisher entries must be nonnegative")
 
     @property
     def has_factor_space(self) -> bool:
         return self.fa is not None and self.fb is not None
 
-    def copy(self) -> "FisherDiag":
-        return FisherDiag(
-            fdw=[m.copy() for m in self.fdw],
-            fa=[m.copy() for m in self.fa] if self.fa is not None else None,
-            fb=[m.copy() for m in self.fb] if self.fb is not None else None,
-        )
-
 
 def zeros_like(net: Network, factor_space: bool = False) -> FisherDiag:
-    fdw = [Matrix.zeros(l.d_out, l.d_in) for l in net.layers]
+    fdw = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
     fa = fb = None
     if factor_space:
-        fa = [Matrix.zeros(l.d_out, l.rank) for l in net.layers]
-        fb = [Matrix.zeros(l.rank, l.d_in) for l in net.layers]
+        fa = [np.zeros((l.d_out, l.rank)) for l in net.layers]
+        fb = [np.zeros((l.rank, l.d_in)) for l in net.layers]
     return FisherDiag(fdw, fa, fb)
 
 
 def uniform_fisher(net: Network) -> FisherDiag:
     """Uniform parameter importance: every diagonal entry exactly 1."""
-    return FisherDiag([Matrix.full(l.d_out, l.d_in, 1.0) for l in net.layers])
+    return FisherDiag([np.ones((l.d_out, l.d_in)) for l in net.layers])
 
 
 def flatten(f: FisherDiag) -> np.ndarray:
     """All layers' update-space entries, layer order then row-major."""
-    return np.concatenate([m.a.ravel() for m in f.fdw])
+    return np.concatenate([m.ravel() for m in f.fdw])
 
 
 def fisher_norm(f: FisherDiag) -> float:
@@ -155,17 +149,17 @@ class _Accumulator:
             h = cache.inputs[k]
             self.sdw[k] += dz2.T @ (h * h)
             if self.factor_space:
-                bh = h @ layer.B.a.T
+                bh = h @ layer.B.T
                 self.sa[k] += dz2.T @ (bh * bh)
-                dza = dzs[k] @ layer.A.a
+                dza = dzs[k] @ layer.A
                 self.sb[k] += (dza * dza).T @ (h * h)
 
     def finish(self, n_samples: int) -> FisherDiag:
-        fdw = [Matrix.from_array(s / n_samples) for s in self.sdw]
+        fdw = [s / n_samples for s in self.sdw]
         fa = fb = None
         if self.factor_space:
-            fa = [Matrix.from_array(s / n_samples) for s in self.sa]
-            fb = [Matrix.from_array(s / n_samples) for s in self.sb]
+            fa = [s / n_samples for s in self.sa]
+            fb = [s / n_samples for s in self.sb]
         return FisherDiag(fdw, fa, fb)
 
 
@@ -197,7 +191,7 @@ def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | 
         data = data.subset(idx)
         kind = EstimatorKind.exact()
 
-    _, cache = forward(net, data.X)
+    cache = forward(net, data.X)
     probs = _softmax_rows(cache.logits)
     acc = _Accumulator(net, factor_space)
 
@@ -237,14 +231,14 @@ def accumulate(f_cum: FisherDiag, f_t: FisherDiag, gamma: float) -> FisherDiag:
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
 
-    def comb(cum: list[Matrix], new: list[Matrix]) -> list[Matrix]:
+    def comb(cum: list[np.ndarray], new: list[np.ndarray]) -> list[np.ndarray]:
         if len(cum) != len(new):
             raise ShapeError("layer count mismatch", (len(cum),), (len(new),))
         out = []
         for mc, mn in zip(cum, new):
             if mc.shape != mn.shape:
                 raise ShapeError("fisher shape mismatch", mc.shape, mn.shape)
-            out.append(Matrix.from_array(gamma * mc.a + mn.a))
+            out.append(gamma * mc + mn)
         return out
 
     fdw = comb(f_cum.fdw, f_t.fdw)

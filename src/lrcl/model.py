@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import LabelError, ProtocolError, ShapeError, StateError
 from .tensor import (
-    Matrix,
     RngState,
     _check_finite,
     atomic_write,
@@ -34,7 +33,7 @@ class LoRALinear:
 
     __slots__ = ("W", "A", "B", "rank")
 
-    def __init__(self, W: Matrix, A: Matrix, B: Matrix, rank: int):
+    def __init__(self, W: np.ndarray, A: np.ndarray, B: np.ndarray, rank: int):
         d_out, d_in = W.shape
         if rank < 1 or rank > min(d_out, d_in):
             raise ShapeError(f"rank {rank} invalid for {d_out}x{d_in} layer")
@@ -49,15 +48,15 @@ class LoRALinear:
 
     @property
     def d_out(self) -> int:
-        return self.W.rows
+        return self.W.shape[0]
 
     @property
     def d_in(self) -> int:
-        return self.W.cols
+        return self.W.shape[1]
 
     def apply_rows(self, h: np.ndarray) -> np.ndarray:
         """Row-batched layer map: h W^T + (h B^T) A^T, the adapter never folded."""
-        return h @ self.W.a.T + (h @ self.B.a.T) @ self.A.a.T
+        return h @ self.W.T + (h @ self.B.T) @ self.A.T
 
     def copy(self) -> "LoRALinear":
         return LoRALinear(self.W.copy(), self.A.copy(), self.B.copy(), self.rank)
@@ -67,8 +66,8 @@ class LoRALinear:
 class Head:
     """Linear classifier over all classes seen so far; rows track class_ids."""
 
-    V: Matrix | None
-    b: Matrix | None
+    V: np.ndarray | None
+    b: np.ndarray | None
     class_ids: list[int] = field(default_factory=list)
 
     @property
@@ -114,7 +113,7 @@ class Network:
     def copy(self) -> "Network":
         return Network([l.copy() for l in self.layers], self.head.copy())
 
-    def trainable_adapters(self) -> list[Matrix]:
+    def trainable_adapters(self) -> list[np.ndarray]:
         out = []
         for layer in self.layers:
             out.extend([layer.A, layer.B])
@@ -150,8 +149,8 @@ def new_network(
         W = uniform_matrix(rng, d_out, d_in, -bound, bound)
         seed_scale = identity_scale * (feature_gain if k == n_layers - 1 and n_layers > 1 else 1.0)
         for i in range(min(d_out, d_in)):
-            W.a[i, i] += seed_scale
-        A = Matrix.zeros(d_out, rank)
+            W[i, i] += seed_scale
+        A = np.zeros((d_out, rank))
         B = uniform_matrix(rng, rank, d_in, -1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in))
         layers.append(LoRALinear(W, A, B, rank))
     return Network(layers, Head(V=None, b=None, class_ids=[]))
@@ -160,9 +159,9 @@ def new_network(
 def reset_adapter(net: Network, rng: RngState, b_scale: float = 1.0) -> None:
     """A <- 0, B <- uniform on [-s/sqrt(d_in), +s/sqrt(d_in)), per layer."""
     for layer in net.layers:
-        layer.A.a[:] = 0.0
+        layer.A[:] = 0.0
         bound = b_scale / np.sqrt(layer.d_in)
-        layer.B.a[:] = uniform_matrix(rng, layer.rank, layer.d_in, -bound, bound).a
+        layer.B[:] = uniform_matrix(rng, layer.rank, layer.d_in, -bound, bound)
 
 
 @dataclass
@@ -172,15 +171,15 @@ class ForwardCache:
     inputs: list[np.ndarray]
     feature: np.ndarray
     logits: np.ndarray
-    batch: int
 
 
-def forward(net: Network, x: Matrix) -> tuple[Matrix, ForwardCache]:
-    if x.cols != net.input_dim:
-        raise ShapeError("input dim mismatch", x.shape, (x.rows, net.input_dim))
+def forward(net: Network, x: np.ndarray) -> ForwardCache:
+    """Run a batch of rows through the network; the cache holds the logits."""
+    if x.shape[1] != net.input_dim:
+        raise ShapeError("input dim mismatch", x.shape, (x.shape[0], net.input_dim))
     if net.head.V is None:
         raise StateError("head is empty; expand_head before forward")
-    h = x.a
+    h = x
     inputs = []
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
@@ -188,8 +187,8 @@ def forward(net: Network, x: Matrix) -> tuple[Matrix, ForwardCache]:
         z = layer.apply_rows(h)
         h = np.tanh(z) if k < last else z
     feature = h
-    logits = feature @ net.head.V.a.T + net.head.b.a.T
-    return Matrix.from_array(logits), ForwardCache(inputs, feature, logits, x.rows)
+    logits = feature @ net.head.V.T + net.head.b.T
+    return ForwardCache(inputs, feature, logits)
 
 
 @dataclass
@@ -237,7 +236,7 @@ def dz_per_layer(net: Network, cache: ForwardCache, g_logits: np.ndarray) -> lis
     d_z[k]^T h[k], summed over the rows for training and squared row by row
     for the Fisher.
     """
-    d_h = g_logits @ net.head.V.a
+    d_h = g_logits @ net.head.V
     n_layers = len(net.layers)
     dzs: list = [None] * n_layers
     for k in range(n_layers - 1, -1, -1):
@@ -249,7 +248,7 @@ def dz_per_layer(net: Network, cache: ForwardCache, g_logits: np.ndarray) -> lis
             d_z = d_h * (1.0 - h_out * h_out)
         dzs[k] = d_z
         if k > 0:
-            d_h = d_z @ layer.W.a + (d_z @ layer.A.a) @ layer.B.a
+            d_h = d_z @ layer.W + (d_z @ layer.A) @ layer.B
     return dzs
 
 
@@ -266,8 +265,8 @@ def backward(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float
     rows holds the head row of each sample's label, from label_rows.
     """
     loss, d_dw, d_v, d_bias = _weight_grads(net, cache, rows)
-    d_a = [dw @ layer.B.a.T for dw, layer in zip(d_dw, net.layers)]
-    d_b = [layer.A.a.T @ dw for dw, layer in zip(d_dw, net.layers)]
+    d_a = [dw @ layer.B.T for dw, layer in zip(d_dw, net.layers)]
+    d_b = [layer.A.T @ dw for dw, layer in zip(d_dw, net.layers)]
     return loss, GradientBundle(d_a, d_b, d_dw, d_v, d_bias)
 
 
@@ -283,8 +282,8 @@ def backward_wrt_base(net: Network, cache: ForwardCache, rows: np.ndarray) -> tu
 def merge_and_reset(net: Network, rng: RngState, b_scale: float = 1.0) -> None:
     """Fold each adapter into the base (W += AB) and re-initialize it."""
     for layer in net.layers:
-        layer.W.a += layer.A.a @ layer.B.a
-        _check_finite(layer.W.a)
+        layer.W += layer.A @ layer.B
+        _check_finite(layer.W)
     reset_adapter(net, rng, b_scale=b_scale)
 
 
@@ -305,19 +304,23 @@ def expand_head(net: Network, new_class_ids: list[int], rng: RngState) -> None:
         net.head.V = new_v
         net.head.b = new_b
     else:
-        net.head.V = Matrix.from_array(np.vstack([net.head.V.a, new_v.a]))
-        net.head.b = Matrix.from_array(np.vstack([net.head.b.a, new_b.a]))
+        net.head.V = np.vstack([net.head.V, new_v])
+        net.head.b = np.vstack([net.head.b, new_b])
     net.head.class_ids.extend(new_class_ids)
 
 
-def predict_labels(net: Network, x: Matrix) -> list[int]:
-    """Global class id per row, argmax over every class seen so far."""
-    logits, _ = forward(net, x)
+def predict_labels(net: Network, x: np.ndarray) -> list[int]:
+    """Global class id per row, argmax over every class seen so far.
+
+    NumericalError when a logit is NaN or Inf: no prediction is made from one.
+    """
+    logits = forward(net, x).logits
+    _check_finite(logits)
     ids = net.head.class_ids
-    return [ids[j] for j in logits.a.argmax(axis=1)]
+    return [ids[j] for j in logits.argmax(axis=1)]
 
 
-def accuracy(net: Network, x: Matrix, labels: list[int]) -> float:
+def accuracy(net: Network, x: np.ndarray, labels: list[int]) -> float:
     pred = predict_labels(net, x)
     hits = sum(1 for p, y in zip(pred, labels) if p == y)
     return hits / len(labels)

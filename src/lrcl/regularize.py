@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .fisher import FisherDiag
-from .tensor import Matrix, RngState, uniform_matrix
+from .tensor import RngState, uniform_matrix
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Strategy:
     learned: str | None
     fixed: str | None
 
-    def penalty_term(self, As: list[Matrix], Bs: list[Matrix], B_inits: list[Matrix] | None, f: FisherDiag | None, lam: float) -> PenaltyTerm | None:
+    def penalty_term(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float) -> PenaltyTerm | None:
         """The penalty at (A, B), or None for a strategy without one."""
         if self.penalty == "update":
             return penalty_deltaw(As, Bs, f, lam)
@@ -92,32 +92,32 @@ def _check_lambda(lam: float) -> None:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
 
 
-def _check_layerwise(As: list[Matrix], Bs: list[Matrix], layers: list[Matrix]) -> None:
+def _check_layerwise(As: list[np.ndarray], Bs: list[np.ndarray], layers: list[np.ndarray]) -> None:
     if not (len(As) == len(Bs) == len(layers)):
         raise ShapeError("layer count mismatch", (len(As), len(Bs)), (len(layers),))
 
 
-def penalty_deltaw(As: list[Matrix], Bs: list[Matrix], f_cum: FisherDiag, lam: float) -> PenaltyTerm:
+def penalty_deltaw(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float) -> PenaltyTerm:
     """Update-space penalty: quadratic form of the accumulated Fisher on AB."""
     _check_lambda(lam)
     _check_layerwise(As, Bs, f_cum.fdw)
     value = 0.0
     grad_a, grad_b = [], []
     for A, B, F in zip(As, Bs, f_cum.fdw):
-        if F.shape != (A.rows, B.cols) or A.cols != B.rows:
+        if F.shape != (A.shape[0], B.shape[1]) or A.shape[1] != B.shape[0]:
             raise ShapeError("penalty shape mismatch", (A.shape, B.shape), F.shape)
-        delta = A.a @ B.a
-        weighted = F.a * delta
+        delta = A @ B
+        weighted = F * delta
         value += 0.5 * lam * float(np.sum(weighted * delta))
-        grad_a.append(lam * (weighted @ B.a.T))
-        grad_b.append(lam * (A.a.T @ weighted))
+        grad_a.append(lam * (weighted @ B.T))
+        grad_b.append(lam * (A.T @ weighted))
     return PenaltyTerm(value, grad_a, grad_b)
 
 
 def penalty_separate(
-    As: list[Matrix],
-    Bs: list[Matrix],
-    B_inits: list[Matrix],
+    As: list[np.ndarray],
+    Bs: list[np.ndarray],
+    B_inits: list[np.ndarray],
     f: FisherDiag,
     lam: float,
 ) -> PenaltyTerm:
@@ -131,14 +131,14 @@ def penalty_separate(
     for A, B, B0, FA, FB in zip(As, Bs, B_inits, f.fa, f.fb):
         if FA.shape != A.shape or FB.shape != B.shape or B0.shape != B.shape:
             raise ShapeError("separate penalty shape mismatch", (A.shape, B.shape), (FA.shape, FB.shape))
-        db = B.a - B0.a
-        value += 0.5 * lam * float(np.sum(FA.a * A.a * A.a) + np.sum(FB.a * db * db))
-        grad_a.append(lam * FA.a * A.a)
-        grad_b.append(lam * FB.a * db)
+        db = B - B0
+        value += 0.5 * lam * float(np.sum(FA * A * A) + np.sum(FB * db * db))
+        grad_a.append(lam * FA * A)
+        grad_b.append(lam * FB * db)
     return PenaltyTerm(value, grad_a, grad_b)
 
 
-def project_update_fisher(f: FisherDiag, A0s: list[Matrix], B0s: list[Matrix]) -> FisherDiag:
+def project_update_fisher(f: FisherDiag, A0s: list[np.ndarray], B0s: list[np.ndarray]) -> FisherDiag:
     """Factor-space diagonals induced by an update-space diagonal.
 
     Squared-Jacobian projection at the anchor point: FA = F (B0 o B0)^T and
@@ -146,8 +146,8 @@ def project_update_fisher(f: FisherDiag, A0s: list[Matrix], B0s: list[Matrix]) -
     """
     fa, fb = [], []
     for F, A0, B0 in zip(f.fdw, A0s, B0s):
-        fa.append(Matrix.from_array(F.a @ (B0.a * B0.a).T))
-        fb.append(Matrix.from_array((A0.a * A0.a).T @ F.a))
+        fa.append(F @ (B0 * B0).T)
+        fb.append((A0 * A0).T @ F)
     return FisherDiag(fdw=[m.copy() for m in f.fdw], fa=fa, fb=fb)
 
 
@@ -168,17 +168,17 @@ def divergence_witness(rng: RngState, dims: tuple[int, int, int], trials: int) -
 
     hits = 0
     for _ in range(trials):
-        A0 = uniform_matrix(rng, d_o, r, -1.0, 1.0).a
-        B0 = uniform_matrix(rng, r, d_i, -1.0, 1.0).a
-        A = A0 + uniform_matrix(rng, d_o, r, -1.0, 1.0).a
-        B = B0 + uniform_matrix(rng, r, d_i, -1.0, 1.0).a
+        A0 = uniform_matrix(rng, d_o, r, -1.0, 1.0)
+        B0 = uniform_matrix(rng, r, d_i, -1.0, 1.0)
+        A = A0 + uniform_matrix(rng, d_o, r, -1.0, 1.0)
+        B = B0 + uniform_matrix(rng, r, d_i, -1.0, 1.0)
         F = rng.floats(d_o * d_i).reshape(d_o, d_i)
 
         dev = A @ B - A0 @ B0
         r_dw = 0.5 * float(np.sum(F * dev * dev))
 
-        FA = F @ (B0 * B0).T
-        FB = (A0 * A0).T @ F
+        projected = project_update_fisher(FisherDiag([F]), [A0], [B0])
+        FA, FB = projected.fa[0], projected.fb[0]
         da = A - A0
         db = B - B0
         r_ab = 0.5 * float(np.sum(FA * da * da) + np.sum(FB * db * db))

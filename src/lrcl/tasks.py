@@ -12,43 +12,47 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError, ParseError, ProtocolError
-from .tensor import Matrix, RngState, atomic_write, format_float
+from .errors import DataError, ParameterError, ParseError, ProtocolError, ShapeError
+from .tensor import RngState, _check_finite, atomic_write, format_float
 
 
 @dataclass
 class Dataset:
-    """Feature rows plus global integer class labels."""
+    """Feature rows (a finite 2-D float64 array) plus global integer class labels."""
 
-    X: Matrix
+    X: np.ndarray
     y: list[int]
 
     def __post_init__(self):
-        if self.X.rows != len(self.y):
-            raise DataError(f"{self.X.rows} rows but {len(self.y)} labels")
-        if self.X.rows < 1:
+        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
+        if self.X.ndim != 2:
+            raise ShapeError(f"expected 2-D array, got ndim={self.X.ndim}")
+        _check_finite(self.X)
+        if self.n != len(self.y):
+            raise DataError(f"{self.n} rows but {len(self.y)} labels")
+        if self.n < 1:
             raise DataError("dataset must hold at least one sample")
 
     @property
     def n(self) -> int:
-        return self.X.rows
+        return self.X.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.X.cols
+        return self.X.shape[1]
 
     def subset(self, indices: list[int]) -> "Dataset":
-        return Dataset(Matrix.from_array(self.X.a[indices]), [self.y[i] for i in indices])
+        return Dataset(self.X[indices], [self.y[i] for i in indices])
 
 
 def concat_datasets(datasets: list[Dataset]) -> Dataset:
     if not datasets:
         raise DataError("nothing to concatenate")
-    X = np.vstack([d.X.a for d in datasets])
+    X = np.vstack([d.X for d in datasets])
     y: list[int] = []
     for d in datasets:
         y.extend(d.y)
-    return Dataset(Matrix.from_array(X), y)
+    return Dataset(X, y)
 
 
 @dataclass
@@ -160,8 +164,8 @@ def gen_gaussian_stream(
             Task(
                 id=t,
                 class_ids=ids,
-                train=Dataset(Matrix.from_array(np.vstack(xs_train)), ys_train),
-                test=Dataset(Matrix.from_array(np.vstack(xs_test)), ys_test),
+                train=Dataset(np.vstack(xs_train), ys_train),
+                test=Dataset(np.vstack(xs_test), ys_test),
             )
         )
 
@@ -173,7 +177,7 @@ def gen_gaussian_stream(
         for cid in pre_ids:
             xs.append(_class_blob(rng_samples, means[cid], sigma, pretrain_n))
             ys.extend([cid] * pretrain_n)
-        pretrain = Dataset(Matrix.from_array(np.vstack(xs)), ys)
+        pretrain = Dataset(np.vstack(xs), ys)
 
     return TaskStream(tasks=tasks, pretrain=pretrain, pretrain_class_ids=pre_ids)
 
@@ -182,7 +186,7 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
     """Header f0..f{d-1},label; full-precision decimals."""
     lines = [",".join([f"f{j}" for j in range(dataset.dim)] + ["label"])]
     for i in range(dataset.n):
-        lines.append(",".join([format_float(v) for v in dataset.X.a[i]] + [str(dataset.y[i])]))
+        lines.append(",".join([format_float(v) for v in dataset.X[i]] + [str(dataset.y[i])]))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -214,7 +218,7 @@ def read_dataset_csv(path) -> Dataset:
                 raise ParseError(str(exc), line=lineno)
     if not xs:
         raise ParseError("csv has a header but no samples")
-    return Dataset(Matrix.from_array(np.array(xs)), ys)
+    return Dataset(np.array(xs), ys)
 
 
 def load_csv_stream(path, num_tasks: int, seed: int) -> TaskStream:

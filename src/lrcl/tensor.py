@@ -1,9 +1,10 @@
-"""Dense float64 matrices and a deterministic counter-based RNG.
+"""A deterministic counter-based RNG and the float64 array helpers around it.
 
-Everything numerical in the package runs through these two primitives: a
-thin row-major matrix wrapper that rejects non-finite entries, and a
-SplitMix64 generator whose integer stream is identical across platforms,
-so that seeded experiments reproduce bit for bit.
+Every number in the package is a plain float64 numpy array. The SplitMix64
+generator here has an integer stream that is identical across platforms,
+so seeded experiments reproduce bit for bit; the helpers draw uniform
+matrices from it, check arrays for NaN/Inf where such values can enter,
+and write and read matrices as CSV without losing a bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, ParseError, ShapeError
+from .errors import NumericalError, ParameterError, ParseError
 
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -154,61 +155,14 @@ def _splitmix_finalize(z: int) -> int:
 
 
 class Matrix:
-    """Dense 2-D float64 array, row-major, always finite.
+    """Shim for the benchmark's call counter, which still looks up Matrix.from_array.
 
-    `a` is the backing numpy array; in-place updates go through it and are
-    the caller's responsibility to keep finite (the optimizer re-checks).
+    Nothing in lrcl calls it; it goes with the next benchmark change.
     """
-
-    __slots__ = ("a",)
-
-    def __init__(self, rows: int, cols: int, data):
-        if rows <= 0 or cols <= 0:
-            raise ParameterError(f"matrix dims must be positive, got {rows}x{cols}")
-        arr = np.asarray(data, dtype=np.float64).reshape(rows, cols)
-        _check_finite(arr)
-        self.a = np.ascontiguousarray(arr)
 
     @classmethod
     def from_array(cls, arr) -> "Matrix":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"expected 2-D array, got ndim={arr.ndim}")
-        m = cls.__new__(cls)
-        _check_finite(arr)
-        m.a = np.ascontiguousarray(arr)
-        return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls.from_array(np.zeros((rows, cols)))
-
-    @classmethod
-    def full(cls, rows: int, cols: int, value: float) -> "Matrix":
-        return cls.from_array(np.full((rows, cols), float(value)))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    @property
-    def data(self) -> list[float]:
-        """Flat row-major copy of the entries."""
-        return self.a.ravel().tolist()
-
-    def copy(self) -> "Matrix":
-        return Matrix.from_array(self.a.copy())
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
+        return cls()
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -216,27 +170,13 @@ def _check_finite(arr: np.ndarray) -> None:
         raise NumericalError("matrix contains NaN or Inf")
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ShapeError("matmul dimension mismatch", a.shape, b.shape)
-    return Matrix.from_array(a.a @ b.a)
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    if a.shape != b.shape:
-        raise ShapeError("hadamard shape mismatch", a.shape, b.shape)
-    return Matrix.from_array(a.a * b.a)
-
-
-def uniform_matrix(rng: RngState, rows: int, cols: int, lo: float, hi: float) -> Matrix:
+def uniform_matrix(rng: RngState, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
     """Entries i.i.d. uniform on [lo, hi), drawn in row-major order."""
+    if rows <= 0 or cols <= 0:
+        raise ParameterError(f"matrix dims must be positive, got {rows}x{cols}")
     if not lo < hi:
         raise ParameterError(f"uniform_matrix needs lo < hi, got [{lo}, {hi})")
-    return Matrix(rows, cols, lo + (hi - lo) * rng.floats(rows * cols))
-
-
-def frobenius_norm(a: Matrix) -> float:
-    return float(np.sqrt(np.sum(a.a * a.a)))
+    return (lo + (hi - lo) * rng.floats(rows * cols)).reshape(rows, cols)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -268,11 +208,12 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def write_matrix_csv(path, m: Matrix) -> None:
-    atomic_write(path, "".join(",".join(format_float(v) for v in row) + "\n" for row in m.a))
+def write_matrix_csv(path, m: np.ndarray) -> None:
+    atomic_write(path, "".join(",".join(format_float(v) for v in row) + "\n" for row in m))
 
 
-def read_matrix_csv(path) -> Matrix:
+def read_matrix_csv(path) -> np.ndarray:
+    """The 2-D array write_matrix_csv wrote; NumericalError on a nan or inf entry."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -291,4 +232,6 @@ def read_matrix_csv(path) -> Matrix:
             rows.append(row)
     if not rows:
         raise ParseError("empty matrix csv")
-    return Matrix.from_array(np.array(rows))
+    arr = np.array(rows)
+    _check_finite(arr)
+    return arr

@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, NumericalError, ProtocolError
 from .fisher import EstimatorKind, FisherDiag, accumulate, precompute_dataset_fisher, uniform_fisher, zeros_like
 from .metrics import AccuracyMatrix
 from .model import (
+    Head,
     Network,
     accuracy,
     backward,
@@ -35,7 +36,7 @@ from .model import (
 )
 from .regularize import STRATEGIES, parse_strategy
 from .tasks import Dataset, Task, TaskStream
-from .tensor import Matrix, RngState
+from .tensor import RngState
 
 
 @dataclass
@@ -94,9 +95,9 @@ class TrainConfig:
 class AdamState:
     """First/second moment buffers and a shared step counter."""
 
-    def __init__(self, params: list[Matrix]):
-        self.m = [np.zeros_like(p.a) for p in params]
-        self.v = [np.zeros_like(p.a) for p in params]
+    def __init__(self, params: list[np.ndarray]):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
     def configure(self, beta1: float, beta2: float, epsilon: float) -> "AdamState":
@@ -106,8 +107,8 @@ class AdamState:
         return self
 
 
-def adam_step(state: AdamState, params: list[Matrix], grads: list[np.ndarray], lr: float) -> None:
-    """One bias-corrected Adam update, in place on the parameter matrices."""
+def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
+    """One bias-corrected Adam update, in place on the parameter arrays."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
@@ -117,8 +118,8 @@ def adam_step(state: AdamState, params: list[Matrix], grads: list[np.ndarray], l
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.a -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        if not np.isfinite(p.a).all():
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        if not np.isfinite(p).all():
             raise NumericalError("parameters left the finite range during Adam update")
 
 
@@ -170,8 +171,7 @@ def train_task(
         slices = _batch_slices(task_data.n, config.batch_size)
         for start, stop in slices:
             idx = order[start:stop]
-            x = Matrix.from_array(task_data.X.a[idx])
-            _, cache = forward(net, x)
+            cache = forward(net, task_data.X[idx])
             ce, grads = backward(net, cache, rows[idx])
 
             total = ce
@@ -238,7 +238,7 @@ class ContinualLearner:
 
         norm_sq = 0.0
         for layer in self.net.layers:
-            delta = layer.A.a @ layer.B.a
+            delta = layer.A @ layer.B
             norm_sq += float(np.sum(delta * delta))
         merge_and_reset(self.net, self._rng_init, b_scale=cfg.b_init_scale)
 
@@ -272,8 +272,10 @@ def _stratified_split(data: Dataset, train_frac: float, rng: RngState) -> tuple[
 def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network, float]:
     """Train every base weight directly on the pretraining classes.
 
-    Returns the trained network (head still attached) and its accuracy on
-    the held-out fifth of the pretraining data.
+    Returns the trained network and its accuracy on the held-out fifth of
+    the pretraining data (chance level, 1/classes, for pretrain_mode =
+    random). The head is scored, then dropped: the network comes back with
+    an empty head, ready for the stream's classes.
     """
     rng = RngState(config.seed).derive("pretrain")
     dims = [pretrain_set.dim] + list(config.hidden_dims)
@@ -281,38 +283,34 @@ def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network
     classes = sorted(set(pretrain_set.y))
     expand_head(net, classes, rng)
 
-    if config.pretrain_mode == "random":
-        return net, 1.0 / len(classes)
+    acc = 1.0 / len(classes)
+    if config.pretrain_mode == "train":
+        train_ds, test_ds = _stratified_split(pretrain_set, 0.8, rng)
+        base_params = [layer.W for layer in net.layers]
+        head_params = [net.head.V, net.head.b]
+        base_state = AdamState(base_params).configure(config.beta1, config.beta2, config.epsilon)
+        head_state = AdamState(head_params).configure(config.beta1, config.beta2, config.epsilon)
+        rows = label_rows(net.head, train_ds.y)
 
-    train_ds, test_ds = _stratified_split(pretrain_set, 0.8, rng)
-    base_params = [layer.W for layer in net.layers]
-    head_params = [net.head.V, net.head.b]
-    base_state = AdamState(base_params).configure(config.beta1, config.beta2, config.epsilon)
-    head_state = AdamState(head_params).configure(config.beta1, config.beta2, config.epsilon)
-    rows = label_rows(net.head, train_ds.y)
+        for epoch in range(config.pretrain_epochs):
+            lr = _epoch_lr(config.pretrain_lr, epoch, config.pretrain_epochs, config.lr_schedule)
+            head_lr = _epoch_lr(config.head_lr, epoch, config.pretrain_epochs, config.lr_schedule)
+            for start, stop in _batch_slices(train_ds.n, config.batch_size):
+                cache = forward(net, train_ds.X[start:stop])
+                loss, d_w, d_v, d_bias = backward_wrt_base(net, cache, rows[start:stop])
+                if not math.isfinite(loss):
+                    raise NumericalError("pretraining loss became non-finite")
+                adam_step(base_state, base_params, d_w, lr)
+                adam_step(head_state, head_params, [d_v, d_bias], head_lr)
+        acc = accuracy(net, test_ds.X, test_ds.y)
 
-    for epoch in range(config.pretrain_epochs):
-        lr = _epoch_lr(config.pretrain_lr, epoch, config.pretrain_epochs, config.lr_schedule)
-        head_lr = _epoch_lr(config.head_lr, epoch, config.pretrain_epochs, config.lr_schedule)
-        for start, stop in _batch_slices(train_ds.n, config.batch_size):
-            x = Matrix.from_array(train_ds.X.a[start:stop])
-            _, cache = forward(net, x)
-            loss, d_w, d_v, d_bias = backward_wrt_base(net, cache, rows[start:stop])
-            if not math.isfinite(loss):
-                raise NumericalError("pretraining loss became non-finite")
-            adam_step(base_state, base_params, d_w, lr)
-            adam_step(head_state, head_params, [d_v, d_bias], head_lr)
-
-    return net, accuracy(net, test_ds.X, test_ds.y)
+    net.head = Head(V=None, b=None)
+    return net, acc
 
 
 def pretrain(config: TrainConfig, pretrain_set: Dataset) -> Network:
     """Pretrained backbone with a fresh, empty head."""
-    net, _ = pretrain_report(config, pretrain_set)
-    net.head.V = None
-    net.head.b = None
-    net.head.class_ids = []
-    return net
+    return pretrain_report(config, pretrain_set)[0]
 
 
 def prepare_base_network(config: TrainConfig, stream: TaskStream) -> Network:

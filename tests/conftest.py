@@ -11,7 +11,12 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from lrcl.model import Network, expand_head, new_network, reset_adapter
-from lrcl.tensor import Matrix, RngState
+from lrcl.tensor import RngState
+
+
+def mat(rows, cols, values):
+    """rows x cols float64 array from a flat row-major list."""
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
 
 
 def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
@@ -24,10 +29,10 @@ def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
     expand_head(net, list(class_ids), rng)
     if nonzero_adapter:
         for layer in net.layers:
-            layer.A.a[:] = np.array(
+            layer.A[:] = np.array(
                 [[rng.uniform(-0.5, 0.5) for _ in range(layer.rank)] for _ in range(layer.d_out)]
             )
-            layer.B.a[:] = np.array(
+            layer.B[:] = np.array(
                 [[rng.uniform(-0.5, 0.5) for _ in range(layer.d_in)] for _ in range(layer.rank)]
             )
     return net
@@ -36,7 +41,7 @@ def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
 def make_batch(net: Network, n, seed, scale=1.0):
     rng = RngState(seed)
     dim = net.input_dim
-    x = Matrix(n, dim, [scale * rng.uniform(-1, 1) for _ in range(n * dim)])
+    x = mat(n, dim, [scale * rng.uniform(-1, 1) for _ in range(n * dim)])
     labels = [net.head.class_ids[rng.randint(net.head.num_classes)] for _ in range(n)]
     return x, labels
 

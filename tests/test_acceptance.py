@@ -33,7 +33,7 @@ from lrcl.regularize import (
     penalty_separate,
 )
 from lrcl.tasks import Dataset, standard_stream
-from lrcl.tensor import Matrix, RngState, _softmax_rows
+from lrcl.tensor import RngState, _softmax_rows
 from lrcl.trainer import (
     ContinualLearner,
     desk_profile,
@@ -43,7 +43,7 @@ from lrcl.trainer import (
     train_task,
 )
 
-from conftest import make_batch, make_net
+from conftest import make_batch, make_net, mat
 
 SEEDS = (0, 1, 2, 3, 4)
 LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)
@@ -61,16 +61,16 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {number:2d} {label}: {status}{suffix}")
 
 
-def central_diff(f, matrix: Matrix, h=1e-5) -> np.ndarray:
-    out = np.zeros_like(matrix.a)
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            orig = matrix.a[i, j]
-            matrix.a[i, j] = orig + h
+def central_diff(f, matrix: np.ndarray, h=1e-5) -> np.ndarray:
+    out = np.zeros_like(matrix)
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[1]):
+            orig = matrix[i, j]
+            matrix[i, j] = orig + h
             up = f()
-            matrix.a[i, j] = orig - h
+            matrix[i, j] = orig - h
             down = f()
-            matrix.a[i, j] = orig
+            matrix[i, j] = orig
             out[i, j] = (up - down) / (2.0 * h)
     return out
 
@@ -86,7 +86,7 @@ def grads_close(analytic, fd, rel=1e-5, tiny=1e-8):
 
 
 def persample_update_grads(net, x_row, label, use_base=False):
-    _, cache = forward(net, x_row)
+    cache = forward(net, x_row)
     if use_base:
         _, d_w, _, _ = backward_wrt_base(net, cache, label_rows(net.head, [label]))
         return [-g for g in d_w]
@@ -132,11 +132,11 @@ class TestCriterion1GradientCorrectness:
             x, labels = make_batch(net, 4, seed=trial + 500)
 
             def task_loss():
-                _, cache = forward(net, x)
+                cache = forward(net, x)
                 loss, _ = backward(net, cache, label_rows(net.head, labels))
                 return loss
 
-            _, cache = forward(net, x)
+            cache = forward(net, x)
             _, grads = backward(net, cache, label_rows(net.head, labels))
             for k, layer in enumerate(net.layers):
                 ok &= grads_close(grads.d_a[k], central_diff(task_loss, layer.A))
@@ -147,12 +147,12 @@ class TestCriterion1GradientCorrectness:
             # penalty gradients, both placements
             As = [l.A for l in net.layers]
             Bs = [l.B for l in net.layers]
-            b_inits = [Matrix.from_array(l.B.a * 0.5) for l in net.layers]
-            f_dw = FisherDiag([Matrix(l.d_out, l.d_in, [rng.next_float() for _ in range(l.d_out * l.d_in)]) for l in net.layers])
+            b_inits = [l.B * 0.5 for l in net.layers]
+            f_dw = FisherDiag([mat(l.d_out, l.d_in, [rng.next_float() for _ in range(l.d_out * l.d_in)]) for l in net.layers])
             f_sep = FisherDiag(
                 [m.copy() for m in f_dw.fdw],
-                fa=[Matrix(l.d_out, l.rank, [rng.next_float() for _ in range(l.d_out * l.rank)]) for l in net.layers],
-                fb=[Matrix(l.rank, l.d_in, [rng.next_float() for _ in range(l.rank * l.d_in)]) for l in net.layers],
+                fa=[mat(l.d_out, l.rank, [rng.next_float() for _ in range(l.d_out * l.rank)]) for l in net.layers],
+                fb=[mat(l.rank, l.d_in, [rng.next_float() for _ in range(l.rank * l.d_in)]) for l in net.layers],
             )
             lam = 2.5
             for name, value_fn, pen in (
@@ -174,7 +174,7 @@ class TestCriterion2UpdateGradientIdentity:
         for seed in range(10):
             net = make_net((6, 6, 6), rank=2, seed=seed + 80, nonzero_adapter=True)
             x, labels = make_batch(net, 4, seed=seed + 880)
-            _, cache = forward(net, x)
+            cache = forward(net, x)
             _, grads = backward(net, cache, label_rows(net.head, labels))
             _, d_w, _, _ = backward_wrt_base(net, cache, label_rows(net.head, labels))
             for k in range(len(net.layers)):
@@ -185,7 +185,7 @@ class TestCriterion2UpdateGradientIdentity:
             sums_a = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
             sums_b = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
             for i in range(data.n):
-                row = Matrix.from_array(data.X.a[i:i + 1])
+                row = data.X[i:i + 1]
                 for s, use_base in ((sums_a, False), (sums_b, True)):
                     gs = persample_update_grads(net, row, data.y[i], use_base)
                     for k, g in enumerate(gs):
@@ -202,16 +202,16 @@ class TestCriterion3PenaltyDivergence:
         witness_ok = frac >= 0.99
 
         rng = RngState(7)
-        A = Matrix(6, 2, [rng.uniform(-1, 1) for _ in range(12)])
-        B = Matrix(2, 6, [rng.uniform(-1, 1) for _ in range(12)])
-        B0 = Matrix(2, 6, [rng.uniform(-1, 1) for _ in range(12)])
+        A = mat(6, 2, [rng.uniform(-1, 1) for _ in range(12)])
+        B = mat(2, 6, [rng.uniform(-1, 1) for _ in range(12)])
+        B0 = mat(2, 6, [rng.uniform(-1, 1) for _ in range(12)])
         f = FisherDiag(
-            [Matrix(6, 6, [rng.next_float() for _ in range(36)])],
-            fa=[Matrix(6, 2, [rng.next_float() for _ in range(12)])],
-            fb=[Matrix(2, 6, [rng.next_float() for _ in range(12)])],
+            [mat(6, 6, [rng.next_float() for _ in range(36)])],
+            fa=[mat(6, 2, [rng.next_float() for _ in range(12)])],
+            fb=[mat(2, 6, [rng.next_float() for _ in range(12)])],
         )
-        A2 = Matrix.from_array(2.0 * A.a)
-        B2 = Matrix.from_array(0.5 * B.a)
+        A2 = 2.0 * A
+        B2 = 0.5 * B
         v_dw1 = penalty_deltaw([A], [B], f, 3.0).value
         v_dw2 = penalty_deltaw([A2], [B2], f, 3.0).value
         dw_invariant = abs(v_dw1 - v_dw2) <= 1e-10 * max(1.0, abs(v_dw1))
@@ -230,14 +230,14 @@ class TestCriterion4OracleEquivalence:
     def test_penalty_and_fisher_loops(self):
         rng = RngState(11)
         # penalty value: vectorized vs elementwise loop
-        A = Matrix(7, 2, [rng.uniform(-1, 1) for _ in range(14)])
-        B = Matrix(2, 7, [rng.uniform(-1, 1) for _ in range(14)])
-        F = Matrix(7, 7, [rng.next_float() for _ in range(49)])
+        A = mat(7, 2, [rng.uniform(-1, 1) for _ in range(14)])
+        B = mat(2, 7, [rng.uniform(-1, 1) for _ in range(14)])
+        F = mat(7, 7, [rng.next_float() for _ in range(49)])
         lam = 3.7
         vec = penalty_deltaw([A], [B], FisherDiag([F]), lam).value
-        delta = A.a @ B.a
+        delta = A @ B
         loop = 0.5 * lam * sum(
-            F.a[i, j] * delta[i, j] ** 2 for i in range(7) for j in range(7)
+            F[i, j] * delta[i, j] ** 2 for i in range(7) for j in range(7)
         )
         pen_ok = abs(vec - loop) <= 1e-12 * max(1.0, abs(loop))
 
@@ -248,25 +248,25 @@ class TestCriterion4OracleEquivalence:
         f_emp = estimate(net, data, EstimatorKind.empirical())
         sums = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
         for i in range(data.n):
-            row = Matrix.from_array(data.X.a[i:i + 1])
+            row = data.X[i:i + 1]
             for k, g in enumerate(persample_update_grads(net, row, data.y[i])):
                 sums[k] += g * g
         emp_ok = all(
-            np.allclose(m.a, s / data.n, rtol=0, atol=1e-10) for m, s in zip(f_emp.fdw, sums)
+            np.allclose(m, s / data.n, rtol=0, atol=1e-10) for m, s in zip(f_emp.fdw, sums)
         )
 
         # exact Fisher vs class-weighted closed-form sum
         f_ex = estimate(net, data, EstimatorKind.exact())
         sums_ex = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
         for i in range(data.n):
-            row = Matrix.from_array(data.X.a[i:i + 1])
-            logits, _ = forward(net, row)
-            probs = _softmax_rows(logits.a)[0]
+            row = data.X[i:i + 1]
+            logits = forward(net, row).logits
+            probs = _softmax_rows(logits)[0]
             for c_idx, cid in enumerate(net.head.class_ids):
                 for k, g in enumerate(persample_update_grads(net, row, cid)):
                     sums_ex[k] += probs[c_idx] * (g * g)
         ex_ok = all(
-            np.allclose(m.a, s / data.n, rtol=0, atol=1e-10) for m, s in zip(f_ex.fdw, sums_ex)
+            np.allclose(m, s / data.n, rtol=0, atol=1e-10) for m, s in zip(f_ex.fdw, sums_ex)
         )
 
         ok = pen_ok and emp_ok and ex_ok
@@ -289,19 +289,19 @@ class TestCriterion5LoopSemantics:
         net = prepare_base_network(cfg, stream)
         reset_adapter(net, RngState(1))
         expand_head(net, stream.tasks[0].class_ids, RngState(2))
-        before = [l.W.a.copy() for l in net.layers]
+        before = [l.W.copy() for l in net.layers]
         train_task(net, stream.tasks[0].train, None, desk_profile(5, strategy="none", epochs=3, batch_size=12, hidden_dims=(8, 8), rank=2), RngState(3))
-        frozen_ok = all(np.array_equal(l.W.a, b) for l, b in zip(net.layers, before))
+        frozen_ok = all(np.array_equal(l.W, b) for l, b in zip(net.layers, before))
 
         # merge invariance on random nets
         merge_ok = True
         for t in range(20):
             m_net = make_net((8, 8, 8), rank=2, seed=t + 300, nonzero_adapter=True)
             mx, _ = make_batch(m_net, 5, seed=t + 400)
-            pre, _ = forward(m_net, mx)
+            pre = forward(m_net, mx).logits
             merge_and_reset(m_net, RngState(t + 500))
-            post, _ = forward(m_net, mx)
-            merge_ok &= bool(np.allclose(pre.a, post.a, rtol=0, atol=1e-12))
+            post = forward(m_net, mx).logits
+            merge_ok &= bool(np.allclose(pre, post, rtol=0, atol=1e-12))
 
         # accumulation identities, exact
         net2 = make_net((5, 5), rank=2, seed=9, nonzero_adapter=True)
@@ -310,9 +310,9 @@ class TestCriterion5LoopSemantics:
         fa = estimate(net2, d1, EstimatorKind.empirical())
         fb = estimate(net2, d2, EstimatorKind.empirical())
         gamma0 = accumulate(fa, fb, 0.0)
-        acc_ok = all(np.array_equal(x.a, y.a) for x, y in zip(gamma0.fdw, fb.fdw))
+        acc_ok = all(np.array_equal(x, y) for x, y in zip(gamma0.fdw, fb.fdw))
         running = accumulate(accumulate(zeros_like(net2), fa, 1.0), fb, 1.0)
-        acc_ok &= all(np.array_equal(x.a, a.a + b.a) for x, a, b in zip(running.fdw, fa.fdw, fb.fdw))
+        acc_ok &= all(np.array_equal(x, a + b) for x, a, b in zip(running.fdw, fa.fdw, fb.fdw))
 
         # two-state retention
         captured = []

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,11 +200,7 @@ class TestRunCommand:
     def test_numerical_failure_exits_3(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY.replace("lr = 0.05", "lr = 1e200"))
         out = tmp_path / "out"
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
 
     def test_missing_csv_exits_2_with_one_line(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
@@ -428,18 +426,22 @@ class TestJobs:
         assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
 
     @pytest.mark.parametrize("command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "lambda"]])
-    def test_failure_line_independent_of_jobs(self, tmp_path, capfd, command):
-        import warnings
+    def test_failure_line_independent_of_jobs(self, tmp_path, command):
+        # The whole of stderr, numpy warnings included. A child process,
+        # because pytest records warnings instead of printing them.
+        import lrcl
 
+        src = str(Path(lrcl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         cfg_path = write_config(tmp_path, TINY.replace("lr = 0.05", "lr = 1e200"))
         errs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy's overflow warnings; forked workers inherit the filter
-            for jobs in ("1", "2"):
-                out = tmp_path / f"out{jobs}"
-                assert main(command + ["--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 3
-                errs.append(capfd.readouterr().err)
-                assert not out.exists()
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            argv = [sys.executable, "-m", "lrcl.cli", *command, "--config", cfg_path, "--out", str(out), "--jobs", jobs]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 3
+            errs.append(proc.stderr)
+            assert not out.exists()
         assert errs == ["numerical failure: parameters left the finite range during Adam update\n"] * 2
 
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])

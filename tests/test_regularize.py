@@ -12,27 +12,29 @@ from lrcl.regularize import (
     penalty_separate,
     project_update_fisher,
 )
-from lrcl.tensor import Matrix, RngState
+from lrcl.tensor import RngState
+
+from conftest import mat
 
 
 def rand_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
-    return Matrix(rows, cols, [rng.uniform(lo, hi) for _ in range(rows * cols)])
+    return mat(rows, cols, [rng.uniform(lo, hi) for _ in range(rows * cols)])
 
 
 def rand_fisher(rng, rows, cols):
-    return Matrix(rows, cols, [rng.next_float() for _ in range(rows * cols)])
+    return mat(rows, cols, [rng.next_float() for _ in range(rows * cols)])
 
 
-def fd_penalty_grad(value_fn, matrix: Matrix, h=1e-5):
-    out = np.zeros_like(matrix.a)
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            orig = matrix.a[i, j]
-            matrix.a[i, j] = orig + h
+def fd_penalty_grad(value_fn, matrix: np.ndarray, h=1e-5):
+    out = np.zeros_like(matrix)
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[1]):
+            orig = matrix[i, j]
+            matrix[i, j] = orig + h
             up = value_fn()
-            matrix.a[i, j] = orig - h
+            matrix[i, j] = orig - h
             down = value_fn()
-            matrix.a[i, j] = orig
+            matrix[i, j] = orig
             out[i, j] = (up - down) / (2.0 * h)
     return out
 
@@ -40,7 +42,7 @@ def fd_penalty_grad(value_fn, matrix: Matrix, h=1e-5):
 class TestPenaltyDeltaW:
     def test_anchor_is_exact_zero(self):
         rng = RngState(1)
-        A = Matrix.zeros(4, 2)
+        A = np.zeros((4, 2))
         B = rand_matrix(rng, 2, 4)
         f = FisherDiag([rand_fisher(rng, 4, 4)])
         pen = penalty_deltaw([A], [B], f, lam=3.0)
@@ -50,9 +52,9 @@ class TestPenaltyDeltaW:
 
     def test_hand_computed_value(self):
         # AB is the all-ones 2x2, F all-ones, lam 2: value = (2/2) * 4 = 4
-        A = Matrix(2, 1, [1, 1])
-        B = Matrix(1, 2, [1, 1])
-        f = FisherDiag([Matrix.full(2, 2, 1.0)])
+        A = np.ones((2, 1))
+        B = np.ones((1, 2))
+        f = FisherDiag([np.ones((2, 2))])
         pen = penalty_deltaw([A], [B], f, lam=2.0)
         assert pen.value == 4.0
 
@@ -80,8 +82,8 @@ class TestPenaltyDeltaW:
         B = rand_matrix(rng, 2, 6)
         f = FisherDiag([rand_fisher(rng, 6, 6)])
         v1 = penalty_deltaw([A], [B], f, 5.0).value
-        A2 = Matrix.from_array(2.0 * A.a)
-        B2 = Matrix.from_array(0.5 * B.a)
+        A2 = 2.0 * A
+        B2 = 0.5 * B
         v2 = penalty_deltaw([A2], [B2], f, 5.0).value
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
@@ -105,16 +107,16 @@ class TestPenaltyDeltaW:
             assert penalty_deltaw([A], [B], f, rng.next_float() * 10).value >= 0.0
 
     def test_negative_lambda_rejected(self):
-        A = Matrix.zeros(2, 1)
-        B = Matrix.zeros(1, 2)
-        f = FisherDiag([Matrix.zeros(2, 2)])
+        A = np.zeros((2, 1))
+        B = np.zeros((1, 2))
+        f = FisherDiag([np.zeros((2, 2))])
         with pytest.raises(ParameterError):
             penalty_deltaw([A], [B], f, -1.0)
 
     def test_shape_mismatch_rejected(self):
-        A = Matrix.zeros(2, 1)
-        B = Matrix.zeros(1, 2)
-        f = FisherDiag([Matrix.zeros(3, 3)])
+        A = np.zeros((2, 1))
+        B = np.zeros((1, 2))
+        f = FisherDiag([np.zeros((3, 3))])
         with pytest.raises(ShapeError):
             penalty_deltaw([A], [B], f, 1.0)
 
@@ -125,11 +127,11 @@ class TestPenaltyDeltaW:
         f = FisherDiag([rand_fisher(rng, 7, 7)])
         lam = 3.3
         pen = penalty_deltaw([A], [B], f, lam)
-        delta = A.a @ B.a
+        delta = A @ B
         slow = 0.0
         for i in range(7):
             for j in range(7):
-                slow += f.fdw[0].a[i, j] * delta[i, j] ** 2
+                slow += f.fdw[0][i, j] * delta[i, j] ** 2
         slow *= 0.5 * lam
         assert abs(pen.value - slow) < 1e-12 * max(1.0, abs(slow))
 
@@ -149,20 +151,20 @@ class TestPenaltySeparate:
 
     def test_anchor_is_exact_zero(self):
         A, B, B0, f = self._instance(10)
-        zero_a = Matrix.zeros(A.rows, A.cols)
+        zero_a = np.zeros(A.shape)
         pen = penalty_separate([zero_a], [B0], [B0], f, lam=4.0)
         assert pen.value == 0.0
         assert np.all(pen.grad_a[0] == 0.0)
         assert np.all(pen.grad_b[0] == 0.0)
 
     def test_hand_computed_value(self):
-        A = Matrix(2, 1, [1, 1])
-        B0 = Matrix(1, 2, [0, 0])
-        B = Matrix(1, 2, [1, 1])
+        A = np.ones((2, 1))
+        B0 = np.zeros((1, 2))
+        B = np.ones((1, 2))
         f = FisherDiag(
-            [Matrix.full(2, 2, 1.0)],
-            fa=[Matrix.full(2, 1, 1.0)],
-            fb=[Matrix.full(1, 2, 1.0)],
+            [np.ones((2, 2))],
+            fa=[np.ones((2, 1))],
+            fb=[np.ones((1, 2))],
         )
         pen = penalty_separate([A], [B], [B0], f, lam=2.0)
         assert pen.value == 4.0
@@ -181,8 +183,8 @@ class TestPenaltySeparate:
         # same product AB, different factors: the value must move
         A, B, B0, f = self._instance(12)
         v1 = penalty_separate([A], [B], [B0], f, 1.0).value
-        A2 = Matrix.from_array(2.0 * A.a)
-        B2 = Matrix.from_array(0.5 * B.a)
+        A2 = 2.0 * A
+        B2 = 0.5 * B
         v2 = penalty_separate([A2], [B2], [B0], f, 1.0).value
         assert abs(v1 - v2) > 1e-6 * max(1.0, abs(v1))
 
@@ -205,12 +207,12 @@ class TestProjection:
         # loop oracle: FA[i,k] = sum_j F[i,j] B0[k,j]^2, FB[k,j] = sum_i A0[i,k]^2 F[i,j]
         for i in range(4):
             for k in range(2):
-                want = sum(f.fdw[0].a[i, j] * B0.a[k, j] ** 2 for j in range(5))
-                assert abs(proj.fa[0].a[i, k] - want) < 1e-12
+                want = sum(f.fdw[0][i, j] * B0[k, j] ** 2 for j in range(5))
+                assert abs(proj.fa[0][i, k] - want) < 1e-12
         for k in range(2):
             for j in range(5):
-                want = sum(A0.a[i, k] ** 2 * f.fdw[0].a[i, j] for i in range(4))
-                assert abs(proj.fb[0].a[k, j] - want) < 1e-12
+                want = sum(A0[i, k] ** 2 * f.fdw[0][i, j] for i in range(4))
+                assert abs(proj.fb[0][k, j] - want) < 1e-12
 
 
 class TestDivergenceWitness:
@@ -220,10 +222,10 @@ class TestDivergenceWitness:
         A0 = rand_matrix(rng, 4, 2)
         B0 = rand_matrix(rng, 2, 4)
         F = rand_fisher(rng, 4, 4)
-        dev = A0.a @ B0.a - A0.a @ B0.a
-        r_dw = 0.5 * float(np.sum(F.a * dev * dev))
-        fa = F.a @ (B0.a * B0.a).T
-        fb = (A0.a * A0.a).T @ F.a
+        dev = A0 @ B0 - A0 @ B0
+        r_dw = 0.5 * float(np.sum(F * dev * dev))
+        fa = F @ (B0 * B0).T
+        fb = (A0 * A0).T @ F
         r_ab = 0.5 * float(np.sum(fa * 0.0) + np.sum(fb * 0.0))
         assert r_dw == 0.0 and r_ab == 0.0
 
@@ -236,11 +238,11 @@ class TestDivergenceWitness:
             A0 = rand_matrix(rng, 2, 1)
             B0 = rand_matrix(rng, 1, 2)
             F = rand_fisher(rng, 2, 2)
-            A = Matrix.from_array(A0.a + np.array([[rng.uniform(-1, 1)], [rng.uniform(-1, 1)]]))
-            dev = A.a @ B0.a - A0.a @ B0.a
-            r_dw = 0.5 * float(np.sum(F.a * dev * dev))
-            fa = F.a @ (B0.a * B0.a).T
-            da = A.a - A0.a
+            A = A0 + np.array([[rng.uniform(-1, 1)], [rng.uniform(-1, 1)]])
+            dev = A @ B0 - A0 @ B0
+            r_dw = 0.5 * float(np.sum(F * dev * dev))
+            fa = F @ (B0 * B0).T
+            da = A - A0
             r_ab = 0.5 * float(np.sum(fa * da * da))
             assert abs(r_dw - r_ab) < 1e-12 * max(1.0, r_dw)
 
@@ -251,11 +253,11 @@ class TestDivergenceWitness:
             A0 = rand_matrix(rng, 3, 2)
             B0 = rand_matrix(rng, 2, 3)
             F = rand_fisher(rng, 3, 3)
-            A = Matrix.from_array(A0.a + np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)]))
-            dev = A.a @ B0.a - A0.a @ B0.a
-            r_dw = 0.5 * float(np.sum(F.a * dev * dev))
-            fa = F.a @ (B0.a * B0.a).T
-            da = A.a - A0.a
+            A = A0 + np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)])
+            dev = A @ B0 - A0 @ B0
+            r_dw = 0.5 * float(np.sum(F * dev * dev))
+            fa = F @ (B0 * B0).T
+            da = A - A0
             r_ab = 0.5 * float(np.sum(fa * da * da))
             if abs(r_dw - r_ab) > 1e-9 * max(1.0, r_dw):
                 diverged += 1

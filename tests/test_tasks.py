@@ -14,7 +14,7 @@ from lrcl.tasks import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from lrcl.tensor import Matrix, RngState
+from lrcl.tensor import RngState
 
 
 def small_stream(seed=0, **overrides):
@@ -47,10 +47,10 @@ class TestGaussianStream:
         a = small_stream(seed=5)
         b = small_stream(seed=5)
         for ta, tb in zip(a.tasks, b.tasks):
-            assert np.array_equal(ta.train.X.a, tb.train.X.a)
+            assert np.array_equal(ta.train.X, tb.train.X)
             assert ta.train.y == tb.train.y
-            assert np.array_equal(ta.test.X.a, tb.test.X.a)
-        assert np.array_equal(a.pretrain.X.a, b.pretrain.X.a)
+            assert np.array_equal(ta.test.X, tb.test.X)
+        assert np.array_equal(a.pretrain.X, b.pretrain.X)
 
     def test_matches_scalar_draw_oracle(self):
         # the per-element scalar loop the generator replaces, kept as its reference
@@ -70,15 +70,15 @@ class TestGaussianStream:
             blobs = {cid: blob(cid, n_train + n_test) for cid in task.class_ids}
             train = [blobs[cid][i] for i in range(n_train) for cid in task.class_ids]
             test = [blobs[cid][n_train + i] for i in range(n_test) for cid in task.class_ids]
-            assert np.array_equal(task.train.X.a, np.vstack(train))
-            assert np.array_equal(task.test.X.a, np.vstack(test))
+            assert np.array_equal(task.train.X, np.vstack(train))
+            assert np.array_equal(task.test.X, np.vstack(test))
         pre = np.vstack([blob(cid, 8) for cid in stream.pretrain_class_ids])
-        assert np.array_equal(stream.pretrain.X.a, pre)
+        assert np.array_equal(stream.pretrain.X, pre)
 
     def test_different_seed_differs(self):
         a = small_stream(seed=5)
         b = small_stream(seed=6)
-        assert not np.array_equal(a.tasks[0].train.X.a, b.tasks[0].train.X.a)
+        assert not np.array_equal(a.tasks[0].train.X, b.tasks[0].train.X)
 
     def test_split_sizes(self):
         stream = small_stream()
@@ -90,7 +90,7 @@ class TestGaussianStream:
         # sigma tiny: every sample sits essentially at its class mean
         stream = small_stream(sigma=1e-9, radius=2.5)
         for t in stream.tasks:
-            norms = np.linalg.norm(t.train.X.a, axis=1)
+            norms = np.linalg.norm(t.train.X, axis=1)
             assert np.allclose(norms, 2.5, atol=1e-6)
 
     def test_tiny_sigma_is_linearly_separable(self):
@@ -100,10 +100,10 @@ class TestGaussianStream:
             means = {}
             for cid in t.class_ids:
                 rows = [i for i, y in enumerate(t.train.y) if y == cid]
-                means[cid] = t.train.X.a[rows].mean(axis=0)
+                means[cid] = t.train.X[rows].mean(axis=0)
             correct = 0
             for i in range(t.test.n):
-                x = t.test.X.a[i]
+                x = t.test.X[i]
                 pred = min(means, key=lambda c: np.linalg.norm(x - means[c]))
                 correct += pred == t.test.y[i]
             assert correct == t.test.n
@@ -140,7 +140,7 @@ class TestDatasetCsv:
                 path = tmp_path / f"task{t.id}.csv"
                 write_dataset_csv(path, split)
                 back = read_dataset_csv(path)
-                assert np.array_equal(back.X.a, split.X.a)
+                assert np.array_equal(back.X, split.X)
                 assert back.y == split.y
 
     def test_missing_label_column(self, tmp_path):
@@ -167,7 +167,7 @@ class TestLoadCsvStream:
         X = np.vstack([r[0] for r in rows])
         y = [r[1] for r in rows]
         path = tmp_path / "pool.csv"
-        write_dataset_csv(path, Dataset(Matrix.from_array(X), y))
+        write_dataset_csv(path, Dataset(X, y))
         return path
 
     def test_partition_counts(self, tmp_path):
@@ -190,7 +190,7 @@ class TestLoadCsvStream:
         a = load_csv_stream(path, num_tasks=2, seed=3)
         b = load_csv_stream(path, num_tasks=2, seed=3)
         for ta, tb in zip(a.tasks, b.tasks):
-            assert np.array_equal(ta.train.X.a, tb.train.X.a)
+            assert np.array_equal(ta.train.X, tb.train.X)
             assert ta.class_ids == tb.class_ids
 
     def test_too_few_classes(self, tmp_path):
@@ -202,8 +202,8 @@ class TestLoadCsvStream:
         path = self._write_pool(tmp_path)
         stream = load_csv_stream(path, num_tasks=2, seed=5)
         for t in stream.tasks:
-            train_rows = {tuple(row) for row in t.train.X.a}
-            test_rows = {tuple(row) for row in t.test.X.a}
+            train_rows = {tuple(row) for row in t.train.X}
+            test_rows = {tuple(row) for row in t.test.X}
             assert train_rows.isdisjoint(test_rows)
 
 

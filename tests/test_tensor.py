@@ -1,113 +1,114 @@
-"""Tensor primitives against loop oracles and hand-computed values."""
+"""Tensor primitives against loop oracles and hand-computed values.
 
-import math
+Also the finiteness checks at each place a NaN or Inf can enter the program.
+"""
 
 import numpy as np
 import pytest
 
+from lrcl.cli import main
 from lrcl.errors import NumericalError, ParameterError, ParseError, ShapeError
+from lrcl.fisher import FisherDiag
+from lrcl.model import accuracy, load_checkpoint, save_checkpoint
+from lrcl.tasks import Dataset, read_dataset_csv
 from lrcl.tensor import (
-    Matrix,
     RngState,
     _softmax_rows,
-    frobenius_norm,
-    hadamard,
-    matmul,
     read_matrix_csv,
     uniform_matrix,
     write_matrix_csv,
 )
 
+from conftest import make_net
+
 
 def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
-    return Matrix(rows, cols, [rng.uniform(lo, hi) for _ in range(rows * cols)])
+    return np.array([rng.uniform(lo, hi) for _ in range(rows * cols)]).reshape(rows, cols)
 
 
-class TestMatrix:
-    def test_data_is_flat_row_major(self):
-        m = Matrix(2, 3, [1, 2, 3, 4, 5, 6])
-        assert m.rows == 2 and m.cols == 3
-        assert m.data == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_length_must_match_dims(self):
-        with pytest.raises(Exception):
-            Matrix(2, 2, [1, 2, 3])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericalError):
-            Matrix(1, 2, [1.0, float("nan")])
-        with pytest.raises(NumericalError):
-            Matrix(1, 2, [1.0, float("inf")])
-
-    def test_rejects_bad_dims(self):
-        with pytest.raises(ParameterError):
-            Matrix(0, 2, [])
+def _dataset_csv(tmp_path, token):
+    """A 4-class feature CSV with token in place of one feature."""
+    rows = [f"{0.1 * i},{-0.2 * i},{i % 4}" for i in range(40)]
+    rows[3] = f"0.3,{token},3"
+    path = tmp_path / "data.csv"
+    path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    return path
 
 
-class TestMatmul:
-    def test_identity(self):
-        eye = Matrix(2, 2, [1, 0, 0, 1])
-        m = Matrix(2, 3, [1, 2, 3, 4, 5, 6])
-        assert matmul(eye, m).data == m.data
-
-    def test_hand_computed(self):
-        out = matmul(Matrix(2, 2, [1, 2, 3, 4]), Matrix(2, 1, [5, 6]))
-        assert out.data == [17.0, 39.0]
-
-    def test_shape_error_carries_shapes(self):
-        a = Matrix(2, 3, range(6))
-        b = Matrix(2, 2, range(4))
-        with pytest.raises(ShapeError) as err:
-            matmul(a, b)
-        assert err.value.shape_a == (2, 3)
-        assert err.value.shape_b == (2, 2)
-
-    def test_matches_loop_oracle(self):
-        rng = RngState(11)
-        a = random_matrix(rng, 4, 5)
-        b = random_matrix(rng, 5, 3)
-        slow = [[sum(a.a[i][k] * b.a[k][j] for k in range(5)) for j in range(3)] for i in range(4)]
-        assert np.allclose(matmul(a, b).a, slow, rtol=0, atol=1e-12)
-
-    def test_associativity(self):
-        rng = RngState(5)
-        for _ in range(20):
-            a = random_matrix(rng, 8, 8)
-            b = random_matrix(rng, 8, 8)
-            c = random_matrix(rng, 8, 8)
-            left = matmul(matmul(a, b), c).a
-            right = matmul(a, matmul(b, c)).a
-            assert np.allclose(left, right, rtol=1e-10, atol=1e-12)
+def _checkpoint_with(tmp_path, token):
+    """Directory of a saved network whose first base weight reads token."""
+    save_checkpoint(make_net((3, 2), rank=1, seed=0), tmp_path / "ckpt")
+    w_path = tmp_path / "ckpt" / "layer0_W.csv"
+    lines = w_path.read_text().splitlines()
+    lines[0] = ",".join([token] + lines[0].split(",")[1:])
+    w_path.write_text("\n".join(lines) + "\n")
+    return tmp_path / "ckpt"
 
 
-class TestHadamard:
-    def test_ones_identity(self):
-        rng = RngState(2)
-        a = random_matrix(rng, 3, 4)
-        ones = Matrix.full(3, 4, 1.0)
-        assert hadamard(a, ones).data == a.data
+def _run_on_csv(tmp_path, token):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"num_tasks = 2\npretrain_mode = random\ncsv_path = {_dataset_csv(tmp_path, token)}\n")
+    return main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
 
-    def test_zeros_annihilate(self):
-        a = Matrix(2, 2, [1, 2, 3, 4])
-        assert hadamard(a, Matrix.zeros(2, 2)).data == [0.0] * 4
 
-    def test_hand_computed(self):
-        assert hadamard(Matrix(1, 2, [1, 2]), Matrix(1, 2, [3, 4])).data == [3.0, 8.0]
+def _overflowing_accuracy(tmp_path, token):
+    # identity features and a huge head: every logit overflows to inf
+    net = make_net((2, 2), rank=1, seed=0, class_ids=[0, 1])
+    net.layers[0].W[:] = np.eye(2)
+    net.head.V[:] = 1e308
+    return accuracy(net, np.ones((3, 2)), [0, 1, 0])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(Matrix(1, 2, [1, 2]), Matrix(2, 1, [1, 2]))
+
+# (entry point, bad value, what must happen: an exception type or an exit code)
+BOUNDARIES = [
+    ("dataset", "nan", NumericalError),
+    ("dataset", "inf", NumericalError),
+    ("dataset_1d", "1.0", ShapeError),
+    ("read_dataset_csv", "nan", NumericalError),
+    ("read_dataset_csv", "inf", NumericalError),
+    ("read_matrix_csv", "nan", NumericalError),
+    ("read_matrix_csv", "-inf", NumericalError),
+    ("load_checkpoint", "nan", NumericalError),
+    ("load_checkpoint", "inf", NumericalError),
+    ("run_csv", "nan", 3),
+    ("run_csv", "inf", 3),
+    ("fisher", "nan", NumericalError),
+    ("accuracy", "overflow", NumericalError),
+    ("uniform_matrix", "0", ParameterError),
+]
+
+ENTRY_POINTS = {
+    "dataset": lambda tmp, tok: Dataset(np.array([[1.0, float(tok)], [0.0, 1.0]]), [0, 1]),
+    "dataset_1d": lambda tmp, tok: Dataset(np.array([float(tok), 2.0]), [0, 1]),
+    "read_dataset_csv": lambda tmp, tok: read_dataset_csv(_dataset_csv(tmp, tok)),
+    "read_matrix_csv": lambda tmp, tok: read_matrix_csv(_checkpoint_with(tmp, tok) / "layer0_W.csv"),
+    "load_checkpoint": lambda tmp, tok: load_checkpoint(_checkpoint_with(tmp, tok)),
+    "run_csv": _run_on_csv,
+    "fisher": lambda tmp, tok: FisherDiag([np.ones((2, 2)), np.full((2, 3), float(tok))]),
+    "accuracy": _overflowing_accuracy,
+    "uniform_matrix": lambda tmp, tok: uniform_matrix(RngState(0), int(tok), 3, -1.0, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("entry,token,outcome", BOUNDARIES)
+def test_bad_array_rejected_at_entry(tmp_path, entry, token, outcome):
+    if isinstance(outcome, int):
+        assert ENTRY_POINTS[entry](tmp_path, token) == outcome
+        return
+    with pytest.raises(outcome):
+        ENTRY_POINTS[entry](tmp_path, token)
 
 
 class TestUniformMatrix:
     def test_range_containment(self):
         m = uniform_matrix(RngState(3), 10, 10, 0.0, 1.0)
-        assert all(0.0 <= v < 1.0 for v in m.data)
+        assert ((0.0 <= m) & (m < 1.0)).all()
 
     def test_same_seed_same_matrix(self):
         a = uniform_matrix(RngState(9), 5, 5, -2.0, 2.0)
         b = uniform_matrix(RngState(9), 5, 5, -2.0, 2.0)
-        assert a.data == b.data
+        assert np.array_equal(a, b)
 
     def test_lo_must_be_below_hi(self):
         with pytest.raises(ParameterError):
@@ -115,34 +116,20 @@ class TestUniformMatrix:
 
     def test_law_of_large_numbers(self):
         m = uniform_matrix(RngState(123), 1000, 1000, 0.0, 1.0)
-        assert abs(m.a.mean() - 0.5) < 0.01
-
-
-class TestFrobenius:
-    def test_zeros(self):
-        assert frobenius_norm(Matrix.zeros(3, 3)) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_norm(Matrix(1, 2, [3, 4])) == 5.0
-
-    def test_matches_loop_oracle(self):
-        rng = RngState(7)
-        m = random_matrix(rng, 5, 5)
-        slow = math.sqrt(sum(v * v for v in m.data))
-        assert abs(frobenius_norm(m) - slow) < 1e-12
+        assert abs(m.mean() - 0.5) < 0.01
 
 
 class TestPlumbingOps:
     def test_softmax_rows_sum_to_one(self):
         rng = RngState(19)
         m = random_matrix(rng, 6, 5, -3, 3)
-        s = _softmax_rows(m.a)
+        s = _softmax_rows(m)
         assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = RngState(23)
         m = random_matrix(rng, 4, 5, -2, 2)
-        assert np.allclose(_softmax_rows(m.a), _softmax_rows(m.a + 7.5), rtol=1e-10, atol=1e-12)
+        assert np.allclose(_softmax_rows(m), _softmax_rows(m + 7.5), rtol=1e-10, atol=1e-12)
 
     def test_softmax_survives_large_logits(self):
         s = _softmax_rows(np.array([[1000.0, 999.0, -1000.0]]))
@@ -256,7 +243,8 @@ class TestBulkDraws:
     def test_uniform_matrix_equals_scalar_uniforms(self, lo, hi):
         bulk, scalar = RngState(3), RngState(3)
         m = uniform_matrix(bulk, 4, 5, lo, hi)
-        assert m.data == [scalar.uniform(lo, hi) for _ in range(20)]
+        assert m.shape == (4, 5)
+        assert m.ravel().tolist() == [scalar.uniform(lo, hi) for _ in range(20)]
         self._assert_same_state(bulk, scalar)
 
     def test_negative_count_rejected(self):
@@ -275,14 +263,14 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         write_matrix_csv(path, m)
         back = read_matrix_csv(path)
-        assert back.data == m.data
+        assert back.dtype == np.float64 and back.tolist() == m.tolist()
 
     @pytest.mark.parametrize("fail_at", ["write", "rename"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
         import lrcl.tensor as tensor_mod
 
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, Matrix(1, 2, [1.0, 2.0]))
+        write_matrix_csv(path, np.array([[1.0, 2.0]]))
         before = path.read_bytes()
 
         class HalfWrite:
@@ -309,7 +297,7 @@ class TestMatrixCsv:
         else:
             monkeypatch.setattr(tensor_mod.os, "replace", failing_replace)
         with pytest.raises(OSError):
-            write_matrix_csv(path, Matrix(2, 2, [3.0, 4.0, 5.0, 6.0]))
+            write_matrix_csv(path, np.array([[3.0, 4.0], [5.0, 6.0]]))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 

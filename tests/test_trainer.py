@@ -15,7 +15,7 @@ from lrcl.errors import MetricError, NumericalError, ProtocolError
 from lrcl.fisher import EstimatorKind
 from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.tasks import Task, gen_gaussian_stream
-from lrcl.tensor import Matrix, RngState
+from lrcl.tensor import RngState
 from lrcl.trainer import (
     AdamState,
     ContinualLearner,
@@ -67,22 +67,22 @@ def tiny_config(seed=0, **overrides):
 
 class TestAdam:
     def _fresh(self, shape=(2, 2)):
-        p = Matrix.zeros(*shape)
+        p = np.zeros(shape)
         state = AdamState([p]).configure(0.9, 0.999, 1e-8)
         return p, state
 
     def test_zero_gradient_is_fixed_point(self):
         p, state = self._fresh()
-        before = p.a.copy()
-        adam_step(state, [p], [np.zeros_like(p.a)], lr=0.1)
-        assert np.array_equal(p.a, before)
+        before = p.copy()
+        adam_step(state, [p], [np.zeros_like(p)], lr=0.1)
+        assert np.array_equal(p, before)
 
     def test_first_step_closed_form(self):
         # m_hat = v_hat = 1 after one unit-gradient step, so the update is
         # -lr / (1 + eps), within eps of -lr
         p, state = self._fresh((1, 1))
         adam_step(state, [p], [np.array([[1.0]])], lr=0.1)
-        assert abs(p.a[0, 0] + 0.1) < 1e-8
+        assert abs(p[0, 0] + 0.1) < 1e-8
 
     def test_two_steps_match_loop_oracle(self):
         p, state = self._fresh((2, 3))
@@ -102,7 +102,7 @@ class TestAdam:
             m_hat = m / (1 - 0.9 ** t)
             v_hat = v / (1 - 0.999 ** t)
             theta = theta - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert np.allclose(p.a, theta, rtol=0, atol=1e-14)
+        assert np.allclose(p, theta, rtol=0, atol=1e-14)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -118,7 +118,7 @@ class TestTrainTask:
         cfg = tiny_config()
         net = prepare_base_network(cfg, stream)
         learner = ContinualLearner(net, cfg)
-        snapshots = [layer.W.a.copy() for layer in net.layers]
+        snapshots = [layer.W.copy() for layer in net.layers]
         # step performs reset/expand/train/estimate but merge changes W;
         # check the train phase alone instead
         from lrcl.model import expand_head, reset_adapter
@@ -127,7 +127,7 @@ class TestTrainTask:
         expand_head(net, stream.tasks[0].class_ids, RngState(2))
         train_task(net, stream.tasks[0].train, None, tiny_config(strategy="none"), RngState(3))
         for layer, snap in zip(net.layers, snapshots):
-            assert np.array_equal(layer.W.a, snap)
+            assert np.array_equal(layer.W, snap)
 
     def test_lambda_zero_equals_strategy_none_bitwise(self):
         stream = tiny_stream()
@@ -142,7 +142,7 @@ class TestTrainTask:
             expand_head(net, stream.tasks[0].class_ids, RngState(6))
             f = zeros_like(net) if strategy == "deltaw" else None
             trace = train_task(net, stream.tasks[0].train, f, cfg, RngState(7))
-            results[strategy] = (trace, [l.A.a.copy() for l in net.layers], net.head.V.a.copy())
+            results[strategy] = (trace, [l.A.copy() for l in net.layers], net.head.V.copy())
         assert results["deltaw"][0] == results["none"][0]
         for a, b in zip(results["deltaw"][1], results["none"][1]):
             assert np.array_equal(a, b)
@@ -290,7 +290,7 @@ class TestPretrain:
     def test_outputs_finite_and_head_stripped(self):
         stream = tiny_stream(6)
         net = pretrain(tiny_config(seed=6), stream.pretrain)
-        assert all(np.isfinite(l.W.a).all() for l in net.layers)
+        assert all(np.isfinite(l.W).all() for l in net.layers)
         assert net.head.V is None
         assert net.head.class_ids == []
 
@@ -299,13 +299,13 @@ class TestPretrain:
         net_a = pretrain(tiny_config(seed=7), stream.pretrain)
         net_b = pretrain(tiny_config(seed=7), stream.pretrain)
         for la, lb in zip(net_a.layers, net_b.layers):
-            assert np.array_equal(la.W.a, lb.W.a)
+            assert np.array_equal(la.W, lb.W)
 
     def test_random_mode_skips_training(self):
         stream = tiny_stream(8)
         cfg = tiny_config(seed=8, pretrain_mode="random")
         net = prepare_base_network(cfg, stream)
-        assert all(np.isfinite(l.W.a).all() for l in net.layers)
+        assert all(np.isfinite(l.W).all() for l in net.layers)
 
     def test_train_mode_needs_pretrain_data(self):
         stream = tiny_stream(9)
@@ -315,7 +315,7 @@ class TestPretrain:
 
 
 def _weight_bytes(net):
-    return [(m.shape, m.a.tobytes()) for l in net.layers for m in (l.W, l.A, l.B)]
+    return [(m.shape, m.tobytes()) for l in net.layers for m in (l.W, l.A, l.B)]
 
 
 class TestSharedBase:
