@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisher as fisher_mod
-from .errors import MetricError, ParameterError
+from .errors import MetricError, NumericalError, ParameterError
 from .fisher import FisherDiag, fisher_norm, flatten
 from .metrics import AccuracyMatrix
 from .model import accuracy
@@ -175,8 +175,8 @@ def track_fisher_drift(
                         joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
                         pooled = fisher_mod.estimate(net, joined, config.estimator, rng)
                     comparator = pooled
-                rows[regime].append(
-                    DriftRow(
+                try:
+                    row = DriftRow(
                         task_trained=t,
                         task_data=i,
                         regime=regime,
@@ -184,6 +184,9 @@ def track_fisher_drift(
                         spearman=spearman(flatten(comparator), flatten(base)),
                         cosine=cosine_sim(flatten(comparator), flatten(base)),
                     )
-                )
+                except MetricError as exc:
+                    # the config passed every check; training made the Fisher degenerate
+                    raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
+                rows[regime].append(row)
 
     return logs, [row for regime in regimes for row in rows[regime]], acc

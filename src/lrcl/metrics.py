@@ -48,10 +48,6 @@ class AccuracyMatrix:
         self._require_complete()
         return [self.rows[i][i] for i in range(self.T)]
 
-    def last_row(self) -> list[float]:
-        self._require_complete()
-        return list(self.rows[-1])
-
     def _require_complete(self) -> None:
         if not self.complete:
             raise StateError(f"matrix has {len(self.rows)} of {self.num_tasks} rows")

@@ -70,10 +70,6 @@ class Head:
     b: np.ndarray | None
     class_ids: list[int] = field(default_factory=list)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_ids)
-
     def row_of(self, class_id: int) -> int:
         try:
             return self.class_ids.index(class_id)
@@ -112,12 +108,6 @@ class Network:
 
     def copy(self) -> "Network":
         return Network([l.copy() for l in self.layers], self.head.copy())
-
-    def trainable_adapters(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.extend([layer.A, layer.B])
-        return out
 
 
 def new_network(

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError("lambda must be nonnegative")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
+        if not 0.0 < self.b_init_scale <= 1e6:
+            raise ConfigError(f"b_init_scale must lie in (0, 1e6], got {self.b_init_scale}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
         if self.pretrain_lr <= 0:
@@ -93,11 +95,11 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment buffers and a shared step counter."""
+    """Flat first/second moment buffers and a shared step counter."""
 
-    def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
     def configure(self, beta1: float, beta2: float, epsilon: float) -> "AdamState":
@@ -107,20 +109,64 @@ class AdamState:
         return self
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-    """One bias-corrected Adam update, in place on the parameter arrays."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update, in place on a flat parameter buffer.
+
+    Each element sees the per-array update's operations in its order, so
+    the bits match it. grads is overwritten: it serves as scratch.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        if not np.isfinite(p).all():
-            raise NumericalError("parameters left the finite range during Adam update")
+    m, v, g = state.m, state.v, grads
+    step = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += step  # b1 m + (1 - b1) g
+    v *= b2
+    np.multiply(g, g, out=g)
+    g *= 1.0 - b2
+    v += g  # b2 v + (1 - b2) g^2
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.epsilon
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= g  # lr (m / bc1) / (sqrt(v / bc2) + eps)
+    params -= step
+    if not np.isfinite(params).all():
+        raise NumericalError("parameters left the finite range during Adam update")
+
+
+class _Arena:
+    """One group of parameters, trained at one learning rate.
+
+    Each (owner, attribute) array is copied into one flat buffer and the
+    attribute rebound to its view into it; gradients go into the matching
+    views of one flat gradient buffer, so a step is one adam_step.
+    """
+
+    def __init__(self, slots: list[tuple[object, str]], config: TrainConfig):
+        arrays = [getattr(owner, name) for owner, name in slots]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.empty_like(self.params)
+        cuts = np.cumsum([a.size for a in arrays])[:-1]
+        self.grads = [g.reshape(a.shape) for g, a in zip(np.split(self.grad, cuts), arrays)]
+        for (owner, name), p, a in zip(slots, np.split(self.params, cuts), arrays):
+            setattr(owner, name, p.reshape(a.shape))
+        self.state = AdamState(self.params).configure(config.beta1, config.beta2, config.epsilon)
+
+    def set_grads(self, grads: list[np.ndarray], extra: list[np.ndarray] | None = None) -> None:
+        """Gradient of each array, plus extra's term for it when given."""
+        if extra is None:
+            for view, g in zip(self.grads, grads):
+                view[...] = g
+        else:
+            for view, g, e in zip(self.grads, grads, extra):
+                np.add(g, e, out=view)
+
+    def step(self, lr: float) -> None:
+        adam_step(self.state, self.params, self.grad, lr)
 
 
 def _epoch_lr(base: float, epoch: int, total: int, schedule: str) -> float:
@@ -144,20 +190,18 @@ def train_task(
 
     Expects a freshly reset adapter and a head that already covers the
     task's classes. Only the adapters and the head move; base weights stay
-    untouched.
+    untouched. Each layer's A and B and the head's V and b are rebound to
+    views into one flat buffer per group, so arrays held from before go stale.
     """
     if task_data.n < 1:
         raise DataError("cannot train on an empty task")
 
     strategy = STRATEGIES[config.strategy]
+    adapters = _Arena([(layer, "A") for layer in net.layers] + [(layer, "B") for layer in net.layers], config)
+    head = _Arena([(net.head, "V"), (net.head, "b")], config)
     As = [layer.A for layer in net.layers]
     Bs = [layer.B for layer in net.layers]
-    b_inits = [layer.B.copy() for layer in net.layers] if strategy.penalty == "factor" else None
-
-    adapter_params = net.trainable_adapters()
-    head_params = [net.head.V, net.head.b]
-    adapter_state = AdamState(adapter_params).configure(config.beta1, config.beta2, config.epsilon)
-    head_state = AdamState(head_params).configure(config.beta1, config.beta2, config.epsilon)
+    b_inits = [B.copy() for B in Bs] if strategy.penalty == "factor" else None
 
     order = list(range(task_data.n))
     rows = label_rows(net.head, task_data.y)
@@ -165,31 +209,25 @@ def train_task(
     for epoch in range(config.epochs):
         lr = _epoch_lr(config.lr, epoch, config.epochs, config.lr_schedule)
         head_lr = _epoch_lr(config.head_lr, epoch, config.epochs, config.lr_schedule)
+        X, epoch_rows = task_data.X, rows
         if config.shuffle:
             rng.shuffle(order)
+            X, epoch_rows = task_data.X[order], rows[order]
         epoch_loss = 0.0
         slices = _batch_slices(task_data.n, config.batch_size)
         for start, stop in slices:
-            idx = order[start:stop]
-            cache = forward(net, task_data.X[idx])
-            ce, grads = backward(net, cache, rows[idx])
-
-            total = ce
+            cache = forward(net, X[start:stop])
+            total, grads = backward(net, cache, epoch_rows[start:stop])
             pen = strategy.penalty_term(As, Bs, b_inits, f_cum, config.lam)
             if pen is not None:
                 total += pen.value
-                for k in range(len(net.layers)):
-                    grads.d_a[k] = grads.d_a[k] + pen.grad_a[k]
-                    grads.d_b[k] = grads.d_b[k] + pen.grad_b[k]
-
             if not math.isfinite(total):
                 raise NumericalError(f"loss became non-finite at epoch {epoch}")
 
-            flat_adapter_grads = []
-            for k in range(len(net.layers)):
-                flat_adapter_grads.extend([grads.d_a[k], grads.d_b[k]])
-            adam_step(adapter_state, adapter_params, flat_adapter_grads, lr)
-            adam_step(head_state, head_params, [grads.d_v, grads.d_bias], head_lr)
+            adapters.set_grads(grads.d_a + grads.d_b, None if pen is None else pen.grad_a + pen.grad_b)
+            head.set_grads([grads.d_v, grads.d_bias])
+            adapters.step(lr)
+            head.step(head_lr)
             epoch_loss += total
         trace.append(epoch_loss / len(slices))
     return trace
@@ -286,10 +324,8 @@ def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network
     acc = 1.0 / len(classes)
     if config.pretrain_mode == "train":
         train_ds, test_ds = _stratified_split(pretrain_set, 0.8, rng)
-        base_params = [layer.W for layer in net.layers]
-        head_params = [net.head.V, net.head.b]
-        base_state = AdamState(base_params).configure(config.beta1, config.beta2, config.epsilon)
-        head_state = AdamState(head_params).configure(config.beta1, config.beta2, config.epsilon)
+        base = _Arena([(layer, "W") for layer in net.layers], config)
+        head = _Arena([(net.head, "V"), (net.head, "b")], config)
         rows = label_rows(net.head, train_ds.y)
 
         for epoch in range(config.pretrain_epochs):
@@ -300,8 +336,11 @@ def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network
                 loss, d_w, d_v, d_bias = backward_wrt_base(net, cache, rows[start:stop])
                 if not math.isfinite(loss):
                     raise NumericalError("pretraining loss became non-finite")
-                adam_step(base_state, base_params, d_w, lr)
-                adam_step(head_state, head_params, [d_v, d_bias], head_lr)
+                base.set_grads(d_w)
+                head.set_grads([d_v, d_bias])
+                del cache, d_w  # at wide layers, backward's arrays would sit beside Adam's
+                base.step(lr)
+                head.step(head_lr)
         acc = accuracy(net, test_ds.X, test_ds.y)
 
     net.head = Head(V=None, b=None)

@@ -42,7 +42,7 @@ def make_batch(net: Network, n, seed, scale=1.0):
     rng = RngState(seed)
     dim = net.input_dim
     x = mat(n, dim, [scale * rng.uniform(-1, 1) for _ in range(n * dim)])
-    labels = [net.head.class_ids[rng.randint(net.head.num_classes)] for _ in range(n)]
+    labels = [net.head.class_ids[rng.randint(len(net.head.class_ids))] for _ in range(n)]
     return x, labels
 
 

@@ -233,6 +233,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "line",
         ["estimator = exact_subset(abc)", "lambda = nan", "lr = inf", "b_init_scale = -inf",
+         "b_init_scale = 0", "b_init_scale = -1", "b_init_scale = 1e308",
          "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3",
          "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1"],
     )
@@ -335,6 +336,16 @@ class TestDiagnoseCommand:
                 assert float(r[3]) == 1.0 and float(r[4]) == 1.0 and float(r[5]) == 1.0
         snap_dir = out / "fisher_snapshots_seed0" / "task0"
         assert (snap_dir / "manifest.json").exists()
+
+    def test_degenerate_fisher_after_training_exits_3(self, tmp_path, capsys):
+        # the huge rate saturates the pretrained network, so task 0's exact
+        # Fisher snapshot is all zeros and its norm ratio is undefined
+        text = TINY.replace("pretrain_lr = 0.02", "pretrain_lr = 1e250") + "estimator = exact\n"
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--config", write_config(tmp_path, text), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: drift of task 0 after task 1: norm ratio undefined for a zero baseline Fisher"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["none", "precomputed_uniform", "precomputed_dataset"])
     def test_strategy_without_learned_fisher_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, strategy):

@@ -65,37 +65,54 @@ def tiny_config(seed=0, **overrides):
     return TrainConfig(**base)
 
 
+def adam_step_per_array(state, params, grads, lr):
+    """Reference Adam: one array at a time, the moments a list per array."""
+    state["t"] += 1
+    b1, b2, eps = state["b1"], state["b2"], state["eps"]
+    bc1 = 1.0 - b1 ** state["t"]
+    bc2 = 1.0 - b2 ** state["t"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        state["m"][i] = b1 * state["m"][i] + (1.0 - b1) * g
+        state["v"][i] = b2 * state["v"][i] + (1.0 - b2) * (g * g)
+        m_hat = state["m"][i] / bc1
+        v_hat = state["v"][i] / bc2
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        if not np.isfinite(p).all():
+            raise NumericalError("parameters left the finite range during Adam update")
+
+
 class TestAdam:
-    def _fresh(self, shape=(2, 2)):
-        p = np.zeros(shape)
-        state = AdamState([p]).configure(0.9, 0.999, 1e-8)
+    def _fresh(self, n=4):
+        p = np.zeros(n)
+        state = AdamState(p).configure(0.9, 0.999, 1e-8)
         return p, state
 
     def test_zero_gradient_is_fixed_point(self):
         p, state = self._fresh()
         before = p.copy()
-        adam_step(state, [p], [np.zeros_like(p)], lr=0.1)
+        adam_step(state, p, np.zeros_like(p), lr=0.1)
         assert np.array_equal(p, before)
 
     def test_first_step_closed_form(self):
         # m_hat = v_hat = 1 after one unit-gradient step, so the update is
         # -lr / (1 + eps), within eps of -lr
-        p, state = self._fresh((1, 1))
-        adam_step(state, [p], [np.array([[1.0]])], lr=0.1)
-        assert abs(p[0, 0] + 0.1) < 1e-8
+        p, state = self._fresh(1)
+        adam_step(state, p, np.array([1.0]), lr=0.1)
+        assert abs(p[0] + 0.1) < 1e-8
 
     def test_two_steps_match_loop_oracle(self):
-        p, state = self._fresh((2, 3))
+        p, state = self._fresh(6)
         rng = RngState(4)
-        g1 = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)])
-        g2 = np.array([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(2)])
-        adam_step(state, [p], [g1], lr=0.01)
-        adam_step(state, [p], [g2], lr=0.01)
+        g1 = np.array([rng.uniform(-1, 1) for _ in range(6)])
+        g2 = np.array([rng.uniform(-1, 1) for _ in range(6)])
+        # adam_step uses its gradient buffer as scratch
+        adam_step(state, p, g1.copy(), lr=0.01)
+        adam_step(state, p, g2.copy(), lr=0.01)
 
         # scalar reference loop over each coordinate
-        theta = np.zeros((2, 3))
-        m = np.zeros((2, 3))
-        v = np.zeros((2, 3))
+        theta = np.zeros(6)
+        m = np.zeros(6)
+        v = np.zeros(6)
         for t, g in enumerate((g1, g2), start=1):
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * (g * g)
@@ -104,12 +121,81 @@ class TestAdam:
             theta = theta - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert np.allclose(p, theta, rtol=0, atol=1e-14)
 
+    # the adapter group (A and B of three layers) and the head group (V, b),
+    # each at its own learning rate and Adam constants
+    @pytest.mark.parametrize(
+        "shapes,lr,eps",
+        [
+            ([(6, 2), (5, 2), (4, 2), (2, 3), (2, 6), (2, 5)], 0.05, 0.1),
+            ([(5, 4), (5, 1)], 1e-6, 1e-8),
+        ],
+    )
+    def test_flat_equals_per_array_oracle_bitwise(self, shapes, lr, eps):
+        rng = RngState(11)
+
+        def draw(shape, scale):
+            return np.array([scale * rng.uniform(-1, 1) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+        arrays = [draw(s, 0.5) for s in shapes]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        state = AdamState(flat).configure(0.9, 0.999, eps)
+        ref = {"t": 0, "b1": 0.9, "b2": 0.999, "eps": eps, "m": [np.zeros(s) for s in shapes], "v": [np.zeros(s) for s in shapes]}
+        for step in range(6):
+            grads = [draw(s, 10.0 ** (step - 3)) for s in shapes]
+            adam_step(state, flat, np.concatenate([g.ravel() for g in grads]), lr * (1 + step))
+            adam_step_per_array(ref, arrays, grads, lr * (1 + step))
+            assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref["m"]]))
+        assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref["v"]]))
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_blowup_raises(self):
-        p, state = self._fresh((1, 1))
-        with pytest.raises(NumericalError):
-            adam_step(state, [p], [np.array([[1e308]])], lr=1e308)
+        p, state = self._fresh(1)
+        with pytest.raises(NumericalError, match="^parameters left the finite range during Adam update$"):
+            adam_step(state, p, np.array([1e308]), lr=1e308)
+
+
+class TestArena:
+    def test_copies_share_no_memory_with_the_trained_net(self):
+        # run_many hands one pretrained base to every unit, and each unit
+        # trains base.copy(); the base's W and the trained adapters and head
+        # are views into flat buffers, which a copy must not share
+        stream = tiny_stream()
+        cfg = tiny_config(strategy="separate", shuffle=True)
+        base = prepare_base_network(cfg, stream)
+        before = base.copy()
+        run_continual(cfg, stream, base)
+        learner = trainer_mod.start_learner(cfg, stream, base)
+        learner.step(stream.tasks[0])
+
+        def arrays(net):
+            out = [getattr(layer, k) for layer in net.layers for k in ("W", "A", "B")]
+            return out + ([net.head.V, net.head.b] if net.head.V is not None else [])
+
+        for net in (base, learner.net):
+            for x, y in zip(arrays(net), arrays(net.copy())):
+                assert np.array_equal(x, y) and not np.shares_memory(x, y)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays(base), arrays(before)))
+
+    def test_adam_steps_twice_per_optimizer_step(self, monkeypatch):
+        calls = []
+        real = trainer_mod.adam_step
+
+        def spy(state, params, grads, lr):
+            calls.append(params.size)
+            return real(state, params, grads, lr)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", spy)
+        stream = tiny_stream()
+        cfg = tiny_config(shuffle=True)
+        run_many(stream, cfg, [cfg], jobs=1)
+        # pretraining: 4 classes x 30 samples, 24 per class kept for training
+        # -> 96 / 16 = 6 batches x 6 epochs; each task: 2 x 30 = 60 samples
+        # -> 4 batches x 4 epochs, trained once as a reference and once in
+        # the continual run, for 3 tasks
+        steps = 6 * 6 + 2 * 3 * (4 * 4)
+        assert len(calls) == 2 * steps
 
 
 class TestTrainTask:
