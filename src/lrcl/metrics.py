@@ -52,13 +52,6 @@ class AccuracyMatrix:
         if not self.complete:
             raise StateError(f"matrix has {len(self.rows)} of {self.num_tasks} rows")
 
-    @classmethod
-    def from_rows(cls, rows: list[list[float]]) -> "AccuracyMatrix":
-        m = cls(len(rows))
-        for row in rows:
-            m.add_row(row)
-        return m
-
 
 def avg_anytime(m: AccuracyMatrix) -> tuple[list[float], float]:
     """Per-step averages abar_t = mean(row t) and their overall mean."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +57,9 @@ class LoRALinear:
 
     def apply_rows(self, h: np.ndarray) -> np.ndarray:
         """Row-batched layer map: h W^T + (h B^T) A^T, the adapter never folded."""
-        return h @ self.W.T + (h @ self.B.T) @ self.A.T
+        z = h @ self.W.T
+        z += (h @ self.B.T) @ self.A.T
+        return z
 
     def copy(self) -> "LoRALinear":
         return LoRALinear(self.W.copy(), self.A.copy(), self.B.copy(), self.rank)
@@ -174,11 +177,10 @@ def forward(net: Network, x: np.ndarray) -> ForwardCache:
     last = len(net.layers) - 1
     for k, layer in enumerate(net.layers):
         inputs.append(h)
-        z = layer.apply_rows(h)
-        h = np.tanh(z) if k < last else z
-    feature = h
-    logits = feature @ net.head.V.T + net.head.b.T
-    return ForwardCache(inputs, feature, logits)
+        h = layer.apply_rows(h)
+        if k < last:
+            np.tanh(h, out=h)
+    return ForwardCache(inputs, h, h @ net.head.V.T + net.head.b.T)
 
 
 @dataclass
@@ -205,15 +207,23 @@ def label_rows(head: Head, labels: list[int]) -> np.ndarray:
     return np.array([head.row_of(y) for y in labels], dtype=np.int64)
 
 
+@lru_cache(maxsize=16)  # 0..m-1, made once per batch size and shared, so read-only
+def _positions(m: int) -> np.ndarray:
+    p = np.arange(m)
+    p.flags.writeable = False
+    return p
+
+
 def _loss_and_dlogits(logits: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its logit gradient (softmax - onehot)/m."""
     m = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(z[:, 0]) - shifted[np.arange(m), rows]))
-    g = e / z
-    g[np.arange(m), rows] -= 1.0
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    g = np.exp(shifted)
+    z = np.add.reduce(g, axis=1, keepdims=True)
+    picked = (_positions(m), rows)
+    loss = float(np.add.reduce(np.log(z[:, 0]) - shifted[picked]) / m)  # np.mean's bits
+    g /= z
+    g[picked] -= 1.0
     g /= m
     return loss, g
 
@@ -235,38 +245,52 @@ def dz_per_layer(net: Network, cache: ForwardCache, g_logits: np.ndarray) -> lis
             d_z = d_h
         else:
             h_out = cache.inputs[k + 1]  # tanh(z_k)
-            d_z = d_h * (1.0 - h_out * h_out)
+            d_z = h_out * h_out
+            np.subtract(1.0, d_z, out=d_z)
+            d_z *= d_h
         dzs[k] = d_z
         if k > 0:
-            d_h = d_z @ layer.W + (d_z @ layer.A) @ layer.B
+            d_h = d_z @ layer.W
+            d_h += (d_z @ layer.A) @ layer.B
     return dzs
 
 
-def _weight_grads(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
-    """Mean loss, d_w per layer (gradient of the full weight matrix), d_v, d_bias."""
+def _grad_arrays(net: Network, names: str) -> list:
+    return [[np.empty(getattr(l, n).shape) for l in net.layers] for n in names] + [np.empty(net.head.V.shape), np.empty(net.head.b.shape)]
+
+
+def _weight_grads(net: Network, cache: ForwardCache, rows: np.ndarray, out: tuple) -> float:
+    """Mean loss; d_w per layer (gradient of the full weight matrix), d_v and d_bias go into out."""
     loss, g = _loss_and_dlogits(cache.logits, rows)
-    d_w = [d_z.T @ h_in for d_z, h_in in zip(dz_per_layer(net, cache, g), cache.inputs)]
-    return loss, d_w, g.T @ cache.feature, g.sum(axis=0)[:, None]
+    d_w, d_v, d_bias = out
+    for d_z, h_in, dw in zip(dz_per_layer(net, cache, g), cache.inputs, d_w):
+        np.matmul(d_z.T, h_in, out=dw)
+    np.matmul(g.T, cache.feature, out=d_v)
+    np.add.reduce(g, axis=0, out=d_bias[:, 0])
+    return loss
 
 
-def backward(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, GradientBundle]:
+def backward(net: Network, cache: ForwardCache, rows: np.ndarray, out: GradientBundle | None = None) -> tuple[float, GradientBundle]:
     """Loss plus gradients for the adapters and the head (base W held fixed).
 
-    rows holds the head row of each sample's label, from label_rows.
+    rows holds label_rows' head rows; gradients go into out, or new arrays if None.
     """
-    loss, d_dw, d_v, d_bias = _weight_grads(net, cache, rows)
-    d_a = [dw @ layer.B.T for dw, layer in zip(d_dw, net.layers)]
-    d_b = [layer.A.T @ dw for dw, layer in zip(d_dw, net.layers)]
-    return loss, GradientBundle(d_a, d_b, d_dw, d_v, d_bias)
+    out = out or GradientBundle(*_grad_arrays(net, "ABW"))
+    loss = _weight_grads(net, cache, rows, (out.d_delta_w, out.d_v, out.d_bias))
+    for dw, layer, d_a, d_b in zip(out.d_delta_w, net.layers, out.d_a, out.d_b):
+        np.matmul(dw, layer.B.T, out=d_a)
+        np.matmul(layer.A.T, dw, out=d_b)
+    return loss, out
 
 
-def backward_wrt_base(net: Network, cache: ForwardCache, rows: np.ndarray) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
+def backward_wrt_base(net: Network, cache: ForwardCache, rows: np.ndarray, out: tuple | None = None) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
     """Loss plus gradients with each layer's base matrix W as the free variable.
 
-    Used for pretraining the backbone; the adapters are held fixed. rows
-    are head rows, as for backward. Returns (loss, d_w per layer, d_v, d_bias).
+    Used for pretraining the backbone; the adapters are held fixed. rows and out
+    are as for backward. Returns (loss, d_w per layer, d_v, d_bias).
     """
-    return _weight_grads(net, cache, rows)
+    out = out or _grad_arrays(net, "W")
+    return (_weight_grads(net, cache, rows, out), *out)
 
 
 def merge_and_reset(net: Network, rng: RngState, b_scale: float = 1.0) -> None:

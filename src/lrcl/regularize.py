@@ -53,13 +53,20 @@ class Strategy:
     learned: str | None
     fixed: str | None
 
-    def penalty_term(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float) -> PenaltyTerm | None:
-        """The penalty at (A, B), or None for a strategy without one."""
+    def penalty_term(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float, out: tuple | None = None) -> PenaltyTerm | None:
+        """The penalty at (A, B), or None for a strategy without one; out as for penalty_deltaw."""
         if self.penalty == "update":
-            return penalty_deltaw(As, Bs, f, lam)
+            return penalty_deltaw(As, Bs, f, lam, out)
         if self.penalty == "factor":
-            return penalty_separate(As, Bs, B_inits, f, lam)
+            return penalty_separate(As, Bs, B_inits, f, lam, out)
         return None
+
+    def check(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float) -> None:
+        """The checks penalty_term runs when it is given no out buffers."""
+        if self.penalty == "update":
+            _check_update(As, Bs, f, lam)
+        elif self.penalty == "factor":
+            _check_factor(As, Bs, B_inits, f, lam)
 
 
 STRATEGIES = {
@@ -87,31 +94,46 @@ class PenaltyTerm:
     grad_b: list[np.ndarray]
 
 
-def _check_lambda(lam: float) -> None:
+def _check_layerwise(As: list[np.ndarray], Bs: list[np.ndarray], layers: list[np.ndarray], lam: float) -> None:
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
-
-
-def _check_layerwise(As: list[np.ndarray], Bs: list[np.ndarray], layers: list[np.ndarray]) -> None:
     if not (len(As) == len(Bs) == len(layers)):
         raise ShapeError("layer count mismatch", (len(As), len(Bs)), (len(layers),))
 
 
-def penalty_deltaw(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float) -> PenaltyTerm:
-    """Update-space penalty: quadratic form of the accumulated Fisher on AB."""
-    _check_lambda(lam)
-    _check_layerwise(As, Bs, f_cum.fdw)
-    value = 0.0
-    grad_a, grad_b = [], []
+def _check_update(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float) -> None:
+    _check_layerwise(As, Bs, f_cum.fdw, lam)
     for A, B, F in zip(As, Bs, f_cum.fdw):
         if F.shape != (A.shape[0], B.shape[1]) or A.shape[1] != B.shape[0]:
             raise ShapeError("penalty shape mismatch", (A.shape, B.shape), F.shape)
+
+
+def _check_factor(As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray], f: FisherDiag, lam: float) -> None:
+    if not f.has_factor_space:
+        raise ParameterError("separate penalty needs factor-space Fisher blocks")
+    _check_layerwise(As, Bs, f.fa, lam)
+    for A, B, B0, FA, FB in zip(As, Bs, B_inits, f.fa, f.fb):
+        if FA.shape != A.shape or FB.shape != B.shape or B0.shape != B.shape:
+            raise ShapeError("separate penalty shape mismatch", (A.shape, B.shape), (FA.shape, FB.shape))
+
+
+def penalty_deltaw(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float, out: tuple | None = None) -> PenaltyTerm:
+    """Update-space penalty: quadratic form of the accumulated Fisher on AB.
+
+    The gradients go into out = (grad_a, grad_b), whose shapes the caller
+    checked with Strategy.check; without out, the checks run here.
+    """
+    if out is None:
+        _check_update(As, Bs, f_cum, lam)
+        out = [np.empty(A.shape) for A in As], [np.empty(B.shape) for B in Bs]
+    value = 0.0
+    for A, B, F, ga, gb in zip(As, Bs, f_cum.fdw, *out):
         delta = A @ B
         weighted = F * delta
-        value += 0.5 * lam * float(np.sum(weighted * delta))
-        grad_a.append(lam * (weighted @ B.T))
-        grad_b.append(lam * (A.T @ weighted))
-    return PenaltyTerm(value, grad_a, grad_b)
+        value += 0.5 * lam * float(np.add.reduce(weighted * delta, axis=None))  # np.sum's bits, minus its wrapper
+        np.multiply(weighted @ B.T, lam, out=ga)
+        np.multiply(A.T @ weighted, lam, out=gb)
+    return PenaltyTerm(value, *out)
 
 
 def penalty_separate(
@@ -120,22 +142,19 @@ def penalty_separate(
     B_inits: list[np.ndarray],
     f: FisherDiag,
     lam: float,
+    out: tuple | None = None,
 ) -> PenaltyTerm:
-    """Factor-space penalty with A anchored at 0 and B at its task init."""
-    _check_lambda(lam)
-    if not f.has_factor_space:
-        raise ParameterError("separate penalty needs factor-space Fisher blocks")
-    _check_layerwise(As, Bs, f.fa)
+    """Factor-space penalty with A anchored at 0 and B at its task init; out as for penalty_deltaw."""
+    if out is None:
+        _check_factor(As, Bs, B_inits, f, lam)
+        out = [np.empty(A.shape) for A in As], [np.empty(B.shape) for B in Bs]
     value = 0.0
-    grad_a, grad_b = [], []
-    for A, B, B0, FA, FB in zip(As, Bs, B_inits, f.fa, f.fb):
-        if FA.shape != A.shape or FB.shape != B.shape or B0.shape != B.shape:
-            raise ShapeError("separate penalty shape mismatch", (A.shape, B.shape), (FA.shape, FB.shape))
+    for A, B, B0, FA, FB, ga, gb in zip(As, Bs, B_inits, f.fa, f.fb, *out):
         db = B - B0
-        value += 0.5 * lam * float(np.sum(FA * A * A) + np.sum(FB * db * db))
-        grad_a.append(lam * FA * A)
-        grad_b.append(lam * FB * db)
-    return PenaltyTerm(value, grad_a, grad_b)
+        value += 0.5 * lam * float(np.add.reduce(FA * A * A, axis=None) + np.add.reduce(FB * db * db, axis=None))
+        np.multiply(lam * FA, A, out=ga)
+        np.multiply(lam * FB, db, out=gb)
+    return PenaltyTerm(value, *out)
 
 
 def project_update_fisher(f: FisherDiag, A0s: list[np.ndarray], B0s: list[np.ndarray]) -> FisherDiag:

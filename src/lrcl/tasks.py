@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DataError, ParameterError, ParseError, ProtocolError, ShapeError
-from .tensor import RngState, _check_finite, atomic_write, format_float
+from .tensor import RngState, _check_finite
 
 
 @dataclass
@@ -180,14 +180,6 @@ def gen_gaussian_stream(
         pretrain = Dataset(np.vstack(xs), ys)
 
     return TaskStream(tasks=tasks, pretrain=pretrain, pretrain_class_ids=pre_ids)
-
-
-def write_dataset_csv(path, dataset: Dataset) -> None:
-    """Header f0..f{d-1},label; full-precision decimals."""
-    lines = [",".join([f"f{j}" for j in range(dataset.dim)] + ["label"])]
-    for i in range(dataset.n):
-        lines.append(",".join([format_float(v) for v in dataset.X[i]] + [str(dataset.y[i])]))
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_dataset_csv(path) -> Dataset:

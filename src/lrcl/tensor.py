@@ -48,9 +48,6 @@ class RngState:
     def next_float(self) -> float:
         return (self.next_u64() >> 11) * _INV_2_53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_float()
-
     def normal(self) -> float:
         """Standard normal via Box-Muller; the sine variate is cached."""
         if self._spare_normal is not None:

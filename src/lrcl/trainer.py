@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, NumericalError, ProtocolError
 from .fisher import EstimatorKind, FisherDiag, accumulate, precompute_dataset_fisher, uniform_fisher, zeros_like
 from .metrics import AccuracyMatrix
 from .model import (
+    GradientBundle,
     Head,
     Network,
     accuracy,
@@ -109,11 +110,11 @@ class AdamState:
         return self
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float | list[tuple[slice, float]]) -> None:
     """One bias-corrected Adam update, in place on a flat parameter buffer.
 
-    Each element sees the per-array update's operations in its order, so
-    the bits match it. grads is overwritten: it serves as scratch.
+    lr is one rate or (slice, rate) pairs covering params. Each element sees the per-array
+    update's operations in its order, so the bits match it. grads is overwritten (scratch).
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -131,7 +132,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     np.sqrt(g, out=g)
     g += state.epsilon
     np.divide(m, bc1, out=step)
-    step *= lr
+    for part, rate in lr if isinstance(lr, list) else [(slice(None), lr)]:
+        step[part] *= rate
     step /= g  # lr (m / bc1) / (sqrt(v / bc2) + eps)
     params -= step
     if not np.isfinite(params).all():
@@ -139,34 +141,27 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
 
 class _Arena:
-    """One group of parameters, trained at one learning rate.
+    """The adapters (or, for pretraining, the base W) and the head, in one flat buffer.
 
-    Each (owner, attribute) array is copied into one flat buffer and the
-    attribute rebound to its view into it; gradients go into the matching
-    views of one flat gradient buffer, so a step is one adam_step.
+    Each array is rebound to its view into params, and backward writes into the
+    matching grads views, so a step is one adam_step, at one rate per part.
     """
 
-    def __init__(self, slots: list[tuple[object, str]], config: TrainConfig):
+    def __init__(self, net: Network, body: str, config: TrainConfig):
+        slots = [(layer, name) for name in body for layer in net.layers] + [(net.head, "V"), (net.head, "b")]
         arrays = [getattr(owner, name) for owner, name in slots]
+        self.shapes = [a.shape for a in arrays]
+        self.cuts = np.cumsum([a.size for a in arrays])[:-1]
+        self.n_body = int(self.cuts[-2])
         self.params = np.concatenate([a.ravel() for a in arrays])
+        for (owner, name), view in zip(slots, self.views(self.params)):
+            setattr(owner, name, view)
         self.grad = np.empty_like(self.params)
-        cuts = np.cumsum([a.size for a in arrays])[:-1]
-        self.grads = [g.reshape(a.shape) for g, a in zip(np.split(self.grad, cuts), arrays)]
-        for (owner, name), p, a in zip(slots, np.split(self.params, cuts), arrays):
-            setattr(owner, name, p.reshape(a.shape))
+        self.grads = self.views(self.grad)
         self.state = AdamState(self.params).configure(config.beta1, config.beta2, config.epsilon)
 
-    def set_grads(self, grads: list[np.ndarray], extra: list[np.ndarray] | None = None) -> None:
-        """Gradient of each array, plus extra's term for it when given."""
-        if extra is None:
-            for view, g in zip(self.grads, grads):
-                view[...] = g
-        else:
-            for view, g, e in zip(self.grads, grads, extra):
-                np.add(g, e, out=view)
-
-    def step(self, lr: float) -> None:
-        adam_step(self.state, self.params, self.grad, lr)
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, self.cuts), self.shapes)]
 
 
 def _epoch_lr(base: float, epoch: int, total: int, schedule: str) -> float:
@@ -175,8 +170,31 @@ def _epoch_lr(base: float, epoch: int, total: int, schedule: str) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total))
 
 
-def _batch_slices(n: int, batch_size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + batch_size, n)) for s in range(0, n, batch_size)]
+def _fit(net: Network, arena: _Arena, data: Dataset, gradient, config: TrainConfig, epochs: int, lr: float, rng: RngState | None, failure: str) -> list[float]:
+    """The loop of task training and of pretraining; returns each epoch's mean loss.
+
+    gradient(x, rows) writes a batch's gradient into arena.grad and returns its loss.
+    """
+    X, rows = data.X, label_rows(net.head, data.y)
+    order = list(range(len(X)))
+    starts = range(0, len(X), config.batch_size)
+    trace = []
+    for epoch in range(epochs):
+        body_lr, head_lr = (_epoch_lr(rate, epoch, epochs, config.lr_schedule) for rate in (lr, config.head_lr))
+        rates = [(slice(arena.n_body), body_lr), (slice(arena.n_body, None), head_lr)]
+        epoch_X, epoch_rows = X, rows
+        if rng is not None:
+            rng.shuffle(order)
+            epoch_X, epoch_rows = X[order], rows[order]
+        epoch_loss = 0.0
+        for s in starts:
+            loss = gradient(epoch_X[s : s + config.batch_size], epoch_rows[s : s + config.batch_size])
+            if not math.isfinite(loss):
+                raise NumericalError(failure.format(epoch=epoch))
+            adam_step(arena.state, arena.params, arena.grad, rates)
+            epoch_loss += loss
+        trace.append(epoch_loss / len(starts))
+    return trace
 
 
 def train_task(
@@ -191,46 +209,33 @@ def train_task(
     Expects a freshly reset adapter and a head that already covers the
     task's classes. Only the adapters and the head move; base weights stay
     untouched. Each layer's A and B and the head's V and b are rebound to
-    views into one flat buffer per group, so arrays held from before go stale.
+    views into one flat buffer, so arrays held from before go stale.
     """
     if task_data.n < 1:
         raise DataError("cannot train on an empty task")
 
     strategy = STRATEGIES[config.strategy]
-    adapters = _Arena([(layer, "A") for layer in net.layers] + [(layer, "B") for layer in net.layers], config)
-    head = _Arena([(net.head, "V"), (net.head, "b")], config)
-    As = [layer.A for layer in net.layers]
-    Bs = [layer.B for layer in net.layers]
+    arena = _Arena(net, "AB", config)
+    n_layers = len(net.layers)
+    As, Bs = [layer.A for layer in net.layers], [layer.B for layer in net.layers]
     b_inits = [B.copy() for B in Bs] if strategy.penalty == "factor" else None
+    strategy.check(As, Bs, b_inits, f_cum, config.lam)
+    grads = GradientBundle(arena.grads[:n_layers], arena.grads[n_layers:-2], [np.empty((l.d_out, l.d_in)) for l in net.layers], *arena.grads[-2:])
+    pen = np.empty_like(arena.grad)
+    pen_views = arena.views(pen)
+    pen_out = (pen_views[:n_layers], pen_views[n_layers:-2])
+    body_grad, body_pen = arena.grad[: arena.n_body], pen[: arena.n_body]
 
-    order = list(range(task_data.n))
-    rows = label_rows(net.head, task_data.y)
-    trace = []
-    for epoch in range(config.epochs):
-        lr = _epoch_lr(config.lr, epoch, config.epochs, config.lr_schedule)
-        head_lr = _epoch_lr(config.head_lr, epoch, config.epochs, config.lr_schedule)
-        X, epoch_rows = task_data.X, rows
-        if config.shuffle:
-            rng.shuffle(order)
-            X, epoch_rows = task_data.X[order], rows[order]
-        epoch_loss = 0.0
-        slices = _batch_slices(task_data.n, config.batch_size)
-        for start, stop in slices:
-            cache = forward(net, X[start:stop])
-            total, grads = backward(net, cache, epoch_rows[start:stop])
-            pen = strategy.penalty_term(As, Bs, b_inits, f_cum, config.lam)
-            if pen is not None:
-                total += pen.value
-            if not math.isfinite(total):
-                raise NumericalError(f"loss became non-finite at epoch {epoch}")
+    def gradient(x: np.ndarray, rows: np.ndarray) -> float:
+        loss, _ = backward(net, forward(net, x), rows, grads)
+        term = strategy.penalty_term(As, Bs, b_inits, f_cum, config.lam, pen_out)
+        if term is None:
+            return loss
+        np.add(body_grad, body_pen, out=body_grad)
+        return loss + term.value
 
-            adapters.set_grads(grads.d_a + grads.d_b, None if pen is None else pen.grad_a + pen.grad_b)
-            head.set_grads([grads.d_v, grads.d_bias])
-            adapters.step(lr)
-            head.step(head_lr)
-            epoch_loss += total
-        trace.append(epoch_loss / len(slices))
-    return trace
+    shuffle = rng if config.shuffle else None
+    return _fit(net, arena, task_data, gradient, config, config.epochs, config.lr, shuffle, "loss became non-finite at epoch {epoch}")
 
 
 @dataclass
@@ -324,23 +329,13 @@ def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network
     acc = 1.0 / len(classes)
     if config.pretrain_mode == "train":
         train_ds, test_ds = _stratified_split(pretrain_set, 0.8, rng)
-        base = _Arena([(layer, "W") for layer in net.layers], config)
-        head = _Arena([(net.head, "V"), (net.head, "b")], config)
-        rows = label_rows(net.head, train_ds.y)
+        arena = _Arena(net, "W", config)
+        out = (arena.grads[:-2], *arena.grads[-2:])
 
-        for epoch in range(config.pretrain_epochs):
-            lr = _epoch_lr(config.pretrain_lr, epoch, config.pretrain_epochs, config.lr_schedule)
-            head_lr = _epoch_lr(config.head_lr, epoch, config.pretrain_epochs, config.lr_schedule)
-            for start, stop in _batch_slices(train_ds.n, config.batch_size):
-                cache = forward(net, train_ds.X[start:stop])
-                loss, d_w, d_v, d_bias = backward_wrt_base(net, cache, rows[start:stop])
-                if not math.isfinite(loss):
-                    raise NumericalError("pretraining loss became non-finite")
-                base.set_grads(d_w)
-                head.set_grads([d_v, d_bias])
-                del cache, d_w  # at wide layers, backward's arrays would sit beside Adam's
-                base.step(lr)
-                head.step(head_lr)
+        def gradient(x: np.ndarray, rows: np.ndarray) -> float:
+            return backward_wrt_base(net, forward(net, x), rows, out)[0]  # frees forward's cache before Adam
+
+        _fit(net, arena, train_ds, gradient, config, config.pretrain_epochs, config.pretrain_lr, None, "pretraining loss became non-finite")
         acc = accuracy(net, test_ds.X, test_ds.y)
 
     net.head = Head(V=None, b=None)

@@ -10,13 +10,36 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from lrcl.metrics import AccuracyMatrix
 from lrcl.model import Network, expand_head, new_network, reset_adapter
-from lrcl.tensor import RngState
+from lrcl.tasks import Dataset
+from lrcl.tensor import RngState, atomic_write, format_float
 
 
 def mat(rows, cols, values):
     """rows x cols float64 array from a flat row-major list."""
     return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+def uniform(rng: RngState, lo, hi):
+    """One uniform draw on [lo, hi) from the scalar stream: the oracle of uniform_matrix."""
+    return lo + (hi - lo) * rng.next_float()
+
+
+def acc_matrix(rows):
+    """A complete AccuracyMatrix with the given rows."""
+    m = AccuracyMatrix(len(rows))
+    for row in rows:
+        m.add_row(row)
+    return m
+
+
+def write_dataset_csv(path, dataset: Dataset):
+    """The CSV format read_dataset_csv reads: header f0..f{d-1},label, full-precision decimals."""
+    lines = [",".join([f"f{j}" for j in range(dataset.dim)] + ["label"])]
+    for i in range(dataset.n):
+        lines.append(",".join([format_float(v) for v in dataset.X[i]] + [str(dataset.y[i])]))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
@@ -30,10 +53,10 @@ def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
     if nonzero_adapter:
         for layer in net.layers:
             layer.A[:] = np.array(
-                [[rng.uniform(-0.5, 0.5) for _ in range(layer.rank)] for _ in range(layer.d_out)]
+                [[uniform(rng, -0.5, 0.5) for _ in range(layer.rank)] for _ in range(layer.d_out)]
             )
             layer.B[:] = np.array(
-                [[rng.uniform(-0.5, 0.5) for _ in range(layer.d_in)] for _ in range(layer.rank)]
+                [[uniform(rng, -0.5, 0.5) for _ in range(layer.d_in)] for _ in range(layer.rank)]
             )
     return net
 
@@ -41,7 +64,7 @@ def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
 def make_batch(net: Network, n, seed, scale=1.0):
     rng = RngState(seed)
     dim = net.input_dim
-    x = mat(n, dim, [scale * rng.uniform(-1, 1) for _ in range(n * dim)])
+    x = mat(n, dim, [scale * uniform(rng, -1, 1) for _ in range(n * dim)])
     labels = [net.head.class_ids[rng.randint(len(net.head.class_ids))] for _ in range(n)]
     return x, labels
 

@@ -17,7 +17,7 @@ import lrcl.trainer as trainer_mod
 from lrcl.cli import main as cli_main
 from lrcl.diagnostics import cosine_sim, spearman, track_fisher_drift
 from lrcl.fisher import EstimatorKind, FisherDiag, accumulate, estimate, zeros_like
-from lrcl.metrics import AccuracyMatrix, avg_anytime, plasticity, stability, tradeoff
+from lrcl.metrics import avg_anytime, plasticity, stability, tradeoff
 from lrcl.model import (
     backward,
     backward_wrt_base,
@@ -43,7 +43,7 @@ from lrcl.trainer import (
     train_task,
 )
 
-from conftest import make_batch, make_net, mat
+from conftest import acc_matrix, make_batch, make_net, mat, uniform
 
 SEEDS = (0, 1, 2, 3, 4)
 LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)
@@ -202,9 +202,9 @@ class TestCriterion3PenaltyDivergence:
         witness_ok = frac >= 0.99
 
         rng = RngState(7)
-        A = mat(6, 2, [rng.uniform(-1, 1) for _ in range(12)])
-        B = mat(2, 6, [rng.uniform(-1, 1) for _ in range(12)])
-        B0 = mat(2, 6, [rng.uniform(-1, 1) for _ in range(12)])
+        A = mat(6, 2, [uniform(rng, -1, 1) for _ in range(12)])
+        B = mat(2, 6, [uniform(rng, -1, 1) for _ in range(12)])
+        B0 = mat(2, 6, [uniform(rng, -1, 1) for _ in range(12)])
         f = FisherDiag(
             [mat(6, 6, [rng.next_float() for _ in range(36)])],
             fa=[mat(6, 2, [rng.next_float() for _ in range(12)])],
@@ -230,8 +230,8 @@ class TestCriterion4OracleEquivalence:
     def test_penalty_and_fisher_loops(self):
         rng = RngState(11)
         # penalty value: vectorized vs elementwise loop
-        A = mat(7, 2, [rng.uniform(-1, 1) for _ in range(14)])
-        B = mat(2, 7, [rng.uniform(-1, 1) for _ in range(14)])
+        A = mat(7, 2, [uniform(rng, -1, 1) for _ in range(14)])
+        B = mat(2, 7, [uniform(rng, -1, 1) for _ in range(14)])
         F = mat(7, 7, [rng.next_float() for _ in range(49)])
         lam = 3.7
         vec = penalty_deltaw([A], [B], FisherDiag([F]), lam).value
@@ -341,14 +341,14 @@ class TestCriterion5LoopSemantics:
 
 class TestCriterion6MetricOracles:
     def test_hand_computed_fixtures(self):
-        two = AccuracyMatrix.from_rows([[0.8], [0.4, 0.9]])
-        three = AccuracyMatrix.from_rows([[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]])
+        two = acc_matrix([[0.8], [0.4, 0.9]])
+        three = acc_matrix([[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]])
         ok = abs(stability(two) - 0.5) <= 1e-12
         ok &= abs(stability(three) - (1.0 - 0.5 * (0.5 + 1.0 / 3.0))) <= 1e-12
-        abar, avg = avg_anytime(AccuracyMatrix.from_rows([[0.8], [0.6, 0.9]]))
+        abar, avg = avg_anytime(acc_matrix([[0.8], [0.6, 0.9]]))
         ok &= abs(avg - 0.775) <= 1e-12
         ok &= abs(plasticity(two, [0.8, 1.0]) - ((0.8 / 0.8) + (0.9 / 1.0)) / 2) <= 1e-12
-        diag2 = AccuracyMatrix.from_rows([[0.9], [0.0, 0.8]])
+        diag2 = acc_matrix([[0.9], [0.0, 0.8]])
         ok &= abs(plasticity(diag2, [0.9, 1.0]) - 0.9) <= 1e-12
         ok &= abs(tradeoff(1.0, 0.5) - 2.0 / 3.0) <= 1e-12
         ok &= tradeoff(0.7, 0.7) == 0.7

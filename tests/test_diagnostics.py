@@ -18,7 +18,7 @@ from lrcl.tasks import gen_gaussian_stream
 from lrcl.tensor import RngState
 from lrcl.trainer import TrainConfig
 
-from conftest import make_batch, make_net, mat
+from conftest import make_batch, make_net, mat, uniform
 
 
 def small_fisher(seed, shape=(4, 5)):
@@ -102,8 +102,8 @@ class TestSpearman:
 
     def test_invariant_under_monotone_transform(self):
         rng = RngState(7)
-        x = np.array([rng.uniform(0, 10) for _ in range(30)])
-        y = np.array([rng.uniform(0, 10) for _ in range(30)])
+        x = np.array([uniform(rng, 0, 10) for _ in range(30)])
+        y = np.array([uniform(rng, 0, 10) for _ in range(30)])
         base = spearman(x, y)
         assert spearman(np.exp(x / 5.0), y) == base
         assert spearman(x, y ** 3) == base
@@ -120,8 +120,8 @@ class TestSpearman:
 class TestCosine:
     def test_scale_invariance(self):
         rng = RngState(8)
-        v = np.array([rng.uniform(-1, 1) for _ in range(20)])
-        w = np.array([rng.uniform(-1, 1) for _ in range(20)])
+        v = np.array([uniform(rng, -1, 1) for _ in range(20)])
+        w = np.array([uniform(rng, -1, 1) for _ in range(20)])
         assert abs(cosine_sim(3.0 * v, w) - cosine_sim(v, w)) < 1e-12
         assert abs(cosine_sim(v, 3.0 * v) - 1.0) < 1e-12
 
@@ -130,14 +130,14 @@ class TestCosine:
 
     def test_matches_dot_norm_oracle(self):
         rng = RngState(9)
-        v = np.array([rng.uniform(-1, 1) for _ in range(15)])
-        w = np.array([rng.uniform(-1, 1) for _ in range(15)])
+        v = np.array([uniform(rng, -1, 1) for _ in range(15)])
+        w = np.array([uniform(rng, -1, 1) for _ in range(15)])
         want = float(np.dot(v, w)) / (np.linalg.norm(v) * np.linalg.norm(w))
         assert abs(cosine_sim(v, w) - want) < 1e-12
 
     def test_self_similarity_exact(self):
         rng = RngState(10)
-        v = np.array([rng.uniform(0, 1) for _ in range(33)])
+        v = np.array([uniform(rng, 0, 1) for _ in range(33)])
         assert cosine_sim(v, v) == 1.0
 
     def test_zero_vector_rejected(self):

@@ -5,6 +5,8 @@ import pytest
 from lrcl.errors import MetricError, ParameterError, StateError
 from lrcl.metrics import AccuracyMatrix, avg_anytime, plasticity, stability, tradeoff
 
+from conftest import acc_matrix
+
 
 class TestAccuracyMatrix:
     def test_row_lengths_enforced(self):
@@ -27,79 +29,79 @@ class TestAccuracyMatrix:
 
 class TestAvgAnytime:
     def test_all_ones(self):
-        m = AccuracyMatrix.from_rows([[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]])
+        m = acc_matrix([[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]])
         abar, avg = avg_anytime(m)
         assert abar == [1.0, 1.0, 1.0]
         assert avg == 1.0
 
     def test_hand_computed_two_tasks(self):
-        m = AccuracyMatrix.from_rows([[0.8], [0.6, 0.9]])
+        m = acc_matrix([[0.8], [0.6, 0.9]])
         abar, avg = avg_anytime(m)
         assert abs(abar[0] - 0.8) < 1e-15
         assert abs(abar[1] - 0.75) < 1e-15
         assert abs(avg - 0.775) < 1e-15
 
     def test_single_task_degenerate(self):
-        m = AccuracyMatrix.from_rows([[0.7]])
+        m = acc_matrix([[0.7]])
         abar, avg = avg_anytime(m)
         assert avg == 0.7
 
     def test_monotone_in_entries(self):
         base = [[0.5], [0.5, 0.5], [0.5, 0.5, 0.5]]
-        _, avg0 = avg_anytime(AccuracyMatrix.from_rows(base))
+        _, avg0 = avg_anytime(acc_matrix(base))
         for t in range(3):
             for i in range(t + 1):
                 bumped = [list(r) for r in base]
                 bumped[t][i] = 0.9
-                _, avg1 = avg_anytime(AccuracyMatrix.from_rows(bumped))
+                _, avg1 = avg_anytime(acc_matrix(bumped))
                 assert avg1 > avg0
 
 
 class TestStability:
     def test_no_forgetting_is_one(self):
-        m = AccuracyMatrix.from_rows([[0.8], [0.8, 0.9], [0.8, 0.9, 0.7]])
+        m = acc_matrix([[0.8], [0.8, 0.9], [0.8, 0.9, 0.7]])
         assert stability(m) == 1.0
 
     def test_hand_computed_two_tasks(self):
-        m = AccuracyMatrix.from_rows([[0.8], [0.4, 0.9]])
+        m = acc_matrix([[0.8], [0.4, 0.9]])
         assert abs(stability(m) - 0.5) < 1e-15
 
     def test_hand_computed_three_tasks(self):
         # peaks over rows before the last: task0 max(0.8, 0.6) = 0.8,
         # task1 max(0.9) = 0.9; drops: (0.8-0.4)/0.8 = 0.5, (0.9-0.6)/0.9 = 1/3
-        m = AccuracyMatrix.from_rows([[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]])
+        m = acc_matrix([[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]])
         want = 1.0 - 0.5 * (0.5 + 1.0 / 3.0)
         assert abs(stability(m) - want) < 1e-12
 
     def test_never_learned_task_contributes_zero(self):
-        m = AccuracyMatrix.from_rows([[0.0], [0.0, 0.9]])
+        m = acc_matrix([[0.0], [0.0, 0.9]])
         assert stability(m) == 1.0
 
     def test_single_task_undefined(self):
         with pytest.raises(MetricError):
-            stability(AccuracyMatrix.from_rows([[0.5]]))
+            stability(acc_matrix([[0.5]]))
 
     def test_depends_only_on_column_peaks_and_last_row(self):
-        a = AccuracyMatrix.from_rows([[0.9], [0.5, 0.8], [0.4, 0.6, 0.7]])
-        b = AccuracyMatrix.from_rows([[0.5], [0.9, 0.8], [0.4, 0.6, 0.7]])
+        a = acc_matrix([[0.9], [0.5, 0.8], [0.4, 0.6, 0.7]])
+        b = acc_matrix([[0.5], [0.9, 0.8], [0.4, 0.6, 0.7]])
         assert abs(stability(a) - stability(b)) < 1e-15
 
 
 class TestPlasticity:
     def test_matching_references_give_one(self):
-        m = AccuracyMatrix.from_rows([[0.8], [0.1, 0.9]])
+        m = acc_matrix([[0.8], [0.1, 0.9]])
         assert plasticity(m, [0.8, 0.9]) == 1.0
 
     def test_hand_computed(self):
-        m = AccuracyMatrix.from_rows([[0.9], [0.0, 0.8]])
+        m = acc_matrix([[0.9], [0.0, 0.8]])
         assert abs(plasticity(m, [0.9, 1.0]) - 0.9) < 1e-15
 
     def test_can_exceed_one_without_clamping(self):
-        m = AccuracyMatrix.from_rows([[1.0], [0.0, 1.0]])
+        m = acc_matrix([[1.0], [0.0, 1.0]])
         assert plasticity(m, [0.5, 0.5]) == 2.0
 
     def test_nonpositive_reference_rejected(self):
-        m = AccuracyMatrix.from_rows([[0.9], [0.0, 0.8]])
+        m = acc_matrix([[0.9], [0.0, 0.8]])
         with pytest.raises(MetricError):
             plasticity(m, [0.9, 0.0])
 

@@ -14,11 +14,11 @@ from lrcl.regularize import (
 )
 from lrcl.tensor import RngState
 
-from conftest import mat
+from conftest import mat, uniform
 
 
 def rand_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
-    return mat(rows, cols, [rng.uniform(lo, hi) for _ in range(rows * cols)])
+    return mat(rows, cols, [uniform(rng, lo, hi) for _ in range(rows * cols)])
 
 
 def rand_fisher(rng, rows, cols):
@@ -238,7 +238,7 @@ class TestDivergenceWitness:
             A0 = rand_matrix(rng, 2, 1)
             B0 = rand_matrix(rng, 1, 2)
             F = rand_fisher(rng, 2, 2)
-            A = A0 + np.array([[rng.uniform(-1, 1)], [rng.uniform(-1, 1)]])
+            A = A0 + np.array([[uniform(rng, -1, 1)], [uniform(rng, -1, 1)]])
             dev = A @ B0 - A0 @ B0
             r_dw = 0.5 * float(np.sum(F * dev * dev))
             fa = F @ (B0 * B0).T
@@ -253,7 +253,7 @@ class TestDivergenceWitness:
             A0 = rand_matrix(rng, 3, 2)
             B0 = rand_matrix(rng, 2, 3)
             F = rand_fisher(rng, 3, 3)
-            A = A0 + np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)])
+            A = A0 + np.array([[uniform(rng, -1, 1) for _ in range(2)] for _ in range(3)])
             dev = A @ B0 - A0 @ B0
             r_dw = 0.5 * float(np.sum(F * dev * dev))
             fa = F @ (B0 * B0).T

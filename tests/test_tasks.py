@@ -12,9 +12,10 @@ from lrcl.tasks import (
     gen_gaussian_stream,
     load_csv_stream,
     read_dataset_csv,
-    write_dataset_csv,
 )
 from lrcl.tensor import RngState
+
+from conftest import write_dataset_csv
 
 
 def small_stream(seed=0, **overrides):

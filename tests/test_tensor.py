@@ -19,11 +19,11 @@ from lrcl.tensor import (
     write_matrix_csv,
 )
 
-from conftest import make_net
+from conftest import make_net, uniform
 
 
 def random_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
-    return np.array([rng.uniform(lo, hi) for _ in range(rows * cols)]).reshape(rows, cols)
+    return np.array([uniform(rng, lo, hi) for _ in range(rows * cols)]).reshape(rows, cols)
 
 
 def _dataset_csv(tmp_path, token):
@@ -244,7 +244,7 @@ class TestBulkDraws:
         bulk, scalar = RngState(3), RngState(3)
         m = uniform_matrix(bulk, 4, 5, lo, hi)
         assert m.shape == (4, 5)
-        assert m.ravel().tolist() == [scalar.uniform(lo, hi) for _ in range(20)]
+        assert m.ravel().tolist() == [uniform(scalar, lo, hi) for _ in range(20)]
         self._assert_same_state(bulk, scalar)
 
     def test_negative_count_rejected(self):

@@ -9,12 +9,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lrcl.trainer as trainer_mod
 from lrcl.errors import MetricError, NumericalError, ProtocolError
-from lrcl.fisher import EstimatorKind
+from lrcl.fisher import EstimatorKind, FisherDiag
 from lrcl.metrics import avg_anytime, plasticity, stability
-from lrcl.tasks import Task, gen_gaussian_stream
+from lrcl.model import accuracy, backward, backward_wrt_base, expand_head, forward, label_rows, new_network, reset_adapter
+from lrcl.regularize import STRATEGIES
+from lrcl.tasks import Dataset, Task, gen_gaussian_stream
 from lrcl.tensor import RngState
 from lrcl.trainer import (
     AdamState,
@@ -30,6 +34,8 @@ from lrcl.trainer import (
     run_reference,
     train_task,
 )
+
+from conftest import uniform
 
 
 def tiny_stream(seed=0, num_tasks=3):
@@ -103,8 +109,8 @@ class TestAdam:
     def test_two_steps_match_loop_oracle(self):
         p, state = self._fresh(6)
         rng = RngState(4)
-        g1 = np.array([rng.uniform(-1, 1) for _ in range(6)])
-        g2 = np.array([rng.uniform(-1, 1) for _ in range(6)])
+        g1 = np.array([uniform(rng, -1, 1) for _ in range(6)])
+        g2 = np.array([uniform(rng, -1, 1) for _ in range(6)])
         # adam_step uses its gradient buffer as scratch
         adam_step(state, p, g1.copy(), lr=0.01)
         adam_step(state, p, g2.copy(), lr=0.01)
@@ -122,31 +128,43 @@ class TestAdam:
         assert np.allclose(p, theta, rtol=0, atol=1e-14)
 
     # the adapter group (A and B of three layers) and the head group (V, b),
-    # each at its own learning rate and Adam constants
+    # each at its own learning rate and Adam constants; the third case is
+    # both groups in one buffer, one call with a (slice, rate) pair per
+    # group against the two scalar-rate calls of the separate groups
     @pytest.mark.parametrize(
         "shapes,lr,eps",
         [
             ([(6, 2), (5, 2), (4, 2), (2, 3), (2, 6), (2, 5)], 0.05, 0.1),
             ([(5, 4), (5, 1)], 1e-6, 1e-8),
+            ([(6, 2), (5, 2), (4, 2), (2, 3), (2, 6), (2, 5), (5, 4), (5, 1)], (6, 0.05, 1e-6), 0.1),
         ],
     )
     def test_flat_equals_per_array_oracle_bitwise(self, shapes, lr, eps):
         rng = RngState(11)
 
         def draw(shape, scale):
-            return np.array([scale * rng.uniform(-1, 1) for _ in range(int(np.prod(shape)))]).reshape(shape)
+            return np.array([scale * uniform(rng, -1, 1) for _ in range(int(np.prod(shape)))]).reshape(shape)
 
+        # (first array, end, rate) of each group the oracle steps on its own
+        cut, first_lr, rest_lr = lr if isinstance(lr, tuple) else (len(shapes), lr, None)
+        groups = [(0, cut, first_lr), (cut, len(shapes), rest_lr)][: 2 if cut < len(shapes) else 1]
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
         arrays = [draw(s, 0.5) for s in shapes]
         flat = np.concatenate([a.ravel() for a in arrays])
         state = AdamState(flat).configure(0.9, 0.999, eps)
-        ref = {"t": 0, "b1": 0.9, "b2": 0.999, "eps": eps, "m": [np.zeros(s) for s in shapes], "v": [np.zeros(s) for s in shapes]}
+        refs = [
+            {"t": 0, "b1": 0.9, "b2": 0.999, "eps": eps, "m": [np.zeros(s) for s in shapes[lo:hi]], "v": [np.zeros(s) for s in shapes[lo:hi]]}
+            for lo, hi, _ in groups
+        ]
         for step in range(6):
             grads = [draw(s, 10.0 ** (step - 3)) for s in shapes]
-            adam_step(state, flat, np.concatenate([g.ravel() for g in grads]), lr * (1 + step))
-            adam_step_per_array(ref, arrays, grads, lr * (1 + step))
+            rates = [(slice(ends[lo], ends[hi]), rate * (1 + step)) for lo, hi, rate in groups]
+            adam_step(state, flat, np.concatenate([g.ravel() for g in grads]), rates if len(groups) > 1 else lr * (1 + step))
+            for ref, (lo, hi, rate) in zip(refs, groups):
+                adam_step_per_array(ref, arrays[lo:hi], grads[lo:hi], rate * (1 + step))
             assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
-        assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref["m"]]))
-        assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref["v"]]))
+        assert np.array_equal(state.m, np.concatenate([m.ravel() for ref in refs for m in ref["m"]]))
+        assert np.array_equal(state.v, np.concatenate([v.ravel() for ref in refs for v in ref["v"]]))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
@@ -178,7 +196,7 @@ class TestArena:
                 assert np.array_equal(x, y) and not np.shares_memory(x, y)
         assert all(np.array_equal(x, y) for x, y in zip(arrays(base), arrays(before)))
 
-    def test_adam_steps_twice_per_optimizer_step(self, monkeypatch):
+    def test_adam_steps_once_per_optimizer_step(self, monkeypatch):
         calls = []
         real = trainer_mod.adam_step
 
@@ -195,7 +213,217 @@ class TestArena:
         # -> 4 batches x 4 epochs, trained once as a reference and once in
         # the continual run, for 3 tasks
         steps = 6 * 6 + 2 * 3 * (4 * 4)
-        assert len(calls) == 2 * steps
+        assert len(calls) == steps
+        # each call covers every trained array: pretraining's W (6x8, 8x8)
+        # and its 4-class head, or the rank-2 adapters and the head so far
+        assert calls[: 6 * 6] == [6 * 8 + 8 * 8 + 4 * 9] * (6 * 6)
+        adapters = 8 * 2 + 2 * 6 + 8 * 2 + 2 * 8
+        assert set(calls[6 * 6 :]) == {adapters + c * 9 for c in (2, 4, 6)}
+
+
+class _Group:
+    """One parameter group in its own flat buffer, stepped at its own rate.
+
+    The training step before the single arena kept the adapters and the
+    head apart like this: gradients copied in (plus the penalty's, added
+    array by array), then one adam_step per group.
+    """
+
+    def __init__(self, slots, config):
+        arrays = [getattr(owner, name) for owner, name in slots]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.grad = np.empty_like(self.params)
+        cuts = np.cumsum([a.size for a in arrays])[:-1]
+        self.grads = [g.reshape(a.shape) for g, a in zip(np.split(self.grad, cuts), arrays)]
+        for (owner, name), p, a in zip(slots, np.split(self.params, cuts), arrays):
+            setattr(owner, name, p.reshape(a.shape))
+        self.state = AdamState(self.params).configure(config.beta1, config.beta2, config.epsilon)
+
+    def step(self, grads, extra, lr):
+        for i, (view, g) in enumerate(zip(self.grads, grads)):
+            if extra is None:
+                view[...] = g
+            else:
+                np.add(g, extra[i], out=view)
+        adam_step(self.state, self.params, self.grad, lr)
+
+
+def reference_penalty(kind, As, Bs, B_inits, f, lam):
+    """(value, grad_a + grad_b) of the update- or factor-space penalty, array by array."""
+    value, grad_a, grad_b = 0.0, [], []
+    for k, (A, B) in enumerate(zip(As, Bs)):
+        if kind == "update":
+            delta = A @ B
+            weighted = f.fdw[k] * delta
+            value += 0.5 * lam * float(np.sum(weighted * delta))
+            grad_a.append(lam * (weighted @ B.T))
+            grad_b.append(lam * (A.T @ weighted))
+        else:
+            db = B - B_inits[k]
+            value += 0.5 * lam * float(np.sum(f.fa[k] * A * A) + np.sum(f.fb[k] * db * db))
+            grad_a.append(lam * f.fa[k] * A)
+            grad_b.append(lam * f.fb[k] * db)
+    return value, grad_a + grad_b
+
+
+def reference_loss(logits, rows):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    z = np.exp(shifted).sum(axis=1)
+    return float(np.mean(np.log(z) - shifted[np.arange(len(rows)), rows]))
+
+
+def reference_fit(net, body, X, rows, config, epochs, lr, rng=None, penalty=None):
+    """The two-group training loop: forward, backward, penalty, two Adam calls per step.
+
+    body is "AB" (task training; penalty() gives (value, gradients) or
+    None) or "W" (pretraining). Returns each epoch's mean loss.
+    """
+    main = _Group([(layer, name) for name in body for layer in net.layers], config)
+    head = _Group([(net.head, "V"), (net.head, "b")], config)
+    order = list(range(len(X)))
+    slices = [(s, min(s + config.batch_size, len(X))) for s in range(0, len(X), config.batch_size)]
+    trace = []
+    for epoch in range(epochs):
+        body_lr = trainer_mod._epoch_lr(lr, epoch, epochs, config.lr_schedule)
+        head_lr = trainer_mod._epoch_lr(config.head_lr, epoch, epochs, config.lr_schedule)
+        epoch_X, epoch_rows = X, rows
+        if rng is not None:
+            rng.shuffle(order)
+            epoch_X, epoch_rows = X[order], rows[order]
+        epoch_loss = 0.0
+        for start, stop in slices:
+            cache = forward(net, epoch_X[start:stop])
+            total = reference_loss(cache.logits, epoch_rows[start:stop])
+            if body == "W":
+                _, d_w, d_v, d_bias = backward_wrt_base(net, cache, epoch_rows[start:stop])
+                main.step(d_w, None, body_lr)
+            else:
+                _, grads = backward(net, cache, epoch_rows[start:stop])
+                pen = penalty()
+                if pen is not None:
+                    total += pen[0]
+                main.step(grads.d_a + grads.d_b, None if pen is None else pen[1], body_lr)
+                d_v, d_bias = grads.d_v, grads.d_bias
+            head.step([d_v, d_bias], None, head_lr)
+            epoch_loss += total
+        trace.append(epoch_loss / len(slices))
+    return trace
+
+
+def _trained(net):
+    return [getattr(layer, name) for layer in net.layers for name in ("W", "A", "B")] + [net.head.V, net.head.b]
+
+
+def _case_config(strategy, shuffle, rank, dims, batch_size, lam, head_lr, schedule):
+    return TrainConfig(
+        epochs=2, batch_size=batch_size, lr=0.05, head_lr=head_lr, lam=lam, rank=rank, strategy=strategy,
+        shuffle=shuffle, hidden_dims=tuple(dims[1:]), epsilon=0.1, lr_schedule=schedule, pretrain_epochs=2,
+        pretrain_lr=0.01, seed=3,
+    )
+
+
+@st.composite
+def step_cases(draw):
+    n_layers = draw(st.integers(1, 3))
+    dims = [draw(st.sampled_from((4, 6, 16, 64)))] + [draw(st.sampled_from((4, 8, 48, 256))) for _ in range(n_layers)]
+    rank = draw(st.integers(1, min(4, *dims)))
+    batch_size = draw(st.sampled_from((7, 16, 64, 256)))
+    # one or two full batches, then a short one (or none)
+    n = batch_size * draw(st.integers(1, 2)) + draw(st.integers(0, batch_size - 1))
+    return dict(
+        strategy=draw(st.sampled_from(sorted(STRATEGIES))), shuffle=draw(st.booleans()), rank=rank, dims=dims,
+        batch_size=batch_size, lam=draw(st.sampled_from((0.0, 10.0, 1e4))), head_lr=draw(st.sampled_from((1e-6, 0.01))),
+        schedule=draw(st.sampled_from(("cosine", "constant"))), n=n,
+    )
+
+
+# the wide workload's shapes: 64 -> 256 -> 256, rank 4, 300 samples in batches of 256
+WIDE = dict(strategy="deltaw", shuffle=True, rank=4, dims=[64, 256, 256], batch_size=256, lam=10.0, head_lr=1e-6, schedule="cosine", n=300)
+
+
+def _data(dims, n, class_ids, seed):
+    rng = RngState(seed)
+    X = rng.normals(n * dims[0]).reshape(n, dims[0])
+    return Dataset(X, [class_ids[rng.randint(len(class_ids))] for _ in range(n)])
+
+
+class TestStepOracle:
+    """train_task and pretrain_report equal the two-group loop bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @example(case=WIDE)
+    @given(case=step_cases())
+    def test_train_task_equals_two_group_loop(self, case):
+        cfg = _case_config(*(case[k] for k in ("strategy", "shuffle", "rank", "dims", "batch_size", "lam", "head_lr", "schedule")))
+        rng = RngState(5)
+        net = new_network(case["dims"], cfg.rank, rng)
+        expand_head(net, [0, 1, 2], rng)
+        for layer in net.layers:  # a merged earlier task: nonzero base update
+            layer.W += rng.normals(layer.W.size).reshape(layer.W.shape) * 0.01
+        reset_adapter(net, rng)
+        expand_head(net, [7, 8], rng)
+        data = _data(case["dims"], case["n"], [7, 8, 0], seed=9)
+        strategy = STRATEGIES[cfg.strategy]
+        f = None
+        if strategy.penalty is not None:
+            fdw = [rng.floats(l.W.size).reshape(l.W.shape) for l in net.layers]
+            fa = [rng.floats(l.A.size).reshape(l.A.shape) for l in net.layers]
+            fb = [rng.floats(l.B.size).reshape(l.B.shape) for l in net.layers]
+            f = FisherDiag(fdw, *((fa, fb) if strategy.penalty == "factor" else ()))
+
+        ref_net = net.copy()
+        trace = train_task(net, data, f, cfg, RngState(1))
+
+        b_inits = [layer.B.copy() for layer in ref_net.layers]
+
+        def penalty():
+            if strategy.penalty is None:
+                return None
+            # the adapters as the loop has rebound them: views into its buffer
+            As, Bs = [layer.A for layer in ref_net.layers], [layer.B for layer in ref_net.layers]
+            return reference_penalty(strategy.penalty, As, Bs, b_inits, f, cfg.lam)
+
+        rows = label_rows(ref_net.head, data.y)
+        ref_trace = reference_fit(ref_net, "AB", data.X, rows, cfg, cfg.epochs, cfg.lr, RngState(1) if cfg.shuffle else None, penalty)
+
+        assert trace == ref_trace
+        for x, y in zip(_trained(net), _trained(ref_net)):
+            assert np.array_equal(x, y)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @example(case=WIDE)
+    @given(case=step_cases())
+    def test_pretrain_report_equals_two_group_loop(self, case):
+        cfg = _case_config(*(case[k] for k in ("strategy", "shuffle", "rank", "dims", "batch_size", "lam", "head_lr", "schedule")))
+        # 4 classes; a fifth of each is held out, so 1.25 n samples give n to train on
+        pretrain_set = _data(case["dims"], max(10, case["n"] * 5 // 4), [0, 1, 2, 3], seed=4)
+        seen = {}
+        real_fit, real_accuracy = trainer_mod._fit, trainer_mod.accuracy
+
+        def fit_spy(*args):
+            seen["trace"] = real_fit(*args)
+            return seen["trace"]
+
+        def accuracy_spy(net, X, y):
+            seen["head"] = [net.head.V.copy(), net.head.b.copy()]
+            return real_accuracy(net, X, y)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer_mod, "_fit", fit_spy)
+            patch.setattr(trainer_mod, "accuracy", accuracy_spy)
+            net, acc = pretrain_report(cfg, pretrain_set)
+
+        rng = RngState(cfg.seed).derive("pretrain")
+        ref = new_network([pretrain_set.dim] + list(cfg.hidden_dims), cfg.rank, rng, cfg.w0_identity_scale, cfg.w0_noise_scale, cfg.w0_feature_gain)
+        expand_head(ref, sorted(set(pretrain_set.y)), rng)
+        train_ds, test_ds = trainer_mod._stratified_split(pretrain_set, 0.8, rng)
+        rows = label_rows(ref.head, train_ds.y)
+        ref_trace = reference_fit(ref, "W", train_ds.X, rows, cfg, cfg.pretrain_epochs, cfg.pretrain_lr)
+
+        assert seen["trace"] == ref_trace
+        assert acc == accuracy(ref, test_ds.X, test_ds.y)
+        for x, y in zip(_trained(net)[:-2] + seen["head"], _trained(ref)):
+            assert np.array_equal(x, y)
 
 
 class TestTrainTask:
