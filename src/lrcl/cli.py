@@ -294,7 +294,7 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     if stream.pretrain is None:
         raise ConfigError("stream has no pretraining classes")
     config = cfg.train_config(seed)
-    net, acc = pretrain_report(config, stream.pretrain)
+    net, acc = pretrain_report(config, stream)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
     atomic_write(

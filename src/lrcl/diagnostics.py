@@ -22,11 +22,11 @@ from . import fisher as fisher_mod
 from .errors import MetricError, NumericalError, ParameterError
 from .fisher import FisherDiag, fisher_norm, flatten
 from .metrics import AccuracyMatrix
-from .model import accuracy
+from .model import accuracy  # unused here: bench/test_bench.py checks that its tracer rebinds it
 from .regularize import STRATEGIES
 from .tasks import TaskStream, concat_datasets
 from .tensor import RngState
-from .trainer import TrainConfig, start_learner
+from .trainer import ContinualLearner, TrainConfig, run_continual
 
 REGIMES = ("rehearsal_free", "rehearsal_based")
 
@@ -115,11 +115,12 @@ def track_fisher_drift(
     tracked_tasks: list[int],
     regimes: tuple[str, ...] = REGIMES,
 ) -> tuple[dict[str, FisherSnapshotLog], list[DriftRow], AccuracyMatrix]:
-    """Drive one continual run and report Fisher drift for the tracked tasks.
+    """Run run_continual once and report Fisher drift for the tracked tasks.
 
-    Measuring drift leaves the learner untouched, so one trajectory serves
-    every requested regime. Returns one log per regime and the rows of each
-    regime in the order of regimes. The row at task_trained == task_data
+    Drift is measured after each task, from run_continual's after_task hook;
+    measuring leaves the learner untouched, so one trajectory serves every
+    requested regime, and the accuracy matrix is the run's own. Returns one
+    log per regime and the rows of each regime in the order of regimes. The row at task_trained == task_data
     compares a snapshot with itself and is exactly (1, 1, 1); later rows
     compare the regime's Fisher against that snapshot. All recomputations
     happen on the post-merge model, with the estimator the config names;
@@ -137,19 +138,13 @@ def track_fisher_drift(
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
 
-    learner = start_learner(config, stream)
-    net = learner.net
     tracked = sorted(tracked_tasks)
     rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in regimes}
     snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in regimes}
     logs = {regime: FisherSnapshotLog(regime=regime, entries=[]) for regime in regimes}
     rows: dict[str, list[DriftRow]] = {regime: [] for regime in regimes}
-    acc = AccuracyMatrix(stream.num_tasks)
 
-    for t, task in enumerate(stream.tasks):
-        learner.step(task)
-        acc.add_row([accuracy(net, stream.tasks[i].test.X, stream.tasks[i].test.y) for i in range(t + 1)])
-
+    def measure(t: int, learner: ContinualLearner) -> None:
         shared: dict[int, FisherDiag] = {}
         for regime in regimes:
             rng = rngs[regime]
@@ -157,25 +152,25 @@ def track_fisher_drift(
             for i in tracked:
                 if i > t:
                     continue
-                f_now = shared.get(i)
-                if f_now is None:
-                    f_now = fisher_mod.estimate(net, stream.tasks[i].train, config.estimator, rng)
-                    if not config.estimator.draws:
-                        shared[i] = f_now
-                logs[regime].entries.append((t, i, f_now))
-                if i == t:
-                    snapshots[regime][i] = f_now
-                    rows[regime].append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
-                    continue
-                base = snapshots[regime][i]
-                if regime == "rehearsal_free":
-                    comparator = learner.f_cum
-                else:
-                    if pooled is None:
-                        joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
-                        pooled = fisher_mod.estimate(net, joined, config.estimator, rng)
-                    comparator = pooled
                 try:
+                    f_now = shared.get(i)
+                    if f_now is None:
+                        f_now = fisher_mod.estimate(learner.net, stream.tasks[i].train, config.estimator, rng)
+                        if not config.estimator.draws:
+                            shared[i] = f_now
+                    logs[regime].entries.append((t, i, f_now))
+                    if i == t:
+                        snapshots[regime][i] = f_now
+                        rows[regime].append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
+                        continue
+                    base = snapshots[regime][i]
+                    if regime == "rehearsal_free":
+                        comparator = learner.f_cum
+                    else:
+                        if pooled is None:
+                            joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
+                            pooled = fisher_mod.estimate(learner.net, joined, config.estimator, rng)
+                        comparator = pooled
                     row = DriftRow(
                         task_trained=t,
                         task_data=i,
@@ -184,9 +179,10 @@ def track_fisher_drift(
                         spearman=spearman(flatten(comparator), flatten(base)),
                         cosine=cosine_sim(flatten(comparator), flatten(base)),
                     )
-                except MetricError as exc:
-                    # the config passed every check; training made the Fisher degenerate
+                except (MetricError, NumericalError) as exc:
+                    # the config passed every check; training made a Fisher degenerate or overflow
                     raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
                 rows[regime].append(row)
 
+    acc = run_continual(config, stream, after_task=measure).acc_matrix
     return logs, [row for regime in regimes for row in rows[regime]], acc

@@ -8,6 +8,7 @@ seeded Gaussian-mixture generator or from a CSV file.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -53,6 +54,26 @@ def concat_datasets(datasets: list[Dataset]) -> Dataset:
     for d in datasets:
         y.extend(d.y)
     return Dataset(X, y)
+
+
+def stratified_split(data: Dataset, frac: float, rng: RngState, classes: list[int]) -> tuple[Dataset, Dataset]:
+    """Shuffle each class's rows, in the order of classes, and put round(frac n) of them in train.
+
+    A class of two or more rows keeps at least one on each side; a one-row
+    class goes to train whole. Rows of classes not listed are left out.
+    """
+    by_class: dict[int, list[int]] = {c: [] for c in classes}
+    for i, label in enumerate(data.y):
+        if label in by_class:
+            by_class[label].append(i)
+    train_idx, test_idx = [], []
+    for cid in classes:
+        members = by_class[cid]
+        rng.shuffle(members)
+        cut = max(1, min(len(members) - 1, int(round(len(members) * frac))))
+        train_idx.extend(members[:cut])
+        test_idx.extend(members[cut:])
+    return data.subset(train_idx), data.subset(test_idx)
 
 
 @dataclass
@@ -233,31 +254,14 @@ def load_csv_stream(path, num_tasks: int, seed: int) -> TaskStream:
     for leftover_idx, cid in enumerate(order[num_tasks * per_task:]):
         groups[leftover_idx % num_tasks].append(cid)
 
-    by_class: dict[int, list[int]] = {c: [] for c in classes}
-    for i, label in enumerate(data.y):
-        by_class[label].append(i)
-
+    counts = Counter(data.y)
+    short = [cid for ids in groups for cid in ids if counts[cid] < 2]
+    if short:
+        raise DataError(f"class {short[0]} has too few samples to split")
     tasks = []
     for t, ids in enumerate(groups):
-        train_idx, test_idx = [], []
-        for cid in ids:
-            members = list(by_class[cid])
-            rng.shuffle(members)
-            cut = max(1, int(round(len(members) * 0.8)))
-            if cut >= len(members):
-                cut = len(members) - 1
-            if cut < 1:
-                raise DataError(f"class {cid} has too few samples to split")
-            train_idx.extend(members[:cut])
-            test_idx.extend(members[cut:])
-        tasks.append(
-            Task(
-                id=t,
-                class_ids=sorted(ids),
-                train=data.subset(train_idx),
-                test=data.subset(test_idx),
-            )
-        )
+        train, test = stratified_split(data, 0.8, rng, ids)
+        tasks.append(Task(id=t, class_ids=sorted(ids), train=train, test=test))
     return TaskStream(tasks=tasks)
 
 

@@ -13,6 +13,7 @@ are dropped when the step returns.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,7 +37,7 @@ from .model import (
     reset_adapter,
 )
 from .regularize import STRATEGIES, parse_strategy
-from .tasks import Dataset, Task, TaskStream
+from .tasks import Dataset, Task, TaskStream, stratified_split
 from .tensor import RngState
 
 
@@ -238,13 +239,6 @@ def train_task(
     return _fit(net, arena, task_data, gradient, config, config.epochs, config.lr, shuffle, "loss became non-finite at epoch {epoch}")
 
 
-@dataclass
-class StepResult:
-    loss_trace: list[float]
-    fisher_t: FisherDiag | None
-    adapter_norm: float
-
-
 class ContinualLearner:
     """Sequential learner that persists only the model and the Fisher.
 
@@ -265,7 +259,8 @@ class ContinualLearner:
         if self.strategy.fixed and f_fixed is None:
             raise ConfigError("precomputed strategies need a fixed Fisher")
 
-    def step(self, task: Task) -> StepResult:
+    def step(self, task: Task) -> tuple[list[float], float]:
+        """Learn one task; returns its per-epoch loss and the norm of its merged update."""
         cfg = self.config
         reset_adapter(self.net, self._rng_init, b_scale=cfg.b_init_scale)
         expand_head(self.net, task.class_ids, self._rng_init)
@@ -273,10 +268,12 @@ class ContinualLearner:
         f_pen = self.f_fixed if self.strategy.fixed else self.f_cum
         trace = train_task(self.net, task.train, f_pen, cfg, self._rng_train)
 
-        fisher_t = None
         if self.strategy.learned:
             estimate = fisher_mod.estimate_factor_space if self.strategy.learned == "factor" else fisher_mod.estimate
-            fisher_t = estimate(self.net, task.train, cfg.estimator, self._rng_fisher)
+            try:
+                fisher_t = estimate(self.net, task.train, cfg.estimator, self._rng_fisher)
+            except NumericalError as exc:
+                raise NumericalError(f"Fisher estimate of task {task.id}: {exc}") from exc
             self.f_cum = accumulate(self.f_cum, fisher_t, cfg.gamma)
 
         norm_sq = 0.0
@@ -284,8 +281,7 @@ class ContinualLearner:
             delta = layer.A @ layer.B
             norm_sq += float(np.sum(delta * delta))
         merge_and_reset(self.net, self._rng_init, b_scale=cfg.b_init_scale)
-
-        return StepResult(loss_trace=trace, fisher_t=fisher_t, adapter_norm=math.sqrt(norm_sq))
+        return trace, math.sqrt(norm_sq)
 
 
 @dataclass
@@ -293,72 +289,48 @@ class RunRecord:
     """Everything a single continual run produced."""
 
     acc_matrix: AccuracyMatrix
-    loss_traces: list[list[float]]
-    adapter_norms: list[float]
     task_logs: list[dict]
 
 
-def _stratified_split(data: Dataset, train_frac: float, rng: RngState) -> tuple[Dataset, Dataset]:
-    by_class: dict[int, list[int]] = {}
-    for i, y in enumerate(data.y):
-        by_class.setdefault(y, []).append(i)
-    train_idx, test_idx = [], []
-    for cid in sorted(by_class):
-        members = list(by_class[cid])
-        rng.shuffle(members)
-        cut = max(1, min(len(members) - 1, int(round(len(members) * train_frac))))
-        train_idx.extend(members[:cut])
-        test_idx.extend(members[cut:])
-    return data.subset(train_idx), data.subset(test_idx)
+def pretrain_report(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | None]:
+    """The base network of every run on the stream, and its pretraining accuracy.
 
-
-def pretrain_report(config: TrainConfig, pretrain_set: Dataset) -> tuple[Network, float]:
-    """Train every base weight directly on the pretraining classes.
-
-    Returns the trained network and its accuracy on the held-out fifth of
-    the pretraining data (chance level, 1/classes, for pretrain_mode =
-    random). The head is scored, then dropped: the network comes back with
-    an empty head, ready for the stream's classes.
+    With pretrain_mode = train, every base weight is trained directly on the
+    stream's pretraining classes, and the accuracy is on the held-out fifth
+    of that data. With pretrain_mode = random, the base stays as drawn, and
+    the accuracy is chance level, 1/classes (None without pretraining data).
+    The network comes back with an empty head, ready for the stream's classes.
     """
     rng = RngState(config.seed).derive("pretrain")
-    dims = [pretrain_set.dim] + list(config.hidden_dims)
+    dims = [stream.dim] + list(config.hidden_dims)
     net = new_network(dims, config.rank, rng, config.w0_identity_scale, config.w0_noise_scale, config.w0_feature_gain)
-    classes = sorted(set(pretrain_set.y))
+    data = stream.pretrain
+    if config.pretrain_mode == "random":
+        return net, None if data is None else 1.0 / len(set(data.y))
+    if data is None:
+        raise ProtocolError("pretrain_mode=train needs a stream with pretraining data")
+    classes = sorted(set(data.y))
     expand_head(net, classes, rng)
+    train_ds, test_ds = stratified_split(data, 0.8, rng, classes)
+    arena = _Arena(net, "W", config)
+    out = (arena.grads[:-2], *arena.grads[-2:])
 
-    acc = 1.0 / len(classes)
-    if config.pretrain_mode == "train":
-        train_ds, test_ds = _stratified_split(pretrain_set, 0.8, rng)
-        arena = _Arena(net, "W", config)
-        out = (arena.grads[:-2], *arena.grads[-2:])
+    def gradient(x: np.ndarray, rows: np.ndarray) -> float:
+        return backward_wrt_base(net, forward(net, x), rows, out)[0]  # frees forward's cache before Adam
 
-        def gradient(x: np.ndarray, rows: np.ndarray) -> float:
-            return backward_wrt_base(net, forward(net, x), rows, out)[0]  # frees forward's cache before Adam
-
-        _fit(net, arena, train_ds, gradient, config, config.pretrain_epochs, config.pretrain_lr, None, "pretraining loss became non-finite")
-        acc = accuracy(net, test_ds.X, test_ds.y)
-
+    _fit(net, arena, train_ds, gradient, config, config.pretrain_epochs, config.pretrain_lr, None, "pretraining loss became non-finite")
+    acc = accuracy(net, test_ds.X, test_ds.y)
     net.head = Head(V=None, b=None)
     return net, acc
 
 
-def pretrain(config: TrainConfig, pretrain_set: Dataset) -> Network:
-    """Pretrained backbone with a fresh, empty head."""
-    return pretrain_report(config, pretrain_set)[0]
+def pretrain(config: TrainConfig, stream: TaskStream) -> Network:
+    """The base network of pretrain_report, without its accuracy."""
+    return pretrain_report(config, stream)[0]
 
 
-def prepare_base_network(config: TrainConfig, stream: TaskStream) -> Network:
-    if config.pretrain_mode == "train":
-        if stream.pretrain is None:
-            raise ProtocolError("pretrain_mode=train needs a stream with pretraining data")
-        return pretrain(config, stream.pretrain)
-    rng = RngState(config.seed).derive("pretrain")
-    dims = [stream.dim] + list(config.hidden_dims)
-    return new_network(dims, config.rank, rng, config.w0_identity_scale, config.w0_noise_scale, config.w0_feature_gain)
-
-
-# every TrainConfig field that pretrain_report or prepare_base_network reads;
-# rank counts because new_network draws B from the pretraining stream
+# every TrainConfig field that pretrain_report reads; rank counts because
+# new_network draws B from the pretraining stream
 _PRETRAIN_FIELDS = (
     "seed", "pretrain_mode", "hidden_dims", "rank", "w0_identity_scale", "w0_noise_scale",
     "w0_feature_gain", "pretrain_epochs", "pretrain_lr", "head_lr", "lr_schedule",
@@ -371,14 +343,18 @@ def pretrain_key(config: TrainConfig) -> tuple:
     return tuple(getattr(config, name) for name in _PRETRAIN_FIELDS)
 
 
-def start_learner(config: TrainConfig, stream: TaskStream, base: Network | None = None) -> ContinualLearner:
-    """A learner on the base network, with the fixed Fisher its strategy needs.
+def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None = None, after_task: Callable | None = None) -> RunRecord:
+    """Full sequential run over the stream, filling the accuracy matrix.
 
-    A given base must come from prepare_base_network with a config of the
-    same pretrain_key; the learner trains a copy and leaves it untouched.
+    The learner starts on a copy of base (by default, pretrain's network),
+    with the fixed Fisher its strategy needs; a given base must come from
+    pretrain with a config of the same pretrain_key, and is left untouched.
+    after_task(t, learner), when given, runs after task t is scored.
     """
+    if stream.num_tasks < 1:
+        raise DataError("stream has no tasks")
     stream.validate()
-    net = base.copy() if base is not None else prepare_base_network(config, stream)
+    net = base.copy() if base is not None else pretrain(config, stream)
     fixed = STRATEGIES[config.strategy].fixed
     f_fixed = None
     if fixed == "uniform":
@@ -388,41 +364,18 @@ def start_learner(config: TrainConfig, stream: TaskStream, base: Network | None 
         rng = RngState(config.seed).derive("precompute")
         expand_head(probe, [cid for task in stream.tasks for cid in task.class_ids], rng)
         f_fixed = precompute_dataset_fisher(probe, stream.all_train(), config.estimator, rng)
-    return ContinualLearner(net, config, f_fixed=f_fixed)
-
-
-def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None = None) -> RunRecord:
-    """Full sequential run over the stream, filling the accuracy matrix.
-
-    base, when given, is used as start_learner uses it.
-    """
-    if stream.num_tasks < 1:
-        raise DataError("stream has no tasks")
-    learner = start_learner(config, stream, base)
-    net = learner.net
+    learner = ContinualLearner(net, config, f_fixed=f_fixed)
 
     acc = AccuracyMatrix(stream.num_tasks)
-    traces: list[list[float]] = []
-    norms: list[float] = []
     logs: list[dict] = []
-
     for t, task in enumerate(stream.tasks):
-        result = learner.step(task)
+        trace, norm = learner.step(task)
         row = [accuracy(net, stream.tasks[i].test.X, stream.tasks[i].test.y) for i in range(t + 1)]
         acc.add_row(row)
-        traces.append(result.loss_trace)
-        norms.append(result.adapter_norm)
-        logs.append(
-            {
-                "task": t,
-                "class_ids": list(task.class_ids),
-                "loss_trace": result.loss_trace,
-                "adapter_norm": result.adapter_norm,
-                "row": row,
-            }
-        )
-
-    return RunRecord(acc_matrix=acc, loss_traces=traces, adapter_norms=norms, task_logs=logs)
+        logs.append({"task": t, "class_ids": list(task.class_ids), "loss_trace": trace, "adapter_norm": norm, "row": row})
+        if after_task is not None:
+            after_task(t, learner)
+    return RunRecord(acc_matrix=acc, task_logs=logs)
 
 
 def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
@@ -467,7 +420,7 @@ def run_many(
     bases: dict[tuple, Network] = {}
     for config in [base_cfg, *configs]:
         if pretrain_key(config) not in bases:
-            bases[pretrain_key(config)] = prepare_base_network(config, stream)
+            bases[pretrain_key(config)] = pretrain(config, stream)
     units = [(run_reference, (bases[pretrain_key(base_cfg)], base_cfg, task)) for task in stream.tasks]
     units += [(run_continual, (config, stream, bases[pretrain_key(config)])) for config in configs]
     n_refs = stream.num_tasks

@@ -37,7 +37,7 @@ from lrcl.tensor import RngState, _softmax_rows
 from lrcl.trainer import (
     ContinualLearner,
     desk_profile,
-    prepare_base_network,
+    pretrain,
     pretrain_key,
     run_many,
     train_task,
@@ -286,7 +286,7 @@ class TestCriterion5LoopSemantics:
                            pretrain_epochs=4, lam=1.0)
 
         # frozen base through train_task
-        net = prepare_base_network(cfg, stream)
+        net = pretrain(cfg, stream)
         reset_adapter(net, RngState(1))
         expand_head(net, stream.tasks[0].class_ids, RngState(2))
         before = [l.W.copy() for l in net.layers]
@@ -324,7 +324,7 @@ class TestCriterion5LoopSemantics:
             return out
 
         monkeypatch.setattr(trainer_mod.fisher_mod, "estimate", spy)
-        learner = ContinualLearner(prepare_base_network(cfg, stream), cfg)
+        learner = ContinualLearner(pretrain(cfg, stream), cfg)
         task = stream.tasks[0]
         data_ref = weakref.ref(task.train)
         result = learner.step(task)

@@ -50,3 +50,17 @@ def test_span_metrics_name_public_functions(bench):
     for span in RETIRED_SPANS:
         layer, name = span.split(".")
         assert name not in tracer.public_functions(layer), f"{span} is back: drop it from RETIRED_SPANS"
+
+
+# the lrcl module attributes that bench/test_bench.py's
+# test_every_imported_name_is_rebound_and_restored reads: each must stay
+# an import of the model function of that name
+REBOUND_IMPORTS = {"trainer": ("forward", "backward"), "diagnostics": ("accuracy",), "fisher": ("forward",)}
+
+
+def test_imports_the_tracer_test_reads_still_exist():
+    model = importlib.import_module("lrcl.model")
+    for layer, names in REBOUND_IMPORTS.items():
+        module = importlib.import_module(f"lrcl.{layer}")
+        for name in names:
+            assert getattr(module, name, None) is getattr(model, name), f"lrcl.{layer}.{name}"

@@ -202,6 +202,15 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
 
+    def test_csv_class_with_one_row_exits_2_with_one_line(self, tmp_path, capsys):
+        rows = ["f0,f1,label"] + [f"{c}.5,{i},{c}" for c in range(4) for i in range(5)] + ["9.5,0,9"]
+        (tmp_path / "pool.csv").write_text("\n".join(rows) + "\n")
+        text = TINY.replace("dim = 6", "dim = 2") + f"csv_path = {tmp_path / 'pool.csv'}\npretrain_mode = random\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: class 9 has too few samples to split"]
+        assert not out.exists()
+
     def test_missing_csv_exits_2_with_one_line(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
         cfg_path = write_config(tmp_path, TINY + f"csv_path = {missing}\n")
@@ -355,8 +364,8 @@ class TestDiagnoseCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the strategy was checked")
 
-        monkeypatch.setattr(diagnostics_mod, "start_learner", no_compute)
-        monkeypatch.setattr(trainer_mod, "prepare_base_network", no_compute)
+        monkeypatch.setattr(diagnostics_mod, "run_continual", no_compute)
+        monkeypatch.setattr(trainer_mod, "pretrain_report", no_compute)
         cfg_path = write_config(tmp_path, TINY + f"strategy = {strategy}\n")
         out = tmp_path / "diag"
         assert main(["diagnose", "--config", cfg_path, "--out", str(out)]) == 2
@@ -403,9 +412,9 @@ class TestPretrainOncePerSeed:
         calls = []
         real = trainer_mod.pretrain_report
 
-        def spy(config, pretrain_set):
+        def spy(config, stream):
             calls.append(config.seed)
-            return real(config, pretrain_set)
+            return real(config, stream)
 
         monkeypatch.setattr(trainer_mod, "pretrain_report", spy)
         text = TINY + "lambda_grid = 0,1,10\ngamma_grid = 0,0.5\n"
@@ -436,24 +445,31 @@ class TestJobs:
             trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
         assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
 
-    @pytest.mark.parametrize("command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "lambda"]])
-    def test_failure_line_independent_of_jobs(self, tmp_path, command):
+    @staticmethod
+    def _failing_stderr(argv, out):
         # The whole of stderr, numpy warnings included. A child process,
         # because pytest records warnings instead of printing them.
         import lrcl
 
         src = str(Path(lrcl.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "lrcl.cli", *argv, "--out", str(out)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert not out.exists()
+        return proc.stderr
+
+    @pytest.mark.parametrize("command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "lambda"]])
+    def test_failure_line_independent_of_jobs(self, tmp_path, command):
         cfg_path = write_config(tmp_path, TINY.replace("lr = 0.05", "lr = 1e200"))
-        errs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"out{jobs}"
-            argv = [sys.executable, "-m", "lrcl.cli", *command, "--config", cfg_path, "--out", str(out), "--jobs", jobs]
-            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 3
-            errs.append(proc.stderr)
-            assert not out.exists()
+        errs = [self._failing_stderr(command + ["--config", cfg_path, "--jobs", jobs], tmp_path / f"out{jobs}") for jobs in ("1", "2")]
         assert errs == ["numerical failure: parameters left the finite range during Adam update\n"] * 2
+
+    @pytest.mark.parametrize("command", [["run", "--jobs", "1"], ["run", "--jobs", "2"], ["diagnose"]])
+    def test_fisher_failure_names_the_task(self, tmp_path, command):
+        # at seed 1 the huge head rate overflows task 0's squared gradients
+        cfg_path = write_config(tmp_path, TINY.replace("head_lr = 1e-6", "head_lr = 1e300"))
+        err = self._failing_stderr(command + ["--config", cfg_path, "--seed", "1"], tmp_path / "out")
+        assert err == "numerical failure: Fisher estimate of task 0: matrix contains NaN or Inf\n"
 
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])
     def test_bad_jobs_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, value):

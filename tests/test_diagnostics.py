@@ -16,7 +16,7 @@ from lrcl.errors import MetricError, ParameterError
 from lrcl.fisher import EstimatorKind, FisherDiag, estimate, flatten
 from lrcl.tasks import gen_gaussian_stream
 from lrcl.tensor import RngState
-from lrcl.trainer import TrainConfig
+from lrcl.trainer import TrainConfig, run_continual
 
 from conftest import make_batch, make_net, mat, uniform
 
@@ -156,7 +156,8 @@ class TestCosine:
 
 
 class TestTrackFisherDrift:
-    def _run(self, regimes, seed=0, estimator="empirical"):
+    @staticmethod
+    def _setup(seed=0, estimator="empirical", **overrides):
         stream = gen_gaussian_stream(
             num_tasks=3, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
             n_train=24, n_test=12, seed=seed, pretrain_classes=4, pretrain_n=24,
@@ -164,9 +165,18 @@ class TestTrackFisherDrift:
         cfg = TrainConfig(
             seed=seed, epochs=3, batch_size=12, lr=0.05, head_lr=1e-6, epsilon=0.1,
             hidden_dims=(8, 8), rank=2, pretrain_epochs=4, pretrain_lr=0.005, lam=1.0,
-            estimator=estimator,
+            estimator=estimator, **overrides,
         )
+        return cfg, stream
+
+    def _run(self, regimes, seed=0, estimator="empirical"):
+        cfg, stream = self._setup(seed, estimator)
         return track_fisher_drift(cfg, stream, [0, 1], regimes)
+
+    @pytest.mark.parametrize("estimator,strategy", [("sampled", "deltaw"), ("exact", "separate")])
+    def test_trains_the_run_continual_trajectory(self, estimator, strategy):
+        cfg, stream = self._setup(7, estimator, strategy=strategy, shuffle=True)
+        assert track_fisher_drift(cfg, stream, [0, 1], REGIMES)[2].rows == run_continual(cfg, stream).acc_matrix.rows
 
     def test_self_comparison_rows_exact(self):
         _, rows, _ = self._run(("rehearsal_free",))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lrcl.errors import ParameterError, ParseError, ProtocolError
+from lrcl.errors import DataError, ParameterError, ParseError, ProtocolError
 from lrcl.tasks import (
     Dataset,
     Task,
@@ -12,6 +14,7 @@ from lrcl.tasks import (
     gen_gaussian_stream,
     load_csv_stream,
     read_dataset_csv,
+    stratified_split,
 )
 from lrcl.tensor import RngState
 
@@ -199,6 +202,13 @@ class TestLoadCsvStream:
         with pytest.raises(ProtocolError):
             load_csv_stream(path, num_tasks=3, seed=0)
 
+    def test_one_row_class_names_the_class(self, tmp_path):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(41, 3))
+        write_dataset_csv(tmp_path / "pool.csv", Dataset(X, [c for c in range(4) for _ in range(10)] + [7]))
+        with pytest.raises(DataError, match="^class 7 has too few samples to split$"):
+            load_csv_stream(tmp_path / "pool.csv", num_tasks=2, seed=0)
+
     def test_no_sample_in_both_splits(self, tmp_path):
         path = self._write_pool(tmp_path)
         stream = load_csv_stream(path, num_tasks=2, seed=5)
@@ -206,6 +216,31 @@ class TestLoadCsvStream:
             train_rows = {tuple(row) for row in t.train.X}
             test_rows = {tuple(row) for row in t.test.X}
             assert train_rows.isdisjoint(test_rows)
+
+
+class TestStratifiedSplit:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        counts=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+        unlisted=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_partitions_listed_classes(self, counts, unlisted, seed, data):
+        # class c has counts[c] rows; class 99 is not listed and must be left out
+        assume(max(counts) >= 2)  # else the test side is empty, which a Dataset rejects
+        labels = [c for c, n in enumerate(counts) for _ in range(n)] + [99] * unlisted
+        order = data.draw(st.permutations(labels))
+        dataset = Dataset(np.arange(len(order), dtype=np.float64).reshape(-1, 1), order)
+        classes = data.draw(st.permutations(range(len(counts))))
+        train, test = stratified_split(dataset, 0.8, RngState(seed), classes)
+        train_rows, test_rows = train.X[:, 0].tolist(), test.X[:, 0].tolist()
+        assert sorted(train_rows + test_rows) == [i for i, y in enumerate(order) if y != 99]
+        for c, n in enumerate(counts):
+            n_train = train.y.count(c)
+            assert n_train == max(1, min(n - 1, round(0.8 * n)))
+            assert n_train + test.y.count(c) == n
+            assert (test.y.count(c) > 0) == (n >= 2)
 
 
 class TestConcat:

@@ -18,7 +18,7 @@ from lrcl.fisher import EstimatorKind, FisherDiag
 from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.model import accuracy, backward, backward_wrt_base, expand_head, forward, label_rows, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES
-from lrcl.tasks import Dataset, Task, gen_gaussian_stream
+from lrcl.tasks import Dataset, Task, TaskStream, gen_gaussian_stream, stratified_split
 from lrcl.tensor import RngState
 from lrcl.trainer import (
     AdamState,
@@ -26,7 +26,6 @@ from lrcl.trainer import (
     TrainConfig,
     adam_step,
     desk_profile,
-    prepare_base_network,
     pretrain,
     pretrain_report,
     run_continual,
@@ -181,11 +180,11 @@ class TestArena:
         # are views into flat buffers, which a copy must not share
         stream = tiny_stream()
         cfg = tiny_config(strategy="separate", shuffle=True)
-        base = prepare_base_network(cfg, stream)
+        base = pretrain(cfg, stream)
         before = base.copy()
-        run_continual(cfg, stream, base)
-        learner = trainer_mod.start_learner(cfg, stream, base)
-        learner.step(stream.tasks[0])
+        learners = []
+        run_continual(cfg, stream, base, lambda t, learner: learners.append(learner))
+        learner = learners[0]
 
         def arrays(net):
             out = [getattr(layer, k) for layer in net.layers for k in ("W", "A", "B")]
@@ -347,6 +346,12 @@ def _data(dims, n, class_ids, seed):
     return Dataset(X, [class_ids[rng.randint(len(class_ids))] for _ in range(n)])
 
 
+def _pretrain_stream(pretrain_set):
+    # pretrain_report reads the input width from the stream's tasks: give it one placeholder task
+    placeholder = Dataset(pretrain_set.X[:1], [-1])
+    return TaskStream([Task(0, [-1], placeholder, placeholder)], pretrain_set, sorted(set(pretrain_set.y)))
+
+
 class TestStepOracle:
     """train_task and pretrain_report equal the two-group loop bit for bit."""
 
@@ -411,12 +416,12 @@ class TestStepOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trainer_mod, "_fit", fit_spy)
             patch.setattr(trainer_mod, "accuracy", accuracy_spy)
-            net, acc = pretrain_report(cfg, pretrain_set)
+            net, acc = pretrain_report(cfg, _pretrain_stream(pretrain_set))
 
         rng = RngState(cfg.seed).derive("pretrain")
         ref = new_network([pretrain_set.dim] + list(cfg.hidden_dims), cfg.rank, rng, cfg.w0_identity_scale, cfg.w0_noise_scale, cfg.w0_feature_gain)
         expand_head(ref, sorted(set(pretrain_set.y)), rng)
-        train_ds, test_ds = trainer_mod._stratified_split(pretrain_set, 0.8, rng)
+        train_ds, test_ds = stratified_split(pretrain_set, 0.8, rng, sorted(set(pretrain_set.y)))
         rows = label_rows(ref.head, train_ds.y)
         ref_trace = reference_fit(ref, "W", train_ds.X, rows, cfg, cfg.pretrain_epochs, cfg.pretrain_lr)
 
@@ -430,7 +435,7 @@ class TestTrainTask:
     def test_base_weights_bit_identical(self):
         stream = tiny_stream()
         cfg = tiny_config()
-        net = prepare_base_network(cfg, stream)
+        net = pretrain(cfg, stream)
         learner = ContinualLearner(net, cfg)
         snapshots = [layer.W.copy() for layer in net.layers]
         # step performs reset/expand/train/estimate but merge changes W;
@@ -448,7 +453,7 @@ class TestTrainTask:
         results = {}
         for strategy, lam in (("deltaw", 0.0), ("none", 0.0)):
             cfg = tiny_config(strategy=strategy, lam=lam)
-            net = prepare_base_network(cfg, stream)
+            net = pretrain(cfg, stream)
             from lrcl.fisher import zeros_like
             from lrcl.model import expand_head, reset_adapter
 
@@ -467,8 +472,8 @@ class TestTrainTask:
             stream = tiny_stream(seed)
             cfg = tiny_config(seed=seed)
             record = run_continual(cfg, stream)
-            for trace in record.loss_traces:
-                assert all(math.isfinite(v) for v in trace)
+            for log in record.task_logs:
+                assert all(math.isfinite(v) for v in log["loss_trace"])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_extreme_lambda_pins_adapter(self):
@@ -479,7 +484,7 @@ class TestTrainTask:
         free = run_continual(desk_profile(0, strategy="none", lam=0.0), stream)
         pinned = run_continual(desk_profile(0, strategy="deltaw", lam=1e12), stream)
         # from the second task on the update norm collapses by orders of magnitude
-        assert pinned.adapter_norms[1] <= 1e-3 * free.adapter_norms[1]
+        assert pinned.task_logs[1]["adapter_norm"] <= 1e-3 * free.task_logs[1]["adapter_norm"]
 
 
 class TestRunMany:
@@ -521,15 +526,14 @@ class TestRunContinual:
         rec_a = run_continual(tiny_config(seed=9), stream_a)
         rec_b = run_continual(tiny_config(seed=9), stream_b)
         assert rec_a.acc_matrix.rows == rec_b.acc_matrix.rows
-        assert rec_a.adapter_norms == rec_b.adapter_norms
-        assert rec_a.loss_traces == rec_b.loss_traces
+        assert rec_a.task_logs == rec_b.task_logs
 
     def test_two_state_retention(self, monkeypatch):
         # after step() returns, the learner must hold no reference to the
         # per-task Fisher estimate or the task's data
         stream = tiny_stream()
         cfg = tiny_config()
-        net = prepare_base_network(cfg, stream)
+        net = pretrain(cfg, stream)
         learner = ContinualLearner(net, cfg)
 
         captured = []
@@ -545,7 +549,6 @@ class TestRunContinual:
         task = stream.tasks[0]
         data_ref = weakref.ref(task.train)
         result = learner.step(task)
-        assert result.fisher_t is not None
 
         del result, task
         stream.tasks.pop(0)
@@ -556,6 +559,27 @@ class TestRunContinual:
         assert learner.net is net
         assert learner.f_cum is not None
 
+    def test_step_result_holds_no_fisher_estimate(self, monkeypatch):
+        # the per-task Fisher is gone as soon as step() returns, while the
+        # caller still holds what step() returned
+        stream = tiny_stream()
+        cfg = tiny_config()
+        learner = ContinualLearner(pretrain(cfg, stream), cfg)
+        captured = []
+        original = trainer_mod.fisher_mod.estimate
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            captured.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(trainer_mod.fisher_mod, "estimate", spy)
+        result = learner.step(stream.tasks[0])
+        gc.collect()
+        assert captured and captured[0]() is None, "per-task Fisher still referenced"
+        trace, norm = result
+        assert len(trace) == cfg.epochs and norm > 0.0
+
     def test_lambda_monotone_anchoring(self):
         # update magnitude at the end of task 2 never grows with lambda
         stream = tiny_stream(3, num_tasks=2)
@@ -563,7 +587,7 @@ class TestRunContinual:
         for lam in (0.0, 1e2, 1e4, 1e6, 1e8):
             strategy = "none" if lam == 0.0 else "deltaw"
             rec = run_continual(tiny_config(seed=3, strategy=strategy, lam=lam), stream)
-            norms.append(rec.adapter_norms[1])
+            norms.append(rec.task_logs[1]["adapter_norm"])
         for lo, hi in zip(norms[1:], norms[:-1]):
             assert lo <= hi * (1 + 1e-9)
 
@@ -579,7 +603,7 @@ class TestRunReference:
         for seed in range(3):
             stream = tiny_stream(seed)
             cfg = tiny_config(seed=seed)
-            net = prepare_base_network(cfg, stream)
+            net = pretrain(cfg, stream)
             for task in stream.tasks:
                 ref = run_reference(net, cfg, task)
                 assert 0.0 <= ref <= 1.0
@@ -588,7 +612,7 @@ class TestRunReference:
     def test_deterministic(self):
         stream = tiny_stream(4)
         cfg = tiny_config(seed=4)
-        net = prepare_base_network(cfg, stream)
+        net = pretrain(cfg, stream)
         a = run_reference(net, cfg, stream.tasks[1])
         b = run_reference(net, cfg, stream.tasks[1])
         assert a == b
@@ -598,34 +622,41 @@ class TestPretrain:
     def test_accuracy_above_chance(self):
         stream = tiny_stream(5)
         cfg = tiny_config(seed=5)
-        _, acc = pretrain_report(cfg, stream.pretrain)
+        _, acc = pretrain_report(cfg, stream)
         assert acc > 1.0 / 4  # four pretraining classes
 
     def test_outputs_finite_and_head_stripped(self):
         stream = tiny_stream(6)
-        net = pretrain(tiny_config(seed=6), stream.pretrain)
+        net = pretrain(tiny_config(seed=6), stream)
         assert all(np.isfinite(l.W).all() for l in net.layers)
         assert net.head.V is None
         assert net.head.class_ids == []
 
     def test_same_seed_bit_identical(self):
         stream = tiny_stream(7)
-        net_a = pretrain(tiny_config(seed=7), stream.pretrain)
-        net_b = pretrain(tiny_config(seed=7), stream.pretrain)
+        net_a = pretrain(tiny_config(seed=7), stream)
+        net_b = pretrain(tiny_config(seed=7), stream)
         for la, lb in zip(net_a.layers, net_b.layers):
             assert np.array_equal(la.W, lb.W)
 
     def test_random_mode_skips_training(self):
         stream = tiny_stream(8)
         cfg = tiny_config(seed=8, pretrain_mode="random")
-        net = prepare_base_network(cfg, stream)
+        net, acc = pretrain_report(cfg, stream)
         assert all(np.isfinite(l.W).all() for l in net.layers)
+        rng = RngState(8).derive("pretrain")
+        drawn = new_network([stream.dim, 8, 8], cfg.rank, rng, cfg.w0_identity_scale, cfg.w0_noise_scale, cfg.w0_feature_gain)
+        assert _weight_bytes(net) == _weight_bytes(drawn)
+        assert acc == 1.0 / 4  # chance over the four pretraining classes
+        stream.pretrain = None  # a CSV stream has none
+        assert _weight_bytes(pretrain(cfg, stream)) == _weight_bytes(drawn)
+        assert pretrain_report(cfg, stream)[1] is None
 
     def test_train_mode_needs_pretrain_data(self):
         stream = tiny_stream(9)
         stream.pretrain = None
         with pytest.raises(ProtocolError):
-            prepare_base_network(tiny_config(seed=9), stream)
+            pretrain(tiny_config(seed=9), stream)
 
 
 def _weight_bytes(net):
@@ -647,19 +678,19 @@ class TestSharedBase:
         assert set(self.CHANGED) == {f.name for f in fields(TrainConfig)}
         stream = tiny_stream(12)
         cfg = tiny_config(seed=0, pretrain_mode="train")
-        weights = _weight_bytes(prepare_base_network(cfg, stream))
+        weights = _weight_bytes(pretrain(cfg, stream))
         for name, value in self.CHANGED.items():
             other = replace(cfg, **{name: value})
             assert getattr(other, name) != getattr(cfg, name), name
             key_moved = trainer_mod.pretrain_key(other) != trainer_mod.pretrain_key(cfg)
-            weights_moved = _weight_bytes(prepare_base_network(other, stream)) != weights
+            weights_moved = _weight_bytes(pretrain(other, stream)) != weights
             assert key_moved == weights_moved, name
 
     @pytest.mark.parametrize("strategy", ["deltaw", "separate", "precomputed_dataset"])
     def test_learner_leaves_shared_base_untouched(self, strategy):
         stream = tiny_stream(13)
         cfg = tiny_config(seed=13, strategy=strategy)
-        base = prepare_base_network(cfg, stream)
+        base = pretrain(cfg, stream)
         before = _weight_bytes(base)
         shared = run_continual(cfg, stream, base)
         assert _weight_bytes(base) == before
