@@ -259,12 +259,12 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str, jobs: int) -> int:
     return _run_grid(cfg, grid_key, ["parameter", "value"], runs, "sweep.csv", jobs)
 
 
-def cmd_diagnose(cfg: ExperimentConfig) -> int:
+def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
     tracked = list(range(min(3, cfg.stream.num_tasks)))
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
-        logs, rows, _ = track_fisher_drift(config, stream, tracked, REGIMES)
+        logs, rows, _ = track_fisher_drift(config, stream, tracked, REGIMES, jobs)
         lines = ["task_trained,task_data,regime,norm_ratio,spearman,cosine"]
         for r in rows:
             values = [format_float(v) for v in (r.norm_ratio, r.spearman, r.cosine)]
@@ -304,8 +304,9 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# the commands whose trainings run_many spreads over --jobs workers
-_POOLED_COMMANDS = ("run", "compare-strategies", "sweep", "reference")
+# the commands that take --jobs: run_many spreads their trainings over the
+# workers, and diagnose measures drift on one worker while it trains
+_POOLED_COMMANDS = ("run", "compare-strategies", "sweep", "diagnose", "reference")
 
 
 def _jobs(text: str | None) -> int:
@@ -372,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "sweep":
                 return cmd_sweep(cfg, args.parameter, jobs)
             if args.command == "diagnose":
-                return cmd_diagnose(cfg)
+                return cmd_diagnose(cfg, jobs)
             if args.command == "reference":
                 return cmd_reference(cfg, jobs)
             if args.command == "pretrain":

@@ -22,11 +22,11 @@ from . import fisher as fisher_mod
 from .errors import MetricError, NumericalError, ParameterError
 from .fisher import FisherDiag, fisher_norm, flatten
 from .metrics import AccuracyMatrix
-from .model import accuracy  # unused here: bench/test_bench.py checks that its tracer rebinds it
+from .model import Network, accuracy  # accuracy is unused here: bench/test_bench.py checks that its tracer rebinds it
 from .regularize import STRATEGIES
 from .tasks import TaskStream, concat_datasets
 from .tensor import RngState
-from .trainer import ContinualLearner, TrainConfig, run_continual
+from .trainer import ContinualLearner, TrainConfig, fork_pool, run_continual
 
 REGIMES = ("rehearsal_free", "rehearsal_based")
 
@@ -109,11 +109,81 @@ class FisherSnapshotLog:
     entries: list[tuple[int, int, FisherDiag]]
 
 
+class _Tracker:
+    """The measuring state of one track_fisher_drift: per-regime rngs, snapshots, logs and rows."""
+
+    def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int], regimes: tuple[str, ...]):
+        self.config = config
+        self.stream = stream
+        self.tracked = tracked
+        self.regimes = regimes
+        self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in regimes}
+        self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in regimes}
+        self.logs = {regime: FisherSnapshotLog(regime=regime, entries=[]) for regime in regimes}
+        self.rows: dict[str, list[DriftRow]] = {regime: [] for regime in regimes}
+
+    def measure(self, t: int, net: Network, f_cum: FisherDiag) -> None:
+        """Every regime's rows after task t, from the merged net and the accumulated Fisher."""
+        config, stream = self.config, self.stream
+        shared: dict[int, FisherDiag] = {}
+        for regime in self.regimes:
+            rng = self.rngs[regime]
+            pooled = None
+            for i in self.tracked:
+                if i > t:
+                    continue
+                try:
+                    f_now = shared.get(i)
+                    if f_now is None:
+                        f_now = fisher_mod.estimate(net, stream.tasks[i].train, config.estimator, rng)
+                        if not config.estimator.draws:
+                            shared[i] = f_now
+                    self.logs[regime].entries.append((t, i, f_now))
+                    if i == t:
+                        self.snapshots[regime][i] = f_now
+                        self.rows[regime].append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
+                        continue
+                    base = self.snapshots[regime][i]
+                    if regime == "rehearsal_free":
+                        comparator = f_cum
+                    else:
+                        if pooled is None:
+                            joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
+                            pooled = fisher_mod.estimate(net, joined, config.estimator, rng)
+                        comparator = pooled
+                    row = DriftRow(
+                        task_trained=t,
+                        task_data=i,
+                        regime=regime,
+                        norm_ratio=norm_ratio(f_now, base),
+                        spearman=spearman(flatten(comparator), flatten(base)),
+                        cosine=cosine_sim(flatten(comparator), flatten(base)),
+                    )
+                except (MetricError, NumericalError) as exc:
+                    # the config passed every check; training made a Fisher degenerate or overflow
+                    raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
+                self.rows[regime].append(row)
+
+
+# the tracker of the pipelined track_fisher_drift in progress; its one
+# forked worker inherits it and measures into its own copy
+_TRACKER: _Tracker | None = None
+
+
+def _measure_in_worker(t: int, net: Network, f_cum: FisherDiag) -> None:
+    _TRACKER.measure(t, net, f_cum)
+
+
+def _results_in_worker() -> tuple[dict[str, FisherSnapshotLog], dict[str, list[DriftRow]]]:
+    return _TRACKER.logs, _TRACKER.rows
+
+
 def track_fisher_drift(
     config: TrainConfig,
     stream: TaskStream,
     tracked_tasks: list[int],
     regimes: tuple[str, ...] = REGIMES,
+    jobs: int = 1,
 ) -> tuple[dict[str, FisherSnapshotLog], list[DriftRow], AccuracyMatrix]:
     """Run run_continual once and report Fisher drift for the tracked tasks.
 
@@ -129,6 +199,12 @@ def track_fisher_drift(
     shared between regimes. The strategy must learn a Fisher after each
     task (deltaw or separate): the rehearsal-free regime compares against
     that accumulator.
+
+    With jobs > 1, one forked worker measures while this process trains
+    the next task. It measures the tasks in order, so every regime draws
+    what it draws serially, and the results and the first error are those
+    of jobs = 1. More workers would not help: each measurement depends on
+    the ones before it through the draws and the snapshots.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
@@ -138,51 +214,29 @@ def track_fisher_drift(
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
 
-    tracked = sorted(tracked_tasks)
-    rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in regimes}
-    snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in regimes}
-    logs = {regime: FisherSnapshotLog(regime=regime, entries=[]) for regime in regimes}
-    rows: dict[str, list[DriftRow]] = {regime: [] for regime in regimes}
+    tracker = _Tracker(config, stream, sorted(tracked_tasks), regimes)
+    if jobs > 1:
+        global _TRACKER
+        _TRACKER = tracker
+        try:
+            with fork_pool(1) as pool:
+                futures = []
 
-    def measure(t: int, learner: ContinualLearner) -> None:
-        shared: dict[int, FisherDiag] = {}
-        for regime in regimes:
-            rng = rngs[regime]
-            pooled = None
-            for i in tracked:
-                if i > t:
-                    continue
+                def submit(t: int, learner: ContinualLearner) -> None:
+                    # a copy: the pool pickles it later, on its own thread, while this one trains on
+                    futures.append(pool.submit(_measure_in_worker, t, learner.net.copy(), learner.f_cum))
+
                 try:
-                    f_now = shared.get(i)
-                    if f_now is None:
-                        f_now = fisher_mod.estimate(learner.net, stream.tasks[i].train, config.estimator, rng)
-                        if not config.estimator.draws:
-                            shared[i] = f_now
-                    logs[regime].entries.append((t, i, f_now))
-                    if i == t:
-                        snapshots[regime][i] = f_now
-                        rows[regime].append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
-                        continue
-                    base = snapshots[regime][i]
-                    if regime == "rehearsal_free":
-                        comparator = learner.f_cum
-                    else:
-                        if pooled is None:
-                            joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
-                            pooled = fisher_mod.estimate(learner.net, joined, config.estimator, rng)
-                        comparator = pooled
-                    row = DriftRow(
-                        task_trained=t,
-                        task_data=i,
-                        regime=regime,
-                        norm_ratio=norm_ratio(f_now, base),
-                        spearman=spearman(flatten(comparator), flatten(base)),
-                        cosine=cosine_sim(flatten(comparator), flatten(base)),
-                    )
-                except (MetricError, NumericalError) as exc:
-                    # the config passed every check; training made a Fisher degenerate or overflow
-                    raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
-                rows[regime].append(row)
-
-    acc = run_continual(config, stream, after_task=measure).acc_matrix
+                    acc = run_continual(config, stream, after_task=submit).acc_matrix
+                finally:
+                    # in task order, so a drift failure at an earlier task wins,
+                    # over a later training failure too, as in the serial loop
+                    for future in futures:
+                        future.result()
+                logs, rows = pool.submit(_results_in_worker).result()
+        finally:
+            _TRACKER = None
+    else:
+        acc = run_continual(config, stream, after_task=lambda t, learner: tracker.measure(t, learner.net, learner.f_cum)).acc_matrix
+        logs, rows = tracker.logs, tracker.rows
     return logs, [row for regime in regimes for row in rows[regime]], acc

@@ -132,27 +132,34 @@ def fisher_norm(f: FisherDiag) -> float:
 
 
 class _Accumulator:
-    """Running sums of squared per-sample gradients, update and factor space."""
+    """Running sums of squared per-sample gradients, update and factor space.
 
-    def __init__(self, net: Network, factor_space: bool):
+    The squared layer inputs h*h (and, for the factor space, (h B^T)^2) do
+    not depend on the logit gradient, so they are made once per cache and
+    every add reuses them.
+    """
+
+    def __init__(self, net: Network, cache: ForwardCache, factor_space: bool):
         self.net = net
+        self.cache = cache
         self.factor_space = factor_space
+        self.h2 = [h * h for h in cache.inputs]
         self.sdw = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
         if factor_space:
+            self.bh2 = [bh * bh for bh in (h @ l.B.T for h, l in zip(cache.inputs, net.layers))]
             self.sa = [np.zeros((l.d_out, l.rank)) for l in net.layers]
             self.sb = [np.zeros((l.rank, l.d_in)) for l in net.layers]
 
-    def add(self, cache: ForwardCache, g_logits: np.ndarray) -> None:
-        dzs = dz_per_layer(self.net, cache, g_logits)
+    def add(self, g_logits: np.ndarray) -> None:
+        dzs = dz_per_layer(self.net, self.cache, g_logits)
         for k, layer in enumerate(self.net.layers):
-            dz2 = dzs[k] * dzs[k]
-            h = cache.inputs[k]
-            self.sdw[k] += dz2.T @ (h * h)
             if self.factor_space:
-                bh = h @ layer.B.T
-                self.sa[k] += dz2.T @ (bh * bh)
                 dza = dzs[k] @ layer.A
-                self.sb[k] += (dza * dza).T @ (h * h)
+                self.sb[k] += np.square(dza, out=dza).T @ self.h2[k]
+            dz2 = np.square(dzs[k], out=dzs[k])  # squared in place: nothing reads d_z after this
+            self.sdw[k] += dz2.T @ self.h2[k]
+            if self.factor_space:
+                self.sa[k] += dz2.T @ self.bh2[k]
 
     def finish(self, n_samples: int) -> FisherDiag:
         fdw = [s / n_samples for s in self.sdw]
@@ -193,21 +200,21 @@ def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | 
 
     cache = forward(net, data.X)
     probs = _softmax_rows(cache.logits)
-    acc = _Accumulator(net, factor_space)
+    acc = _Accumulator(net, cache, factor_space)
 
     if kind.name == "empirical":
         rows = label_rows(net.head, data.y)
-        acc.add(cache, _onehot_minus_probs(probs, rows))
+        acc.add(_onehot_minus_probs(probs, rows))
     elif kind.name == "sampled":
         rows = _sample_classes(probs, rng)
-        acc.add(cache, _onehot_minus_probs(probs, rows))
+        acc.add(_onehot_minus_probs(probs, rows))
     else:  # exact: full class sum, each class weighted by its probability
-        n_classes = probs.shape[1]
-        for c in range(n_classes):
-            g = -probs.copy()
+        roots = np.sqrt(probs)  # sqrt, squared later
+        for c in range(probs.shape[1]):
+            g = np.negative(probs)
             g[:, c] += 1.0
-            g *= np.sqrt(probs[:, c])[:, None]  # sqrt, squared later
-            acc.add(cache, g)
+            g *= roots[:, c, None]
+            acc.add(g)
 
     return acc.finish(data.n)
 

@@ -240,6 +240,8 @@ def load_csv_stream(path, num_tasks: int, seed: int) -> TaskStream:
     Classes are shuffled with the seed, split into num_tasks contiguous
     groups, and each class gets a stratified 80/20 train/test split.
     """
+    if num_tasks < 1:
+        raise ParameterError(f"num_tasks must be >= 1, got {num_tasks}")
     data = read_dataset_csv(path)
     classes = sorted(set(data.y))
     if len(classes) < num_tasks:

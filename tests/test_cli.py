@@ -211,6 +211,23 @@ class TestRunCommand:
         assert capsys.readouterr().err.splitlines() == ["error: class 9 has too few samples to split"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("num_tasks", ["0", "-1"])
+    def test_csv_stream_without_tasks_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, num_tasks):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before num_tasks was checked")
+
+        monkeypatch.setattr(cli_mod, "run_many", no_compute)
+        rows = ["f0,f1,label"] + [f"{c}.5,{i},{c}" for c in range(4) for i in range(5)]
+        (tmp_path / "pool.csv").write_text("\n".join(rows) + "\n")
+        text = TINY.replace("dim = 6", "dim = 2").replace("num_tasks = 3", f"num_tasks = {num_tasks}")
+        text += f"csv_path = {tmp_path / 'pool.csv'}\npretrain_mode = random\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: num_tasks must be >= 1, got {num_tasks}"]
+        assert not out.exists()
+
     def test_missing_csv_exits_2_with_one_line(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
         cfg_path = write_config(tmp_path, TINY + f"csv_path = {missing}\n")
@@ -348,13 +365,16 @@ class TestDiagnoseCommand:
 
     def test_degenerate_fisher_after_training_exits_3(self, tmp_path, capsys):
         # the huge rate saturates the pretrained network, so task 0's exact
-        # Fisher snapshot is all zeros and its norm ratio is undefined
+        # Fisher snapshot is all zeros and its norm ratio is undefined; with
+        # --jobs 2 the worker that measures drift raises it
         text = TINY.replace("pretrain_lr = 0.02", "pretrain_lr = 1e250") + "estimator = exact\n"
-        out = tmp_path / "diag"
-        assert main(["diagnose", "--config", write_config(tmp_path, text), "--out", str(out)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["numerical failure: drift of task 0 after task 1: norm ratio undefined for a zero baseline Fisher"]
-        assert not out.exists()
+        cfg_path = write_config(tmp_path, text)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"diag{jobs}"
+            assert main(["diagnose", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["numerical failure: drift of task 0 after task 1: norm ratio undefined for a zero baseline Fisher"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("strategy", ["none", "precomputed_uniform", "precomputed_dataset"])
     def test_strategy_without_learned_fisher_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, strategy):
@@ -434,15 +454,25 @@ class TestJobs:
     )
 
     @pytest.mark.parametrize(
-        "command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "gamma"], ["reference"]]
+        "command", [["run"], ["compare-strategies"], ["sweep", "--parameter", "gamma"], ["reference"], ["diagnose"]]
     )
     def test_outputs_identical_for_any_jobs(self, tmp_path, command):
-        cfg_path = write_config(tmp_path, self.TEXT)
+        # diagnose: exact_subset(3) draws from each regime's stream in the worker
+        self._assert_identical_for_any_jobs(tmp_path, command, self.TEXT)
+
+    def test_diagnose_factor_space_identical_for_any_jobs(self, tmp_path):
+        # sampled draws a class per row, and separate learns a factor-space Fisher
+        text = self.TEXT.replace("estimator = exact_subset(3)", "estimator = sampled") + "strategy = separate\n"
+        self._assert_identical_for_any_jobs(tmp_path, ["diagnose"], text)
+
+    @staticmethod
+    def _assert_identical_for_any_jobs(tmp_path, command, text):
+        cfg_path = write_config(tmp_path, text)
         trees = []
         for jobs in ("1", "2", "3"):
             out = tmp_path / f"out{jobs}"
             assert main(command + ["--config", cfg_path, "--out", str(out), "--seed", "0,7", "--jobs", jobs]) == 0
-            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")})
+            trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
         assert trees[0] and trees[1] == trees[0] and trees[2] == trees[0]
 
     @staticmethod
@@ -464,7 +494,10 @@ class TestJobs:
         errs = [self._failing_stderr(command + ["--config", cfg_path, "--jobs", jobs], tmp_path / f"out{jobs}") for jobs in ("1", "2")]
         assert errs == ["numerical failure: parameters left the finite range during Adam update\n"] * 2
 
-    @pytest.mark.parametrize("command", [["run", "--jobs", "1"], ["run", "--jobs", "2"], ["diagnose"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--jobs", "1"], ["run", "--jobs", "2"], ["diagnose", "--jobs", "1"], ["diagnose", "--jobs", "2"]],
+    )
     def test_fisher_failure_names_the_task(self, tmp_path, command):
         # at seed 1 the huge head rate overflows task 0's squared gradients
         cfg_path = write_config(tmp_path, TINY.replace("head_lr = 1e-6", "head_lr = 1e300"))
@@ -509,6 +542,22 @@ class TestReadme:
                         parsed.setdefault(flag, set()).add(name)
         assert "--jobs" in documented
         assert documented == parsed
+
+
+class TestImportCost:
+    def test_pool_modules_wait_for_a_pool(self):
+        # run_many and diagnose's measuring worker import them when a pool opens
+        import lrcl
+
+        src = str(Path(lrcl.__file__).resolve().parents[1])
+        code = (
+            "import sys, lrcl, lrcl.diagnostics; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestInputsUntouched:

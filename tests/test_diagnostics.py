@@ -1,8 +1,12 @@
 """Drift metrics against closed forms and a small tracked run."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
+import lrcl.diagnostics as diagnostics_mod
 from lrcl.diagnostics import (
     REGIMES,
     DriftRow,
@@ -12,11 +16,11 @@ from lrcl.diagnostics import (
     spearman,
     track_fisher_drift,
 )
-from lrcl.errors import MetricError, ParameterError
+from lrcl.errors import MetricError, NumericalError, ParameterError
 from lrcl.fisher import EstimatorKind, FisherDiag, estimate, flatten
 from lrcl.tasks import gen_gaussian_stream
 from lrcl.tensor import RngState
-from lrcl.trainer import TrainConfig, run_continual
+from lrcl.trainer import ContinualLearner, TrainConfig, run_continual
 
 from conftest import make_batch, make_net, mat, uniform
 
@@ -157,9 +161,9 @@ class TestCosine:
 
 class TestTrackFisherDrift:
     @staticmethod
-    def _setup(seed=0, estimator="empirical", **overrides):
+    def _setup(seed=0, estimator="empirical", num_tasks=3, **overrides):
         stream = gen_gaussian_stream(
-            num_tasks=3, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
+            num_tasks=num_tasks, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
             n_train=24, n_test=12, seed=seed, pretrain_classes=4, pretrain_n=24,
         )
         cfg = TrainConfig(
@@ -225,6 +229,56 @@ class TestTrackFisherDrift:
             for (t, i, f), (t1, i1, f1) in zip(logs[regime].entries, logs_one[regime].entries, strict=True):
                 assert (t, i) == (t1, i1)
                 assert flatten(f).tobytes() == flatten(f1).tobytes()
+
+    @pytest.mark.parametrize("estimator,strategy", [("exact_subset(5)", "deltaw"), ("sampled", "separate")])
+    def test_measuring_worker_equals_serial(self, estimator, strategy):
+        cfg, stream = self._setup(7, estimator, strategy=strategy, shuffle=True)
+        logs, rows, acc = track_fisher_drift(cfg, stream, [0, 1, 2], REGIMES, jobs=1)
+        logs2, rows2, acc2 = track_fisher_drift(cfg, stream, [0, 1, 2], REGIMES, jobs=2)
+        assert rows2 == rows and acc2.rows == acc.rows
+        for regime in REGIMES:
+            for (t, i, f), (t2, i2, f2) in zip(logs[regime].entries, logs2[regime].entries, strict=True):
+                assert (t, i) == (t2, i2)
+                assert flatten(f).tobytes() == flatten(f2).tobytes()
+        assert diagnostics_mod._TRACKER is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_earlier_drift_failure_wins_over_later_training_failure(self, monkeypatch, jobs):
+        # with jobs = 2 the parent trains on past task 1 and fails at task 3
+        # before it reads the worker's task 1 failure; the serial loop never
+        # gets there, and the error is the same
+        def degenerate(f_now, f_orig):
+            raise MetricError("stand-in degenerate Fisher")
+
+        real_step = ContinualLearner.step
+
+        def step(learner, task):
+            if task.id == 3:
+                raise NumericalError("stand-in training failure")
+            return real_step(learner, task)
+
+        monkeypatch.setattr(diagnostics_mod, "norm_ratio", degenerate)
+        monkeypatch.setattr(ContinualLearner, "step", step)
+        cfg, stream = self._setup(num_tasks=4)
+        with pytest.raises(NumericalError) as info:
+            track_fisher_drift(cfg, stream, [0, 1], jobs=jobs)
+        assert str(info.value) == "drift of task 0 after task 1: stand-in degenerate Fisher"
+        assert diagnostics_mod._TRACKER is None
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        parent = os.getpid()
+
+        def killed_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(diagnostics_mod._Tracker, "measure", killed_in_worker)
+        cfg, stream = self._setup()
+        with pytest.raises(BrokenProcessPool):
+            track_fisher_drift(cfg, stream, [0, 1], jobs=2)
+        assert diagnostics_mod._TRACKER is None
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ParameterError):

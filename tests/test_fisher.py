@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lrcl.errors import ParameterError, ShapeError
 from lrcl.fisher import (
@@ -267,6 +269,73 @@ class TestFactorSpace:
             assert np.allclose(f.fb[i], sums_b[i] / data.n, rtol=0, atol=1e-10)
 
 
+def exact_per_class_loop(net, data: Dataset):
+    """The exact estimator, update and factor space, as a plain class loop.
+
+    Each class recomputes the tanh slopes 1 - h^2, the squared inputs h*h
+    and (h B^T)^2 in the operation order the estimator uses, so the
+    estimator's hoisting of them must leave every bit unchanged.
+    """
+    cache = forward(net, data.X)
+    probs = _softmax_rows(cache.logits)
+    n_layers = len(net.layers)
+    sdw = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
+    sa = [np.zeros((l.d_out, l.rank)) for l in net.layers]
+    sb = [np.zeros((l.rank, l.d_in)) for l in net.layers]
+    for c in range(probs.shape[1]):
+        g = -probs.copy()
+        g[:, c] += 1.0
+        g *= np.sqrt(probs[:, c])[:, None]
+        d_h = g @ net.head.V
+        dzs = [None] * n_layers
+        for k in range(n_layers - 1, -1, -1):
+            layer = net.layers[k]
+            if k == n_layers - 1:
+                d_z = d_h
+            else:
+                h_out = cache.inputs[k + 1]
+                d_z = h_out * h_out
+                np.subtract(1.0, d_z, out=d_z)
+                d_z *= d_h
+            dzs[k] = d_z
+            if k > 0:
+                d_h = d_z @ layer.W
+                d_h += (d_z @ layer.A) @ layer.B
+        for k, layer in enumerate(net.layers):
+            dz2 = dzs[k] * dzs[k]
+            h = cache.inputs[k]
+            sdw[k] += dz2.T @ (h * h)
+            bh = h @ layer.B.T
+            sa[k] += dz2.T @ (bh * bh)
+            dza = dzs[k] @ layer.A
+            sb[k] += (dza * dza).T @ (h * h)
+    return tuple([m / data.n for m in sums] for sums in (sdw, sa, sb))
+
+
+class TestExactHoist:
+    """The exact estimator equals the per-class loop that recomputes everything, bit for bit."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @example(widths=[16, 48, 48], rank=4, n=60, n_classes=8, seed=3)  # the drift workload's layers
+    @given(
+        widths=st.lists(st.integers(4, 7), min_size=2, max_size=4),
+        rank=st.integers(1, 4),
+        n=st.integers(1, 12),
+        n_classes=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_estimates_equal_the_per_class_loop(self, widths, rank, n, n_classes, seed):
+        net = make_net(widths, rank, seed, class_ids=list(range(n_classes)), nonzero_adapter=True)
+        data = make_dataset(net, n, seed + 1)
+        fdw, fa, fb = exact_per_class_loop(net, data)
+        plain = estimate(net, data, EstimatorKind.exact())
+        factor = estimate_factor_space(net, data, EstimatorKind.exact())
+        assert plain.fa is None
+        for got, want in [(plain.fdw, fdw), (factor.fdw, fdw), (factor.fa, fa), (factor.fb, fb)]:
+            assert len(got) == len(want) == len(widths) - 1
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
 class TestScaleLaw:
     def test_scaling_gradients_scales_fisher_quadratically(self):
         net = make_net((5, 5), rank=2, seed=26, nonzero_adapter=True)
@@ -277,10 +346,10 @@ class TestScaleLaw:
         g = -probs.copy()
         g[np.arange(data.n), rows] += 1.0
 
-        acc1 = _Accumulator(net, factor_space=False)
-        acc1.add(cache, g)
-        acc3 = _Accumulator(net, factor_space=False)
-        acc3.add(cache, 3.0 * g)
+        acc1 = _Accumulator(net, cache, factor_space=False)
+        acc1.add(g)
+        acc3 = _Accumulator(net, cache, factor_space=False)
+        acc3.add(3.0 * g)
         f1 = acc1.finish(data.n)
         f3 = acc3.finish(data.n)
         for a, b in zip(f1.fdw, f3.fdw):
