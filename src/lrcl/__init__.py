@@ -42,12 +42,7 @@ from .model import (
     new_network,
     reset_adapter,
 )
-from .regularize import (
-    PenaltyTerm,
-    divergence_witness,
-    penalty_deltaw,
-    penalty_separate,
-)
+from .regularize import PenaltyTerm, penalty_deltaw, penalty_separate
 from .tasks import Dataset, Task, TaskStream, gen_gaussian_stream, load_csv_stream, standard_stream
 from .tensor import RngState, uniform_matrix
 from .trainer import (
@@ -96,7 +91,6 @@ __all__ = [
     "desk_profile",
     "avg_anytime",
     "backward",
-    "divergence_witness",
     "estimate",
     "estimate_factor_space",
     "expand_head",

@@ -110,7 +110,7 @@ class FisherSnapshotLog:
 
 
 class _Tracker:
-    """The measuring state of one track_fisher_drift: per-regime rngs, snapshots, logs and rows."""
+    """The measuring state of one track_fisher_drift: per-regime rngs and snapshots."""
 
     def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int], regimes: tuple[str, ...]):
         self.config = config
@@ -119,13 +119,12 @@ class _Tracker:
         self.regimes = regimes
         self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in regimes}
         self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in regimes}
-        self.logs = {regime: FisherSnapshotLog(regime=regime, entries=[]) for regime in regimes}
-        self.rows: dict[str, list[DriftRow]] = {regime: [] for regime in regimes}
 
-    def measure(self, t: int, net: Network, f_cum: FisherDiag) -> None:
-        """Every regime's rows after task t, from the merged net and the accumulated Fisher."""
+    def measure(self, t: int, net: Network, f_cum: FisherDiag) -> list[tuple[DriftRow, FisherDiag]]:
+        """Every regime's rows after task t, each with the Fisher it recomputed, from the merged net and the accumulated Fisher."""
         config, stream = self.config, self.stream
         shared: dict[int, FisherDiag] = {}
+        measured = []
         for regime in self.regimes:
             rng = self.rngs[regime]
             pooled = None
@@ -138,10 +137,9 @@ class _Tracker:
                         f_now = fisher_mod.estimate(net, stream.tasks[i].train, config.estimator, rng)
                         if not config.estimator.draws:
                             shared[i] = f_now
-                    self.logs[regime].entries.append((t, i, f_now))
                     if i == t:
                         self.snapshots[regime][i] = f_now
-                        self.rows[regime].append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
+                        measured.append((DriftRow(t, i, regime, 1.0, 1.0, 1.0), f_now))
                         continue
                     base = self.snapshots[regime][i]
                     if regime == "rehearsal_free":
@@ -162,20 +160,8 @@ class _Tracker:
                 except (MetricError, NumericalError) as exc:
                     # the config passed every check; training made a Fisher degenerate or overflow
                     raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
-                self.rows[regime].append(row)
-
-
-# the tracker of the pipelined track_fisher_drift in progress; its one
-# forked worker inherits it and measures into its own copy
-_TRACKER: _Tracker | None = None
-
-
-def _measure_in_worker(t: int, net: Network, f_cum: FisherDiag) -> None:
-    _TRACKER.measure(t, net, f_cum)
-
-
-def _results_in_worker() -> tuple[dict[str, FisherSnapshotLog], dict[str, list[DriftRow]]]:
-    return _TRACKER.logs, _TRACKER.rows
+                measured.append((row, f_now))
+        return measured
 
 
 def track_fisher_drift(
@@ -200,11 +186,14 @@ def track_fisher_drift(
     task (deltaw or separate): the rehearsal-free regime compares against
     that accumulator.
 
-    With jobs > 1, one forked worker measures while this process trains
-    the next task. It measures the tasks in order, so every regime draws
-    what it draws serially, and the results and the first error are those
-    of jobs = 1. More workers would not help: each measurement depends on
-    the ones before it through the draws and the snapshots.
+    The hook hands each task's measurement to fork_pool. With jobs > 1, one
+    forked worker measures while this process trains the next task; with
+    jobs = 1, this process measures every task after training them all.
+    Either way the tasks are measured in order, so every regime draws what
+    it draws serially, and the results are read in task order, so the first
+    error is the serial loop's. More workers would not help: each
+    measurement depends on the ones before it through the draws and the
+    snapshots.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
@@ -215,28 +204,18 @@ def track_fisher_drift(
             raise ParameterError(f"tracked task {i} outside the stream")
 
     tracker = _Tracker(config, stream, sorted(tracked_tasks), regimes)
-    if jobs > 1:
-        global _TRACKER
-        _TRACKER = tracker
+    futures = []
+    with fork_pool(min(jobs - 1, 1), tracker.measure) as submit:  # no worker for jobs = 1, else one
+
+        def measure_later(t: int, learner: ContinualLearner) -> None:
+            # a copy: the net is measured later, while this process trains on in place
+            futures.append(submit(t, learner.net.copy(), learner.f_cum))
+
         try:
-            with fork_pool(1) as pool:
-                futures = []
-
-                def submit(t: int, learner: ContinualLearner) -> None:
-                    # a copy: the pool pickles it later, on its own thread, while this one trains on
-                    futures.append(pool.submit(_measure_in_worker, t, learner.net.copy(), learner.f_cum))
-
-                try:
-                    acc = run_continual(config, stream, after_task=submit).acc_matrix
-                finally:
-                    # in task order, so a drift failure at an earlier task wins,
-                    # over a later training failure too, as in the serial loop
-                    for future in futures:
-                        future.result()
-                logs, rows = pool.submit(_results_in_worker).result()
+            acc = run_continual(config, stream, after_task=measure_later).acc_matrix
         finally:
-            _TRACKER = None
-    else:
-        acc = run_continual(config, stream, after_task=lambda t, learner: tracker.measure(t, learner.net, learner.f_cum)).acc_matrix
-        logs, rows = tracker.logs, tracker.rows
-    return logs, [row for regime in regimes for row in rows[regime]], acc
+            # in task order, so a drift failure at an earlier task wins,
+            # over a later training failure too, as in the serial loop
+            measured = [pair for future in futures for pair in future.result()]
+    logs = {regime: FisherSnapshotLog(regime, [(r.task_trained, r.task_data, f) for r, f in measured if r.regime == regime]) for regime in regimes}
+    return logs, [r for regime in regimes for r, _ in measured if r.regime == regime], acc

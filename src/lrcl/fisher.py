@@ -17,8 +17,6 @@ draw per sample.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +24,7 @@ import numpy as np
 from .errors import DataError, ParameterError, ShapeError
 from .model import ForwardCache, Network, dz_per_layer, forward, label_rows
 from .tasks import Dataset
-from .tensor import RngState, _check_finite, _softmax_rows, atomic_write, read_matrix_csv, write_matrix_csv
+from .tensor import RngState, _check_finite, _softmax_rows, load_state, save_state
 
 
 @dataclass(frozen=True)
@@ -267,32 +265,16 @@ def precompute_dataset_fisher(net_at_w0: Network, all_task_data: list[Dataset], 
     return estimate(net_at_w0, concat_datasets(all_task_data), kind, rng)
 
 
-def save_fisher(f: FisherDiag, directory, kind_label: str = "", gamma_history: list[float] | None = None, task_index: int | None = None) -> None:
-    """Per-layer CSVs plus a manifest describing how the estimate was made."""
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "estimator": kind_label,
-        "gamma_history": gamma_history or [],
-        "task_index": task_index,
-        "layers": len(f.fdw),
-        "factor_space": f.has_factor_space,
-    }
-    for k, m in enumerate(f.fdw):
-        write_matrix_csv(os.path.join(directory, f"layer{k}_fdw.csv"), m)
-    if f.has_factor_space:
-        for k, (ma, mb) in enumerate(zip(f.fa, f.fb)):
-            write_matrix_csv(os.path.join(directory, f"layer{k}_fa.csv"), ma)
-            write_matrix_csv(os.path.join(directory, f"layer{k}_fb.csv"), mb)
-    atomic_write(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def save_fisher(f: FisherDiag, directory, kind_label: str = "", task_index: int | None = None) -> None:
+    """The Fisher as a state directory: each layer's fdw (and fa, fb), and how it was estimated."""
+    groups = {"fdw": f.fdw, "fa": f.fa, "fb": f.fb} if f.has_factor_space else {"fdw": f.fdw}
+    arrays = {f"layer{k}_{name}": m for name, group in groups.items() for k, m in enumerate(group)}
+    # gamma_history has no writer; it stays, empty, so that saved manifests keep their bytes
+    meta = {"estimator": kind_label, "gamma_history": [], "task_index": task_index, "layers": len(f.fdw), "factor_space": f.has_factor_space}
+    save_state(directory, arrays, meta)
 
 
 def load_fisher(directory) -> FisherDiag:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    n = manifest["layers"]
-    fdw = [read_matrix_csv(os.path.join(directory, f"layer{k}_fdw.csv")) for k in range(n)]
-    fa = fb = None
-    if manifest.get("factor_space"):
-        fa = [read_matrix_csv(os.path.join(directory, f"layer{k}_fa.csv")) for k in range(n)]
-        fb = [read_matrix_csv(os.path.join(directory, f"layer{k}_fb.csv")) for k in range(n)]
-    return FisherDiag(fdw, fa, fb)
+    arrays, meta = load_state(directory)
+    names = ("fdw", "fa", "fb") if meta["factor_space"] else ("fdw",)
+    return FisherDiag(*([arrays[f"layer{k}_{name}"] for k in range(meta["layers"])] for name in names))

@@ -11,22 +11,13 @@ the math below works with transposed products.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import LabelError, ProtocolError, ShapeError, StateError
-from .tensor import (
-    RngState,
-    _check_finite,
-    atomic_write,
-    read_matrix_csv,
-    uniform_matrix,
-    write_matrix_csv,
-)
+from .tensor import RngState, _check_finite, load_state, save_state, uniform_matrix
 
 
 class LoRALinear:
@@ -350,38 +341,20 @@ def accuracy(net: Network, x: np.ndarray, labels: list[int]) -> float:
 
 
 def save_checkpoint(net: Network, directory, seed: int | None = None) -> None:
-    """Directory of per-layer CSV matrices plus a JSON manifest."""
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
+    """The network as a state directory: each layer's W, A and B, and the head's V and b if it has rows."""
+    arrays = {f"layer{k}_{name}": getattr(layer, name) for k, layer in enumerate(net.layers) for name in "WAB"}
+    if net.head.V is not None:
+        arrays.update(head_V=net.head.V, head_b=net.head.b)
+    meta = {
         "layer_dims": [net.layers[0].d_in] + [l.d_out for l in net.layers],
         "rank": net.layers[0].rank,
         "class_ids": list(net.head.class_ids),
         "seed": seed,
     }
-    for k, layer in enumerate(net.layers):
-        write_matrix_csv(os.path.join(directory, f"layer{k}_W.csv"), layer.W)
-        write_matrix_csv(os.path.join(directory, f"layer{k}_A.csv"), layer.A)
-        write_matrix_csv(os.path.join(directory, f"layer{k}_B.csv"), layer.B)
-    if net.head.V is not None:
-        write_matrix_csv(os.path.join(directory, "head_V.csv"), net.head.V)
-        write_matrix_csv(os.path.join(directory, "head_b.csv"), net.head.b)
-    atomic_write(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    save_state(directory, arrays, meta)
 
 
 def load_checkpoint(directory) -> Network:
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    dims = manifest["layer_dims"]
-    rank = manifest["rank"]
-    layers = []
-    for k in range(len(dims) - 1):
-        W = read_matrix_csv(os.path.join(directory, f"layer{k}_W.csv"))
-        A = read_matrix_csv(os.path.join(directory, f"layer{k}_A.csv"))
-        B = read_matrix_csv(os.path.join(directory, f"layer{k}_B.csv"))
-        layers.append(LoRALinear(W, A, B, rank))
-    head = Head(V=None, b=None, class_ids=list(manifest["class_ids"]))
-    v_path = os.path.join(directory, "head_V.csv")
-    if os.path.exists(v_path):
-        head.V = read_matrix_csv(v_path)
-        head.b = read_matrix_csv(os.path.join(directory, "head_b.csv"))
-    return Network(layers, head)
+    arrays, meta = load_state(directory)
+    layers = [LoRALinear(*(arrays[f"layer{k}_{name}"] for name in "WAB"), meta["rank"]) for k in range(len(meta["layer_dims"]) - 1)]
+    return Network(layers, Head(V=arrays.get("head_V"), b=arrays.get("head_b"), class_ids=list(meta["class_ids"])))

@@ -16,8 +16,7 @@ and which Fisher a run uses.
 The two placements genuinely disagree: projecting a diagonal update-space
 Fisher onto the factors keeps only the diagonal of J^T F J and drops the
 factor cross terms, so apart from degenerate cases (rank-1 updates that
-move a single factor) the two quadratic forms differ. divergence_witness
-measures how often they differ on random instances, and the penalty
+move a single factor) the two quadratic forms differ. The penalty
 functions themselves expose the complementary invariance: the update-space
 value depends on A and B only through AB, the factor-space value does not.
 """
@@ -30,7 +29,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .fisher import FisherDiag
-from .tensor import RngState, uniform_matrix
 
 
 @dataclass(frozen=True)
@@ -155,53 +153,3 @@ def penalty_separate(
         np.multiply(lam * FA, A, out=ga)
         np.multiply(lam * FB, db, out=gb)
     return PenaltyTerm(value, *out)
-
-
-def project_update_fisher(f: FisherDiag, A0s: list[np.ndarray], B0s: list[np.ndarray]) -> FisherDiag:
-    """Factor-space diagonals induced by an update-space diagonal.
-
-    Squared-Jacobian projection at the anchor point: FA = F (B0 o B0)^T and
-    FB = (A0 o A0)^T F, i.e. the diagonal of J^T diag(F) J for each factor.
-    """
-    fa, fb = [], []
-    for F, A0, B0 in zip(f.fdw, A0s, B0s):
-        fa.append(F @ (B0 * B0).T)
-        fb.append((A0 * A0).T @ F)
-    return FisherDiag(fdw=[m.copy() for m in f.fdw], fa=fa, fb=fb)
-
-
-def divergence_witness(rng: RngState, dims: tuple[int, int, int], trials: int) -> float:
-    """Fraction of random instances where the two penalties disagree.
-
-    Each trial draws an anchor pair (A0, B0), a perturbed pair (A, B), and
-    a nonnegative update-space diagonal F. The update-space value uses the
-    deviation AB - A0B0; the factor-space value uses the projected
-    diagonals at the anchor and the factor deviations. Disagreement means
-    |R_dw - R_ab| > 1e-9 * max(1, R_dw).
-    """
-    d_o, d_i, r = dims
-    if r >= min(d_o, d_i):
-        raise ParameterError(f"need r < min(d_o, d_i), got r={r} for {d_o}x{d_i}")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-
-    hits = 0
-    for _ in range(trials):
-        A0 = uniform_matrix(rng, d_o, r, -1.0, 1.0)
-        B0 = uniform_matrix(rng, r, d_i, -1.0, 1.0)
-        A = A0 + uniform_matrix(rng, d_o, r, -1.0, 1.0)
-        B = B0 + uniform_matrix(rng, r, d_i, -1.0, 1.0)
-        F = rng.floats(d_o * d_i).reshape(d_o, d_i)
-
-        dev = A @ B - A0 @ B0
-        r_dw = 0.5 * float(np.sum(F * dev * dev))
-
-        projected = project_update_fisher(FisherDiag([F]), [A0], [B0])
-        FA, FB = projected.fa[0], projected.fb[0]
-        da = A - A0
-        db = B - B0
-        r_ab = 0.5 * float(np.sum(FA * da * da) + np.sum(FB * db * db))
-
-        if abs(r_dw - r_ab) > 1e-9 * max(1.0, r_dw):
-            hits += 1
-    return hits / trials

@@ -175,20 +175,11 @@ def gen_gaussian_stream(
     tasks = []
     for t in range(num_tasks):
         ids = list(range(t * classes_per_task, (t + 1) * classes_per_task))
-        blobs = {cid: _class_blob(rng_samples, means[cid], sigma, n_train + n_test) for cid in ids}
-        # round-robin over classes so sequential mini-batches stay class-balanced
-        xs_train = [blobs[cid][i] for i in range(n_train) for cid in ids]
-        ys_train = [cid for _ in range(n_train) for cid in ids]
-        xs_test = [blobs[cid][n_train + i] for i in range(n_test) for cid in ids]
-        ys_test = [cid for _ in range(n_test) for cid in ids]
-        tasks.append(
-            Task(
-                id=t,
-                class_ids=ids,
-                train=Dataset(np.vstack(xs_train), ys_train),
-                test=Dataset(np.vstack(xs_test), ys_test),
-            )
-        )
+        # (sample, class, feature): rows taken in order go round-robin over
+        # the classes, so sequential mini-batches stay class-balanced
+        blobs = np.stack([_class_blob(rng_samples, means[cid], sigma, n_train + n_test) for cid in ids], axis=1)
+        train = Dataset(blobs[:n_train].reshape(-1, dim), ids * n_train)
+        tasks.append(Task(id=t, class_ids=ids, train=train, test=Dataset(blobs[n_train:].reshape(-1, dim), ids * n_test)))
 
     pretrain = None
     pre_ids: list[int] = []

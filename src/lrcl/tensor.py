@@ -4,11 +4,14 @@ Every number in the package is a plain float64 numpy array. The SplitMix64
 generator here has an integer stream that is identical across platforms,
 so seeded experiments reproduce bit for bit; the helpers draw uniform
 matrices from it, check arrays for NaN/Inf where such values can enter,
-and write and read matrices as CSV without losing a bit.
+and write and read matrices as CSV without losing a bit. A state
+directory (save_state) is the one on-disk format for saved networks and
+Fisher estimates: one CSV per named matrix plus a JSON manifest.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -232,3 +235,19 @@ def read_matrix_csv(path) -> np.ndarray:
     arr = np.array(rows)
     _check_finite(arr)
     return arr
+
+
+def save_state(directory, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Each named matrix as {name}.csv, then meta as manifest.json, all written atomically."""
+    os.makedirs(directory, exist_ok=True)
+    for name, m in arrays.items():
+        write_matrix_csv(os.path.join(directory, f"{name}.csv"), m)
+    atomic_write(os.path.join(directory, "manifest.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+
+
+def load_state(directory) -> tuple[dict[str, np.ndarray], dict]:
+    """The named matrices and the meta that save_state wrote."""
+    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    names = sorted(f[: -len(".csv")] for f in os.listdir(directory) if f.endswith(".csv"))
+    return {name: read_matrix_csv(os.path.join(directory, f"{name}.csv")) for name in names}, meta

@@ -12,6 +12,7 @@ are dropped when the step returns.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -396,13 +397,35 @@ def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
     return accuracy(net, task.test.X, task.test.y)
 
 
-@contextmanager
-def fork_pool(workers: int):
-    """A pool of forked workers; leaving it cancels the calls that have not started.
+# the work of the fork_pool with workers in progress; they inherit it through
+# fork, so what it reaches (streams, base networks, the drift tracker) is never pickled
+_WORK: Callable | None = None
 
-    Workers fork at the first submit and inherit this process's module state,
-    so what they need can be left in a module-level slot instead of pickled.
+
+def _call_work(*args):
+    return _WORK(*args)
+
+
+class _InProcess:
+    """Stands in for a future: work(*args) runs in this process when the result is first read."""
+
+    def __init__(self, work: Callable, args: tuple):
+        self.result = functools.cache(lambda: work(*args))
+
+
+@contextmanager
+def fork_pool(workers: int, work: Callable):
+    """Yields submit(*args), which returns a future of work(*args).
+
+    With workers > 0 the calls run on that many forked workers, which fork at
+    the first submit and inherit work through the module slot _WORK, so only
+    the arguments and the results are pickled; leaving the pool cancels the
+    calls that have not started. With workers = 0 nothing forks, and each
+    call runs in this process when its result is read.
     """
+    if not workers:
+        yield lambda *args: _InProcess(work, args)
+        return
     # imported here, not with lrcl: together they take ~20 ms
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -410,20 +433,13 @@ def fork_pool(workers: int):
     # unlike multiprocessing.Pool, the executor raises when a worker
     # dies (say, killed for memory) instead of waiting forever
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    global _WORK
+    _WORK = work
     try:
-        yield pool
+        yield lambda *args: pool.submit(_call_work, *args)
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-# the work list of the run_many call in progress; forked pool workers
-# inherit it, so the stream and the base networks are never pickled
-_UNITS: list[tuple] = []
-
-
-def _run_unit(index: int):
-    fn, args = _UNITS[index]
-    return fn(*args)
+        _WORK = None
 
 
 def run_many(
@@ -433,31 +449,24 @@ def run_many(
 
     One base network is pretrained per pretrain_key, in this process, and
     every unit (a reference or a run) trains a copy of it. The units are
-    independent and seed-exact, so with jobs > 1 they run on a pool of
-    forked workers and return exactly what the serial loop returns; the
-    results are read in serial order, so a failure raises the error the
-    serial loop would raise first.
+    independent and seed-exact, so up to jobs forked workers run them and
+    return exactly what the serial loop returns. The results are read in
+    serial order, so a failure raises the error the serial loop would raise
+    first; with jobs = 1 each unit runs here as it is read, so none runs
+    after the first failure.
     """
     bases: dict[tuple, Network] = {}
     for config in [base_cfg, *configs]:
         if pretrain_key(config) not in bases:
             bases[pretrain_key(config)] = pretrain(config, stream)
-    units = [(run_reference, (bases[pretrain_key(base_cfg)], base_cfg, task)) for task in stream.tasks]
-    units += [(run_continual, (config, stream, bases[pretrain_key(config)])) for config in configs]
+    units = [functools.partial(run_reference, bases[pretrain_key(base_cfg)], base_cfg, task) for task in stream.tasks]
+    units += [functools.partial(run_continual, config, stream, bases[pretrain_key(config)]) for config in configs]
     n_refs = stream.num_tasks
-    jobs = min(jobs, len(units))
-    global _UNITS
-    _UNITS = units
-    try:
-        if jobs > 1:
-            with fork_pool(jobs) as pool:
-                longest_first = [*range(n_refs, len(units)), *range(n_refs)]
-                pending = {i: pool.submit(_run_unit, i) for i in longest_first}
-                results = [pending[i].result() for i in range(len(units))]
-        else:
-            results = [fn(*args) for fn, args in units]
-    finally:
-        _UNITS = []
+    workers = min(jobs, len(units))
+    with fork_pool(workers if workers > 1 else 0, lambda i: units[i]()) as submit:
+        longest_first = [*range(n_refs, len(units)), *range(n_refs)]
+        pending = {i: submit(i) for i in longest_first}
+        results = [pending[i].result() for i in range(len(units))]
     return results[:n_refs], results[n_refs:]
 
 

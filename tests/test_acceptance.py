@@ -27,11 +27,7 @@ from lrcl.model import (
     merge_and_reset,
     reset_adapter,
 )
-from lrcl.regularize import (
-    divergence_witness,
-    penalty_deltaw,
-    penalty_separate,
-)
+from lrcl.regularize import penalty_deltaw, penalty_separate
 from lrcl.tasks import Dataset, standard_stream
 from lrcl.tensor import RngState, _softmax_rows
 from lrcl.trainer import (
@@ -43,7 +39,7 @@ from lrcl.trainer import (
     train_task,
 )
 
-from conftest import acc_matrix, make_batch, make_net, mat, uniform
+from conftest import acc_matrix, divergence_witness, make_batch, make_net, mat, uniform
 
 SEEDS = (0, 1, 2, 3, 4)
 LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)

@@ -570,7 +570,7 @@ class TestInputsUntouched:
 
 
 class TestGoldenOutputs:
-    """`lrcl run` on TINY at seed 0 reproduces the recorded bytes.
+    """`run`, `compare-strategies`, `sweep`, `pretrain` and `diagnose` on TINY reproduce the recorded bytes.
 
     Floating-point bits depend on the numpy and BLAS builds, so the digests
     hold only on the platform they were recorded on.
@@ -581,11 +581,18 @@ class TestGoldenOutputs:
         "accuracy_matrix.csv": "eb19a51e00aac5a8294f8721335b8c343b40924e2feec7124772c52a8d896ad2",
         "metrics.json": "90ee77f5102e278e2587754ae643671144ed105fc75712e4335feeecbb37bfde",
         "references.csv": "d8d30a6147e1ce8dd3878f12b7d80eab25902bb793044af268aaa11b987bf50d",
+        "run.jsonl": "c9affa772481ee589a65a1ab12b9b02bcfc3af8a52ac030fd21745ed5bee3ef4",
     }
 
     # strategies.csv of compare-strategies on TINY with all five
     # strategies, estimator = exact_subset(3) and shuffle = true
     STRATEGIES_CSV = "9184592910d6b1b3d24f17ca640107e9b9464232bd0bede0664e156bd8627ed4"
+
+    # sweep.csv of sweep --parameter lambda on TINY (the default lambda grid)
+    SWEEP_CSV = "dc657145ef9d7077616eafe4a057cf75c7d1e7191033b462ca3b77953e9365bd"
+
+    # every file pretrain writes on TINY (checkpoint/ and pretrain.json), as a tree digest
+    PRETRAIN_TREE = "eb4523ebbe6fcfc91da7ebdc763d4898ef6801c3efae84f5458968c2d3c6df64"
 
     def _skip_on_other_platform(self):
         import numpy as np
@@ -595,8 +602,17 @@ class TestGoldenOutputs:
         if here != self.PLATFORM:
             pytest.skip(f"digests were recorded on {self.PLATFORM}, this is {here}")
 
-    # every file diagnose writes on TINY at seeds 0 and 7: sha256 over the
-    # sorted "relative/path sha256-of-bytes" lines
+    @staticmethod
+    def _tree_digest(out) -> str:
+        """sha256 over the sorted "relative/path sha256-of-bytes" lines of every file below out."""
+        import hashlib
+
+        tree = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            tree.update(f"{path.relative_to(out).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+        return tree.hexdigest()
+
+    # every file diagnose writes on TINY at seeds 0 and 7, as a tree digest
     DIAGNOSE_TREES = {
         ("exact", "deltaw"): "afb6834164e454f17d07a5c94573990252a9da62e09e578b506e5f020693e60c",
         ("sampled", "separate"): "790c78bc5a5cdaab74b9630151331ca779c1a9cddc6af23abe96eac7afa6c09f",
@@ -624,15 +640,24 @@ class TestGoldenOutputs:
         assert main(["compare-strategies", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0"]) == 0
         assert hashlib.sha256((out / "strategies.csv").read_bytes()).hexdigest() == self.STRATEGIES_CSV
 
-    @pytest.mark.parametrize("estimator,strategy", sorted(DIAGNOSE_TREES))
-    def test_diagnose_matches_recorded_digest(self, tmp_path, estimator, strategy):
+    def test_sweep_matches_recorded_digest(self, tmp_path):
         import hashlib
 
+        self._skip_on_other_platform()
+        out = tmp_path / "out"
+        assert main(["sweep", "--parameter", "lambda", "--config", write_config(tmp_path), "--out", str(out), "--seed", "0"]) == 0
+        assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == self.SWEEP_CSV
+
+    def test_pretrain_matches_recorded_digest(self, tmp_path):
+        self._skip_on_other_platform()
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", write_config(tmp_path), "--out", str(out), "--seed", "0"]) == 0
+        assert self._tree_digest(out) == self.PRETRAIN_TREE
+
+    @pytest.mark.parametrize("estimator,strategy", sorted(DIAGNOSE_TREES))
+    def test_diagnose_matches_recorded_digest(self, tmp_path, estimator, strategy):
         self._skip_on_other_platform()
         text = TINY + f"estimator = {estimator}\nstrategy = {strategy}\n"
         out = tmp_path / "out"
         assert main(["diagnose", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
-        tree = hashlib.sha256()
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            tree.update(f"{path.relative_to(out).as_posix()} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
-        assert tree.hexdigest() == self.DIAGNOSE_TREES[(estimator, strategy)]
+        assert self._tree_digest(out) == self.DIAGNOSE_TREES[(estimator, strategy)]

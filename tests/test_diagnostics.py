@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lrcl.diagnostics as diagnostics_mod
+import lrcl.trainer as trainer_mod
 from lrcl.diagnostics import (
     REGIMES,
     DriftRow,
@@ -240,7 +241,7 @@ class TestTrackFisherDrift:
             for (t, i, f), (t2, i2, f2) in zip(logs[regime].entries, logs2[regime].entries, strict=True):
                 assert (t, i) == (t2, i2)
                 assert flatten(f).tobytes() == flatten(f2).tobytes()
-        assert diagnostics_mod._TRACKER is None
+        assert trainer_mod._WORK is None
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_earlier_drift_failure_wins_over_later_training_failure(self, monkeypatch, jobs):
@@ -263,7 +264,7 @@ class TestTrackFisherDrift:
         with pytest.raises(NumericalError) as info:
             track_fisher_drift(cfg, stream, [0, 1], jobs=jobs)
         assert str(info.value) == "drift of task 0 after task 1: stand-in degenerate Fisher"
-        assert diagnostics_mod._TRACKER is None
+        assert trainer_mod._WORK is None
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -278,7 +279,7 @@ class TestTrackFisherDrift:
         cfg, stream = self._setup()
         with pytest.raises(BrokenProcessPool):
             track_fisher_drift(cfg, stream, [0, 1], jobs=2)
-        assert diagnostics_mod._TRACKER is None
+        assert trainer_mod._WORK is None
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ParameterError):

@@ -439,7 +439,7 @@ class TestSnapshotIO:
         net = make_net((5, 4), rank=2, seed=60, nonzero_adapter=True)
         data = make_dataset(net, 5, seed=61)
         f = estimate_factor_space(net, data, EstimatorKind.empirical())
-        save_fisher(f, tmp_path / "snap", kind_label="empirical", gamma_history=[0.9], task_index=2)
+        save_fisher(f, tmp_path / "snap", kind_label="empirical", task_index=2)
         back = load_fisher(tmp_path / "snap")
         for a, b in zip(f.fdw, back.fdw):
             assert np.array_equal(a, b)

@@ -5,16 +5,10 @@ import pytest
 
 from lrcl.errors import ParameterError, ShapeError
 from lrcl.fisher import FisherDiag
-from lrcl.regularize import (
-    divergence_witness,
-    parse_strategy,
-    penalty_deltaw,
-    penalty_separate,
-    project_update_fisher,
-)
+from lrcl.regularize import parse_strategy, penalty_deltaw, penalty_separate
 from lrcl.tensor import RngState
 
-from conftest import mat, uniform
+from conftest import divergence_witness, mat, project_update_fisher, uniform
 
 
 def rand_matrix(rng, rows, cols, lo=-1.0, hi=1.0):

@@ -19,7 +19,7 @@ from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.model import accuracy, backward, backward_wrt_base, expand_head, forward, label_rows, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES
 from lrcl.tasks import Dataset, Task, TaskStream, gen_gaussian_stream, stratified_split
-from lrcl.tensor import RngState
+from lrcl.tensor import RngState, load_state, save_state
 from lrcl.trainer import (
     AdamState,
     ContinualLearner,
@@ -501,7 +501,28 @@ class TestRunMany:
         monkeypatch.setattr(trainer_mod, "run_reference", killed_in_worker)
         with pytest.raises(BrokenProcessPool):
             run_many(tiny_stream(), tiny_config(), [], jobs=2)
-        assert trainer_mod._UNITS == []
+        assert trainer_mod._WORK is None
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_serial_order(self, monkeypatch, jobs):
+        # with jobs = 1 every unit runs in this process, in serial order, and
+        # none runs after the first failure; pooled, the error is the same
+        real = trainer_mod.run_reference
+        references, runs = [], []
+
+        def reference(net, config, task):
+            references.append(task.id)
+            if task.id == 1:
+                raise NumericalError("stand-in failure of reference 1")
+            return real(net, config, task)
+
+        monkeypatch.setattr(trainer_mod, "run_reference", reference)
+        monkeypatch.setattr(trainer_mod, "run_continual", lambda *args: runs.append(args))
+        with pytest.raises(NumericalError, match="stand-in failure of reference 1"):
+            run_many(tiny_stream(), tiny_config(), [tiny_config()], jobs=jobs)
+        if jobs == 1:
+            assert references == [0, 1] and runs == []
+        assert trainer_mod._WORK is None
 
 
 class TestRunContinual:
@@ -596,6 +617,39 @@ class TestRunContinual:
         for strategy in ("precomputed_uniform", "precomputed_dataset"):
             record = run_continual(tiny_config(strategy=strategy, lam=1.0), stream)
             assert record.acc_matrix.complete
+
+
+class TestConstantStorage:
+    @pytest.mark.parametrize("strategy", ["deltaw", "separate"])
+    def test_saved_learner_state_keeps_its_files_and_shapes(self, tmp_path, strategy):
+        # the paper's constant-storage claim, on files: after every task the
+        # learner keeps the merged weights, the head and the accumulated
+        # Fisher, and only the head grows, by the new task's classes
+        stream = tiny_stream()
+        saved = []
+
+        def save(t, learner):
+            net, f_cum = learner.net, learner.f_cum
+            arrays = {f"layer{k}_W": layer.W for k, layer in enumerate(net.layers)}
+            arrays.update(head_V=net.head.V, head_b=net.head.b)
+            for group in ("fdw", "fa", "fb"):
+                arrays.update({f"layer{k}_F_cum_{group}": m for k, m in enumerate(getattr(f_cum, group) or [])})
+            save_state(tmp_path / f"task{t}", arrays, {"task": t})
+            saved.append({name: m.copy() for name, m in arrays.items()})
+
+        run_continual(tiny_config(strategy=strategy), stream, after_task=save)
+        assert len(saved) == stream.num_tasks
+        assert any("F_cum_fa" in name for name in saved[0]) == (strategy == "separate")
+        files = sorted(p.name for p in (tmp_path / "task0").iterdir())
+        for t, arrays in enumerate(saved):
+            assert sorted(p.name for p in (tmp_path / f"task{t}").iterdir()) == files
+            loaded, meta = load_state(tmp_path / f"task{t}")
+            assert meta == {"task": t} and loaded.keys() == arrays.keys()
+            for name, m in arrays.items():
+                rows, cols = saved[0][name].shape
+                grown = sum(len(task.class_ids) for task in stream.tasks[1 : t + 1]) if name.startswith("head_") else 0
+                assert m.shape == (rows + grown, cols), name
+                assert loaded[name].shape == m.shape and loaded[name].tobytes() == m.tobytes(), name
 
 
 class TestRunReference:
