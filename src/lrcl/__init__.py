@@ -59,62 +59,4 @@ from .trainer import (
     train_task,
 )
 
-__all__ = [
-    "AccuracyMatrix",
-    "AdamState",
-    "ConfigError",
-    "ContinualLearner",
-    "DataError",
-    "Dataset",
-    "EngineError",
-    "EstimatorKind",
-    "FisherDiag",
-    "Head",
-    "LabelError",
-    "LoRALinear",
-    "MetricError",
-    "Network",
-    "NumericalError",
-    "ParameterError",
-    "ParseError",
-    "PenaltyTerm",
-    "ProtocolError",
-    "RngState",
-    "RunRecord",
-    "ShapeError",
-    "StateError",
-    "Task",
-    "TaskStream",
-    "TrainConfig",
-    "accumulate",
-    "adam_step",
-    "desk_profile",
-    "avg_anytime",
-    "backward",
-    "estimate",
-    "estimate_factor_space",
-    "expand_head",
-    "forward",
-    "gen_gaussian_stream",
-    "label_rows",
-    "load_csv_stream",
-    "merge_and_reset",
-    "new_network",
-    "penalty_deltaw",
-    "penalty_separate",
-    "plasticity",
-    "precompute_dataset_fisher",
-    "pretrain",
-    "reset_adapter",
-    "run_continual",
-    "run_many",
-    "run_reference",
-    "stability",
-    "standard_stream",
-    "tradeoff",
-    "train_task",
-    "uniform_fisher",
-    "uniform_matrix",
-]
-
 __version__ = "0.1.0"

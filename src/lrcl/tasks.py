@@ -9,7 +9,7 @@ seeded Gaussian-mixture generator or from a CSV file.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,29 +137,20 @@ def _class_blob(rng: RngState, mean: np.ndarray, sigma: float, n: int) -> np.nda
     return mean + sigma * rng.normals(n * mean.size).reshape(n, mean.size)
 
 
-def gen_gaussian_stream(
-    num_tasks: int,
-    classes_per_task: int,
-    dim: int,
-    radius: float,
-    sigma: float,
-    n_train: int,
-    n_test: int,
-    seed: int,
-    pretrain_classes: int = 0,
-    pretrain_n: int = 200,
-) -> TaskStream:
+def gen_gaussian_stream(shape: StreamConfig, seed: int) -> TaskStream:
     """Spherical Gaussian blobs, one per class, all means on one sphere.
 
     Class c of task t gets global id t*classes_per_task + c; pretraining
     classes follow after the stream's ids. Everything is a pure function
-    of the arguments and the seed.
+    of the shape and the seed; ``csv_path`` is not read.
     """
+    dim, n_train, n_test = shape.dim, shape.n_train, shape.n_test
+    pretrain_classes, pretrain_n = shape.pretrain_classes, shape.pretrain_n
     if dim < 2:
         raise ParameterError("dim must be >= 2")
-    if radius <= 0 or sigma <= 0:
+    if shape.radius <= 0 or shape.sigma <= 0:
         raise ParameterError("radius and sigma must be positive")
-    if num_tasks < 1 or classes_per_task < 1 or n_train < 1 or n_test < 1:
+    if shape.num_tasks < 1 or shape.classes_per_task < 1 or n_train < 1 or n_test < 1:
         raise ParameterError("counts must be positive")
     if pretrain_classes < 0:
         raise ParameterError(f"pretrain_classes must be >= 0, got {pretrain_classes}")
@@ -169,15 +160,15 @@ def gen_gaussian_stream(
     rng_means = RngState(seed).derive("class-means")
     rng_samples = RngState(seed).derive("class-samples")
 
-    total_stream = num_tasks * classes_per_task
-    means = [_sphere_point(rng_means, dim, radius) for _ in range(total_stream + pretrain_classes)]
+    total_stream = shape.num_tasks * shape.classes_per_task
+    means = [_sphere_point(rng_means, dim, shape.radius) for _ in range(total_stream + pretrain_classes)]
 
     tasks = []
-    for t in range(num_tasks):
-        ids = list(range(t * classes_per_task, (t + 1) * classes_per_task))
+    for t in range(shape.num_tasks):
+        ids = list(range(t * shape.classes_per_task, (t + 1) * shape.classes_per_task))
         # (sample, class, feature): rows taken in order go round-robin over
         # the classes, so sequential mini-batches stay class-balanced
-        blobs = np.stack([_class_blob(rng_samples, means[cid], sigma, n_train + n_test) for cid in ids], axis=1)
+        blobs = np.stack([_class_blob(rng_samples, means[cid], shape.sigma, n_train + n_test) for cid in ids], axis=1)
         train = Dataset(blobs[:n_train].reshape(-1, dim), ids * n_train)
         tasks.append(Task(id=t, class_ids=ids, train=train, test=Dataset(blobs[n_train:].reshape(-1, dim), ids * n_test)))
 
@@ -187,7 +178,7 @@ def gen_gaussian_stream(
         pre_ids = list(range(total_stream, total_stream + pretrain_classes))
         xs, ys = [], []
         for cid in pre_ids:
-            xs.append(_class_blob(rng_samples, means[cid], sigma, pretrain_n))
+            xs.append(_class_blob(rng_samples, means[cid], shape.sigma, pretrain_n))
             ys.extend([cid] * pretrain_n)
         pretrain = Dataset(np.vstack(xs), ys)
 
@@ -280,17 +271,13 @@ class StreamConfig:
     def build_stream(self, seed: int) -> TaskStream:
         if self.csv_path:
             return load_csv_stream(self.csv_path, self.num_tasks, seed)
-        shape = asdict(self)
-        del shape["csv_path"]
-        return gen_gaussian_stream(seed=seed, **shape)
+        return gen_gaussian_stream(self, seed)
 
 
 def standard_stream(seed: int) -> TaskStream:
-    """The benchmark fixture: five 4-class tasks in 16 dimensions.
+    """The benchmark fixture: the Gaussian stream of ``StreamConfig``'s defaults.
 
-    Class means sit on the radius-3 sphere with unit within-class noise,
-    200 train and 100 test samples per class, plus eight extra pretraining
-    classes. Hard enough that an unregularized run visibly forgets, small
-    enough for minutes-scale runs.
+    Hard enough that an unregularized run visibly forgets, small enough for
+    minutes-scale runs.
     """
     return StreamConfig().build_stream(seed)

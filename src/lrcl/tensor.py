@@ -85,9 +85,10 @@ class RngState:
         """The next n values of normal(), as one float64 array.
 
         A pending spare comes first; a sine variate left over becomes the
-        new spare. log, cos and sin stay on `math`, because numpy's differ
-        from it in the last bit on some inputs. Products and the square
-        root are correctly rounded in both, so they run on arrays.
+        new spare. log, cos and sin stay on `math`: numpy's log differs from
+        it in the last bit on some inputs, and numpy does not promise libm's
+        cos and sin on every build. Products and the square root are
+        correctly rounded in both, so they run on arrays.
         """
         if n < 0:
             raise ParameterError(f"cannot draw {n} normals")
@@ -139,19 +140,11 @@ class RngState:
         return out
 
     def derive(self, label: str) -> "RngState":
-        """Independent stream keyed by the original seed and a label (FNV-1a)."""
+        """Independent stream keyed by the original seed and a label: FNV-1a, then one SplitMix64 draw."""
         h = 0xCBF29CE484222325
         for byte in label.encode("utf-8"):
             h = ((h ^ byte) * 0x100000001B3) & _MASK64
-        mixed = _splitmix_finalize(self.seed ^ h)
-        return RngState(mixed)
-
-
-def _splitmix_finalize(z: int) -> int:
-    z = (z + _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+        return RngState(RngState(self.seed ^ h).next_u64())
 
 
 class Matrix:

@@ -96,6 +96,15 @@ class TrainConfig:
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if not self.hidden_dims:
             raise ConfigError("need at least one layer dimension")
+        if min(self.hidden_dims) < 1:
+            raise ConfigError(f"hidden_dims entries must be >= 1, got {self.hidden_dims}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.w0_noise_scale > 0:
+            raise ConfigError(f"w0_noise_scale must be positive, got {self.w0_noise_scale}")
 
 
 class AdamState:

@@ -272,12 +272,12 @@ class TestCriterion4OracleEquivalence:
 
 class TestCriterion5LoopSemantics:
     def test_invariants_of_the_continual_loop(self, monkeypatch):
-        from lrcl.tasks import gen_gaussian_stream
+        from lrcl.tasks import StreamConfig, gen_gaussian_stream
 
-        stream = gen_gaussian_stream(
+        stream = gen_gaussian_stream(StreamConfig(
             num_tasks=2, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
-            n_train=24, n_test=12, seed=5, pretrain_classes=4, pretrain_n=24,
-        )
+            n_train=24, n_test=12, pretrain_classes=4, pretrain_n=24,
+        ), seed=5)
         cfg = desk_profile(5, epochs=3, batch_size=12, hidden_dims=(8, 8), rank=2,
                            pretrain_epochs=4, lam=1.0)
 

@@ -261,7 +261,9 @@ class TestRunCommand:
         ["estimator = exact_subset(abc)", "lambda = nan", "lr = inf", "b_init_scale = -inf",
          "b_init_scale = 0", "b_init_scale = -1", "b_init_scale = 1e308",
          "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3",
-         "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1"],
+         "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1",
+         "beta1 = 1", "beta1 = -0.5", "beta2 = 1", "beta2 = 1.5", "epsilon = 0", "epsilon = -1",
+         "w0_noise_scale = 0", "hidden_dims = 8,0"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -279,6 +281,10 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not out.exists()
+
+    def test_adam_bounds_include_their_closed_ends(self):
+        train = experiment_config_from_raw({"beta1": "0", "epsilon": "1e-12"}).train
+        assert (train.beta1, train.epsilon) == (0.0, 1e-12)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -542,6 +548,14 @@ class TestReadme:
                         parsed.setdefault(flag, set()).add(name)
         assert "--jobs" in documented
         assert documented == parsed
+
+    def test_library_use_imports_resolve(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        imports = [line for line in block.splitlines() if re.match(r"from lrcl(\.\w+)* import ", line)]
+        assert len(imports) >= 2
+        for line in imports:
+            exec(line, {})
 
 
 class TestImportCost:

@@ -19,7 +19,7 @@ from lrcl.diagnostics import (
 )
 from lrcl.errors import MetricError, NumericalError, ParameterError
 from lrcl.fisher import EstimatorKind, FisherDiag, estimate, flatten
-from lrcl.tasks import gen_gaussian_stream
+from lrcl.tasks import StreamConfig, gen_gaussian_stream
 from lrcl.tensor import RngState
 from lrcl.trainer import ContinualLearner, TrainConfig, run_continual
 
@@ -163,10 +163,10 @@ class TestCosine:
 class TestTrackFisherDrift:
     @staticmethod
     def _setup(seed=0, estimator="empirical", num_tasks=3, **overrides):
-        stream = gen_gaussian_stream(
+        stream = gen_gaussian_stream(StreamConfig(
             num_tasks=num_tasks, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
-            n_train=24, n_test=12, seed=seed, pretrain_classes=4, pretrain_n=24,
-        )
+            n_train=24, n_test=12, pretrain_classes=4, pretrain_n=24,
+        ), seed)
         cfg = TrainConfig(
             seed=seed, epochs=3, batch_size=12, lr=0.05, head_lr=1e-6, epsilon=0.1,
             hidden_dims=(8, 8), rank=2, pretrain_epochs=4, pretrain_lr=0.005, lam=1.0,
@@ -291,10 +291,10 @@ class TestTrackFisherDrift:
             self._run(regimes)
 
     def test_tracked_task_must_exist(self):
-        stream = gen_gaussian_stream(
+        stream = gen_gaussian_stream(StreamConfig(
             num_tasks=2, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
-            n_train=24, n_test=12, seed=0, pretrain_classes=4, pretrain_n=24,
-        )
+            n_train=24, n_test=12, pretrain_classes=4, pretrain_n=24,
+        ), seed=0)
         cfg = TrainConfig(seed=0, epochs=2, hidden_dims=(8, 8), rank=2, lam=1.0,
                           pretrain_epochs=2, pretrain_lr=0.005, epsilon=0.1, head_lr=1e-6)
         with pytest.raises(ParameterError):

@@ -125,13 +125,13 @@ class TestTwoCodePaths:
     def test_metrics_match_from_scratch_rederivation(self):
         # metrics computed by the library vs inline re-derivation from the
         # raw per-task accuracies of a real run
-        from lrcl.tasks import gen_gaussian_stream
+        from lrcl.tasks import StreamConfig, gen_gaussian_stream
         from lrcl.trainer import TrainConfig, run_many
 
-        stream = gen_gaussian_stream(
+        stream = gen_gaussian_stream(StreamConfig(
             num_tasks=3, classes_per_task=2, dim=6, radius=3.0, sigma=0.6,
-            n_train=24, n_test=12, seed=2, pretrain_classes=4, pretrain_n=24,
-        )
+            n_train=24, n_test=12, pretrain_classes=4, pretrain_n=24,
+        ), seed=2)
         cfg = TrainConfig(seed=2, epochs=3, batch_size=12, lr=0.05, head_lr=1e-6,
                           epsilon=0.1, hidden_dims=(8, 8), rank=2,
                           pretrain_epochs=4, pretrain_lr=0.005, lam=1.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lrcl.errors import DataError, ParameterError, ParseError, ProtocolError
 from lrcl.tasks import (
     Dataset,
+    StreamConfig,
     Task,
     TaskStream,
     concat_datasets,
@@ -30,12 +31,11 @@ def small_stream(seed=0, **overrides):
         sigma=0.5,
         n_train=10,
         n_test=5,
-        seed=seed,
         pretrain_classes=2,
         pretrain_n=8,
     )
     kwargs.update(overrides)
-    return gen_gaussian_stream(**kwargs)
+    return gen_gaussian_stream(StreamConfig(**kwargs), seed)
 
 
 class TestGaussianStream:

@@ -160,6 +160,14 @@ class TestRng:
         assert seq_a == [b.next_u64() for _ in range(4)]
         assert seq_a != [c.next_u64() for _ in range(4)]
 
+    @pytest.mark.parametrize(
+        "seed, label, first",
+        [(0, "adapter-init", 16567170050284980596), (42, "data", 5486832225412311784),
+         (7, "class-samples", 5533985604802712748)],
+    )
+    def test_derive_output_is_pinned(self, seed, label, first):
+        assert RngState(seed).derive(label).next_u64() == first
+
     def test_randint_bounds(self):
         r = RngState(5)
         draws = [r.randint(7) for _ in range(500)]

@@ -18,7 +18,7 @@ from lrcl.fisher import EstimatorKind, FisherDiag
 from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.model import accuracy, backward, backward_wrt_base, expand_head, forward, label_rows, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES
-from lrcl.tasks import Dataset, Task, TaskStream, gen_gaussian_stream, stratified_split
+from lrcl.tasks import Dataset, StreamConfig, Task, TaskStream, gen_gaussian_stream, stratified_split
 from lrcl.tensor import RngState, load_state, save_state
 from lrcl.trainer import (
     AdamState,
@@ -38,7 +38,7 @@ from conftest import uniform
 
 
 def tiny_stream(seed=0, num_tasks=3):
-    return gen_gaussian_stream(
+    shape = StreamConfig(
         num_tasks=num_tasks,
         classes_per_task=2,
         dim=6,
@@ -46,10 +46,10 @@ def tiny_stream(seed=0, num_tasks=3):
         sigma=0.6,
         n_train=30,
         n_test=15,
-        seed=seed,
         pretrain_classes=4,
         pretrain_n=30,
     )
+    return gen_gaussian_stream(shape, seed)
 
 
 def tiny_config(seed=0, **overrides):
