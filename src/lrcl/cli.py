@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .diagnostics import REGIMES, track_fisher_drift
+from .diagnostics import track_fisher_drift
 from .errors import ConfigError, EngineError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
@@ -264,15 +264,14 @@ def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
-        logs, rows, _ = track_fisher_drift(config, stream, tracked, REGIMES, jobs)
+        rows, snapshots, _ = track_fisher_drift(config, stream, tracked, jobs)
         lines = ["task_trained,task_data,regime,norm_ratio,spearman,cosine"]
         for r in rows:
             values = [format_float(v) for v in (r.norm_ratio, r.spearman, r.cosine)]
             lines.append(",".join([str(r.task_trained), str(r.task_data), r.regime] + values))
-        for t, i, snap in logs["rehearsal_free"].entries:
-            if t == i:
-                snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
-                save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
+        for i, snap in snapshots.items():
+            snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
+            save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
         os.makedirs(cfg.out_dir, exist_ok=True)
         atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
     return 0

@@ -101,31 +101,22 @@ class DriftRow:
     cosine: float
 
 
-@dataclass
-class FisherSnapshotLog:
-    """Recomputed per-(task_trained, task_data) Fishers, in training order."""
-
-    regime: str
-    entries: list[tuple[int, int, FisherDiag]]
-
-
 class _Tracker:
     """The measuring state of one track_fisher_drift: per-regime rngs and snapshots."""
 
-    def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int], regimes: tuple[str, ...]):
+    def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int]):
         self.config = config
         self.stream = stream
         self.tracked = tracked
-        self.regimes = regimes
-        self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in regimes}
-        self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in regimes}
+        self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in REGIMES}
+        self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in REGIMES}
 
-    def measure(self, t: int, net: Network, f_cum: FisherDiag) -> list[tuple[DriftRow, FisherDiag]]:
-        """Every regime's rows after task t, each with the Fisher it recomputed, from the merged net and the accumulated Fisher."""
+    def measure(self, t: int, net: Network, f_cum: FisherDiag) -> tuple[list[DriftRow], FisherDiag | None]:
+        """Every regime's rows after task t, and task t's rehearsal-free snapshot if t is tracked."""
         config, stream = self.config, self.stream
         shared: dict[int, FisherDiag] = {}
-        measured = []
-        for regime in self.regimes:
+        rows = []
+        for regime in REGIMES:
             rng = self.rngs[regime]
             pooled = None
             for i in self.tracked:
@@ -139,7 +130,7 @@ class _Tracker:
                             shared[i] = f_now
                     if i == t:
                         self.snapshots[regime][i] = f_now
-                        measured.append((DriftRow(t, i, regime, 1.0, 1.0, 1.0), f_now))
+                        rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
                         continue
                     base = self.snapshots[regime][i]
                     if regime == "rehearsal_free":
@@ -149,42 +140,41 @@ class _Tracker:
                             joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
                             pooled = fisher_mod.estimate(net, joined, config.estimator, rng)
                         comparator = pooled
-                    row = DriftRow(
+                    rows.append(DriftRow(
                         task_trained=t,
                         task_data=i,
                         regime=regime,
                         norm_ratio=norm_ratio(f_now, base),
                         spearman=spearman(flatten(comparator), flatten(base)),
                         cosine=cosine_sim(flatten(comparator), flatten(base)),
-                    )
+                    ))
                 except (MetricError, NumericalError) as exc:
                     # the config passed every check; training made a Fisher degenerate or overflow
                     raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
-                measured.append((row, f_now))
-        return measured
+        return rows, self.snapshots["rehearsal_free"].get(t)
 
 
 def track_fisher_drift(
     config: TrainConfig,
     stream: TaskStream,
     tracked_tasks: list[int],
-    regimes: tuple[str, ...] = REGIMES,
     jobs: int = 1,
-) -> tuple[dict[str, FisherSnapshotLog], list[DriftRow], AccuracyMatrix]:
+) -> tuple[list[DriftRow], dict[int, FisherDiag], AccuracyMatrix]:
     """Run run_continual once and report Fisher drift for the tracked tasks.
 
-    Drift is measured after each task, from run_continual's after_task hook;
-    measuring leaves the learner untouched, so one trajectory serves every
-    requested regime, and the accuracy matrix is the run's own. Returns one
-    log per regime and the rows of each regime in the order of regimes. The row at task_trained == task_data
-    compares a snapshot with itself and is exactly (1, 1, 1); later rows
-    compare the regime's Fisher against that snapshot. All recomputations
-    happen on the post-merge model, with the estimator the config names;
-    each regime draws from its own stream, so its rows equal those of a
-    run that tracks that regime alone, and estimates that draw nothing are
-    shared between regimes. The strategy must learn a Fisher after each
-    task (deltaw or separate): the rehearsal-free regime compares against
-    that accumulator.
+    Drift is measured from run_continual's after_task hook; measuring
+    leaves the learner untouched, so one trajectory serves both regimes,
+    and the accuracy matrix is the run's own. Returns the rows (every
+    rehearsal_free row in task order, then every rehearsal_based one),
+    each tracked task's rehearsal-free Fisher snapshot from when it was
+    learned, and the accuracy matrix. A row compares a regime's Fisher,
+    recomputed on the post-merge model with the config's estimator, with
+    a snapshot; at task_trained == task_data it is exactly (1, 1, 1). Each
+    regime draws from its own stream, both seeded alike, and estimates
+    that draw nothing are shared between regimes: the recorded sampled
+    and exact_subset outputs depend on both. The strategy must learn a
+    Fisher (deltaw or separate): the rehearsal-free regime compares
+    against its accumulator.
 
     The hook hands each task's measurement to fork_pool. With jobs > 1, one
     forked worker measures while this process trains the next task; with
@@ -197,13 +187,11 @@ def track_fisher_drift(
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
-    if not regimes or len(set(regimes)) < len(regimes) or not set(regimes) <= set(REGIMES):
-        raise ParameterError(f"regimes must be distinct names from {REGIMES}, got {regimes!r}")
     for i in tracked_tasks:
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
 
-    tracker = _Tracker(config, stream, sorted(tracked_tasks), regimes)
+    tracker = _Tracker(config, stream, sorted(tracked_tasks))
     futures = []
     with fork_pool(min(jobs - 1, 1), tracker.measure) as submit:  # no worker for jobs = 1, else one
 
@@ -214,8 +202,8 @@ def track_fisher_drift(
         try:
             acc = run_continual(config, stream, after_task=measure_later).acc_matrix
         finally:
-            # in task order, so a drift failure at an earlier task wins,
-            # over a later training failure too, as in the serial loop
-            measured = [pair for future in futures for pair in future.result()]
-    logs = {regime: FisherSnapshotLog(regime, [(r.task_trained, r.task_data, f) for r, f in measured if r.regime == regime]) for regime in regimes}
-    return logs, [r for regime in regimes for r, _ in measured if r.regime == regime], acc
+            # one per task, in task order, so a drift failure at an earlier
+            # task wins, over a later training failure too, as in the serial loop
+            measured = [future.result() for future in futures]
+    rows = sorted((r for task_rows, _ in measured for r in task_rows), key=lambda r: REGIMES.index(r.regime))
+    return rows, {t: snap for t, (_, snap) in enumerate(measured) if snap is not None}, acc

@@ -150,8 +150,9 @@ def gen_gaussian_stream(shape: StreamConfig, seed: int) -> TaskStream:
         raise ParameterError("dim must be >= 2")
     if shape.radius <= 0 or shape.sigma <= 0:
         raise ParameterError("radius and sigma must be positive")
-    if shape.num_tasks < 1 or shape.classes_per_task < 1 or n_train < 1 or n_test < 1:
-        raise ParameterError("counts must be positive")
+    for name in ("num_tasks", "classes_per_task", "n_train", "n_test"):
+        if getattr(shape, name) < 1:
+            raise ParameterError(f"{name} must be >= 1, got {getattr(shape, name)}")
     if pretrain_classes < 0:
         raise ParameterError(f"pretrain_classes must be >= 0, got {pretrain_classes}")
     if pretrain_classes > 0 and pretrain_n < 1:

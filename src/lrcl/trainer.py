@@ -75,27 +75,30 @@ class TrainConfig:
         self.strategy = parse_strategy(self.strategy)
         if isinstance(self.estimator, str):
             self.estimator = EstimatorKind.parse(self.estimator)
-        if self.epochs < 1 or self.batch_size < 1 or self.rank < 1:
-            raise ConfigError("epochs, batch_size and rank must be positive")
-        if self.lr <= 0 or self.head_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        for name in ("epochs", "batch_size", "rank"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "head_lr", "pretrain_lr"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lam < 0:
             raise ConfigError("lambda must be nonnegative")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
         if not 0.0 < self.b_init_scale <= 1e6:
             raise ConfigError(f"b_init_scale must lie in (0, 1e6], got {self.b_init_scale}")
+        for name in ("w0_identity_scale", "w0_feature_gain"):
+            if not abs(getattr(self, name)) <= 1e6:
+                raise ConfigError(f"{name} must lie in [-1e6, 1e6], got {getattr(self, name)}")
         if self.lr_schedule not in ("constant", "cosine"):
-            raise ConfigError(f"unknown lr schedule {self.lr_schedule!r}")
-        if self.pretrain_lr <= 0:
-            raise ConfigError("pretrain_lr must be positive")
+            raise ConfigError(f"lr_schedule must be constant or cosine, got {self.lr_schedule!r}")
         if self.pretrain_epochs < 0:
             raise ConfigError(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
         if self.pretrain_mode not in ("train", "random"):
-            raise ConfigError(f"unknown pretrain mode {self.pretrain_mode!r}")
+            raise ConfigError(f"pretrain_mode must be train or random, got {self.pretrain_mode!r}")
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         if not self.hidden_dims:
-            raise ConfigError("need at least one layer dimension")
+            raise ConfigError("hidden_dims needs at least one layer dimension")
         if min(self.hidden_dims) < 1:
             raise ConfigError(f"hidden_dims entries must be >= 1, got {self.hidden_dims}")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -108,18 +111,15 @@ class TrainConfig:
 
 
 class AdamState:
-    """Flat first/second moment buffers and a shared step counter."""
+    """Flat first/second moment buffers, a shared step counter and the Adam constants."""
 
-    def __init__(self, params: np.ndarray):
+    def __init__(self, params: np.ndarray, beta1: float, beta2: float, epsilon: float):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
-
-    def configure(self, beta1: float, beta2: float, epsilon: float) -> "AdamState":
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        return self
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float | list[tuple[slice, float]]) -> None:
@@ -170,7 +170,7 @@ class _Arena:
             setattr(owner, name, view)
         self.grad = np.empty_like(self.params)
         self.grads = self.views(self.grad)
-        self.state = AdamState(self.params).configure(config.beta1, config.beta2, config.epsilon)
+        self.state = AdamState(self.params, config.beta1, config.beta2, config.epsilon)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [part.reshape(shape) for part, shape in zip(np.split(flat, self.cuts), self.shapes)]
@@ -254,21 +254,22 @@ class ContinualLearner:
     """Sequential learner that persists only the model and the Fisher.
 
     step() consumes one task; everything task-specific (data references,
-    the freshly estimated Fisher) leaves scope when it returns.
+    the freshly estimated Fisher) leaves scope when it returns. A
+    precomputed strategy's f_cum is its fixed Fisher, which step() never
+    updates since the strategy learns none.
     """
 
     def __init__(self, net: Network, config: TrainConfig, f_fixed: FisherDiag | None = None):
         self.net = net
         self.config = config
         self.strategy = STRATEGIES[config.strategy]
-        self.f_cum = zeros_like(net, factor_space=(self.strategy.learned == "factor"))
-        self.f_fixed = f_fixed
+        if self.strategy.fixed and f_fixed is None:
+            raise ConfigError("precomputed strategies need a fixed Fisher")
+        self.f_cum = f_fixed if self.strategy.fixed else zeros_like(net, factor_space=(self.strategy.learned == "factor"))
         root = RngState(config.seed)
         self._rng_init = root.derive("adapter-init")
         self._rng_train = root.derive("train")
         self._rng_fisher = root.derive("fisher")
-        if self.strategy.fixed and f_fixed is None:
-            raise ConfigError("precomputed strategies need a fixed Fisher")
 
     def step(self, task: Task) -> tuple[list[float], float]:
         """Learn one task; returns its per-epoch loss and the norm of its merged update."""
@@ -276,8 +277,7 @@ class ContinualLearner:
         reset_adapter(self.net, self._rng_init, b_scale=cfg.b_init_scale)
         expand_head(self.net, task.class_ids, self._rng_init)
 
-        f_pen = self.f_fixed if self.strategy.fixed else self.f_cum
-        trace = train_task(self.net, task.train, f_pen, cfg, self._rng_train)
+        trace = train_task(self.net, task.train, self.f_cum, cfg, self._rng_train)
 
         if self.strategy.learned:
             estimate = fisher_mod.estimate_factor_space if self.strategy.learned == "factor" else fisher_mod.estimate

@@ -424,7 +424,7 @@ class TestCriterion10FisherDrift:
         for seed in SEEDS:
             stream = standard_stream(seed)
             cfg = desk_profile(seed, **DRIFT_OVERRIDES)
-            _, rows, _ = track_fisher_drift(cfg, stream, [0, 1, 2], ("rehearsal_free", "rehearsal_based"))
+            rows, _, _ = track_fisher_drift(cfg, stream, [0, 1, 2])
             rows_free = [r for r in rows if r.regime == "rehearsal_free"]
             rows_reh = [r for r in rows if r.regime == "rehearsal_based"]
             for r in rows_free + rows_reh:

@@ -263,7 +263,9 @@ class TestRunCommand:
          "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3",
          "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1",
          "beta1 = 1", "beta1 = -0.5", "beta2 = 1", "beta2 = 1.5", "epsilon = 0", "epsilon = -1",
-         "w0_noise_scale = 0", "hidden_dims = 8,0"],
+         "w0_noise_scale = 0", "hidden_dims = 8,0", "lr = 0", "head_lr = -1", "hidden_dims = ,",
+         "lr_schedule = step", "pretrain_mode = frozen", "classes_per_task = 0", "n_test = 0",
+         "w0_identity_scale = -1e308", "w0_feature_gain = 1e308"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -285,6 +287,12 @@ class TestRunCommand:
     def test_adam_bounds_include_their_closed_ends(self):
         train = experiment_config_from_raw({"beta1": "0", "epsilon": "1e-12"}).train
         assert (train.beta1, train.epsilon) == (0.0, 1e-12)
+
+    @pytest.mark.parametrize("value", ["-1e6", "0", "1e6"])
+    def test_w0_bounds_include_their_closed_ends(self, value):
+        for keys in (["w0_identity_scale"], ["w0_feature_gain"], ["w0_identity_scale", "w0_feature_gain"]):
+            train = experiment_config_from_raw(dict.fromkeys(keys, value)).train
+            assert all(getattr(train, key) == float(value) for key in keys)
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -89,7 +89,7 @@ def adam_step_per_array(state, params, grads, lr):
 class TestAdam:
     def _fresh(self, n=4):
         p = np.zeros(n)
-        state = AdamState(p).configure(0.9, 0.999, 1e-8)
+        state = AdamState(p, 0.9, 0.999, 1e-8)
         return p, state
 
     def test_zero_gradient_is_fixed_point(self):
@@ -150,7 +150,7 @@ class TestAdam:
         ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
         arrays = [draw(s, 0.5) for s in shapes]
         flat = np.concatenate([a.ravel() for a in arrays])
-        state = AdamState(flat).configure(0.9, 0.999, eps)
+        state = AdamState(flat, 0.9, 0.999, eps)
         refs = [
             {"t": 0, "b1": 0.9, "b2": 0.999, "eps": eps, "m": [np.zeros(s) for s in shapes[lo:hi]], "v": [np.zeros(s) for s in shapes[lo:hi]]}
             for lo, hi, _ in groups
@@ -236,7 +236,7 @@ class _Group:
         self.grads = [g.reshape(a.shape) for g, a in zip(np.split(self.grad, cuts), arrays)]
         for (owner, name), p, a in zip(slots, np.split(self.params, cuts), arrays):
             setattr(owner, name, p.reshape(a.shape))
-        self.state = AdamState(self.params).configure(config.beta1, config.beta2, config.epsilon)
+        self.state = AdamState(self.params, config.beta1, config.beta2, config.epsilon)
 
     def step(self, grads, extra, lr):
         for i, (view, g) in enumerate(zip(self.grads, grads)):
@@ -650,6 +650,21 @@ class TestConstantStorage:
                 grown = sum(len(task.class_ids) for task in stream.tasks[1 : t + 1]) if name.startswith("head_") else 0
                 assert m.shape == (rows + grown, cols), name
                 assert loaded[name].shape == m.shape and loaded[name].tobytes() == m.tobytes(), name
+
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
+    def test_learner_holds_two_states_and_its_rngs(self, strategy):
+        # a precomputed strategy's fixed Fisher is its f_cum, kept beside nothing else
+        stream = tiny_stream()
+        seen = []
+
+        def check(t, learner):
+            seen.append(t)
+            assert set(vars(learner)) == {"net", "config", "strategy", "f_cum", "_rng_init", "_rng_train", "_rng_fisher"}
+            if strategy == "precomputed_uniform":
+                assert all((m == 1.0).all() for m in learner.f_cum.fdw)
+
+        run_continual(tiny_config(strategy=strategy, lam=1.0), stream, after_task=check)
+        assert seen == list(range(stream.num_tasks))
 
 
 class TestRunReference:
