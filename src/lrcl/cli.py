@@ -304,7 +304,7 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
 
 
 # the commands that take --jobs: run_many spreads their trainings over the
-# workers, and diagnose measures drift on one worker while it trains
+# workers, and diagnose measures drift on them while it trains
 _POOLED_COMMANDS = ("run", "compare-strategies", "sweep", "diagnose", "reference")
 
 

@@ -14,13 +14,14 @@ loop's discard rule.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fisher as fisher_mod
 from .errors import MetricError, NumericalError, ParameterError
-from .fisher import FisherDiag, fisher_norm, flatten
+from .fisher import EstimatorKind, FisherDiag, _class_sums, _draw, _finish, _fold, _pass, _pass_plan, fisher_norm, flatten
 from .metrics import AccuracyMatrix
 from .model import Network, accuracy  # accuracy is unused here: bench/test_bench.py checks that its tracer rebinds it
 from .regularize import STRATEGIES
@@ -29,6 +30,8 @@ from .tensor import RngState
 from .trainer import ContinualLearner, TrainConfig, fork_pool, run_continual
 
 REGIMES = ("rehearsal_free", "rehearsal_based")
+# A later term range comes back as an array per class: past this many entries (2 MB) a pass is not split.
+_SPLIT_ENTRIES = 2**18
 
 
 def norm_ratio(f_now: FisherDiag, f_orig: FisherDiag) -> float:
@@ -101,57 +104,85 @@ class DriftRow:
     cosine: float
 
 
-class _Tracker:
-    """The measuring state of one track_fisher_drift: per-regime rngs and snapshots."""
+def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, specs: list[tuple]) -> list:
+    """A unit: for each (tasks, draws, lo, hi), terms lo..hi-1 of a pass over the tasks' training rows (read through fork_pool's slot)."""
+    out = []
+    for tasks, draws, lo, hi in specs:
+        data = stream.tasks[tasks[0]].train if len(tasks) == 1 else concat_datasets([stream.tasks[i].train for i in tasks])
+        out.append(_class_sums(net, *_pass(net, data, kind, draws), lo, hi))
+    return out
 
-    def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int]):
-        self.config = config
+
+class _Tracker:
+    """The state of one track_fisher_drift, all in this process: rngs, snapshots, rows and the units in flight."""
+
+    def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int], jobs: int, submit: Callable):
+        self.kind = config.estimator
         self.stream = stream
         self.tracked = tracked
+        self.jobs = jobs
+        self.submit = submit
         self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in REGIMES}
         self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in REGIMES}
+        self.rows: list[DriftRow] = []
+        self.pending: list[tuple] = []  # (t, net, f_cum, sizes, units) of each task not yet folded
 
-    def measure(self, t: int, net: Network, f_cum: FisherDiag) -> tuple[list[DriftRow], FisherDiag | None]:
-        """Every regime's rows after task t, and task t's rehearsal-free snapshot if t is tracked."""
-        config, stream = self.config, self.stream
-        shared: dict[int, FisherDiag] = {}
-        rows = []
+    def after_task(self, t: int, learner: ContinualLearner) -> None:
+        """Draws and submits task t's passes in the serial loop's order, then folds each task whose units are done."""
+        net = learner.net.copy()  # the learner trains on in place
+        last = t == self.stream.num_tasks - 1
+        whole = len(net.head.class_ids) * sum(l.d_out * l.d_in for l in net.layers) > _SPLIT_ENTRIES
+        needed = [i for i in self.tracked if i <= t]
+        plan, sizes = [], {}  # a pass is (regime, i) for task i, (regime, None) for the pool; regime None without draws
         for regime in REGIMES:
-            rng = self.rngs[regime]
-            pooled = None
+            for i in needed:
+                for key in [i] + ([None] if regime == REGIMES[1] and i == needed[0] < t else []):
+                    slot = (regime if self.kind.draws else None, key)
+                    if slot not in sizes:
+                        tasks = (key,) if key is not None else tuple(range(t + 1))
+                        n = sum(self.stream.tasks[j].train.n for j in tasks)
+                        draws = _draw(self.kind, n, self.rngs[regime])
+                        sizes[slot], ranges = _pass_plan(net, self.kind, n, self.jobs if last and not whole else 1)
+                        plan += [(slot, (tasks, draws, lo, hi)) for lo, hi in ranges]
+        # while the learner trains on, a task is one unit, so one worker at a time takes a core from it
+        groups = [[step] for step in plan] if last else [plan]
+        units = [([slot for slot, _ in group], self.submit(net, [spec for _, spec in group])) for group in groups if group]
+        self.pending.append((t, net, learner.f_cum, sizes, units))
+        self.fold(wait=self.jobs == 1)
+
+    def fold(self, wait: bool) -> None:
+        """Computes the rows of each task whose units are done, in task order; with wait, of each task."""
+        while self.pending and (wait or all(unit.done() for _, unit in self.pending[0][-1])):
+            try:
+                self._rows_of(*self.pending.pop(0))
+            except BaseException:
+                self.pending.clear()  # nothing later is read: the first failure is the one raised
+                raise
+
+    def _rows_of(self, t: int, net: Network, f_cum: FisherDiag, sizes: dict, units: list[tuple]) -> None:
+        @functools.cache  # made when first read, as the serial loop made them
+        def fisher(slot: tuple) -> FisherDiag:
+            parts = [part for slots, unit in units for s, part in zip(slots, unit.result()) if s == slot]
+            return _finish(_fold(parts), sizes[slot], len(net.layers))
+
+        for regime in REGIMES:
+            drawn = regime if self.kind.draws else None
             for i in self.tracked:
                 if i > t:
                     continue
                 try:
-                    f_now = shared.get(i)
-                    if f_now is None:
-                        f_now = fisher_mod.estimate(net, stream.tasks[i].train, config.estimator, rng)
-                        if not config.estimator.draws:
-                            shared[i] = f_now
+                    f_now = fisher((drawn, i))
                     if i == t:
                         self.snapshots[regime][i] = f_now
-                        rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
+                        self.rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
                         continue
                     base = self.snapshots[regime][i]
-                    if regime == "rehearsal_free":
-                        comparator = f_cum
-                    else:
-                        if pooled is None:
-                            joined = concat_datasets([stream.tasks[j].train for j in range(t + 1)])
-                            pooled = fisher_mod.estimate(net, joined, config.estimator, rng)
-                        comparator = pooled
-                    rows.append(DriftRow(
-                        task_trained=t,
-                        task_data=i,
-                        regime=regime,
-                        norm_ratio=norm_ratio(f_now, base),
-                        spearman=spearman(flatten(comparator), flatten(base)),
-                        cosine=cosine_sim(flatten(comparator), flatten(base)),
-                    ))
+                    comparator = f_cum if regime == "rehearsal_free" else fisher((drawn, None))
+                    pair = (flatten(comparator), flatten(base))
+                    self.rows.append(DriftRow(t, i, regime, norm_ratio(f_now, base), spearman(*pair), cosine_sim(*pair)))
                 except (MetricError, NumericalError) as exc:
                     # the config passed every check; training made a Fisher degenerate or overflow
                     raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
-        return rows, self.snapshots["rehearsal_free"].get(t)
 
 
 def track_fisher_drift(
@@ -176,14 +207,10 @@ def track_fisher_drift(
     Fisher (deltaw or separate): the rehearsal-free regime compares
     against its accumulator.
 
-    The hook hands each task's measurement to fork_pool. With jobs > 1, one
-    forked worker measures while this process trains the next task; with
-    jobs = 1, this process measures every task after training them all.
-    Either way the tasks are measured in order, so every regime draws what
-    it draws serially, and the results are read in task order, so the first
-    error is the serial loop's. More workers would not help: each
-    measurement depends on the ones before it through the draws and the
-    snapshots.
+    Every draw, snapshot and row is made here, in task order, while jobs
+    forked workers (none for jobs = 1) run the units, the serial loop's
+    Fisher passes or term ranges of them, and this process trains on; so
+    the bits and the first failure are the serial loop's for any jobs.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
@@ -191,19 +218,10 @@ def track_fisher_drift(
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
 
-    tracker = _Tracker(config, stream, sorted(tracked_tasks))
-    futures = []
-    with fork_pool(min(jobs - 1, 1), tracker.measure) as submit:  # no worker for jobs = 1, else one
-
-        def measure_later(t: int, learner: ContinualLearner) -> None:
-            # a copy: the net is measured later, while this process trains on in place
-            futures.append(submit(t, learner.net.copy(), learner.f_cum))
-
+    with fork_pool(jobs if jobs > 1 else 0, functools.partial(_measure, stream, config.estimator)) as submit:
+        tracker = _Tracker(config, stream, sorted(tracked_tasks), jobs, submit)
         try:
-            acc = run_continual(config, stream, after_task=measure_later).acc_matrix
+            acc = run_continual(config, stream, after_task=tracker.after_task).acc_matrix
         finally:
-            # one per task, in task order, so a drift failure at an earlier
-            # task wins, over a later training failure too, as in the serial loop
-            measured = [future.result() for future in futures]
-    rows = sorted((r for task_rows, _ in measured for r in task_rows), key=lambda r: REGIMES.index(r.regime))
-    return rows, {t: snap for t, (_, snap) in enumerate(measured) if snap is not None}, acc
+            tracker.fold(wait=True)
+    return sorted(tracker.rows, key=lambda r: REGIMES.index(r.regime)), tracker.snapshots["rehearsal_free"], acc

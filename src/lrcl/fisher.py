@@ -130,42 +130,31 @@ def fisher_norm(f: FisherDiag) -> float:
 
 
 class _Accumulator:
-    """Running sums of squared per-sample gradients, update and factor space.
+    """Squared per-sample gradients of one pass, update and factor space, summed over its rows.
 
     The squared layer inputs h*h (and, for the factor space, (h B^T)^2) do
     not depend on the logit gradient, so they are made once per cache and
-    every add reuses them.
+    every term reuses them.
     """
 
     def __init__(self, net: Network, cache: ForwardCache, factor_space: bool):
         self.net = net
         self.cache = cache
-        self.factor_space = factor_space
         self.h2 = [h * h for h in cache.inputs]
-        self.sdw = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
-        if factor_space:
-            self.bh2 = [bh * bh for bh in (h @ l.B.T for h, l in zip(cache.inputs, net.layers))]
-            self.sa = [np.zeros((l.d_out, l.rank)) for l in net.layers]
-            self.sb = [np.zeros((l.rank, l.d_in)) for l in net.layers]
+        self.bh2 = [bh * bh for bh in (h @ l.B.T for h, l in zip(cache.inputs, net.layers))] if factor_space else None
 
-    def add(self, g_logits: np.ndarray) -> None:
+    def term(self, g_logits: np.ndarray) -> list[np.ndarray]:
+        """One logit gradient's sums: fdw per layer, then, in the factor space, fa and fb per layer."""
         dzs = dz_per_layer(self.net, self.cache, g_logits)
+        sdw, sa, sb = [], [], []
         for k, layer in enumerate(self.net.layers):
-            if self.factor_space:
-                dza = dzs[k] @ layer.A
-                self.sb[k] += np.square(dza, out=dza).T @ self.h2[k]
+            dza = dzs[k] @ layer.A if self.bh2 is not None else None
             dz2 = np.square(dzs[k], out=dzs[k])  # squared in place: nothing reads d_z after this
-            self.sdw[k] += dz2.T @ self.h2[k]
-            if self.factor_space:
-                self.sa[k] += dz2.T @ self.bh2[k]
-
-    def finish(self, n_samples: int) -> FisherDiag:
-        fdw = [s / n_samples for s in self.sdw]
-        fa = fb = None
-        if self.factor_space:
-            fa = [s / n_samples for s in self.sa]
-            fb = [s / n_samples for s in self.sb]
-        return FisherDiag(fdw, fa, fb)
+            sdw.append(dz2.T @ self.h2[k])
+            if self.bh2 is not None:
+                sa.append(dz2.T @ self.bh2[k])
+                sb.append(np.square(dza, out=dza).T @ self.h2[k])
+        return sdw + sa + sb
 
 
 def _onehot_minus_probs(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -174,14 +163,84 @@ def _onehot_minus_probs(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sample_classes(probs: np.ndarray, rng: RngState) -> np.ndarray:
-    """One class index per row, inverse-CDF on the given stream.
+def _sample_classes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One class index per row, inverse-CDF on one uniform draw per row.
 
     Each row's cumulative sum runs left to right; a draw that no sum
     exceeds falls to the last class.
     """
-    hits = rng.floats(probs.shape[0])[:, None] < np.cumsum(probs, axis=1)
+    hits = uniforms[:, None] < np.cumsum(probs, axis=1)
     return np.where(hits.any(axis=1), hits.argmax(axis=1), probs.shape[1] - 1)
+
+
+def _draw(kind: EstimatorKind, n: int, rng: RngState | None) -> np.ndarray | None:
+    """The draws of one pass over n rows, made on rng: exact_subset's rows or sampled's uniform per row."""
+    if kind.name == "exact_subset":
+        return np.array(sorted(rng.sample_indices(n, min(kind.subset, n))), dtype=np.intp)  # set draw; fixed order keeps sums stable
+    if kind.name == "sampled":
+        return rng.floats(n)
+    return None
+
+
+def _pass_plan(net: Network, kind: EstimatorKind, n: int, parts: int) -> tuple[int, list[tuple[int, int]]]:
+    """The rows a pass over n rows averages, and its terms (a head class each for the exact estimators, else one) in parts ranges."""
+    n_terms = len(net.head.class_ids) if kind.name.startswith("exact") else 1
+    bounds = sorted({n_terms * k // parts for k in range(parts + 1)})
+    return min(n, kind.subset or n), list(zip(bounds, bounds[1:]))
+
+
+def _pass(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarray | None) -> tuple[ForwardCache, np.ndarray, np.ndarray | None]:
+    """One estimate's forward pass on its draws: the cache, the probabilities, and for the one-term estimators each row's class."""
+    if kind.name == "exact_subset":
+        data = data.subset(draws)
+    cache = forward(net, data.X)
+    probs = _softmax_rows(cache.logits)
+    rows = None
+    if kind.name == "empirical":
+        rows = label_rows(net.head, data.y)
+    elif kind.name == "sampled":
+        rows = _sample_classes(probs, draws)
+    return cache, probs, rows
+
+
+def _fold(ranges: list) -> list[np.ndarray]:
+    """A pass's sums over all its terms, from the _class_sums of consecutive term ranges from 0."""
+    (running,), *later = ranges
+    for terms in later:
+        for term in terms:
+            for total, part in zip(running, term):
+                total += part
+    return running
+
+
+def _class_sums(net: Network, cache: ForwardCache, probs: np.ndarray, rows: np.ndarray | None, lo: int, hi: int, factor_space: bool = False) -> list[list[np.ndarray]]:
+    """The sums of terms lo..hi-1 of one pass (see _pass_plan).
+
+    With rows, from _pass, the one term is each row's class; without, term c
+    is head class c weighted by its probability (exact). A range from 0 gives
+    the running sums after term hi - 1; a later range gives one per term,
+    which _fold adds in term order, so any split gives the bits of one range.
+    """
+    acc = _Accumulator(net, cache, factor_space)
+    if rows is not None:
+        terms = map(acc.term, [_onehot_minus_probs(probs, rows)])
+    else:
+        roots = np.sqrt(probs)  # sqrt, squared later
+
+        def exact_term(c: int) -> list[np.ndarray]:
+            g = np.negative(probs)
+            g[:, c] += 1.0
+            g *= roots[:, c, None]
+            return acc.term(g)
+
+        terms = map(exact_term, range(lo, hi))
+    return list(terms) if lo > 0 else [_fold([[next(terms)], terms])]
+
+
+def _finish(sums: list[np.ndarray], n_samples: int, n_layers: int) -> FisherDiag:
+    """The Fisher of one pass: its sums, in _Accumulator.term's order, over n_samples."""
+    means = [s / n_samples for s in sums]
+    return FisherDiag(means[:n_layers], means[n_layers : 2 * n_layers] or None, means[2 * n_layers :] or None)
 
 
 def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None, factor_space: bool) -> FisherDiag:
@@ -189,32 +248,10 @@ def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | 
         raise DataError("cannot estimate Fisher on an empty dataset")
     if kind.draws and rng is None:
         raise ParameterError(f"the {kind.label()} estimator needs an rng for its draws")
-
-    if kind.name == "exact_subset":
-        take = min(kind.subset, data.n)
-        idx = sorted(rng.sample_indices(data.n, take))  # set draw; fixed order keeps sums stable
-        data = data.subset(idx)
-        kind = EstimatorKind.exact()
-
-    cache = forward(net, data.X)
-    probs = _softmax_rows(cache.logits)
-    acc = _Accumulator(net, cache, factor_space)
-
-    if kind.name == "empirical":
-        rows = label_rows(net.head, data.y)
-        acc.add(_onehot_minus_probs(probs, rows))
-    elif kind.name == "sampled":
-        rows = _sample_classes(probs, rng)
-        acc.add(_onehot_minus_probs(probs, rows))
-    else:  # exact: full class sum, each class weighted by its probability
-        roots = np.sqrt(probs)  # sqrt, squared later
-        for c in range(probs.shape[1]):
-            g = np.negative(probs)
-            g[:, c] += 1.0
-            g *= roots[:, c, None]
-            acc.add(g)
-
-    return acc.finish(data.n)
+    n_rows, [(lo, hi)] = _pass_plan(net, kind, data.n, 1)
+    cache, probs, rows = _pass(net, data, kind, _draw(kind, data.n, rng))
+    (sums,) = _class_sums(net, cache, probs, rows, lo, hi, factor_space)
+    return _finish(sums, n_rows, len(net.layers))
 
 
 def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None) -> FisherDiag:

@@ -265,6 +265,8 @@ class ContinualLearner:
         self.strategy = STRATEGIES[config.strategy]
         if self.strategy.fixed and f_fixed is None:
             raise ConfigError("precomputed strategies need a fixed Fisher")
+        if f_fixed is not None and not self.strategy.fixed:
+            raise ConfigError(f"strategy {config.strategy!r} takes no fixed Fisher: only the precomputed strategies read one")
         self.f_cum = f_fixed if self.strategy.fixed else zeros_like(net, factor_space=(self.strategy.learned == "factor"))
         root = RngState(config.seed)
         self._rng_init = root.derive("adapter-init")

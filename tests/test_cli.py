@@ -474,10 +474,23 @@ class TestJobs:
         # diagnose: exact_subset(3) draws from each regime's stream in the worker
         self._assert_identical_for_any_jobs(tmp_path, command, self.TEXT)
 
-    def test_diagnose_factor_space_identical_for_any_jobs(self, tmp_path):
-        # sampled draws a class per row, and separate learns a factor-space Fisher
-        text = self.TEXT.replace("estimator = exact_subset(3)", "estimator = sampled") + "strategy = separate\n"
+    @pytest.mark.parametrize("estimator", ["empirical", "exact", "exact_subset(3)", "sampled"])
+    @pytest.mark.parametrize("strategy", ["deltaw", "separate"])
+    def test_diagnose_identical_for_any_jobs(self, tmp_path, estimator, strategy):
+        # the last task's classes are split over the workers, and the draws
+        # stay in this process; separate learns a factor-space Fisher
+        text = self.TEXT.replace("estimator = exact_subset(3)", f"estimator = {estimator}") + f"strategy = {strategy}\n"
         self._assert_identical_for_any_jobs(tmp_path, ["diagnose"], text)
+
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
+    @pytest.mark.parametrize("failure", ["pretrain_lr = 1e250", "head_lr = 1e300"])
+    def test_diagnose_failure_independent_of_jobs(self, tmp_path, estimator, failure):
+        # training saturates or overflows a Fisher; the drift rows, now made
+        # in the hook, stop training at the first failing task for any N
+        text = re.sub(rf"^{failure.split()[0]} = .*$", failure, TINY, flags=re.M) + f"estimator = {estimator}\n"
+        cfg_path = write_config(tmp_path, text)
+        errs = [self._failing_stderr(["diagnose", "--config", cfg_path, "--jobs", jobs], tmp_path / f"out{jobs}") for jobs in ("1", "2", "3")]
+        assert errs == [errs[0]] * 3 and errs[0].startswith("numerical failure: drift of task 0 after task 1: ")
 
     @staticmethod
     def _assert_identical_for_any_jobs(tmp_path, command, text):

@@ -2,9 +2,13 @@
 
 import os
 import signal
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrcl.diagnostics as diagnostics_mod
 import lrcl.trainer as trainer_mod
@@ -12,14 +16,15 @@ from lrcl.diagnostics import (
     REGIMES,
     DriftRow,
     _average_ranks,
+    _measure,
     cosine_sim,
     norm_ratio,
     spearman,
     track_fisher_drift,
 )
 from lrcl.errors import MetricError, NumericalError, ParameterError
-from lrcl.fisher import EstimatorKind, FisherDiag, estimate, flatten
-from lrcl.tasks import StreamConfig, gen_gaussian_stream
+from lrcl.fisher import EstimatorKind, FisherDiag, _draw, _finish, _fold, _pass_plan, estimate, flatten
+from lrcl.tasks import Dataset, StreamConfig, concat_datasets, gen_gaussian_stream
 from lrcl.tensor import RngState
 from lrcl.trainer import ContinualLearner, TrainConfig, run_continual
 
@@ -212,22 +217,50 @@ class TestTrackFisherDrift:
             assert -1.0 <= r.spearman <= 1.0
             assert 0.0 <= r.cosine <= 1.0
 
-    @pytest.mark.parametrize("estimator,strategy", [("exact_subset(5)", "deltaw"), ("sampled", "separate")])
+    @pytest.mark.parametrize("strategy", ["deltaw", "separate"])
+    @pytest.mark.parametrize("estimator", ["empirical", "exact", "exact_subset(5)", "sampled"])
     def test_measuring_worker_equals_serial(self, estimator, strategy):
         cfg, stream = self._setup(7, estimator, strategy=strategy, shuffle=True)
         rows, snapshots, acc = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=1)
-        rows2, snapshots2, acc2 = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=2)
-        assert rows2 == rows and acc2.rows == acc.rows
-        assert list(snapshots) == list(snapshots2) == [0, 1, 2]
-        for i, f in snapshots.items():
-            assert flatten(f).tobytes() == flatten(snapshots2[i]).tobytes()
+        for jobs in (2, 3):
+            rows2, snapshots2, acc2 = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)
+            assert rows2 == rows and acc2.rows == acc.rows
+            assert list(snapshots) == list(snapshots2) == [0, 1, 2]
+            for i, f in snapshots.items():
+                assert flatten(f).tobytes() == flatten(snapshots2[i]).tobytes()
         assert trainer_mod._WORK is None
+
+    def test_last_task_is_split_over_the_workers(self, monkeypatch):
+        # while the learner trains on, a task's passes are one unit; the last
+        # task's passes are one unit per term range, a range per worker
+        submitted = []
+        real_pool = diagnostics_mod.fork_pool
+
+        @contextmanager
+        def counting_pool(workers, work):
+            with real_pool(workers, work) as submit:
+                yield lambda net, specs: submitted.append([(tasks, lo, hi) for tasks, _, lo, hi in specs]) or submit(net, specs)
+
+        def ranges(t, split):
+            k = 2 * (t + 1)  # the head's classes after task t
+            passes = [(i,) for i in (0, 1, 2) if i <= t] + ([tuple(range(t + 1))] if t else [])
+            return [(p, k * j // split, k * (j + 1) // split) for p in passes for j in range(split)]
+
+        monkeypatch.setattr(diagnostics_mod, "fork_pool", counting_pool)
+        cfg, stream = self._setup(estimator="exact", num_tasks=4)
+        rows = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=2)[0]
+        assert submitted == [ranges(0, 1), ranges(1, 1), ranges(2, 1)] + [[r] for r in ranges(3, 2)]
+        for jobs, split_entries in [(1, diagnostics_mod._SPLIT_ENTRIES), (2, 0)]:  # 0: every pass is too wide to split
+            submitted.clear()
+            monkeypatch.setattr(diagnostics_mod, "_SPLIT_ENTRIES", split_entries)
+            assert track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)[0] == rows
+            assert submitted == [ranges(0, 1), ranges(1, 1), ranges(2, 1)] + [[r] for r in ranges(3, 1)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_earlier_drift_failure_wins_over_later_training_failure(self, monkeypatch, jobs):
-        # with jobs = 2 the parent trains on past task 1 and fails at task 3
-        # before it reads the worker's task 1 failure; the serial loop never
-        # gets there, and the error is the same
+        # with jobs = 1 the hook raises after task 1; with jobs = 2 the parent
+        # may train on, even fail at task 3, before the worker's task 1
+        # measurement is done, and the error is the same
         def degenerate(f_now, f_orig):
             raise MetricError("stand-in degenerate Fisher")
 
@@ -255,7 +288,7 @@ class TestTrackFisherDrift:
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(diagnostics_mod._Tracker, "measure", killed_in_worker)
+        monkeypatch.setattr(diagnostics_mod, "_measure", killed_in_worker)
         cfg, stream = self._setup()
         with pytest.raises(BrokenProcessPool):
             track_fisher_drift(cfg, stream, [0, 1], jobs=2)
@@ -270,6 +303,33 @@ class TestTrackFisherDrift:
                           pretrain_epochs=2, pretrain_lr=0.005, epsilon=0.1, head_lr=1e-6)
         with pytest.raises(ParameterError):
             track_fisher_drift(cfg, stream, [5])
+
+
+class TestUnits:
+    """Each Fisher the tracker reads is a pass of its own, whose folded term ranges are fisher.estimate's bits."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        hidden=st.sampled_from([17, 19, 33]),
+        sizes=st.permutations([13, 17, 24]),
+        kind=st.sampled_from(["empirical", "exact", "exact_subset(20)", "sampled"]),
+        split=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_units_equal_standalone_estimates(self, hidden, sizes, kind, split, seed):
+        # at these widths and task sizes a task's rows, taken as a block of a
+        # pooled pass, give other bits than a pass over the task alone
+        kind = EstimatorKind.parse(kind)
+        net = make_net([16, hidden, hidden], 4, seed, class_ids=list(range(6)), nonzero_adapter=True)
+        parts = [Dataset(*make_batch(net, n, seed + 1 + j)) for j, n in enumerate(sizes)]
+        stream = SimpleNamespace(tasks=[SimpleNamespace(train=part) for part in parts])
+        for tasks in [(0,), (1,), (2,), (0, 1, 2)]:
+            data = concat_datasets([parts[i] for i in tasks])
+            n_rows, ranges = _pass_plan(net, kind, data.n, split)
+            draws = _draw(kind, data.n, RngState(seed))
+            got = _finish(_fold(_measure(stream, kind, net, [(tasks, draws, lo, hi) for lo, hi in ranges])), n_rows, len(net.layers))
+            want = estimate(net, data, kind, RngState(seed))
+            assert all(np.array_equal(x, y) for x, y in zip(got.fdw, want.fdw))
 
 
 class TestSeededTrends:

@@ -10,6 +10,12 @@ from lrcl.fisher import (
     EstimatorKind,
     FisherDiag,
     _Accumulator,
+    _class_sums,
+    _draw,
+    _finish,
+    _fold,
+    _pass,
+    _pass_plan,
     _sample_classes,
     accumulate,
     estimate,
@@ -205,7 +211,7 @@ class TestSampled:
             probs = _softmax_rows(gen.normal(scale=float(gen.choice([0.1, 3.0, 40.0])), size=(n, c)))
             if case % 5 == 0:
                 probs *= 0.9  # rows summing below 1 exercise the last-class fallback
-            got = _sample_classes(probs, RngState(case))
+            got = _sample_classes(probs, RngState(case).floats(n))
             rng = RngState(case)
             want = []
             for k in range(n):
@@ -336,6 +342,36 @@ class TestExactHoist:
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
+class TestClassRanges:
+    """The drift tracker's unit, fisher's _class_sums over a term range of one pass."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        widths=st.lists(st.integers(4, 7), min_size=2, max_size=4),
+        rank=st.integers(1, 4),
+        n=st.integers(1, 12),
+        n_classes=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from([EstimatorKind.empirical(), EstimatorKind.exact(), EstimatorKind.exact_subset(5), EstimatorKind.sampled()]),
+        factor_space=st.booleans(),
+    )
+    def test_every_split_folds_to_the_estimate(self, widths, rank, n, n_classes, seed, kind, factor_space):
+        net = make_net(widths, rank, seed, class_ids=list(range(n_classes)), nonzero_adapter=True)
+        data = make_dataset(net, n, seed + 1)
+        want = (estimate_factor_space if factor_space else estimate)(net, data, kind, RngState(seed))
+        cache, probs, rows = _pass(net, data, kind, _draw(kind, n, RngState(seed)))
+        n_terms = 1 if rows is not None else n_classes
+        n_rows, ranges = _pass_plan(net, kind, n, n_terms + 1)
+        assert n_rows == len(probs) and ranges == [(c, c + 1) for c in range(n_terms)]  # never an empty range
+        # every split in two, and one range per term
+        for bounds in [[0, s, n_terms] for s in range(1, n_terms)] + [list(range(n_terms + 1))]:
+            sums = [_class_sums(net, cache, probs, rows, lo, hi, factor_space) for lo, hi in zip(bounds, bounds[1:])]
+            got = _finish(_fold(sums), n_rows, len(net.layers))
+            assert got.has_factor_space == want.has_factor_space == factor_space
+            for g, w in [(got.fdw, want.fdw), (got.fa, want.fa), (got.fb, want.fb)]:
+                assert g is None or all(np.array_equal(x, y) for x, y in zip(g, w))
+
+
 class TestScaleLaw:
     def test_scaling_gradients_scales_fisher_quadratically(self):
         net = make_net((5, 5), rank=2, seed=26, nonzero_adapter=True)
@@ -346,14 +382,9 @@ class TestScaleLaw:
         g = -probs.copy()
         g[np.arange(data.n), rows] += 1.0
 
-        acc1 = _Accumulator(net, cache, factor_space=False)
-        acc1.add(g)
-        acc3 = _Accumulator(net, cache, factor_space=False)
-        acc3.add(3.0 * g)
-        f1 = acc1.finish(data.n)
-        f3 = acc3.finish(data.n)
-        for a, b in zip(f1.fdw, f3.fdw):
-            assert np.allclose(b, 9.0 * a, rtol=1e-12, atol=1e-14)
+        acc = _Accumulator(net, cache, factor_space=False)
+        for s1, s3 in zip(acc.term(g), acc.term(3.0 * g)):
+            assert np.allclose(s3, 9.0 * s1, rtol=1e-12, atol=1e-14)
 
 
 class TestAccumulate:

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrcl.trainer as trainer_mod
-from lrcl.errors import MetricError, NumericalError, ProtocolError
-from lrcl.fisher import EstimatorKind, FisherDiag
+from lrcl.errors import ConfigError, MetricError, NumericalError, ProtocolError
+from lrcl.fisher import EstimatorKind, FisherDiag, uniform_fisher
 from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.model import accuracy, backward, backward_wrt_base, expand_head, forward, label_rows, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES
@@ -617,6 +617,14 @@ class TestRunContinual:
         for strategy in ("precomputed_uniform", "precomputed_dataset"):
             record = run_continual(tiny_config(strategy=strategy, lam=1.0), stream)
             assert record.acc_matrix.complete
+
+    @pytest.mark.parametrize("strategy", ["deltaw", "separate", "none"])
+    def test_learned_strategy_rejects_a_fixed_fisher(self, strategy):
+        # the learner would drop it and start from zeros without a word
+        cfg = tiny_config(strategy=strategy)
+        net = pretrain(cfg, tiny_stream())
+        with pytest.raises(ConfigError, match=repr(strategy)):
+            ContinualLearner(net, cfg, f_fixed=uniform_fisher(net))
 
 
 class TestConstantStorage:
