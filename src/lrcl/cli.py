@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .diagnostics import track_fisher_drift
-from .errors import ConfigError, EngineError, NumericalError, ParameterError, ParseError
+from .errors import ConfigError, EngineError, MetricError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
 from .model import save_checkpoint
@@ -179,13 +179,16 @@ def accuracy_matrix_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def compute_metrics(record: RunRecord, refs: list[float]) -> dict:
+def compute_metrics(record: RunRecord, refs: list[float], run: str) -> dict:
     m = record.acc_matrix
     abar, avg = avg_anytime(m)
     final_acc = abar[-1]
     stab = stability(m) if m.T >= 2 else None
-    plas = plasticity(m, refs)
-    trade = tradeoff(stab, plas) if stab is not None else None
+    try:
+        plas = plasticity(m, refs)
+        trade = tradeoff(stab, plas) if stab is not None else None
+    except MetricError as exc:  # the config passed every check: training left a reference accuracy, or both scores, at 0
+        raise NumericalError(f"metrics of {run}: {exc}") from exc
     return {
         "final_acc": final_acc,
         "avg": avg,
@@ -206,7 +209,7 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
     seed = cfg.seeds[0]
     config = cfg.train_config(seed)
     refs, (record,) = run_many(cfg.build_stream(seed), config, [config], jobs)
-    metrics = compute_metrics(record, refs)
+    metrics = compute_metrics(record, refs, f"the run of seed {seed}")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.out_dir, "accuracy_matrix.csv"), accuracy_matrix_csv(record))
@@ -237,7 +240,7 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
         configs = [cfg.train_config(seed, **overrides) for _, overrides in runs]  # validated before compute
         refs, records = run_many(cfg.build_stream(seed), cfg.train_config(seed), configs, jobs)
         for (label, _), record in zip(runs, records):
-            rows.append(_metrics_row(label + [str(seed)], compute_metrics(record, refs)))
+            rows.append(_metrics_row(label + [str(seed)], compute_metrics(record, refs, f"the {' '.join(label)} run of seed {seed}")))
     os.makedirs(cfg.out_dir, exist_ok=True)
     atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
     return 0

@@ -52,7 +52,9 @@ class Strategy:
     fixed: str | None
 
     def penalty_term(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float, out: tuple | None = None) -> PenaltyTerm | None:
-        """The penalty at (A, B), or None for a strategy without one; out as for penalty_deltaw."""
+        """The penalty at (A, B), or None for a strategy without one and at lam = 0; out as for penalty_deltaw."""
+        if lam == 0:  # weighs the value and the gradients to exactly zero wherever the weighted terms are finite
+            return None
         if self.penalty == "update":
             return penalty_deltaw(As, Bs, f, lam, out)
         if self.penalty == "factor":

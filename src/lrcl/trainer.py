@@ -12,11 +12,12 @@ are dropped when the step returns.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -253,10 +254,10 @@ def train_task(
 class ContinualLearner:
     """Sequential learner that persists only the model and the Fisher.
 
-    step() consumes one task; everything task-specific (data references,
-    the freshly estimated Fisher) leaves scope when it returns. A
-    precomputed strategy's f_cum is its fixed Fisher, which step() never
-    updates since the strategy learns none.
+    step() consumes one task, as train() then finish(); everything
+    task-specific (data references, the freshly estimated Fisher) leaves
+    scope when it returns. A precomputed strategy's f_cum is its fixed
+    Fisher, which step() never updates since the strategy learns none.
     """
 
     def __init__(self, net: Network, config: TrainConfig, f_fixed: FisherDiag | None = None):
@@ -275,26 +276,30 @@ class ContinualLearner:
 
     def step(self, task: Task) -> tuple[list[float], float]:
         """Learn one task; returns its per-epoch loss and the norm of its merged update."""
-        cfg = self.config
-        reset_adapter(self.net, self._rng_init, b_scale=cfg.b_init_scale)
+        return self.train(task), self.finish(task)
+
+    def train(self, task: Task) -> list[float]:
+        """Reset the adapter, grow the head by task's classes and train on task; returns the per-epoch loss."""
+        reset_adapter(self.net, self._rng_init, b_scale=self.config.b_init_scale)
         expand_head(self.net, task.class_ids, self._rng_init)
+        return train_task(self.net, task.train, self.f_cum, self.config, self._rng_train)
 
-        trace = train_task(self.net, task.train, self.f_cum, cfg, self._rng_train)
-
+    def finish(self, task: Task) -> float:
+        """Fold task's Fisher into the accumulator and merge the adapter; returns the norm of the merged update."""
         if self.strategy.learned:
             estimate = fisher_mod.estimate_factor_space if self.strategy.learned == "factor" else fisher_mod.estimate
             try:
-                fisher_t = estimate(self.net, task.train, cfg.estimator, self._rng_fisher)
+                fisher_t = estimate(self.net, task.train, self.config.estimator, self._rng_fisher)
             except NumericalError as exc:
                 raise NumericalError(f"Fisher estimate of task {task.id}: {exc}") from exc
-            self.f_cum = accumulate(self.f_cum, fisher_t, cfg.gamma)
+            self.f_cum = accumulate(self.f_cum, fisher_t, self.config.gamma)
 
         norm_sq = 0.0
         for layer in self.net.layers:
             delta = layer.A @ layer.B
             norm_sq += float(np.sum(delta * delta))
-        merge_and_reset(self.net, self._rng_init, b_scale=cfg.b_init_scale)
-        return trace, math.sqrt(norm_sq)
+        merge_and_reset(self.net, self._rng_init, b_scale=self.config.b_init_scale)
+        return math.sqrt(norm_sq)
 
 
 @dataclass
@@ -356,14 +361,14 @@ def pretrain_key(config: TrainConfig) -> tuple:
     return tuple(getattr(config, name) for name in _PRETRAIN_FIELDS)
 
 
-def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None = None, after_task: Callable | None = None) -> RunRecord:
-    """Full sequential run over the stream, filling the accuracy matrix.
+def first_task_key(config: TrainConfig) -> tuple | None:
+    """Configs with one key train task 0 to the same bytes: a learned Fisher is zero until
+    task 0 is finished, so task 0 trains with no penalty. None with a fixed Fisher, which weighs task 0."""
+    return None if STRATEGIES[config.strategy].fixed else tuple(getattr(config, f.name) for f in fields(config) if f.name not in ("strategy", "lam", "gamma"))
 
-    The learner starts on a copy of base (by default, pretrain's network),
-    with the fixed Fisher its strategy needs; a given base must come from
-    pretrain with a config of the same pretrain_key, and is left untouched.
-    after_task(t, learner), when given, runs after task t is scored.
-    """
+
+def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -> tuple[ContinualLearner, list[float]]:
+    """A learner for config on a copy of base (by default, pretrain's network) that has trained task 0, not finished it; and the loss trace."""
     if stream.num_tasks < 1:
         raise DataError("stream has no tasks")
     stream.validate()
@@ -377,18 +382,35 @@ def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None 
         rng = RngState(config.seed).derive("precompute")
         expand_head(probe, [cid for task in stream.tasks for cid in task.class_ids], rng)
         f_fixed = precompute_dataset_fisher(probe, stream.all_train(), config.estimator, rng)
-    learner = ContinualLearner(net, config, f_fixed=f_fixed)
+    learner = ContinualLearner(net, config if fixed else replace(config, lam=0.0), f_fixed=f_fixed)  # a zero Fisher, no penalty
+    return learner, learner.train(stream.tasks[0])
 
+
+def _continue(config: TrainConfig, stream: TaskStream, shared: ContinualLearner, trace: list[float], after_task: Callable | None = None) -> RunRecord:
+    """config's run on from (shared, trace), the _first_task of a config with its first_task_key; shared stays unchanged."""
+    learner = ContinualLearner(shared.net.copy(), config, f_fixed=shared.f_cum if shared.strategy.fixed else None)
+    learner._rng_init, learner._rng_train, learner._rng_fisher = (copy.copy(r) for r in (shared._rng_init, shared._rng_train, shared._rng_fisher))
     acc = AccuracyMatrix(stream.num_tasks)
     logs: list[dict] = []
     for t, task in enumerate(stream.tasks):
-        trace, norm = learner.step(task)
-        row = [accuracy(net, stream.tasks[i].test.X, stream.tasks[i].test.y) for i in range(t + 1)]
+        trace, norm = learner.step(task) if t else (trace, learner.finish(task))
+        row = [accuracy(learner.net, stream.tasks[i].test.X, stream.tasks[i].test.y) for i in range(t + 1)]
         acc.add_row(row)
         logs.append({"task": t, "class_ids": list(task.class_ids), "loss_trace": trace, "adapter_norm": norm, "row": row})
         if after_task is not None:
             after_task(t, learner)
     return RunRecord(acc_matrix=acc, task_logs=logs)
+
+
+def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None = None, after_task: Callable | None = None) -> RunRecord:
+    """Full sequential run over the stream, filling the accuracy matrix.
+
+    The learner starts on a copy of base (by default, pretrain's network),
+    with the fixed Fisher its strategy needs; a given base must come from
+    pretrain with a config of the same pretrain_key, and is left untouched.
+    after_task(t, learner), when given, runs after task t is scored.
+    """
+    return _continue(config, stream, *_first_task(config, stream, base), after_task)
 
 
 def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
@@ -459,25 +481,57 @@ def run_many(
     """base_cfg's reference accuracy on every task, and one continual run per config.
 
     One base network is pretrained per pretrain_key, in this process, and
-    every unit (a reference or a run) trains a copy of it. The units are
-    independent and seed-exact, so up to jobs forked workers run them and
-    return exactly what the serial loop returns. The results are read in
-    serial order, so a failure raises the error the serial loop would raise
-    first; with jobs = 1 each unit runs here as it is read, so none runs
-    after the first failure.
+    every unit trains a copy of it. Configs of one first_task_key, whose
+    Fisher is zero until task 0 is finished, share the unit that trains task
+    0 and continue from its Fisher estimate on in units of their own. Up to
+    jobs forked workers run the units (first tasks, unshared runs,
+    continuations, then references) and return what the serial loop returns.
+    The results are read in serial order, so a failure raises the error the
+    serial loop would raise first; with jobs = 1 each unit runs here as it
+    is read, so none runs after the first failure.
     """
     bases: dict[tuple, Network] = {}
     for config in [base_cfg, *configs]:
         if pretrain_key(config) not in bases:
             bases[pretrain_key(config)] = pretrain(config, stream)
     units = [functools.partial(run_reference, bases[pretrain_key(base_cfg)], base_cfg, task) for task in stream.tasks]
-    units += [functools.partial(run_continual, config, stream, bases[pretrain_key(config)]) for config in configs]
-    n_refs = stream.num_tasks
+    n_refs = len(units)
+    keys = [first_task_key(config) or i for i, config in enumerate(configs)]  # a config that shares nothing is its own key
+    reads, needs, firsts = list(range(n_refs)), {}, {}  # needs: continuation -> its key's first-task unit
+    for key, config in zip(keys, configs):
+        base = bases[pretrain_key(config)]
+        if keys.count(key) > 1 and key not in firsts:
+            firsts[key] = len(units)
+            units.append(functools.partial(_first_task, config, stream, base))
+        reads.append(len(units))
+        if key in firsts:
+            needs[len(units)] = firsts[key]
+        units.append(functools.partial(_continue, config, stream) if key in firsts else functools.partial(run_continual, config, stream, base))
+    priority = [*firsts.values(), *(u for u in reads[n_refs:] if u not in needs), *needs, *range(n_refs)]
     workers = min(jobs, len(units))
-    with fork_pool(workers if workers > 1 else 0, lambda i: units[i]()) as submit:
-        longest_first = [*range(n_refs, len(units)), *range(n_refs)]
-        pending = {i: submit(i) for i in longest_first}
-        results = [pending[i].result() for i in range(len(units))]
+    pool = workers if workers > 1 else 0
+    with fork_pool(pool, lambda i, *args: units[i](*args)) as submit:
+        if pool:
+            from concurrent.futures import FIRST_COMPLETED, wait
+        futures = {}
+
+        def start(u: int) -> None:
+            futures[u] = submit(u, *(futures[needs[u]].result() if u in needs else ()))
+
+        def read(u: int):
+            for w in (needs[u], u) if u in needs else (u,):  # a failed first task raises at each of its configs
+                if not pool and w not in futures:
+                    start(w)
+                while pool and not (w in futures and futures[w].done()):  # the ready units of highest priority fill free workers
+                    finished = {v for v, f in futures.items() if f.done() and not f.exception()}
+                    ready = [v for v in priority if v not in futures and (v not in needs or needs[v] in finished)]
+                    for v in ready[: pool - sum(not f.done() for f in futures.values())]:
+                        start(v)
+                    wait([f for f in futures.values() if not f.done()], return_when=FIRST_COMPLETED)
+                result = futures[w].result()
+            return result
+
+        results = [read(u) for u in reads]
     return results[:n_refs], results[n_refs:]
 
 

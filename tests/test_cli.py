@@ -202,6 +202,24 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize(
+        "command,run",
+        [(["run"], "the run of seed 0"), (["compare-strategies"], "the none run of seed 0"),
+         (["sweep", "--parameter", "lambda"], "the lambda 0.0 run of seed 0")],
+    )
+    def test_metric_left_undefined_by_training_exits_3(self, tmp_path, capsys, monkeypatch, command, run):
+        # a reference that learned nothing makes plasticity undefined only
+        # after all training, so it is a numerical failure, not a config error
+        import lrcl.trainer as trainer_mod
+
+        monkeypatch.setattr(trainer_mod, "run_reference", lambda *args: 0.0)
+        out = tmp_path / "out"
+        text = TINY.replace("num_tasks = 3", "num_tasks = 2")
+        assert main(command + ["--config", write_config(tmp_path, text), "--out", str(out), "--jobs", "1"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"numerical failure: metrics of {run}: reference accuracy for task 0 must be positive"]
+        assert not out.exists()
+
     def test_csv_class_with_one_row_exits_2_with_one_line(self, tmp_path, capsys):
         rows = ["f0,f1,label"] + [f"{c}.5,{i},{c}" for c in range(4) for i in range(5)] + ["9.5,0,9"]
         (tmp_path / "pool.csv").write_text("\n".join(rows) + "\n")

@@ -525,6 +525,95 @@ class TestRunMany:
         assert trainer_mod._WORK is None
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("reference_fails", [False, True])
+    def test_shared_first_task_failure_in_serial_order(self, monkeypatch, jobs, reference_fails):
+        # configs 1 and 2 share task 0, which fails, and config 3 fails on its
+        # own: the serial loop raises config 1's error, or reference 1's, read
+        # before it, and with jobs = 1 runs nothing after the first failure
+        real_first, real_continue, real_ref = trainer_mod._first_task, trainer_mod._continue, trainer_mod.run_reference
+        ran = []
+
+        def first_task(config, stream, base):
+            ran.append(("first", config.strategy))
+            if config.strategy == "deltaw":
+                raise NumericalError("stand-in failure of the shared task 0")
+            return real_first(config, stream, base)
+
+        def continue_(config, *args):
+            ran.append(("continue", config.strategy))
+            if config.strategy == "precomputed_dataset":
+                raise NumericalError("stand-in failure of config 3")
+            return real_continue(config, *args)
+
+        def reference(net, config, task):
+            ran.append(("reference", task.id))
+            if reference_fails and task.id == 1:
+                raise NumericalError("stand-in failure of reference 1")
+            return real_ref(net, config, task)
+
+        monkeypatch.setattr(trainer_mod, "_first_task", first_task)
+        monkeypatch.setattr(trainer_mod, "_continue", continue_)
+        monkeypatch.setattr(trainer_mod, "run_reference", reference)
+        configs = [tiny_config(strategy=s, lam=lam) for s, lam in
+                   (("precomputed_uniform", 1.0), ("deltaw", 1.0), ("none", 0.0), ("precomputed_dataset", 1.0))]
+        expected = "stand-in failure of reference 1" if reference_fails else "stand-in failure of the shared task 0"
+        with pytest.raises(NumericalError, match=expected):
+            run_many(tiny_stream(), tiny_config(), configs, jobs=jobs)
+        if jobs == 1:
+            refs = [("reference", 0), ("reference", 1)]
+            runs = [("first", "precomputed_uniform"), ("continue", "precomputed_uniform"), ("first", "deltaw")]
+            assert ran == (refs if reference_fails else refs + [("reference", 2)] + runs)
+        assert trainer_mod._WORK is None
+
+
+class TestSharedFirstTask:
+    """run_many trains task 0 once for the configs of one first_task_key, to the bytes of one run each."""
+
+    # every strategy without a fixed Fisher, and one with, at each lambda and gamma
+    GRID = [(s, lam, gamma) for s in ("none", "deltaw", "separate", "precomputed_dataset") for lam in (0.0, 10.0, 1e8) for gamma in (0.0, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("estimator", ["empirical", "sampled", "exact_subset(5)"])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_run_many_equals_one_run_at_a_time(self, estimator, shuffle):
+        # sampled and exact_subset draw from the Fisher stream, shuffling from the train stream
+        stream = tiny_stream(4)
+        configs = [tiny_config(seed=4, strategy=s, lam=lam, gamma=gamma, estimator=estimator, shuffle=shuffle) for s, lam, gamma in self.GRID]
+        alone = [run_continual(config, stream) for config in configs]
+        for jobs in (1, 2):
+            _, records = run_many(stream, configs[0], configs, jobs=jobs)
+            for config, record, one in zip(configs, records, alone):
+                assert record.acc_matrix.rows == one.acc_matrix.rows and record.task_logs == one.task_logs, (jobs, config)
+
+    def test_only_strategy_lambda_and_gamma_may_differ(self):
+        # one changed value per other TrainConfig field splits the key; a fixed Fisher never shares
+        cfg = tiny_config()
+        for name, value in TestSharedBase.CHANGED.items():
+            other = replace(cfg, **{name: value})
+            shares = trainer_mod.first_task_key(other) == trainer_mod.first_task_key(cfg)
+            assert shares == (name in ("strategy", "lam", "gamma")), name
+        for strategy in ("precomputed_uniform", "precomputed_dataset"):
+            assert trainer_mod.first_task_key(tiny_config(strategy=strategy)) is None
+
+    def test_each_key_trains_task_0_once(self, monkeypatch):
+        calls = []
+        real = trainer_mod.train_task
+
+        def spy(net, data, f_cum, config, rng):
+            calls.append(config.strategy)
+            return real(net, data, f_cum, config, rng)
+
+        monkeypatch.setattr(trainer_mod, "train_task", spy)
+        stream = tiny_stream()
+        configs = [tiny_config(strategy="none"), tiny_config(strategy="deltaw", lam=1e8), tiny_config(strategy="separate", gamma=0.5),
+                   tiny_config(strategy="precomputed_dataset"), tiny_config(strategy="precomputed_dataset"),
+                   tiny_config(strategy="deltaw", lr=0.1), tiny_config(strategy="deltaw", epochs=3), tiny_config(strategy="deltaw", shuffle=True)]
+        run_many(stream, tiny_config(), configs, jobs=1)
+        # 3 references, then task 0 once for the first three configs and once
+        # for each other config, and tasks 1 and 2 for every config
+        assert len(calls) == 3 + (1 + 5) + 2 * len(configs)
+
+
 class TestRunContinual:
     def test_single_task_stream(self):
         stream = tiny_stream(num_tasks=1)
