@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -162,6 +163,8 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}")
     return experiment_config_from_raw(parse_config_text(text))
 
 
@@ -172,6 +175,16 @@ def _check_out_dir(path: str) -> None:
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ConfigError(f"cannot use {path!r} as output directory: {probe!r} is not a directory")
+
+
+@contextmanager
+def _writing(out_dir: str):
+    """Create out_dir; an output that cannot be written is one error line (exit 2), not a traceback."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as exc:  # only the writes: a failed fork is no configuration problem
+        raise ConfigError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror or exc}") from exc
 
 
 def accuracy_matrix_csv(record: RunRecord) -> str:
@@ -211,16 +224,13 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
     refs, (record,) = run_many(cfg.build_stream(seed), config, [config], jobs)
     metrics = compute_metrics(record, refs, f"the run of seed {seed}")
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write(os.path.join(cfg.out_dir, "accuracy_matrix.csv"), accuracy_matrix_csv(record))
-    atomic_write(
-        os.path.join(cfg.out_dir, "metrics.json"),
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n",
-    )
     jsonl = "".join(json.dumps(log, sort_keys=True) + "\n" for log in record.task_logs)
-    atomic_write(os.path.join(cfg.out_dir, "run.jsonl"), jsonl)
     ref_lines = ["task,ref_accuracy"] + [f"{i},{format_float(r)}" for i, r in enumerate(refs)]
-    atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(ref_lines) + "\n")
+    with _writing(cfg.out_dir):
+        atomic_write(os.path.join(cfg.out_dir, "accuracy_matrix.csv"), accuracy_matrix_csv(record))
+        atomic_write(os.path.join(cfg.out_dir, "metrics.json"), json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+        atomic_write(os.path.join(cfg.out_dir, "run.jsonl"), jsonl)
+        atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(ref_lines) + "\n")
     return 0
 
 
@@ -241,8 +251,8 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
         refs, records = run_many(cfg.build_stream(seed), cfg.train_config(seed), configs, jobs)
         for (label, _), record in zip(runs, records):
             rows.append(_metrics_row(label + [str(seed)], compute_metrics(record, refs, f"the {' '.join(label)} run of seed {seed}")))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
+    with _writing(cfg.out_dir):
+        atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
     return 0
 
 
@@ -272,11 +282,11 @@ def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
         for r in rows:
             values = [format_float(v) for v in (r.norm_ratio, r.spearman, r.cosine)]
             lines.append(",".join([str(r.task_trained), str(r.task_data), r.regime] + values))
-        for i, snap in snapshots.items():
-            snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
-            save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
+        with _writing(cfg.out_dir):
+            for i, snap in snapshots.items():
+                snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
+                save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
+            atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -285,8 +295,8 @@ def cmd_reference(cfg: ExperimentConfig, jobs: int) -> int:
     for seed in cfg.seeds:
         refs, _ = run_many(cfg.build_stream(seed), cfg.train_config(seed), [], jobs)
         rows.extend(f"{seed},{i},{format_float(r)}" for i, r in enumerate(refs))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(rows) + "\n")
+    with _writing(cfg.out_dir):
+        atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(rows) + "\n")
     return 0
 
 
@@ -297,12 +307,9 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
         raise ConfigError("stream has no pretraining classes")
     config = cfg.train_config(seed)
     net, acc = pretrain_report(config, stream)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
-    atomic_write(
-        os.path.join(cfg.out_dir, "pretrain.json"),
-        json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n",
-    )
+    with _writing(cfg.out_dir):
+        save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
+        atomic_write(os.path.join(cfg.out_dir, "pretrain.json"), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -349,7 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap() -> None:
+    """Keep freed batch-sized arrays on glibc's heap, so the next step does not fault their pages in again.
+
+    Both settings or neither: either alone faults more than glibc's default. Forked workers inherit them.
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD: 32 MiB
+        mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_experiment_config(args.config)

@@ -188,30 +188,32 @@ def gen_gaussian_stream(shape: StreamConfig, seed: int) -> TaskStream:
 
 def read_dataset_csv(path) -> Dataset:
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"cannot read dataset csv: {exc}")
-    with fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ParseError("empty csv", line=1)
-        cols = header.split(",")
-        if cols[-1] != "label" or any(c != f"f{j}" for j, c in enumerate(cols[:-1])):
-            raise ParseError("expected header f0,...,f{d-1},label", line=1)
-        dim = len(cols) - 1
-        xs, ys = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            if len(toks) != dim + 1:
-                raise ParseError(f"expected {dim + 1} fields, got {len(toks)}", line=lineno)
-            try:
-                xs.append([float(t) for t in toks[:-1]])
-                ys.append(int(toks[-1]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read dataset csv {str(path)!r}: {exc}")
+    header = lines[0].strip()
+    if not header:
+        raise ParseError("empty csv", line=1)
+    cols = header.split(",")
+    if cols[-1] != "label" or any(c != f"f{j}" for j, c in enumerate(cols[:-1])):
+        raise ParseError("expected header f0,...,f{d-1},label", line=1)
+    dim = len(cols) - 1
+    xs, ys = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        toks = line.split(",")
+        if len(toks) != dim + 1:
+            raise ParseError(f"expected {dim + 1} fields, got {len(toks)}", line=lineno)
+        try:
+            xs.append([float(t) for t in toks[:-1]])
+            ys.append(int(toks[-1]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno)
     if not xs:
         raise ParseError("csv has a header but no samples")
     return Dataset(np.array(xs), ys)

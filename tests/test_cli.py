@@ -2,9 +2,11 @@
 
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -272,6 +274,45 @@ class TestRunCommand:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:")
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [(["run"], "accuracy_matrix.csv"), (["compare-strategies"], "strategies.csv"),
+         (["sweep", "--parameter", "lambda"], "sweep.csv"),
+         (["diagnose"], os.path.join("fisher_snapshots_seed0", "task0", "layer0_fdw.csv")),
+         (["pretrain"], os.path.join("checkpoint", "layer0_W.csv"))],
+    )
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, command, name):
+        # the name of the command's first output file is taken by a directory,
+        # which only the write after training finds
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        jobs = [] if command == ["pretrain"] else ["--jobs", "1"]
+        assert main(command + ["--config", write_config(tmp_path), "--out", str(out)] + jobs) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Is a directory"]
+        assert (out / name).is_dir()
+        assert not [p for p in out.rglob("*") if ".tmp." in p.name]
+
+    @pytest.mark.parametrize("source", ["config", "csv"])
+    def test_input_not_utf8_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, source):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the input was read")
+
+        monkeypatch.setattr(cli_mod, "run_many", no_compute)
+        rows = ["f0,f1,label"] + [f"{c}.5,{i},{c}" for c in range(4) for i in range(5)]
+        csv = tmp_path / "pool.csv"
+        csv.write_bytes(("\n".join(rows) + "\n").encode() + (b"0.5,\xff,0\n" if source == "csv" else b""))
+        text = TINY.replace("dim = 6", "dim = 2") + f"csv_path = {csv}\npretrain_mode = random\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text.encode() + (b"# \xff\n" if source == "config" else b""))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read") and "can't decode byte 0xff" in err[0]
+        assert {"config": "run.cfg", "csv": "pool.csv"}[source] in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize(
@@ -562,6 +603,69 @@ class TestJobs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--jobs" in err[0]
         assert not out.exists()
+
+
+WIDE = """
+dim = 64
+hidden_dims = 256,256
+classes_per_task = 8
+num_tasks = 2
+n_train = 150
+n_test = 50
+batch_size = 256
+epochs = 3
+pretrain_epochs = 2
+epsilon = 0.1
+lambda = 10
+"""
+
+
+class TestHeapPolicy:
+    """main keeps freed batch-sized arrays on glibc's heap: both mallopt settings or neither."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc's mallopt")
+    def test_repeated_wide_run_barely_faults(self, tmp_path):
+        # a 256-wide layer at batch 256 frees 512 KiB temporaries each step;
+        # trimmed or unmapped, they are faulted in again by the next step
+        # (~9,500 faults per call); kept on the heap, they are reused
+        import lrcl
+
+        code = (
+            "import resource, sys\n"
+            "from lrcl.cli import main\n"
+            "argv = ['run', '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', '1']\n"
+            "assert main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(lrcl.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = [sys.executable, "-c", code, write_config(tmp_path, WIDE), str(tmp_path / "out")]
+        proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
+    @pytest.mark.parametrize(
+        "mmap_result,calls",
+        [(1, [(-3, 32 << 20), (-1, -1)]), (0, [(-3, 32 << 20)]), (None, [])],
+    )
+    def test_trim_set_only_after_mmap_threshold(self, tmp_path, monkeypatch, mmap_result, calls):
+        # a libc whose mallopt refuses M_MMAP_THRESHOLD (-3) never gets
+        # M_TRIM_THRESHOLD (-1); one without mallopt gets nothing
+        import ctypes
+
+        seen = []
+
+        def mallopt(param, value):
+            seen.append((param, value))
+            return mmap_result if param == -3 else 1
+
+        libc = types.SimpleNamespace() if mmap_result is None else types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+        assert seen == calls
 
 
 class TestReadme:
