@@ -168,13 +168,27 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     return experiment_config_from_raw(parse_config_text(text))
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail before any compute when path cannot become the output directory."""
+# the files each command writes directly under the output directory; diagnose writes one per seed
+_OUTPUTS = {
+    "run": ("accuracy_matrix.csv", "metrics.json", "run.jsonl", "references.csv"),
+    "compare-strategies": ("strategies.csv",),
+    "sweep": ("sweep.csv",),
+    "diagnose": ("drift_seed{seed}.csv",),
+    "reference": ("references.csv",),
+    "pretrain": ("pretrain.json",),
+}
+
+
+def _check_out_dir(path: str, names: list[str]) -> None:
+    """Fail before any compute when path cannot become the output directory, or one of its names is a directory."""
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ConfigError(f"cannot use {path!r} as output directory: {probe!r} is not a directory")
+    for target in (os.path.join(path, name) for name in names):
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write {target}: Is a directory")
 
 
 @contextmanager
@@ -226,11 +240,10 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
 
     jsonl = "".join(json.dumps(log, sort_keys=True) + "\n" for log in record.task_logs)
     ref_lines = ["task,ref_accuracy"] + [f"{i},{format_float(r)}" for i, r in enumerate(refs)]
+    texts = [accuracy_matrix_csv(record), json.dumps(metrics, indent=2, sort_keys=True) + "\n", jsonl, "\n".join(ref_lines) + "\n"]
     with _writing(cfg.out_dir):
-        atomic_write(os.path.join(cfg.out_dir, "accuracy_matrix.csv"), accuracy_matrix_csv(record))
-        atomic_write(os.path.join(cfg.out_dir, "metrics.json"), json.dumps(metrics, indent=2, sort_keys=True) + "\n")
-        atomic_write(os.path.join(cfg.out_dir, "run.jsonl"), jsonl)
-        atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(ref_lines) + "\n")
+        for name, text in zip(_OUTPUTS["run"], texts):
+            atomic_write(os.path.join(cfg.out_dir, name), text)
     return 0
 
 
@@ -258,7 +271,7 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
 
 def cmd_compare_strategies(cfg: ExperimentConfig, jobs: int) -> int:
     runs = [([strategy], {"strategy": strategy}) for strategy in cfg.strategies]
-    return _run_grid(cfg, "strategies", ["strategy"], runs, "strategies.csv", jobs)
+    return _run_grid(cfg, "strategies", ["strategy"], runs, _OUTPUTS["compare-strategies"][0], jobs)
 
 
 _SWEEPS = {"lambda": ("lam", "lambda_grid"), "gamma": ("gamma", "gamma_grid")}
@@ -269,7 +282,7 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str, jobs: int) -> int:
         raise ConfigError(f"sweep parameter must be lambda or gamma, got {parameter!r}")
     name, grid_key = _SWEEPS[parameter]
     runs = [([parameter, format_float(value)], {name: value}) for value in getattr(cfg, grid_key)]
-    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, "sweep.csv", jobs)
+    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, _OUTPUTS["sweep"][0], jobs)
 
 
 def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
@@ -286,7 +299,7 @@ def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
             for i, snap in snapshots.items():
                 snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
                 save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
-            atomic_write(os.path.join(cfg.out_dir, f"drift_seed{seed}.csv"), "\n".join(lines) + "\n")
+            atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["diagnose"][0].format(seed=seed)), "\n".join(lines) + "\n")
     return 0
 
 
@@ -296,7 +309,7 @@ def cmd_reference(cfg: ExperimentConfig, jobs: int) -> int:
         refs, _ = run_many(cfg.build_stream(seed), cfg.train_config(seed), [], jobs)
         rows.extend(f"{seed},{i},{format_float(r)}" for i, r in enumerate(refs))
     with _writing(cfg.out_dir):
-        atomic_write(os.path.join(cfg.out_dir, "references.csv"), "\n".join(rows) + "\n")
+        atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["reference"][0]), "\n".join(rows) + "\n")
     return 0
 
 
@@ -309,7 +322,7 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     net, acc = pretrain_report(config, stream)
     with _writing(cfg.out_dir):
         save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
-        atomic_write(os.path.join(cfg.out_dir, "pretrain.json"), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
+        atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["pretrain"][0]), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -386,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             if not cfg.seeds:
                 raise ConfigError("--seed produced no seeds")
         jobs = _jobs(args.jobs) if args.command in _POOLED_COMMANDS else 1
-        _check_out_dir(cfg.out_dir)
+        _check_out_dir(cfg.out_dir, [name.format(seed=seed) for name in _OUTPUTS[args.command] for seed in cfg.seeds])
 
         # the program reports NaN/Inf itself, in one line; numpy's warnings
         # would add lines that depend on --jobs (forked workers inherit this)

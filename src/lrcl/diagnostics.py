@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, NumericalError, ParameterError
-from .fisher import EstimatorKind, FisherDiag, _class_sums, _draw, _finish, _fold, _pass, _pass_plan, fisher_norm, flatten
+from .fisher import EstimatorKind, FisherDiag, draw, fisher_norm, flatten, pass_means
 from .metrics import AccuracyMatrix
 from .model import Network, accuracy  # accuracy is unused here: bench/test_bench.py checks that its tracer rebinds it
 from .regularize import STRATEGIES
@@ -30,8 +30,6 @@ from .tensor import RngState
 from .trainer import ContinualLearner, TrainConfig, fork_pool, run_continual
 
 REGIMES = ("rehearsal_free", "rehearsal_based")
-# A later term range comes back as an array per class: past this many entries (2 MB) a pass is not split.
-_SPLIT_ENTRIES = 2**18
 
 
 def norm_ratio(f_now: FisherDiag, f_orig: FisherDiag) -> float:
@@ -104,12 +102,12 @@ class DriftRow:
     cosine: float
 
 
-def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, specs: list[tuple]) -> list:
-    """A unit: for each (tasks, draws, lo, hi), terms lo..hi-1 of a pass over the tasks' training rows (read through fork_pool's slot)."""
+def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, passes: list[tuple]) -> list:
+    """A unit: for each (tasks, draws), the pass_means of a pass over the tasks' training rows (read through fork_pool's slot)."""
     out = []
-    for tasks, draws, lo, hi in specs:
+    for tasks, draws in passes:
         data = stream.tasks[tasks[0]].train if len(tasks) == 1 else concat_datasets([stream.tasks[i].train for i in tasks])
-        out.append(_class_sums(net, *_pass(net, data, kind, draws), lo, hi))
+        out.append(pass_means(net, data, kind, draws))
     return out
 
 
@@ -125,29 +123,24 @@ class _Tracker:
         self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in REGIMES}
         self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in REGIMES}
         self.rows: list[DriftRow] = []
-        self.pending: list[tuple] = []  # (t, net, f_cum, sizes, units) of each task not yet folded
+        self.pending: list[tuple] = []  # (t, f_cum, units) of each task not yet folded
 
     def after_task(self, t: int, learner: ContinualLearner) -> None:
         """Draws and submits task t's passes in the serial loop's order, then folds each task whose units are done."""
         net = learner.net.copy()  # the learner trains on in place
-        last = t == self.stream.num_tasks - 1
-        whole = len(net.head.class_ids) * sum(l.d_out * l.d_in for l in net.layers) > _SPLIT_ENTRIES
         needed = [i for i in self.tracked if i <= t]
-        plan, sizes = [], {}  # a pass is (regime, i) for task i, (regime, None) for the pool; regime None without draws
+        plan = {}  # a pass is (regime, i) for task i, (regime, None) for the pool; regime None without draws
         for regime in REGIMES:
             for i in needed:
                 for key in [i] + ([None] if regime == REGIMES[1] and i == needed[0] < t else []):
                     slot = (regime if self.kind.draws else None, key)
-                    if slot not in sizes:
+                    if slot not in plan:
                         tasks = (key,) if key is not None else tuple(range(t + 1))
-                        n = sum(self.stream.tasks[j].train.n for j in tasks)
-                        draws = _draw(self.kind, n, self.rngs[regime])
-                        sizes[slot], ranges = _pass_plan(net, self.kind, n, self.jobs if last and not whole else 1)
-                        plan += [(slot, (tasks, draws, lo, hi)) for lo, hi in ranges]
-        # while the learner trains on, a task is one unit, so one worker at a time takes a core from it
-        groups = [[step] for step in plan] if last else [plan]
-        units = [([slot for slot, _ in group], self.submit(net, [spec for _, spec in group])) for group in groups if group]
-        self.pending.append((t, net, learner.f_cum, sizes, units))
+                        plan[slot] = (tasks, draw(self.kind, sum(self.stream.tasks[j].train.n for j in tasks), self.rngs[regime]))
+        # while the learner trains on, a task is one unit, so one worker at a time takes a core from it; after the last task, a pass
+        groups = [[slot] for slot in plan] if t == self.stream.num_tasks - 1 else [list(plan)]
+        units = [(group, self.submit(net, [plan[slot] for slot in group])) for group in groups if group]
+        self.pending.append((t, learner.f_cum, units))
         self.fold(wait=self.jobs == 1)
 
     def fold(self, wait: bool) -> None:
@@ -159,11 +152,11 @@ class _Tracker:
                 self.pending.clear()  # nothing later is read: the first failure is the one raised
                 raise
 
-    def _rows_of(self, t: int, net: Network, f_cum: FisherDiag, sizes: dict, units: list[tuple]) -> None:
+    def _rows_of(self, t: int, f_cum: FisherDiag, units: list[tuple]) -> None:
         @functools.cache  # made when first read, as the serial loop made them
         def fisher(slot: tuple) -> FisherDiag:
-            parts = [part for slots, unit in units for s, part in zip(slots, unit.result()) if s == slot]
-            return _finish(_fold(parts), sizes[slot], len(net.layers))
+            slots, unit = next((slots, unit) for slots, unit in units if slot in slots)
+            return FisherDiag(*unit.result()[slots.index(slot)])
 
         for regime in REGIMES:
             drawn = regime if self.kind.draws else None
@@ -208,9 +201,10 @@ def track_fisher_drift(
     against its accumulator.
 
     Every draw, snapshot and row is made here, in task order, while jobs
-    forked workers (none for jobs = 1) run the units, the serial loop's
-    Fisher passes or term ranges of them, and this process trains on; so
-    the bits and the first failure are the serial loop's for any jobs.
+    forked workers (none for jobs = 1) run the serial loop's whole Fisher
+    passes, one unit per task while this process trains on and one per
+    pass after the last task; so the bits and the first failure are the
+    serial loop's for any jobs.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")

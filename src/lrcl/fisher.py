@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .model import ForwardCache, Network, dz_per_layer, forward, label_rows
-from .tasks import Dataset
+from .tasks import Dataset, concat_datasets
 from .tensor import RngState, _check_finite, _softmax_rows, load_state, save_state
 
 
@@ -173,7 +173,7 @@ def _sample_classes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.where(hits.any(axis=1), hits.argmax(axis=1), probs.shape[1] - 1)
 
 
-def _draw(kind: EstimatorKind, n: int, rng: RngState | None) -> np.ndarray | None:
+def draw(kind: EstimatorKind, n: int, rng: RngState | None) -> np.ndarray | None:
     """The draws of one pass over n rows, made on rng: exact_subset's rows or sampled's uniform per row."""
     if kind.name == "exact_subset":
         return np.array(sorted(rng.sample_indices(n, min(kind.subset, n))), dtype=np.intp)  # set draw; fixed order keeps sums stable
@@ -182,65 +182,31 @@ def _draw(kind: EstimatorKind, n: int, rng: RngState | None) -> np.ndarray | Non
     return None
 
 
-def _pass_plan(net: Network, kind: EstimatorKind, n: int, parts: int) -> tuple[int, list[tuple[int, int]]]:
-    """The rows a pass over n rows averages, and its terms (a head class each for the exact estimators, else one) in parts ranges."""
-    n_terms = len(net.head.class_ids) if kind.name.startswith("exact") else 1
-    bounds = sorted({n_terms * k // parts for k in range(parts + 1)})
-    return min(n, kind.subset or n), list(zip(bounds, bounds[1:]))
+def pass_means(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarray | None, factor_space: bool = False) -> tuple:
+    """One estimate's pass on its draws (see draw): the row means of its squared gradients, as FisherDiag's fdw, fa and fb.
 
-
-def _pass(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarray | None) -> tuple[ForwardCache, np.ndarray, np.ndarray | None]:
-    """One estimate's forward pass on its draws: the cache, the probabilities, and for the one-term estimators each row's class."""
+    The one-term estimators take each row's class (its label, or its draw);
+    exact sums head class c weighted by its probability, in class order.
+    """
     if kind.name == "exact_subset":
         data = data.subset(draws)
     cache = forward(net, data.X)
     probs = _softmax_rows(cache.logits)
-    rows = None
-    if kind.name == "empirical":
-        rows = label_rows(net.head, data.y)
-    elif kind.name == "sampled":
-        rows = _sample_classes(probs, draws)
-    return cache, probs, rows
-
-
-def _fold(ranges: list) -> list[np.ndarray]:
-    """A pass's sums over all its terms, from the _class_sums of consecutive term ranges from 0."""
-    (running,), *later = ranges
-    for terms in later:
-        for term in terms:
-            for total, part in zip(running, term):
-                total += part
-    return running
-
-
-def _class_sums(net: Network, cache: ForwardCache, probs: np.ndarray, rows: np.ndarray | None, lo: int, hi: int, factor_space: bool = False) -> list[list[np.ndarray]]:
-    """The sums of terms lo..hi-1 of one pass (see _pass_plan).
-
-    With rows, from _pass, the one term is each row's class; without, term c
-    is head class c weighted by its probability (exact). A range from 0 gives
-    the running sums after term hi - 1; a later range gives one per term,
-    which _fold adds in term order, so any split gives the bits of one range.
-    """
     acc = _Accumulator(net, cache, factor_space)
-    if rows is not None:
-        terms = map(acc.term, [_onehot_minus_probs(probs, rows)])
-    else:
+    if kind.name.startswith("exact"):
         roots = np.sqrt(probs)  # sqrt, squared later
-
-        def exact_term(c: int) -> list[np.ndarray]:
+        for c in range(probs.shape[1]):
             g = np.negative(probs)
             g[:, c] += 1.0
             g *= roots[:, c, None]
-            return acc.term(g)
-
-        terms = map(exact_term, range(lo, hi))
-    return list(terms) if lo > 0 else [_fold([[next(terms)], terms])]
-
-
-def _finish(sums: list[np.ndarray], n_samples: int, n_layers: int) -> FisherDiag:
-    """The Fisher of one pass: its sums, in _Accumulator.term's order, over n_samples."""
-    means = [s / n_samples for s in sums]
-    return FisherDiag(means[:n_layers], means[n_layers : 2 * n_layers] or None, means[2 * n_layers :] or None)
+            term = acc.term(g)
+            sums = term if c == 0 else [np.add(total, part, out=total) for total, part in zip(sums, term)]
+    else:
+        rows = label_rows(net.head, data.y) if kind.name == "empirical" else _sample_classes(probs, draws)
+        sums = acc.term(_onehot_minus_probs(probs, rows))
+    n = len(net.layers)
+    means = [s / data.n for s in sums]
+    return means[:n], means[n : 2 * n] or None, means[2 * n :] or None
 
 
 def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None, factor_space: bool) -> FisherDiag:
@@ -248,10 +214,7 @@ def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | 
         raise DataError("cannot estimate Fisher on an empty dataset")
     if kind.draws and rng is None:
         raise ParameterError(f"the {kind.label()} estimator needs an rng for its draws")
-    n_rows, [(lo, hi)] = _pass_plan(net, kind, data.n, 1)
-    cache, probs, rows = _pass(net, data, kind, _draw(kind, data.n, rng))
-    (sums,) = _class_sums(net, cache, probs, rows, lo, hi, factor_space)
-    return _finish(sums, n_rows, len(net.layers))
+    return FisherDiag(*pass_means(net, data, kind, draw(kind, data.n, rng), factor_space))
 
 
 def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None) -> FisherDiag:
@@ -297,8 +260,6 @@ def precompute_dataset_fisher(net_at_w0: Network, all_task_data: list[Dataset], 
     The caller supplies the network at its pretrained weights with a head
     that already covers every class the union mentions.
     """
-    from .tasks import concat_datasets
-
     return estimate(net_at_w0, concat_datasets(all_task_data), kind, rng)
 
 

@@ -277,14 +277,36 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "command,name",
+        [(["run"], name) for name in ("accuracy_matrix.csv", "metrics.json", "run.jsonl", "references.csv")]
+        + [(["compare-strategies"], "strategies.csv"), (["sweep", "--parameter", "gamma"], "sweep.csv"),
+           (["diagnose"], "drift_seed0.csv"), (["diagnose", "--seed", "0,7"], "drift_seed7.csv"),
+           (["reference"], "references.csv"), (["pretrain"], "pretrain.json")],
+    )
+    def test_output_name_taken_by_a_directory_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, name):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the output names were checked")
+
+        for fn in ("run_many", "track_fisher_drift", "pretrain_report"):
+            monkeypatch.setattr(cli_mod, fn, no_compute)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(command + ["--config", write_config(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Is a directory"]
+        assert [p.relative_to(out) for p in out.rglob("*")] == [Path(name)]  # nothing written
+
+    @pytest.mark.parametrize(
+        "command,name",
         [(["run"], "accuracy_matrix.csv"), (["compare-strategies"], "strategies.csv"),
          (["sweep", "--parameter", "lambda"], "sweep.csv"),
          (["diagnose"], os.path.join("fisher_snapshots_seed0", "task0", "layer0_fdw.csv")),
          (["pretrain"], os.path.join("checkpoint", "layer0_W.csv"))],
     )
     def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, command, name):
-        # the name of the command's first output file is taken by a directory,
-        # which only the write after training finds
+        # the name of the command's first output file is taken by a directory:
+        # one right under --out is found before compute, a nested one (the
+        # snapshots of diagnose, the checkpoint of pretrain) only by the write
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         jobs = [] if command == ["pretrain"] else ["--jobs", "1"]

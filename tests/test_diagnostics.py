@@ -23,7 +23,7 @@ from lrcl.diagnostics import (
     track_fisher_drift,
 )
 from lrcl.errors import MetricError, NumericalError, ParameterError
-from lrcl.fisher import EstimatorKind, FisherDiag, _draw, _finish, _fold, _pass_plan, estimate, flatten
+from lrcl.fisher import EstimatorKind, FisherDiag, draw, estimate, flatten
 from lrcl.tasks import Dataset, StreamConfig, concat_datasets, gen_gaussian_stream
 from lrcl.tensor import RngState
 from lrcl.trainer import ContinualLearner, TrainConfig, run_continual
@@ -230,31 +230,25 @@ class TestTrackFisherDrift:
                 assert flatten(f).tobytes() == flatten(snapshots2[i]).tobytes()
         assert trainer_mod._WORK is None
 
-    def test_last_task_is_split_over_the_workers(self, monkeypatch):
-        # while the learner trains on, a task's passes are one unit; the last
-        # task's passes are one unit per term range, a range per worker
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_last_task_submits_a_unit_per_pass(self, monkeypatch, jobs):
+        # while the learner trains on, a task's passes are one unit; after
+        # the last task, each pass is a unit of its own
         submitted = []
         real_pool = diagnostics_mod.fork_pool
 
         @contextmanager
         def counting_pool(workers, work):
             with real_pool(workers, work) as submit:
-                yield lambda net, specs: submitted.append([(tasks, lo, hi) for tasks, _, lo, hi in specs]) or submit(net, specs)
+                yield lambda net, passes: submitted.append([tasks for tasks, _ in passes]) or submit(net, passes)
 
-        def ranges(t, split):
-            k = 2 * (t + 1)  # the head's classes after task t
-            passes = [(i,) for i in (0, 1, 2) if i <= t] + ([tuple(range(t + 1))] if t else [])
-            return [(p, k * j // split, k * (j + 1) // split) for p in passes for j in range(split)]
+        def passes(t):
+            return [(i,) for i in (0, 1, 2) if i <= t] + ([tuple(range(t + 1))] if t else [])
 
         monkeypatch.setattr(diagnostics_mod, "fork_pool", counting_pool)
         cfg, stream = self._setup(estimator="exact", num_tasks=4)
-        rows = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=2)[0]
-        assert submitted == [ranges(0, 1), ranges(1, 1), ranges(2, 1)] + [[r] for r in ranges(3, 2)]
-        for jobs, split_entries in [(1, diagnostics_mod._SPLIT_ENTRIES), (2, 0)]:  # 0: every pass is too wide to split
-            submitted.clear()
-            monkeypatch.setattr(diagnostics_mod, "_SPLIT_ENTRIES", split_entries)
-            assert track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)[0] == rows
-            assert submitted == [ranges(0, 1), ranges(1, 1), ranges(2, 1)] + [[r] for r in ranges(3, 1)]
+        track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)
+        assert submitted == [passes(0), passes(1), passes(2)] + [[p] for p in passes(3)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_earlier_drift_failure_wins_over_later_training_failure(self, monkeypatch, jobs):
@@ -306,17 +300,16 @@ class TestTrackFisherDrift:
 
 
 class TestUnits:
-    """Each Fisher the tracker reads is a pass of its own, whose folded term ranges are fisher.estimate's bits."""
+    """Each Fisher the tracker reads is a pass of its own, with fisher.estimate's bits."""
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
         hidden=st.sampled_from([17, 19, 33]),
         sizes=st.permutations([13, 17, 24]),
         kind=st.sampled_from(["empirical", "exact", "exact_subset(20)", "sampled"]),
-        split=st.integers(1, 3),
         seed=st.integers(0, 2**16),
     )
-    def test_units_equal_standalone_estimates(self, hidden, sizes, kind, split, seed):
+    def test_units_equal_standalone_estimates(self, hidden, sizes, kind, seed):
         # at these widths and task sizes a task's rows, taken as a block of a
         # pooled pass, give other bits than a pass over the task alone
         kind = EstimatorKind.parse(kind)
@@ -325,9 +318,8 @@ class TestUnits:
         stream = SimpleNamespace(tasks=[SimpleNamespace(train=part) for part in parts])
         for tasks in [(0,), (1,), (2,), (0, 1, 2)]:
             data = concat_datasets([parts[i] for i in tasks])
-            n_rows, ranges = _pass_plan(net, kind, data.n, split)
-            draws = _draw(kind, data.n, RngState(seed))
-            got = _finish(_fold(_measure(stream, kind, net, [(tasks, draws, lo, hi) for lo, hi in ranges])), n_rows, len(net.layers))
+            (means,) = _measure(stream, kind, net, [(tasks, draw(kind, data.n, RngState(seed)))])
+            got = FisherDiag(*means)
             want = estimate(net, data, kind, RngState(seed))
             assert all(np.array_equal(x, y) for x, y in zip(got.fdw, want.fdw))
 

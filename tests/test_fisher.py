@@ -1,5 +1,8 @@
 """Fisher estimators against per-sample loop oracles and closed forms."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +13,6 @@ from lrcl.fisher import (
     EstimatorKind,
     FisherDiag,
     _Accumulator,
-    _class_sums,
-    _draw,
-    _finish,
-    _fold,
-    _pass,
-    _pass_plan,
     _sample_classes,
     accumulate,
     estimate,
@@ -342,36 +339,6 @@ class TestExactHoist:
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
-class TestClassRanges:
-    """The drift tracker's unit, fisher's _class_sums over a term range of one pass."""
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        widths=st.lists(st.integers(4, 7), min_size=2, max_size=4),
-        rank=st.integers(1, 4),
-        n=st.integers(1, 12),
-        n_classes=st.integers(2, 5),
-        seed=st.integers(0, 2**16),
-        kind=st.sampled_from([EstimatorKind.empirical(), EstimatorKind.exact(), EstimatorKind.exact_subset(5), EstimatorKind.sampled()]),
-        factor_space=st.booleans(),
-    )
-    def test_every_split_folds_to_the_estimate(self, widths, rank, n, n_classes, seed, kind, factor_space):
-        net = make_net(widths, rank, seed, class_ids=list(range(n_classes)), nonzero_adapter=True)
-        data = make_dataset(net, n, seed + 1)
-        want = (estimate_factor_space if factor_space else estimate)(net, data, kind, RngState(seed))
-        cache, probs, rows = _pass(net, data, kind, _draw(kind, n, RngState(seed)))
-        n_terms = 1 if rows is not None else n_classes
-        n_rows, ranges = _pass_plan(net, kind, n, n_terms + 1)
-        assert n_rows == len(probs) and ranges == [(c, c + 1) for c in range(n_terms)]  # never an empty range
-        # every split in two, and one range per term
-        for bounds in [[0, s, n_terms] for s in range(1, n_terms)] + [list(range(n_terms + 1))]:
-            sums = [_class_sums(net, cache, probs, rows, lo, hi, factor_space) for lo, hi in zip(bounds, bounds[1:])]
-            got = _finish(_fold(sums), n_rows, len(net.layers))
-            assert got.has_factor_space == want.has_factor_space == factor_space
-            for g, w in [(got.fdw, want.fdw), (got.fa, want.fa), (got.fb, want.fb)]:
-                assert g is None or all(np.array_equal(x, y) for x, y in zip(g, w))
-
-
 class TestScaleLaw:
     def test_scaling_gradients_scales_fisher_quadratically(self):
         net = make_net((5, 5), rank=2, seed=26, nonzero_adapter=True)
@@ -485,3 +452,14 @@ class TestSnapshotIO:
         flat = flatten(f)
         assert flat.shape == (6,)
         assert abs(fisher_norm(f) - np.sqrt(6.0)) < 1e-15
+
+
+def test_no_module_imports_a_private_fisher_name():
+    # fisher's public names are its interface: a draw, a pass, the FisherDiag
+    src = Path(__file__).resolve().parents[1] / "src" / "lrcl"
+    private = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "fisher"), (0, "lrcl.fisher")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert private == []
