@@ -25,8 +25,6 @@ from .fisher import (
     FisherDiag,
     accumulate,
     estimate,
-    estimate_factor_space,
-    precompute_dataset_fisher,
     uniform_fisher,
 )
 from .metrics import AccuracyMatrix, avg_anytime, plasticity, stability, tradeoff

@@ -28,13 +28,13 @@ import numpy as np
 
 from .diagnostics import track_fisher_drift
 from .errors import ConfigError, EngineError, MetricError, NumericalError, ParameterError, ParseError
-from .fisher import EstimatorKind, save_fisher
+from .fisher import EstimatorKind, fisher_names, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
-from .model import save_checkpoint
+from .model import checkpoint_names, save_checkpoint
 from .regularize import parse_strategy
 from .tasks import StreamConfig, TaskStream
-from .tensor import atomic_write, format_float
-from .trainer import RunRecord, TrainConfig, pretrain_report, run_many
+from .tensor import atomic_write, format_float, state_files
+from .trainer import RunRecord, TrainConfig, pretrain, run_many
 
 DEFAULT_STRATEGIES = ("none", "precomputed_dataset", "separate", "deltaw")
 DEFAULT_LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)
@@ -177,16 +177,25 @@ _OUTPUTS = {
     "reference": ("references.csv",),
     "pretrain": ("pretrain.json",),
 }
+# the state directories: diagnose's Fisher snapshot of each tracked task per seed, and pretrain's network
+_SNAPSHOT, _CHECKPOINT = os.path.join("fisher_snapshots_seed{seed}", "task{task}"), "checkpoint"
+_TRACKED = 3  # diagnose tracks the first tasks, up to this many
 
 
-def _check_out_dir(path: str, names: list[str]) -> None:
-    """Fail before any compute when path cannot become the output directory, or one of its names is a directory."""
-    probe = os.path.abspath(path)
+def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
+    """Fail before any compute when cfg.out_dir cannot become the output directory, or a file command writes there is a directory."""
+    probe = os.path.abspath(cfg.out_dir)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
-        raise ConfigError(f"cannot use {path!r} as output directory: {probe!r} is not a directory")
-    for target in (os.path.join(path, name) for name in names):
+        raise ConfigError(f"cannot use {cfg.out_dir!r} as output directory: {probe!r} is not a directory")
+    names = [name.format(seed=seed) for name in _OUTPUTS[command] for seed in cfg.seeds]
+    layers, tracked = len(cfg.train.hidden_dims), range(min(_TRACKED, cfg.stream.num_tasks))
+    if command == "diagnose":  # the files of the state directories, as their writers name them
+        names += [f for seed in cfg.seeds for i in tracked for f in state_files(_SNAPSHOT.format(seed=seed, task=i), fisher_names(layers))]
+    if command == "pretrain":
+        names += state_files(_CHECKPOINT, checkpoint_names(layers))
+    for target in (os.path.join(cfg.out_dir, name) for name in names):
         if os.path.isdir(target):
             raise ConfigError(f"cannot write {target}: Is a directory")
 
@@ -201,16 +210,11 @@ def _writing(out_dir: str):
         raise ConfigError(f"cannot write {exc.filename2 or exc.filename or out_dir}: {exc.strerror or exc}") from exc
 
 
-def accuracy_matrix_csv(record: RunRecord) -> str:
-    lines = [",".join(format_float(v) for v in row) for row in record.acc_matrix.rows]
-    return "\n".join(lines) + "\n"
-
-
 def compute_metrics(record: RunRecord, refs: list[float], run: str) -> dict:
     m = record.acc_matrix
     abar, avg = avg_anytime(m)
     final_acc = abar[-1]
-    stab = stability(m) if m.T >= 2 else None
+    stab = stability(m) if m.num_tasks >= 2 else None
     try:
         plas = plasticity(m, refs)
         trade = tradeoff(stab, plas) if stab is not None else None
@@ -226,12 +230,6 @@ def compute_metrics(record: RunRecord, refs: list[float], run: str) -> dict:
     }
 
 
-def _metrics_row(prefix: list[str], metrics: dict) -> str:
-    ordered = [metrics["final_acc"], metrics["avg"], metrics["stability"],
-               metrics["plasticity"], metrics["tradeoff"]]
-    return ",".join(prefix + [format_float(v) if v is not None else "" for v in ordered])
-
-
 def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
     seed = cfg.seeds[0]
     config = cfg.train_config(seed)
@@ -240,7 +238,8 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
 
     jsonl = "".join(json.dumps(log, sort_keys=True) + "\n" for log in record.task_logs)
     ref_lines = ["task,ref_accuracy"] + [f"{i},{format_float(r)}" for i, r in enumerate(refs)]
-    texts = [accuracy_matrix_csv(record), json.dumps(metrics, indent=2, sort_keys=True) + "\n", jsonl, "\n".join(ref_lines) + "\n"]
+    matrix = "".join(",".join(format_float(v) for v in row) + "\n" for row in record.acc_matrix.rows)
+    texts = [matrix, json.dumps(metrics, indent=2, sort_keys=True) + "\n", jsonl, "\n".join(ref_lines) + "\n"]
     with _writing(cfg.out_dir):
         for name, text in zip(_OUTPUTS["run"], texts):
             atomic_write(os.path.join(cfg.out_dir, name), text)
@@ -258,12 +257,14 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
     """
     if not runs:
         raise ConfigError(f"{grid_key} is empty")
-    rows = [",".join(columns + ["seed", "final_acc", "avg", "stability", "plasticity", "tradeoff"])]
+    keys = ["final_acc", "avg", "stability", "plasticity", "tradeoff"]
+    rows = [",".join(columns + ["seed"] + keys)]
     for seed in cfg.seeds:
         configs = [cfg.train_config(seed, **overrides) for _, overrides in runs]  # validated before compute
         refs, records = run_many(cfg.build_stream(seed), cfg.train_config(seed), configs, jobs)
         for (label, _), record in zip(runs, records):
-            rows.append(_metrics_row(label + [str(seed)], compute_metrics(record, refs, f"the {' '.join(label)} run of seed {seed}")))
+            metrics = compute_metrics(record, refs, f"the {' '.join(label)} run of seed {seed}")
+            rows.append(",".join(label + [str(seed)] + [format_float(metrics[k]) if metrics[k] is not None else "" for k in keys]))
     with _writing(cfg.out_dir):
         atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
     return 0
@@ -286,7 +287,7 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str, jobs: int) -> int:
 
 
 def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
-    tracked = list(range(min(3, cfg.stream.num_tasks)))
+    tracked = list(range(min(_TRACKED, cfg.stream.num_tasks)))
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
@@ -297,8 +298,7 @@ def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
             lines.append(",".join([str(r.task_trained), str(r.task_data), r.regime] + values))
         with _writing(cfg.out_dir):
             for i, snap in snapshots.items():
-                snap_dir = os.path.join(cfg.out_dir, f"fisher_snapshots_seed{seed}", f"task{i}")
-                save_fisher(snap, snap_dir, kind_label=config.estimator.label(), task_index=i)
+                save_fisher(snap, os.path.join(cfg.out_dir, _SNAPSHOT.format(seed=seed, task=i)), kind_label=config.estimator.label(), task_index=i)
             atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["diagnose"][0].format(seed=seed)), "\n".join(lines) + "\n")
     return 0
 
@@ -319,9 +319,9 @@ def cmd_pretrain(cfg: ExperimentConfig) -> int:
     if stream.pretrain is None:
         raise ConfigError("stream has no pretraining classes")
     config = cfg.train_config(seed)
-    net, acc = pretrain_report(config, stream)
+    net, acc = pretrain(config, stream)
     with _writing(cfg.out_dir):
-        save_checkpoint(net, os.path.join(cfg.out_dir, "checkpoint"), seed=seed)
+        save_checkpoint(net, os.path.join(cfg.out_dir, _CHECKPOINT), seed=seed)
         atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["pretrain"][0]), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -399,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             if not cfg.seeds:
                 raise ConfigError("--seed produced no seeds")
         jobs = _jobs(args.jobs) if args.command in _POOLED_COMMANDS else 1
-        _check_out_dir(cfg.out_dir, [name.format(seed=seed) for name in _OUTPUTS[args.command] for seed in cfg.seeds])
+        _check_out_dir(cfg, args.command)
 
         # the program reports NaN/Inf itself, in one line; numpy's warnings
         # would add lines that depend on --jobs (forked workers inherit this)

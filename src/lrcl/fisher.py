@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .model import ForwardCache, Network, dz_per_layer, forward, label_rows
-from .tasks import Dataset, concat_datasets
+from .tasks import Dataset
 from .tensor import RngState, _check_finite, _softmax_rows, load_state, save_state
 
 
@@ -46,28 +46,12 @@ class EstimatorKind:
             raise ParameterError(f"{self.name} takes no subset size")
 
     @classmethod
-    def empirical(cls) -> "EstimatorKind":
-        return cls("empirical")
-
-    @classmethod
-    def exact(cls) -> "EstimatorKind":
-        return cls("exact")
-
-    @classmethod
-    def exact_subset(cls, n: int) -> "EstimatorKind":
-        return cls("exact_subset", n)
-
-    @classmethod
-    def sampled(cls) -> "EstimatorKind":
-        return cls("sampled")
-
-    @classmethod
     def parse(cls, text: str) -> "EstimatorKind":
         text = text.strip().lower()
         if text.startswith("exact_subset"):
             inner = text[len("exact_subset"):].strip("() ")
             try:
-                return cls.exact_subset(int(inner))
+                return cls("exact_subset", int(inner))
             except ValueError:
                 raise ParameterError(f"exact_subset needs an integer size, got {text!r}")
         return cls(text)
@@ -209,26 +193,17 @@ def pass_means(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarr
     return means[:n], means[n : 2 * n] or None, means[2 * n :] or None
 
 
-def _estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None, factor_space: bool) -> FisherDiag:
+def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None, factor_space: bool = False) -> FisherDiag:
+    """Update-space diagonal Fisher at the network's current parameters; with factor_space, also in A- and B-space.
+
+    The outer expectation runs over the dataset; the inner one follows the
+    estimator kind. Head parameters are never included.
+    """
     if data.n < 1:
         raise DataError("cannot estimate Fisher on an empty dataset")
     if kind.draws and rng is None:
         raise ParameterError(f"the {kind.label()} estimator needs an rng for its draws")
     return FisherDiag(*pass_means(net, data, kind, draw(kind, data.n, rng), factor_space))
-
-
-def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None) -> FisherDiag:
-    """Update-space diagonal Fisher at the network's current parameters.
-
-    The outer expectation runs over the dataset; the inner one follows the
-    estimator kind. Head parameters are never included.
-    """
-    return _estimate(net, data, kind, rng, factor_space=False)
-
-
-def estimate_factor_space(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None) -> FisherDiag:
-    """As estimate, but also squares the gradients in A- and B-space."""
-    return _estimate(net, data, kind, rng, factor_space=True)
 
 
 def accumulate(f_cum: FisherDiag, f_t: FisherDiag, gamma: float) -> FisherDiag:
@@ -254,19 +229,14 @@ def accumulate(f_cum: FisherDiag, f_t: FisherDiag, gamma: float) -> FisherDiag:
     return FisherDiag(fdw, fa, fb)
 
 
-def precompute_dataset_fisher(net_at_w0: Network, all_task_data: list[Dataset], kind: EstimatorKind, rng: RngState | None = None) -> FisherDiag:
-    """One fixed Fisher over the union of every task's data, never updated.
-
-    The caller supplies the network at its pretrained weights with a head
-    that already covers every class the union mentions.
-    """
-    return estimate(net_at_w0, concat_datasets(all_task_data), kind, rng)
+def fisher_names(layers: int, factor_space: bool = False) -> list[str]:
+    """The arrays save_fisher writes for a Fisher of that many layers, in its order."""
+    return [f"layer{k}_{name}" for name in ("fdw", "fa", "fb")[: 3 if factor_space else 1] for k in range(layers)]
 
 
 def save_fisher(f: FisherDiag, directory, kind_label: str = "", task_index: int | None = None) -> None:
     """The Fisher as a state directory: each layer's fdw (and fa, fb), and how it was estimated."""
-    groups = {"fdw": f.fdw, "fa": f.fa, "fb": f.fb} if f.has_factor_space else {"fdw": f.fdw}
-    arrays = {f"layer{k}_{name}": m for name, group in groups.items() for k, m in enumerate(group)}
+    arrays = dict(zip(fisher_names(len(f.fdw), f.has_factor_space), f.fdw + f.fa + f.fb if f.has_factor_space else f.fdw))
     # gamma_history has no writer; it stays, empty, so that saved manifests keep their bytes
     meta = {"estimator": kind_label, "gamma_history": [], "task_index": task_index, "layers": len(f.fdw), "factor_space": f.has_factor_space}
     save_state(directory, arrays, meta)

@@ -31,22 +31,9 @@ class AccuracyMatrix:
                 raise ParameterError(f"accuracy {v} outside [0, 1]")
         self.rows.append([float(v) for v in values])
 
-    def get(self, t: int, i: int) -> float:
-        if i > t:
-            raise StateError(f"entry ({t},{i}) above the diagonal")
-        return self.rows[t][i]
-
     @property
     def complete(self) -> bool:
         return len(self.rows) == self.num_tasks
-
-    @property
-    def T(self) -> int:
-        return self.num_tasks
-
-    def diagonal(self) -> list[float]:
-        self._require_complete()
-        return [self.rows[i][i] for i in range(self.T)]
 
     def _require_complete(self) -> None:
         if not self.complete:
@@ -67,7 +54,7 @@ def stability(m: AccuracyMatrix) -> float:
     zero was never learned, so it contributes no forgetting.
     """
     m._require_complete()
-    T = m.T
+    T = m.num_tasks
     if T < 2:
         raise MetricError("stability is undefined for a single task")
     total = 0.0
@@ -87,13 +74,12 @@ def plasticity(m: AccuracyMatrix, refs: list[float]) -> float:
     are not clamped.
     """
     m._require_complete()
-    if len(refs) != m.T:
-        raise MetricError(f"need {m.T} references, got {len(refs)}")
+    if len(refs) != m.num_tasks:
+        raise MetricError(f"need {m.num_tasks} references, got {len(refs)}")
     for i, r in enumerate(refs):
         if r <= 0:
             raise MetricError(f"reference accuracy for task {i} must be positive")
-    diag = m.diagonal()
-    return sum(a / r for a, r in zip(diag, refs)) / m.T
+    return sum(m.rows[i][i] / r for i, r in enumerate(refs)) / m.num_tasks
 
 
 def tradeoff(s: float, p: float) -> float:

@@ -323,28 +323,28 @@ def expand_head(net: Network, new_class_ids: list[int], rng: RngState) -> None:
     net.head.class_ids.extend(new_class_ids)
 
 
-def predict_labels(net: Network, x: np.ndarray) -> list[int]:
-    """Global class id per row, argmax over every class seen so far.
+def accuracy(net: Network, x: np.ndarray, labels: list[int]) -> float:
+    """Share of rows whose argmax over every class seen so far is their label.
 
     NumericalError when a logit is NaN or Inf: no prediction is made from one.
     """
     logits = forward(net, x).logits
     _check_finite(logits)
     ids = net.head.class_ids
-    return [ids[j] for j in logits.argmax(axis=1)]
-
-
-def accuracy(net: Network, x: np.ndarray, labels: list[int]) -> float:
-    pred = predict_labels(net, x)
-    hits = sum(1 for p, y in zip(pred, labels) if p == y)
+    hits = sum(1 for j, y in zip(logits.argmax(axis=1), labels) if ids[j] == y)
     return hits / len(labels)
+
+
+def checkpoint_names(layers: int, head: bool = False) -> list[str]:
+    """The arrays save_checkpoint writes for a network of that many layers, with head rows or without, in its order."""
+    return [f"layer{k}_{name}" for k in range(layers) for name in "WAB"] + ["head_V", "head_b"] * head
 
 
 def save_checkpoint(net: Network, directory, seed: int | None = None) -> None:
     """The network as a state directory: each layer's W, A and B, and the head's V and b if it has rows."""
-    arrays = {f"layer{k}_{name}": getattr(layer, name) for k, layer in enumerate(net.layers) for name in "WAB"}
-    if net.head.V is not None:
-        arrays.update(head_V=net.head.V, head_b=net.head.b)
+    head = [net.head.V, net.head.b] if net.head.V is not None else []
+    blocks = [getattr(layer, name) for layer in net.layers for name in "WAB"] + head
+    arrays = dict(zip(checkpoint_names(len(net.layers), bool(head)), blocks))
     meta = {
         "layer_dims": [net.layers[0].d_in] + [l.d_out for l in net.layers],
         "rank": net.layers[0].rank,

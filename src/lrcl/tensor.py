@@ -230,12 +230,18 @@ def read_matrix_csv(path) -> np.ndarray:
     return arr
 
 
+def state_files(directory, names) -> list[str]:
+    """The files save_state writes for arrays of these names, in its order."""
+    return [os.path.join(directory, f"{name}.csv") for name in names] + [os.path.join(directory, "manifest.json")]
+
+
 def save_state(directory, arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Each named matrix as {name}.csv, then meta as manifest.json, all written atomically."""
     os.makedirs(directory, exist_ok=True)
-    for name, m in arrays.items():
-        write_matrix_csv(os.path.join(directory, f"{name}.csv"), m)
-    atomic_write(os.path.join(directory, "manifest.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    *tables, manifest = state_files(directory, arrays)
+    for path, m in zip(tables, arrays.values()):
+        write_matrix_csv(path, m)
+    atomic_write(manifest, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_state(directory) -> tuple[dict[str, np.ndarray], dict]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fisher as fisher_mod
 from .errors import ConfigError, DataError, NumericalError, ProtocolError
-from .fisher import EstimatorKind, FisherDiag, accumulate, precompute_dataset_fisher, uniform_fisher, zeros_like
+from .fisher import EstimatorKind, FisherDiag, accumulate, uniform_fisher, zeros_like
 from .metrics import AccuracyMatrix
 from .model import (
     GradientBundle,
@@ -40,7 +40,7 @@ from .model import (
     reset_adapter,
 )
 from .regularize import STRATEGIES, parse_strategy
-from .tasks import Dataset, Task, TaskStream, stratified_split
+from .tasks import Dataset, Task, TaskStream, concat_datasets, stratified_split
 from .tensor import RngState
 
 
@@ -56,7 +56,7 @@ class TrainConfig:
     gamma: float = 0.9
     rank: int = 4
     strategy: str = "deltaw"
-    estimator: EstimatorKind = field(default_factory=EstimatorKind.empirical)
+    estimator: EstimatorKind = field(default_factory=lambda: EstimatorKind("empirical"))
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -287,9 +287,8 @@ class ContinualLearner:
     def finish(self, task: Task) -> float:
         """Fold task's Fisher into the accumulator and merge the adapter; returns the norm of the merged update."""
         if self.strategy.learned:
-            estimate = fisher_mod.estimate_factor_space if self.strategy.learned == "factor" else fisher_mod.estimate
             try:
-                fisher_t = estimate(self.net, task.train, self.config.estimator, self._rng_fisher)
+                fisher_t = fisher_mod.estimate(self.net, task.train, self.config.estimator, self._rng_fisher, factor_space=self.strategy.learned == "factor")
             except NumericalError as exc:
                 raise NumericalError(f"Fisher estimate of task {task.id}: {exc}") from exc
             self.f_cum = accumulate(self.f_cum, fisher_t, self.config.gamma)
@@ -310,7 +309,7 @@ class RunRecord:
     task_logs: list[dict]
 
 
-def pretrain_report(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | None]:
+def pretrain(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | None]:
     """The base network of every run on the stream, and its pretraining accuracy.
 
     With pretrain_mode = train, every base weight is trained directly on the
@@ -342,12 +341,7 @@ def pretrain_report(config: TrainConfig, stream: TaskStream) -> tuple[Network, f
     return net, acc
 
 
-def pretrain(config: TrainConfig, stream: TaskStream) -> Network:
-    """The base network of pretrain_report, without its accuracy."""
-    return pretrain_report(config, stream)[0]
-
-
-# every TrainConfig field that pretrain_report reads; rank counts because
+# every TrainConfig field that pretrain reads; rank counts because
 # new_network draws B from the pretraining stream
 _PRETRAIN_FIELDS = (
     "seed", "pretrain_mode", "hidden_dims", "rank", "w0_identity_scale", "w0_noise_scale",
@@ -372,7 +366,7 @@ def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -
     if stream.num_tasks < 1:
         raise DataError("stream has no tasks")
     stream.validate()
-    net = base.copy() if base is not None else pretrain(config, stream)
+    net = base.copy() if base is not None else pretrain(config, stream)[0]
     fixed = STRATEGIES[config.strategy].fixed
     f_fixed = None
     if fixed == "uniform":
@@ -381,7 +375,7 @@ def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -
         probe = net.copy()
         rng = RngState(config.seed).derive("precompute")
         expand_head(probe, [cid for task in stream.tasks for cid in task.class_ids], rng)
-        f_fixed = precompute_dataset_fisher(probe, stream.all_train(), config.estimator, rng)
+        f_fixed = fisher_mod.estimate(probe, concat_datasets(stream.all_train()), config.estimator, rng)  # every task's data, at the base
     learner = ContinualLearner(net, config if fixed else replace(config, lam=0.0), f_fixed=f_fixed)  # a zero Fisher, no penalty
     return learner, learner.train(stream.tasks[0])
 
@@ -493,7 +487,7 @@ def run_many(
     bases: dict[tuple, Network] = {}
     for config in [base_cfg, *configs]:
         if pretrain_key(config) not in bases:
-            bases[pretrain_key(config)] = pretrain(config, stream)
+            bases[pretrain_key(config)] = pretrain(config, stream)[0]
     units = [functools.partial(run_reference, bases[pretrain_key(base_cfg)], base_cfg, task) for task in stream.tasks]
     n_refs = len(units)
     keys = [first_task_key(config) or i for i, config in enumerate(configs)]  # a config that shares nothing is its own key

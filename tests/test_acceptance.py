@@ -241,7 +241,7 @@ class TestCriterion4OracleEquivalence:
         net = make_net((6, 5, 4), rank=2, seed=90, nonzero_adapter=True)
         x, labels = make_batch(net, 10, seed=91)
         data = Dataset(x, labels)
-        f_emp = estimate(net, data, EstimatorKind.empirical())
+        f_emp = estimate(net, data, EstimatorKind("empirical"))
         sums = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
         for i in range(data.n):
             row = data.X[i:i + 1]
@@ -252,7 +252,7 @@ class TestCriterion4OracleEquivalence:
         )
 
         # exact Fisher vs class-weighted closed-form sum
-        f_ex = estimate(net, data, EstimatorKind.exact())
+        f_ex = estimate(net, data, EstimatorKind("exact"))
         sums_ex = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
         for i in range(data.n):
             row = data.X[i:i + 1]
@@ -282,7 +282,7 @@ class TestCriterion5LoopSemantics:
                            pretrain_epochs=4, lam=1.0)
 
         # frozen base through train_task
-        net = pretrain(cfg, stream)
+        net = pretrain(cfg, stream)[0]
         reset_adapter(net, RngState(1))
         expand_head(net, stream.tasks[0].class_ids, RngState(2))
         before = [l.W.copy() for l in net.layers]
@@ -303,8 +303,8 @@ class TestCriterion5LoopSemantics:
         net2 = make_net((5, 5), rank=2, seed=9, nonzero_adapter=True)
         d1 = Dataset(*make_batch(net2, 6, seed=10))
         d2 = Dataset(*make_batch(net2, 6, seed=11))
-        fa = estimate(net2, d1, EstimatorKind.empirical())
-        fb = estimate(net2, d2, EstimatorKind.empirical())
+        fa = estimate(net2, d1, EstimatorKind("empirical"))
+        fb = estimate(net2, d2, EstimatorKind("empirical"))
         gamma0 = accumulate(fa, fb, 0.0)
         acc_ok = all(np.array_equal(x, y) for x, y in zip(gamma0.fdw, fb.fdw))
         running = accumulate(accumulate(zeros_like(net2), fa, 1.0), fb, 1.0)
@@ -320,7 +320,7 @@ class TestCriterion5LoopSemantics:
             return out
 
         monkeypatch.setattr(trainer_mod.fisher_mod, "estimate", spy)
-        learner = ContinualLearner(pretrain(cfg, stream), cfg)
+        learner = ContinualLearner(pretrain(cfg, stream)[0], cfg)
         task = stream.tasks[0]
         data_ref = weakref.ref(task.train)
         result = learner.step(task)

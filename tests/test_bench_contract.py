@@ -13,8 +13,9 @@ import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# gone from lrcl; the next benchmark change drops it from SPAN_METRICS
-RETIRED_SPANS = {"regularize.penalty_precomputed"}
+# gone from lrcl (fisher.estimate now takes every estimate); the next
+# benchmark change drops them from SPAN_METRICS
+RETIRED_SPANS = {"regularize.penalty_precomputed", "fisher.estimate_factor_space", "fisher.precompute_dataset_fisher"}
 
 
 def _load(name):

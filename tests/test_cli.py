@@ -111,7 +111,7 @@ class TestConfigParsing:
         "gamma": ("0.5", "train.gamma", 0.5),
         "rank": ("3", "train.rank", 3),
         "strategy": ("Separate", "train.strategy", "separate"),
-        "estimator": ("exact_subset(3)", "train.estimator", EstimatorKind.exact_subset(3)),
+        "estimator": ("exact_subset(3)", "train.estimator", EstimatorKind("exact_subset", 3)),
         "beta1": ("0.8", "train.beta1", 0.8),
         "beta2": ("0.99", "train.beta2", 0.99),
         "epsilon": ("0.1", "train.epsilon", 0.1),
@@ -264,7 +264,7 @@ class TestRunCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before --out was checked")
 
-        for name in ("run_many", "track_fisher_drift", "pretrain_report"):
+        for name in ("run_many", "track_fisher_drift", "pretrain"):
             monkeypatch.setattr(cli_mod, name, no_compute)
         blocker = tmp_path / "plain_file"
         blocker.write_text("not a directory\n")
@@ -288,7 +288,7 @@ class TestRunCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the output names were checked")
 
-        for fn in ("run_many", "track_fisher_drift", "pretrain_report"):
+        for fn in ("run_many", "track_fisher_drift", "pretrain"):
             monkeypatch.setattr(cli_mod, fn, no_compute)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
@@ -304,9 +304,9 @@ class TestRunCommand:
          (["pretrain"], os.path.join("checkpoint", "layer0_W.csv"))],
     )
     def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, command, name):
-        # the name of the command's first output file is taken by a directory:
-        # one right under --out is found before compute, a nested one (the
-        # snapshots of diagnose, the checkpoint of pretrain) only by the write
+        # the name of the command's first output file is taken by a directory,
+        # right under --out or in a state directory (the snapshots of
+        # diagnose, the checkpoint of pretrain)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
         jobs = [] if command == ["pretrain"] else ["--jobs", "1"]
@@ -314,6 +314,33 @@ class TestRunCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Is a directory"]
         assert (out / name).is_dir()
         assert not [p for p in out.rglob("*") if ".tmp." in p.name]
+
+    @pytest.mark.parametrize(
+        "command,name,written",
+        [(["diagnose"], os.path.join("fisher_snapshots_seed0", "task0", "layer0_fdw.csv"), True),
+         (["diagnose", "--seed", "0,7"], os.path.join("fisher_snapshots_seed7", "task2", "manifest.json"), True),
+         (["diagnose"], os.path.join("fisher_snapshots_seed0", "task3", "layer0_fdw.csv"), False),  # 3 tasks
+         (["pretrain"], os.path.join("checkpoint", "layer0_W.csv"), True),
+         (["pretrain"], os.path.join("checkpoint", "layer1_B.csv"), True),
+         (["pretrain"], os.path.join("checkpoint", "head_V.csv"), False)],  # the head is dropped
+    )
+    def test_state_directory_name_taken_by_a_directory_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, name, written):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started")
+
+        for fn in ("run_many", "track_fisher_drift", "pretrain"):
+            monkeypatch.setattr(cli_mod, fn, no_compute)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = command + ["--config", write_config(tmp_path), "--out", str(out)]
+        if not written:  # a name the command does not write passes the check
+            with pytest.raises(AssertionError, match="compute started"):
+                main(argv)
+            return
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Is a directory"]
 
     @pytest.mark.parametrize("source", ["config", "csv"])
     def test_input_not_utf8_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, source):
@@ -354,7 +381,7 @@ class TestRunCommand:
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the config was checked")
 
-        for name in ("run_many", "track_fisher_drift", "pretrain_report"):
+        for name in ("run_many", "track_fisher_drift", "pretrain"):
             monkeypatch.setattr(cli_mod, name, no_compute)
         key = line.split("=")[0].strip()
         kept = [l for l in TINY.splitlines() if l.split("=")[0].strip() != key]
@@ -480,7 +507,7 @@ class TestDiagnoseCommand:
             raise AssertionError("compute started before the strategy was checked")
 
         monkeypatch.setattr(diagnostics_mod, "run_continual", no_compute)
-        monkeypatch.setattr(trainer_mod, "pretrain_report", no_compute)
+        monkeypatch.setattr(trainer_mod, "pretrain", no_compute)
         cfg_path = write_config(tmp_path, TINY + f"strategy = {strategy}\n")
         out = tmp_path / "diag"
         assert main(["diagnose", "--config", cfg_path, "--out", str(out)]) == 2
@@ -525,13 +552,13 @@ class TestPretrainOncePerSeed:
         import lrcl.trainer as trainer_mod
 
         calls = []
-        real = trainer_mod.pretrain_report
+        real = trainer_mod.pretrain
 
         def spy(config, stream):
             calls.append(config.seed)
             return real(config, stream)
 
-        monkeypatch.setattr(trainer_mod, "pretrain_report", spy)
+        monkeypatch.setattr(trainer_mod, "pretrain", spy)
         text = TINY + "lambda_grid = 0,1,10\ngamma_grid = 0,0.5\n"
         out = tmp_path / "out"
         assert main(command + ["--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
@@ -721,6 +748,15 @@ class TestReadme:
         assert len(imports) >= 2
         for line in imports:
             exec(line, {})
+
+    def test_every_code_block_import_resolves(self):
+        # an example that imports a folded or renamed name fails here, not in a reader's hands
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = "\n".join(re.findall(r"^```[\w-]*\n(.*?)^```", readme, re.S | re.M))
+        imports = re.findall(r"^\s*from (lrcl(?:\.\w+)*) import (\([^)]*\)|.+)$", code, re.M)
+        assert imports
+        for module, names in imports:
+            exec(f"from {module} import {names}", {})
 
 
 class TestImportCost:

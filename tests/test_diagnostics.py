@@ -159,8 +159,8 @@ class TestCosine:
         x, labels = make_batch(net, 6, seed=12)
         from lrcl.tasks import Dataset
 
-        f1 = estimate(net, Dataset(x, labels), EstimatorKind.empirical())
-        f2 = estimate(net, Dataset(x, list(reversed(labels))), EstimatorKind.empirical())
+        f1 = estimate(net, Dataset(x, labels), EstimatorKind("empirical"))
+        f2 = estimate(net, Dataset(x, list(reversed(labels))), EstimatorKind("empirical"))
         c = cosine_sim(flatten(f1), flatten(f2))
         assert 0.0 <= c <= 1.0
 

@@ -15,19 +15,19 @@ from lrcl.fisher import (
     _Accumulator,
     _sample_classes,
     accumulate,
+    draw,
     estimate,
-    estimate_factor_space,
     fisher_norm,
     flatten,
     load_fisher,
-    precompute_dataset_fisher,
     save_fisher,
     uniform_fisher,
     zeros_like,
 )
-from lrcl.model import backward, forward, label_rows
-from lrcl.tasks import Dataset, concat_datasets
+from lrcl.model import backward, expand_head, forward, label_rows
+from lrcl.tasks import Dataset, StreamConfig, concat_datasets
 from lrcl.tensor import RngState, _softmax_rows
+from lrcl.trainer import TrainConfig, pretrain, run_continual
 
 from conftest import make_batch, make_net
 
@@ -83,15 +83,15 @@ class TestEstimatorKind:
         with pytest.raises(ParameterError):
             EstimatorKind.parse("bogus")
         with pytest.raises(ParameterError):
-            EstimatorKind.exact_subset(0)
+            EstimatorKind("exact_subset", 0)
 
     def test_draws(self):
-        assert not EstimatorKind.empirical().draws
-        assert not EstimatorKind.exact().draws
-        assert EstimatorKind.sampled().draws
-        assert EstimatorKind.exact_subset(3).draws
+        assert not EstimatorKind("empirical").draws
+        assert not EstimatorKind("exact").draws
+        assert EstimatorKind("sampled").draws
+        assert EstimatorKind("exact_subset", 3).draws
 
-    @pytest.mark.parametrize("kind", [EstimatorKind.sampled(), EstimatorKind.exact_subset(2)])
+    @pytest.mark.parametrize("kind", [EstimatorKind("sampled"), EstimatorKind("exact_subset", 2)])
     def test_drawing_kinds_need_an_rng(self, kind):
         net = make_net((4, 4), rank=1, seed=3)
         with pytest.raises(ParameterError):
@@ -102,7 +102,7 @@ class TestEmpirical:
     def test_single_sample_is_squared_gradient(self):
         net = make_net((5, 5), rank=2, seed=1, nonzero_adapter=True)
         data = make_dataset(net, 1, seed=2)
-        f = estimate(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"))
         d_dw, _, _ = persample_loglik_grads(net, data.X, data.y[0])
         for layer_f, g in zip(f.fdw, d_dw):
             assert np.allclose(layer_f, g * g, rtol=0, atol=1e-12)
@@ -110,7 +110,7 @@ class TestEmpirical:
     def test_matches_persample_loop_oracle(self):
         net = make_net((6, 5, 4), rank=2, seed=3, nonzero_adapter=True)
         data = make_dataset(net, 12, seed=4)
-        f = estimate(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"))
         oracle = empirical_oracle(net, data)
         for layer_f, o in zip(f.fdw, oracle):
             assert np.allclose(layer_f, o, rtol=0, atol=1e-10)
@@ -118,7 +118,7 @@ class TestEmpirical:
     def test_nonnegative(self):
         net = make_net((6, 6), rank=2, seed=5, nonzero_adapter=True)
         data = make_dataset(net, 8, seed=6)
-        f = estimate(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"))
         assert all((m >= 0).all() for m in f.fdw)
 
 
@@ -126,7 +126,7 @@ class TestExact:
     def test_matches_class_weighted_oracle(self):
         net = make_net((5, 5, 5), rank=2, seed=7, class_ids=[0, 1, 2, 3], nonzero_adapter=True)
         data = make_dataset(net, 9, seed=8)
-        f = estimate(net, data, EstimatorKind.exact())
+        f = estimate(net, data, EstimatorKind("exact"))
         oracle = exact_oracle(net, data)
         for layer_f, o in zip(f.fdw, oracle):
             assert np.allclose(layer_f, o, rtol=0, atol=1e-10)
@@ -141,7 +141,7 @@ class TestExact:
         logits = forward(net, data.X).logits
         assert np.allclose(_softmax_rows(logits), 0.5, atol=0)
 
-        f = estimate(net, data, EstimatorKind.exact())
+        f = estimate(net, data, EstimatorKind("exact"))
         sums = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
         for k in range(data.n):
             x_row = data.X[k:k + 1]
@@ -157,22 +157,22 @@ class TestExactSubset:
     def test_subset_larger_than_data_equals_exact(self):
         net = make_net((5, 5), rank=2, seed=11, nonzero_adapter=True)
         data = make_dataset(net, 7, seed=12)
-        full = estimate(net, data, EstimatorKind.exact())
-        sub = estimate(net, data, EstimatorKind.exact_subset(50), RngState(13))
+        full = estimate(net, data, EstimatorKind("exact"))
+        sub = estimate(net, data, EstimatorKind("exact_subset", 50), RngState(13))
         for a, b in zip(full.fdw, sub.fdw):
             assert np.array_equal(a, b)
 
     def test_subset_draw_is_seeded_and_without_replacement(self):
         net = make_net((5, 5), rank=2, seed=14, nonzero_adapter=True)
         data = make_dataset(net, 20, seed=15)
-        f1 = estimate(net, data, EstimatorKind.exact_subset(6), RngState(77))
-        f2 = estimate(net, data, EstimatorKind.exact_subset(6), RngState(77))
+        f1 = estimate(net, data, EstimatorKind("exact_subset", 6), RngState(77))
+        f2 = estimate(net, data, EstimatorKind("exact_subset", 6), RngState(77))
         for a, b in zip(f1.fdw, f2.fdw):
             assert np.array_equal(a, b)
         # oracle: replay the draw, then exact on exactly that subset
         idx = sorted(RngState(77).sample_indices(data.n, 6))
         assert len(set(idx)) == 6
-        expected = estimate(net, data.subset(idx), EstimatorKind.exact())
+        expected = estimate(net, data.subset(idx), EstimatorKind("exact"))
         for a, b in zip(f1.fdw, expected.fdw):
             assert np.array_equal(a, b)
 
@@ -181,7 +181,7 @@ class TestSampled:
     def test_matches_replayed_draws(self):
         net = make_net((5, 5), rank=2, seed=16, nonzero_adapter=True)
         data = make_dataset(net, 10, seed=17)
-        f = estimate(net, data, EstimatorKind.sampled(), RngState(55))
+        f = estimate(net, data, EstimatorKind("sampled"), RngState(55))
 
         logits = forward(net, data.X).logits
         probs = _softmax_rows(logits)
@@ -231,9 +231,9 @@ class TestSampled:
         net.head.b[:] = np.array([[2000.0], [0.0]])
         data = Dataset(make_batch(net, 5, seed=19)[0], [0] * 5)
 
-        f_emp = estimate(net, data, EstimatorKind.empirical())
-        f_ex = estimate(net, data, EstimatorKind.exact())
-        f_sam = estimate(net, data, EstimatorKind.sampled(), RngState(1))
+        f_emp = estimate(net, data, EstimatorKind("empirical"))
+        f_ex = estimate(net, data, EstimatorKind("exact"))
+        f_sam = estimate(net, data, EstimatorKind("sampled"), RngState(1))
         for a, b, c in zip(f_emp.fdw, f_ex.fdw, f_sam.fdw):
             assert np.array_equal(a, b)
             assert np.array_equal(b, c)
@@ -244,13 +244,13 @@ class TestFactorSpace:
     def test_fb_zero_when_adapter_zero(self):
         net = make_net((5, 5), rank=2, seed=20)  # A = 0 after reset
         data = make_dataset(net, 6, seed=21)
-        f = estimate_factor_space(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
         assert all(np.all(m == 0.0) for m in f.fb)
 
     def test_shapes(self):
         net = make_net((6, 5, 4), rank=2, seed=22, nonzero_adapter=True)
         data = make_dataset(net, 4, seed=23)
-        f = estimate_factor_space(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
         for layer, fa, fb in zip(net.layers, f.fa, f.fb):
             assert fa.shape == (layer.d_out, layer.rank)
             assert fb.shape == (layer.rank, layer.d_in)
@@ -258,7 +258,7 @@ class TestFactorSpace:
     def test_fa_fb_match_loop_oracle(self):
         net = make_net((5, 5), rank=2, seed=24, nonzero_adapter=True)
         data = make_dataset(net, 8, seed=25)
-        f = estimate_factor_space(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
         sums_a = [np.zeros((l.d_out, l.rank)) for l in net.layers]
         sums_b = [np.zeros((l.rank, l.d_in)) for l in net.layers]
         for k in range(data.n):
@@ -270,6 +270,37 @@ class TestFactorSpace:
         for i in range(len(net.layers)):
             assert np.allclose(f.fa[i], sums_a[i] / data.n, rtol=0, atol=1e-10)
             assert np.allclose(f.fb[i], sums_b[i] / data.n, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind("empirical"), EstimatorKind("exact"), EstimatorKind("exact_subset", 5), EstimatorKind("sampled")])
+    def test_every_estimator_matches_loop_oracle(self, kind):
+        # fdw is the plain estimate's bits; fa and fb are the per-sample
+        # squares of d_a and d_b, weighted as the estimator weighs its terms
+        net = make_net((5, 4, 3), rank=2, seed=28, nonzero_adapter=True)
+        data = make_dataset(net, 8, seed=29)
+        f = estimate(net, data, kind, RngState(30), factor_space=True)
+        assert all(np.array_equal(a, b) for a, b in zip(f.fdw, estimate(net, data, kind, RngState(30)).fdw))
+        draws = draw(kind, data.n, RngState(30))
+        rows = list(draws) if kind.name == "exact_subset" else range(data.n)
+        probs = _softmax_rows(forward(net, data.X).logits)
+        ids = net.head.class_ids
+        terms = []  # (row, class id, weight)
+        for k in rows:
+            if kind.name == "empirical":
+                terms.append((k, data.y[k], 1.0))
+            elif kind.name == "sampled":
+                terms.append((k, ids[_sample_classes(probs[k : k + 1], draws[k : k + 1])[0]], 1.0))
+            else:
+                terms += [(k, cid, probs[k, c]) for c, cid in enumerate(ids)]
+        sums_a = [np.zeros((l.d_out, l.rank)) for l in net.layers]
+        sums_b = [np.zeros((l.rank, l.d_in)) for l in net.layers]
+        for k, cid, weight in terms:
+            _, d_a, d_b = persample_loglik_grads(net, data.X[k : k + 1], cid)
+            for i in range(len(net.layers)):
+                sums_a[i] += weight * d_a[i] * d_a[i]
+                sums_b[i] += weight * d_b[i] * d_b[i]
+        for i in range(len(net.layers)):
+            assert np.allclose(f.fa[i], sums_a[i] / len(rows), rtol=0, atol=1e-10)
+            assert np.allclose(f.fb[i], sums_b[i] / len(rows), rtol=0, atol=1e-10)
 
 
 def exact_per_class_loop(net, data: Dataset):
@@ -331,8 +362,8 @@ class TestExactHoist:
         net = make_net(widths, rank, seed, class_ids=list(range(n_classes)), nonzero_adapter=True)
         data = make_dataset(net, n, seed + 1)
         fdw, fa, fb = exact_per_class_loop(net, data)
-        plain = estimate(net, data, EstimatorKind.exact())
-        factor = estimate_factor_space(net, data, EstimatorKind.exact())
+        plain = estimate(net, data, EstimatorKind("exact"))
+        factor = estimate(net, data, EstimatorKind("exact"), factor_space=True)
         assert plain.fa is None
         for got, want in [(plain.fdw, fdw), (factor.fdw, fdw), (factor.fa, fa), (factor.fb, fb)]:
             assert len(got) == len(want) == len(widths) - 1
@@ -359,8 +390,8 @@ class TestAccumulate:
         net = make_net((4, 4), rank=1, seed=seed, nonzero_adapter=True)
         d1 = make_dataset(net, 5, seed=seed + 1)
         d2 = make_dataset(net, 5, seed=seed + 2)
-        f1 = estimate(net, d1, EstimatorKind.empirical())
-        f2 = estimate(net, d2, EstimatorKind.empirical())
+        f1 = estimate(net, d1, EstimatorKind("empirical"))
+        f2 = estimate(net, d2, EstimatorKind("empirical"))
         return net, f1, f2
 
     def test_gamma_zero_returns_new(self):
@@ -411,7 +442,7 @@ class TestAccumulate:
     def test_shape_mismatch(self):
         net, f1, _ = self._pair(48)
         other = make_net((6, 6), rank=1, seed=50, nonzero_adapter=True)
-        f_other = estimate(other, make_dataset(other, 3, seed=51), EstimatorKind.empirical())
+        f_other = estimate(other, make_dataset(other, 3, seed=51), EstimatorKind("empirical"))
         with pytest.raises(ShapeError):
             accumulate(f1, f_other, 0.5)
 
@@ -423,12 +454,18 @@ class TestPrecomputed:
         assert all(np.all(m == 1.0) for m in f.fdw)
 
     def test_dataset_variant_equals_estimate_on_concat(self):
-        net = make_net((5, 5), rank=2, seed=53, class_ids=[0, 1, 2, 3], nonzero_adapter=True)
-        d1 = Dataset(make_batch(net, 4, seed=54)[0], [0, 1, 0, 1])
-        d2 = Dataset(make_batch(net, 4, seed=55)[0], [2, 3, 2, 3])
-        f = precompute_dataset_fisher(net, [d1, d2], EstimatorKind.empirical())
-        direct = estimate(net, concat_datasets([d1, d2]), EstimatorKind.empirical())
-        for a, b in zip(f.fdw, direct.fdw):
+        # a precomputed_dataset run's fixed Fisher: estimate on the union of
+        # every task's training data, at the base with a head over all classes
+        stream = StreamConfig(num_tasks=2, classes_per_task=2, dim=5, n_train=4, n_test=2, pretrain_classes=0).build_stream(53)
+        cfg = TrainConfig(strategy="precomputed_dataset", estimator="sampled", pretrain_mode="random", hidden_dims=(5,), rank=2, epochs=1, batch_size=4, seed=54)
+        fixed = []
+        run_continual(cfg, stream, after_task=lambda t, learner: fixed.append(learner.f_cum))
+        probe = pretrain(cfg, stream)[0]
+        rng = RngState(cfg.seed).derive("precompute")
+        expand_head(probe, [0, 1, 2, 3], rng)
+        direct = estimate(probe, concat_datasets(stream.all_train()), cfg.estimator, rng)
+        assert fixed[0] is fixed[1] and fixed[0].fa is None
+        for a, b in zip(fixed[0].fdw, direct.fdw):
             assert np.array_equal(a, b)
 
 
@@ -436,7 +473,7 @@ class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
         net = make_net((5, 4), rank=2, seed=60, nonzero_adapter=True)
         data = make_dataset(net, 5, seed=61)
-        f = estimate_factor_space(net, data, EstimatorKind.empirical())
+        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
         save_fisher(f, tmp_path / "snap", kind_label="empirical", task_index=2)
         back = load_fisher(tmp_path / "snap")
         for a, b in zip(f.fdw, back.fdw):

@@ -51,11 +51,11 @@ def _run_on_csv(tmp_path, token):
     return main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--jobs", "1"])
 
 
-def _overflowing_accuracy(tmp_path, token):
-    # identity features and a huge head: every logit overflows to inf
+def _bad_logit_accuracy(tmp_path, token):
+    # identity features and a huge head overflow every logit to inf; a nan head makes every logit nan
     net = make_net((2, 2), rank=1, seed=0, class_ids=[0, 1])
     net.layers[0].W[:] = np.eye(2)
-    net.head.V[:] = 1e308
+    net.head.V[:] = 1e308 if token == "overflow" else float(token)
     return accuracy(net, np.ones((3, 2)), [0, 1, 0])
 
 
@@ -74,6 +74,7 @@ BOUNDARIES = [
     ("run_csv", "inf", 3),
     ("fisher", "nan", NumericalError),
     ("accuracy", "overflow", NumericalError),
+    ("accuracy", "nan", NumericalError),
     ("uniform_matrix", "0", ParameterError),
 ]
 
@@ -85,7 +86,7 @@ ENTRY_POINTS = {
     "load_checkpoint": lambda tmp, tok: load_checkpoint(_checkpoint_with(tmp, tok)),
     "run_csv": _run_on_csv,
     "fisher": lambda tmp, tok: FisherDiag([np.ones((2, 2)), np.full((2, 3), float(tok))]),
-    "accuracy": _overflowing_accuracy,
+    "accuracy": _bad_logit_accuracy,
     "uniform_matrix": lambda tmp, tok: uniform_matrix(RngState(0), int(tok), 3, -1.0, 1.0),
 }
 

@@ -27,7 +27,6 @@ from lrcl.trainer import (
     adam_step,
     desk_profile,
     pretrain,
-    pretrain_report,
     run_continual,
     run_many,
     run_reference,
@@ -180,7 +179,7 @@ class TestArena:
         # are views into flat buffers, which a copy must not share
         stream = tiny_stream()
         cfg = tiny_config(strategy="separate", shuffle=True)
-        base = pretrain(cfg, stream)
+        base = pretrain(cfg, stream)[0]
         before = base.copy()
         learners = []
         run_continual(cfg, stream, base, lambda t, learner: learners.append(learner))
@@ -347,13 +346,13 @@ def _data(dims, n, class_ids, seed):
 
 
 def _pretrain_stream(pretrain_set):
-    # pretrain_report reads the input width from the stream's tasks: give it one placeholder task
+    # pretrain reads the input width from the stream's tasks: give it one placeholder task
     placeholder = Dataset(pretrain_set.X[:1], [-1])
     return TaskStream([Task(0, [-1], placeholder, placeholder)], pretrain_set, sorted(set(pretrain_set.y)))
 
 
 class TestStepOracle:
-    """train_task and pretrain_report equal the two-group loop bit for bit."""
+    """train_task and pretrain equal the two-group loop bit for bit."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @example(case=WIDE)
@@ -398,7 +397,7 @@ class TestStepOracle:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @example(case=WIDE)
     @given(case=step_cases())
-    def test_pretrain_report_equals_two_group_loop(self, case):
+    def test_pretrain_equals_two_group_loop(self, case):
         cfg = _case_config(*(case[k] for k in ("strategy", "shuffle", "rank", "dims", "batch_size", "lam", "head_lr", "schedule")))
         # 4 classes; a fifth of each is held out, so 1.25 n samples give n to train on
         pretrain_set = _data(case["dims"], max(10, case["n"] * 5 // 4), [0, 1, 2, 3], seed=4)
@@ -416,7 +415,7 @@ class TestStepOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(trainer_mod, "_fit", fit_spy)
             patch.setattr(trainer_mod, "accuracy", accuracy_spy)
-            net, acc = pretrain_report(cfg, _pretrain_stream(pretrain_set))
+            net, acc = pretrain(cfg, _pretrain_stream(pretrain_set))
 
         rng = RngState(cfg.seed).derive("pretrain")
         ref = new_network([pretrain_set.dim] + list(cfg.hidden_dims), cfg.rank, rng, cfg.w0_identity_scale, cfg.w0_noise_scale, cfg.w0_feature_gain)
@@ -435,7 +434,7 @@ class TestTrainTask:
     def test_base_weights_bit_identical(self):
         stream = tiny_stream()
         cfg = tiny_config()
-        net = pretrain(cfg, stream)
+        net = pretrain(cfg, stream)[0]
         learner = ContinualLearner(net, cfg)
         snapshots = [layer.W.copy() for layer in net.layers]
         # step performs reset/expand/train/estimate but merge changes W;
@@ -453,7 +452,7 @@ class TestTrainTask:
         results = {}
         for strategy, lam in (("deltaw", 0.0), ("none", 0.0)):
             cfg = tiny_config(strategy=strategy, lam=lam)
-            net = pretrain(cfg, stream)
+            net = pretrain(cfg, stream)[0]
             from lrcl.fisher import zeros_like
             from lrcl.model import expand_head, reset_adapter
 
@@ -618,7 +617,7 @@ class TestRunContinual:
     def test_single_task_stream(self):
         stream = tiny_stream(num_tasks=1)
         refs, (record,) = run_many(stream, tiny_config(), [tiny_config()])
-        assert record.acc_matrix.T == 1
+        assert record.acc_matrix.num_tasks == 1
         assert 0.0 <= plasticity(record.acc_matrix, refs)
         with pytest.raises(MetricError):
             stability(record.acc_matrix)
@@ -643,7 +642,7 @@ class TestRunContinual:
         # per-task Fisher estimate or the task's data
         stream = tiny_stream()
         cfg = tiny_config()
-        net = pretrain(cfg, stream)
+        net = pretrain(cfg, stream)[0]
         learner = ContinualLearner(net, cfg)
 
         captured = []
@@ -674,7 +673,7 @@ class TestRunContinual:
         # caller still holds what step() returned
         stream = tiny_stream()
         cfg = tiny_config()
-        learner = ContinualLearner(pretrain(cfg, stream), cfg)
+        learner = ContinualLearner(pretrain(cfg, stream)[0], cfg)
         captured = []
         original = trainer_mod.fisher_mod.estimate
 
@@ -711,7 +710,7 @@ class TestRunContinual:
     def test_learned_strategy_rejects_a_fixed_fisher(self, strategy):
         # the learner would drop it and start from zeros without a word
         cfg = tiny_config(strategy=strategy)
-        net = pretrain(cfg, tiny_stream())
+        net = pretrain(cfg, tiny_stream())[0]
         with pytest.raises(ConfigError, match=repr(strategy)):
             ContinualLearner(net, cfg, f_fixed=uniform_fisher(net))
 
@@ -769,7 +768,7 @@ class TestRunReference:
         for seed in range(3):
             stream = tiny_stream(seed)
             cfg = tiny_config(seed=seed)
-            net = pretrain(cfg, stream)
+            net = pretrain(cfg, stream)[0]
             for task in stream.tasks:
                 ref = run_reference(net, cfg, task)
                 assert 0.0 <= ref <= 1.0
@@ -778,7 +777,7 @@ class TestRunReference:
     def test_deterministic(self):
         stream = tiny_stream(4)
         cfg = tiny_config(seed=4)
-        net = pretrain(cfg, stream)
+        net = pretrain(cfg, stream)[0]
         a = run_reference(net, cfg, stream.tasks[1])
         b = run_reference(net, cfg, stream.tasks[1])
         assert a == b
@@ -788,35 +787,35 @@ class TestPretrain:
     def test_accuracy_above_chance(self):
         stream = tiny_stream(5)
         cfg = tiny_config(seed=5)
-        _, acc = pretrain_report(cfg, stream)
+        _, acc = pretrain(cfg, stream)
         assert acc > 1.0 / 4  # four pretraining classes
 
     def test_outputs_finite_and_head_stripped(self):
         stream = tiny_stream(6)
-        net = pretrain(tiny_config(seed=6), stream)
+        net = pretrain(tiny_config(seed=6), stream)[0]
         assert all(np.isfinite(l.W).all() for l in net.layers)
         assert net.head.V is None
         assert net.head.class_ids == []
 
     def test_same_seed_bit_identical(self):
         stream = tiny_stream(7)
-        net_a = pretrain(tiny_config(seed=7), stream)
-        net_b = pretrain(tiny_config(seed=7), stream)
+        net_a = pretrain(tiny_config(seed=7), stream)[0]
+        net_b = pretrain(tiny_config(seed=7), stream)[0]
         for la, lb in zip(net_a.layers, net_b.layers):
             assert np.array_equal(la.W, lb.W)
 
     def test_random_mode_skips_training(self):
         stream = tiny_stream(8)
         cfg = tiny_config(seed=8, pretrain_mode="random")
-        net, acc = pretrain_report(cfg, stream)
+        net, acc = pretrain(cfg, stream)
         assert all(np.isfinite(l.W).all() for l in net.layers)
         rng = RngState(8).derive("pretrain")
         drawn = new_network([stream.dim, 8, 8], cfg.rank, rng, cfg.w0_identity_scale, cfg.w0_noise_scale, cfg.w0_feature_gain)
         assert _weight_bytes(net) == _weight_bytes(drawn)
         assert acc == 1.0 / 4  # chance over the four pretraining classes
         stream.pretrain = None  # a CSV stream has none
-        assert _weight_bytes(pretrain(cfg, stream)) == _weight_bytes(drawn)
-        assert pretrain_report(cfg, stream)[1] is None
+        net, acc = pretrain(cfg, stream)
+        assert _weight_bytes(net) == _weight_bytes(drawn) and acc is None
 
     def test_train_mode_needs_pretrain_data(self):
         stream = tiny_stream(9)
@@ -834,7 +833,7 @@ class TestSharedBase:
     # exactly when the field is part of pretrain_key
     CHANGED = dict(
         epochs=5, batch_size=8, lr=0.1, head_lr=1e-2, lam=3.0, gamma=0.5, rank=3,
-        strategy="separate", estimator=EstimatorKind.exact(), seed=1, beta1=0.8, beta2=0.99,
+        strategy="separate", estimator=EstimatorKind("exact"), seed=1, beta1=0.8, beta2=0.99,
         epsilon=0.01, lr_schedule="constant", shuffle=True, hidden_dims=(8, 6), b_init_scale=2.0,
         w0_identity_scale=0.4, w0_noise_scale=0.2, w0_feature_gain=4.0, pretrain_mode="random",
         pretrain_epochs=3, pretrain_lr=0.01,
@@ -844,19 +843,19 @@ class TestSharedBase:
         assert set(self.CHANGED) == {f.name for f in fields(TrainConfig)}
         stream = tiny_stream(12)
         cfg = tiny_config(seed=0, pretrain_mode="train")
-        weights = _weight_bytes(pretrain(cfg, stream))
+        weights = _weight_bytes(pretrain(cfg, stream)[0])
         for name, value in self.CHANGED.items():
             other = replace(cfg, **{name: value})
             assert getattr(other, name) != getattr(cfg, name), name
             key_moved = trainer_mod.pretrain_key(other) != trainer_mod.pretrain_key(cfg)
-            weights_moved = _weight_bytes(pretrain(other, stream)) != weights
+            weights_moved = _weight_bytes(pretrain(other, stream)[0]) != weights
             assert key_moved == weights_moved, name
 
     @pytest.mark.parametrize("strategy", ["deltaw", "separate", "precomputed_dataset"])
     def test_learner_leaves_shared_base_untouched(self, strategy):
         stream = tiny_stream(13)
         cfg = tiny_config(seed=13, strategy=strategy)
-        base = pretrain(cfg, stream)
+        base = pretrain(cfg, stream)[0]
         before = _weight_bytes(base)
         shared = run_continual(cfg, stream, base)
         assert _weight_bytes(base) == before
