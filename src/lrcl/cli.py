@@ -183,7 +183,7 @@ _TRACKED = 3  # diagnose tracks the first tasks, up to this many
 
 
 def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
-    """Fail before any compute when cfg.out_dir cannot become the output directory, or a file command writes there is a directory."""
+    """Fail before any compute when cfg.out_dir cannot become the output directory, or a file command writes there, or a directory it goes in, is taken."""
     probe = os.path.abspath(cfg.out_dir)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -195,8 +195,12 @@ def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
         names += [f for seed in cfg.seeds for i in tracked for f in state_files(_SNAPSHOT.format(seed=seed, task=i), fisher_names(layers))]
     if command == "pretrain":
         names += state_files(_CHECKPOINT, checkpoint_names(layers))
-    for target in (os.path.join(cfg.out_dir, name) for name in names):
-        if os.path.isdir(target):
+    for name in names:
+        parts = name.split(os.sep)
+        for path in (os.path.join(cfg.out_dir, *parts[:k]) for k in range(1, len(parts))):  # the directories it goes in
+            if os.path.exists(path) and not os.path.isdir(path):
+                raise ConfigError(f"cannot write {path}: Not a directory")
+        if os.path.isdir(target := os.path.join(cfg.out_dir, name)):
             raise ConfigError(f"cannot write {target}: Is a directory")
 
 

@@ -5,11 +5,11 @@ task's retained data and compared against the snapshot taken when the
 task was learned: the norm ratio measures inflation or degradation of the
 overall scale, Spearman rank correlation measures whether the ordering of
 parameter importance survives, and cosine similarity measures directional
-alignment. The rehearsal-free regime compares the decayed accumulator
-against the snapshot; the rehearsal-based regime recomputes a pooled
-Fisher over all data seen so far. Retaining old task data here is
-deliberate: this module is analysis-only and exempt from the training
-loop's discard rule.
+alignment. The regimes share the recomputed Fisher and the snapshot and
+differ only in the comparator: the rehearsal-free regime takes the decayed
+accumulator, the rehearsal-based regime a pooled Fisher recomputed over
+all data seen so far. Retaining old task data here is deliberate: this
+module is analysis-only and exempt from the training loop's discard rule.
 """
 
 from __future__ import annotations
@@ -104,11 +104,7 @@ class DriftRow:
 
 def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, passes: list[tuple]) -> list:
     """A unit: for each (tasks, draws), the pass_means of a pass over the tasks' training rows (read through fork_pool's slot)."""
-    out = []
-    for tasks, draws in passes:
-        data = stream.tasks[tasks[0]].train if len(tasks) == 1 else concat_datasets([stream.tasks[i].train for i in tasks])
-        out.append(pass_means(net, data, kind, draws))
-    return out
+    return [pass_means(net, concat_datasets([stream.tasks[i].train for i in tasks]), kind, draws) for tasks, draws in passes]
 
 
 class _Tracker:
@@ -120,26 +116,23 @@ class _Tracker:
         self.tracked = tracked
         self.jobs = jobs
         self.submit = submit
-        self.rngs = {regime: RngState(config.seed).derive("drift-estimates") for regime in REGIMES}
-        self.snapshots: dict[str, dict[int, FisherDiag]] = {regime: {} for regime in REGIMES}
+        self.rng = RngState(config.seed).derive("drift-estimates")  # the tracked tasks' passes
+        self.pool_rng = RngState(config.seed).derive("drift-pool")  # the pooled passes, which only rehearsal_based reads
+        self.snapshots: dict[int, FisherDiag] = {}
         self.rows: list[DriftRow] = []
         self.pending: list[tuple] = []  # (t, f_cum, units) of each task not yet folded
 
     def after_task(self, t: int, learner: ContinualLearner) -> None:
         """Draws and submits task t's passes in the serial loop's order, then folds each task whose units are done."""
         net = learner.net.copy()  # the learner trains on in place
-        needed = [i for i in self.tracked if i <= t]
-        plan = {}  # a pass is (regime, i) for task i, (regime, None) for the pool; regime None without draws
-        for regime in REGIMES:
-            for i in needed:
-                for key in [i] + ([None] if regime == REGIMES[1] and i == needed[0] < t else []):
-                    slot = (regime if self.kind.draws else None, key)
-                    if slot not in plan:
-                        tasks = (key,) if key is not None else tuple(range(t + 1))
-                        plan[slot] = (tasks, draw(self.kind, sum(self.stream.tasks[j].train.n for j in tasks), self.rngs[regime]))
+        tracked = [i for i in self.tracked if i <= t]
+        plan = [((i,), self.rng) for i in tracked]  # each tracked task, then the pool of every task so far
+        if tracked and tracked[0] < t:
+            plan.append((tuple(range(t + 1)), self.pool_rng))
+        passes = [(tasks, draw(self.kind, sum(self.stream.tasks[j].train.n for j in tasks), rng)) for tasks, rng in plan]
         # while the learner trains on, a task is one unit, so one worker at a time takes a core from it; after the last task, a pass
-        groups = [[slot] for slot in plan] if t == self.stream.num_tasks - 1 else [list(plan)]
-        units = [(group, self.submit(net, [plan[slot] for slot in group])) for group in groups if group]
+        groups = [[p] for p in passes] if t == self.stream.num_tasks - 1 else [passes]
+        units = [([tasks for tasks, _ in group], self.submit(net, group)) for group in groups if group]
         self.pending.append((t, learner.f_cum, units))
         self.fold(wait=self.jobs == 1)
 
@@ -154,23 +147,21 @@ class _Tracker:
 
     def _rows_of(self, t: int, f_cum: FisherDiag, units: list[tuple]) -> None:
         @functools.cache  # made when first read, as the serial loop made them
-        def fisher(slot: tuple) -> FisherDiag:
-            slots, unit = next((slots, unit) for slots, unit in units if slot in slots)
-            return FisherDiag(*unit.result()[slots.index(slot)])
+        def fisher(tasks: tuple) -> FisherDiag:
+            keys, unit = next((keys, unit) for keys, unit in units if tasks in keys)
+            return FisherDiag(*unit.result()[keys.index(tasks)])
 
+        tracked = [i for i in self.tracked if i <= t]
         for regime in REGIMES:
-            drawn = regime if self.kind.draws else None
-            for i in self.tracked:
-                if i > t:
-                    continue
+            for i in tracked:
                 try:
-                    f_now = fisher((drawn, i))
+                    f_now = fisher((i,))
                     if i == t:
-                        self.snapshots[regime][i] = f_now
+                        self.snapshots[i] = f_now
                         self.rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
                         continue
-                    base = self.snapshots[regime][i]
-                    comparator = f_cum if regime == "rehearsal_free" else fisher((drawn, None))
+                    base = self.snapshots[i]
+                    comparator = f_cum if regime == "rehearsal_free" else fisher(tuple(range(t + 1)))
                     pair = (flatten(comparator), flatten(base))
                     self.rows.append(DriftRow(t, i, regime, norm_ratio(f_now, base), spearman(*pair), cosine_sim(*pair)))
                 except (MetricError, NumericalError) as exc:
@@ -190,15 +181,14 @@ def track_fisher_drift(
     leaves the learner untouched, so one trajectory serves both regimes,
     and the accuracy matrix is the run's own. Returns the rows (every
     rehearsal_free row in task order, then every rehearsal_based one),
-    each tracked task's rehearsal-free Fisher snapshot from when it was
-    learned, and the accuracy matrix. A row compares a regime's Fisher,
-    recomputed on the post-merge model with the config's estimator, with
-    a snapshot; at task_trained == task_data it is exactly (1, 1, 1). Each
-    regime draws from its own stream, both seeded alike, and estimates
-    that draw nothing are shared between regimes: the recorded sampled
-    and exact_subset outputs depend on both. The strategy must learn a
-    Fisher (deltaw or separate): the rehearsal-free regime compares
-    against its accumulator.
+    each tracked task's Fisher snapshot from when it was learned, and the
+    accuracy matrix. A row's norm ratio, the same in both regimes, is the
+    task's Fisher, recomputed on the post-merge model with the config's
+    estimator, over its snapshot; its Spearman and cosine compare the
+    regime's comparator with the snapshot. At task_trained == task_data
+    it is exactly (1, 1, 1). A task listed twice is measured once. The
+    tracked tasks' passes draw from one stream, the pooled passes from
+    another. The strategy must learn a Fisher (deltaw or separate).
 
     Every draw, snapshot and row is made here, in task order, while jobs
     forked workers (none for jobs = 1) run the serial loop's whole Fisher
@@ -213,9 +203,9 @@ def track_fisher_drift(
             raise ParameterError(f"tracked task {i} outside the stream")
 
     with fork_pool(jobs if jobs > 1 else 0, functools.partial(_measure, stream, config.estimator)) as submit:
-        tracker = _Tracker(config, stream, sorted(tracked_tasks), jobs, submit)
+        tracker = _Tracker(config, stream, sorted(set(tracked_tasks)), jobs, submit)
         try:
             acc = run_continual(config, stream, after_task=tracker.after_task).acc_matrix
         finally:
             tracker.fold(wait=True)
-    return sorted(tracker.rows, key=lambda r: REGIMES.index(r.regime)), tracker.snapshots["rehearsal_free"], acc
+    return sorted(tracker.rows, key=lambda r: REGIMES.index(r.regime)), tracker.snapshots, acc

@@ -65,3 +65,13 @@ def test_imports_the_tracer_test_reads_still_exist():
         module = importlib.import_module(f"lrcl.{layer}")
         for name in names:
             assert getattr(module, name, None) is getattr(model, name), f"lrcl.{layer}.{name}"
+
+
+def test_expected_outputs_are_names_the_cli_writes(bench):
+    from lrcl import cli
+
+    _, run = bench
+    snapshot_dir = Path(cli._SNAPSHOT).parts[0]
+    for command, names in run.EXPECTED_OUTPUTS.items():
+        for name in names:
+            assert name in cli._OUTPUTS[command] or name == snapshot_dir, f"{command}: {name}"

@@ -342,6 +342,27 @@ class TestRunCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Is a directory"]
 
+    @pytest.mark.parametrize(
+        "command,name",
+        [(["pretrain"], "checkpoint"),
+         (["diagnose", "--jobs", "1"], os.path.join("fisher_snapshots_seed0", "task1")),
+         (["diagnose", "--jobs", "1"], "fisher_snapshots_seed0")],
+    )
+    def test_state_directory_taken_by_a_regular_file_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, name):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started")
+
+        for fn in ("track_fisher_drift", "pretrain"):
+            monkeypatch.setattr(cli_mod, fn, no_compute)
+        out = tmp_path / "out"
+        (out / name).parent.mkdir(parents=True)
+        (out / name).write_text("taken\n")
+        assert main(command + ["--config", write_config(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / name}: Not a directory"]
+        assert (out / name).read_text() == "taken\n"
+
     @pytest.mark.parametrize("source", ["config", "csv"])
     def test_input_not_utf8_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, source):
         import lrcl.cli as cli_mod
@@ -830,7 +851,7 @@ class TestGoldenOutputs:
     # every file diagnose writes on TINY at seeds 0 and 7, as a tree digest
     DIAGNOSE_TREES = {
         ("exact", "deltaw"): "afb6834164e454f17d07a5c94573990252a9da62e09e578b506e5f020693e60c",
-        ("sampled", "separate"): "790c78bc5a5cdaab74b9630151331ca779c1a9cddc6af23abe96eac7afa6c09f",
+        ("sampled", "separate"): "6765eb9049040937a139a3dec2198e9851a19b8bf46469f3c486f02aa6a1c204",
     }
 
     def test_run_matches_recorded_digests(self, tmp_path):

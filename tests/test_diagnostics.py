@@ -230,10 +230,12 @@ class TestTrackFisherDrift:
                 assert flatten(f).tobytes() == flatten(snapshots2[i]).tobytes()
         assert trainer_mod._WORK is None
 
+    @pytest.mark.parametrize("estimator", ["exact", "sampled"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_last_task_submits_a_unit_per_pass(self, monkeypatch, jobs):
+    def test_last_task_submits_a_unit_per_pass(self, monkeypatch, jobs, estimator):
         # while the learner trains on, a task's passes are one unit; after
-        # the last task, each pass is a unit of its own
+        # the last task, each pass is a unit of its own; both regimes read
+        # the same passes, whether the estimator draws or not
         submitted = []
         real_pool = diagnostics_mod.fork_pool
 
@@ -246,9 +248,27 @@ class TestTrackFisherDrift:
             return [(i,) for i in (0, 1, 2) if i <= t] + ([tuple(range(t + 1))] if t else [])
 
         monkeypatch.setattr(diagnostics_mod, "fork_pool", counting_pool)
-        cfg, stream = self._setup(estimator="exact", num_tasks=4)
+        cfg, stream = self._setup(estimator=estimator, num_tasks=4)
         track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)
         assert submitted == [passes(0), passes(1), passes(2)] + [[p] for p in passes(3)]
+
+    @pytest.mark.parametrize("estimator", ["empirical", "exact", "exact_subset(5)", "sampled"])
+    def test_regimes_share_the_norm_ratio(self, estimator):
+        # the regimes differ only in the comparator: task i's re-estimate and
+        # snapshot are the same pass for both
+        cfg, stream = self._setup(7, estimator, num_tasks=4)
+        rows, _, _ = track_fisher_drift(cfg, stream, [0, 1, 2])
+        ratios = {regime: {(r.task_trained, r.task_data): r.norm_ratio for r in rows if r.regime == regime} for regime in REGIMES}
+        assert len(ratios["rehearsal_based"]) == 9
+        assert ratios["rehearsal_based"] == ratios["rehearsal_free"]
+
+    def test_each_tracked_task_measured_once(self):
+        cfg, stream = self._setup()
+        rows, snapshots, _ = track_fisher_drift(cfg, stream, [0, 0, 1])
+        want, want_snapshots, _ = track_fisher_drift(cfg, stream, [0, 1])
+        assert rows == want and len(rows) == 10
+        assert list(snapshots) == list(want_snapshots) == [0, 1]
+        assert track_fisher_drift(cfg, stream, [])[:2] == ([], {})
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_earlier_drift_failure_wins_over_later_training_failure(self, monkeypatch, jobs):
