@@ -60,6 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        repeated = [s for s in self.seeds if self.seeds.count(s) > 1]
+        if repeated:  # each seed's rows would be computed and written again
+            raise ConfigError(f"seed {repeated[0]} appears more than once in seeds")
         self.strategies = tuple(parse_strategy(s) for s in self.strategies)
         stream = self.stream
         if self.train.pretrain_mode == "train" and stream.pretrain_classes > 0 and not stream.csv_path:
@@ -397,11 +400,12 @@ def main(argv: list[str] | None = None) -> int:
             cfg.out_dir = args.out
         if args.seed is not None:
             try:
-                cfg.seeds = tuple(int(s) for s in str(args.seed).split(",") if s.strip())
+                seeds = tuple(int(s) for s in str(args.seed).split(",") if s.strip())
             except ValueError:
                 raise ConfigError(f"bad --seed value {args.seed!r}")
-            if not cfg.seeds:
+            if not seeds:
                 raise ConfigError("--seed produced no seeds")
+            cfg = replace(cfg, seeds=seeds)  # checked as a config's seeds are
         jobs = _jobs(args.jobs) if args.command in _POOLED_COMMANDS else 1
         _check_out_dir(cfg, args.command)
 
@@ -420,7 +424,6 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_reference(cfg, jobs)
             if args.command == "pretrain":
                 return cmd_pretrain(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

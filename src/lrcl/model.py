@@ -5,8 +5,10 @@ A (d_out x r) and B (r x d_in); the layer map is x -> Wx + A(Bx), so with
 A = 0 the layer is exactly the frozen map. tanh sits between consecutive
 layers; the last layer's output feeds a linear head over every class seen
 so far. Gradients are derived analytically layer by layer; there is no
-autodiff graph. Batches use the row convention (one sample per row), so
-the math below works with transposed products.
+autodiff graph. backward is the one gradient function of every training
+step: it writes into arrays the caller owns and allocates none. Batches
+use the row convention (one sample per row), so the math below works
+with transposed products.
 """
 
 from __future__ import annotations
@@ -179,21 +181,6 @@ def forward(net: Network, x: np.ndarray) -> ForwardCache:
     return ForwardCache(inputs, h, h @ net.head.V.T + net.head.b.T)
 
 
-@dataclass
-class GradientBundle:
-    """Analytic gradients of the mean cross-entropy for one batch.
-
-    d_delta_w[k] is the gradient with respect to layer k's full weight
-    matrix; d_a and d_b follow from it by the chain rule through AB.
-    """
-
-    d_a: list[np.ndarray]
-    d_b: list[np.ndarray]
-    d_delta_w: list[np.ndarray]
-    d_v: np.ndarray
-    d_bias: np.ndarray
-
-
 def label_rows(head: Head, labels: list[int]) -> np.ndarray:
     """Head row of each label; LabelError for a class the head does not know.
 
@@ -255,42 +242,24 @@ def dz_per_layer(net: Network, cache: ForwardCache, g_logits: np.ndarray) -> lis
     return dzs
 
 
-def _grad_arrays(net: Network, names: str) -> list:
-    return [[np.empty(getattr(l, n).shape) for l in net.layers] for n in names] + [np.empty(net.head.V.shape), np.empty(net.head.b.shape)]
+def backward(net: Network, cache: ForwardCache, rows: np.ndarray, d_w: list, d_v: np.ndarray, d_bias: np.ndarray, d_a: list | None = None, d_b: list | None = None) -> float:
+    """Mean cross-entropy of the batch; its gradients go into the caller's arrays.
 
-
-def _weight_grads(net: Network, cache: ForwardCache, rows: np.ndarray, out: tuple) -> float:
-    """Mean loss; d_w per layer (gradient of the full weight matrix), d_v and d_bias go into out."""
+    rows holds label_rows' head rows. d_w[k] gets the gradient of layer k's
+    full weight matrix W + AB, which pretraining trains W on; d_v and d_bias
+    get the head's. Given d_a and d_b, the chain rule through AB fills them
+    too: d_a[k] = d_w[k] B^T and d_b[k] = A^T d_w[k].
+    """
     loss, g = _loss_and_dlogits(cache.logits, rows)
-    d_w, d_v, d_bias = out
     for d_z, h_in, dw in zip(dz_per_layer(net, cache, g), cache.inputs, d_w):
         np.matmul(d_z.T, h_in, out=dw)
     np.matmul(g.T, cache.feature, out=d_v)
     np.add.reduce(g, axis=0, out=d_bias[:, 0])
+    if d_a is not None:
+        for dw, layer, da, db in zip(d_w, net.layers, d_a, d_b):
+            np.matmul(dw, layer.B.T, out=da)
+            np.matmul(layer.A.T, dw, out=db)
     return loss
-
-
-def backward(net: Network, cache: ForwardCache, rows: np.ndarray, out: GradientBundle | None = None) -> tuple[float, GradientBundle]:
-    """Loss plus gradients for the adapters and the head (base W held fixed).
-
-    rows holds label_rows' head rows; gradients go into out, or new arrays if None.
-    """
-    out = out or GradientBundle(*_grad_arrays(net, "ABW"))
-    loss = _weight_grads(net, cache, rows, (out.d_delta_w, out.d_v, out.d_bias))
-    for dw, layer, d_a, d_b in zip(out.d_delta_w, net.layers, out.d_a, out.d_b):
-        np.matmul(dw, layer.B.T, out=d_a)
-        np.matmul(layer.A.T, dw, out=d_b)
-    return loss, out
-
-
-def backward_wrt_base(net: Network, cache: ForwardCache, rows: np.ndarray, out: tuple | None = None) -> tuple[float, list[np.ndarray], np.ndarray, np.ndarray]:
-    """Loss plus gradients with each layer's base matrix W as the free variable.
-
-    Used for pretraining the backbone; the adapters are held fixed. rows and out
-    are as for backward. Returns (loss, d_w per layer, d_v, d_bias).
-    """
-    out = out or _grad_arrays(net, "W")
-    return (_weight_grads(net, cache, rows, out), *out)
 
 
 def merge_and_reset(net: Network, rng: RngState, b_scale: float = 1.0) -> None:

@@ -26,12 +26,10 @@ from .errors import ConfigError, DataError, NumericalError, ProtocolError
 from .fisher import EstimatorKind, FisherDiag, accumulate, uniform_fisher, zeros_like
 from .metrics import AccuracyMatrix
 from .model import (
-    GradientBundle,
     Head,
     Network,
     accuracy,
     backward,
-    backward_wrt_base,
     expand_head,
     forward,
     label_rows,
@@ -233,14 +231,15 @@ def train_task(
     As, Bs = [layer.A for layer in net.layers], [layer.B for layer in net.layers]
     b_inits = [B.copy() for B in Bs] if strategy.penalty == "factor" else None
     strategy.check(As, Bs, b_inits, f_cum, config.lam)
-    grads = GradientBundle(arena.grads[:n_layers], arena.grads[n_layers:-2], [np.empty((l.d_out, l.d_in)) for l in net.layers], *arena.grads[-2:])
+    d_w = [np.empty((l.d_out, l.d_in)) for l in net.layers]  # the full-weight gradient, from which the factors' follow
+    out = (d_w, *arena.grads[-2:], arena.grads[:n_layers], arena.grads[n_layers:-2])
     pen = np.empty_like(arena.grad)
     pen_views = arena.views(pen)
     pen_out = (pen_views[:n_layers], pen_views[n_layers:-2])
     body_grad, body_pen = arena.grad[: arena.n_body], pen[: arena.n_body]
 
     def gradient(x: np.ndarray, rows: np.ndarray) -> float:
-        loss, _ = backward(net, forward(net, x), rows, grads)
+        loss = backward(net, forward(net, x), rows, *out)
         term = strategy.penalty_term(As, Bs, b_inits, f_cum, config.lam, pen_out)
         if term is None:
             return loss
@@ -333,7 +332,7 @@ def pretrain(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | 
     out = (arena.grads[:-2], *arena.grads[-2:])
 
     def gradient(x: np.ndarray, rows: np.ndarray) -> float:
-        return backward_wrt_base(net, forward(net, x), rows, out)[0]  # frees forward's cache before Adam
+        return backward(net, forward(net, x), rows, *out)  # frees forward's cache before Adam
 
     _fit(net, arena, train_ds, gradient, config, config.pretrain_epochs, config.pretrain_lr, None, "pretraining loss became non-finite")
     acc = accuracy(net, test_ds.X, test_ds.y)

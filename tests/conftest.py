@@ -2,6 +2,7 @@
 projection and divergence witness that compare the two penalty placements."""
 
 import os
+import types
 
 # Threaded BLAS only slows these tiny matrices down; OpenBLAS reads the
 # setting when numpy loads it, so it must be set before the import.
@@ -14,7 +15,7 @@ import pytest  # noqa: E402
 from lrcl.errors import ParameterError
 from lrcl.fisher import FisherDiag
 from lrcl.metrics import AccuracyMatrix
-from lrcl.model import Network, expand_head, new_network, reset_adapter
+from lrcl.model import Network, backward, expand_head, new_network, reset_adapter
 from lrcl.tasks import Dataset
 from lrcl.tensor import RngState, atomic_write, format_float, uniform_matrix
 
@@ -62,6 +63,19 @@ def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
                 [[uniform(rng, -0.5, 0.5) for _ in range(layer.d_in)] for _ in range(layer.rank)]
             )
     return net
+
+
+def backprop(net: Network, cache, rows, factors=True):
+    """backward into new arrays: (loss, gradients) with d_w, d_v, d_bias, and d_a, d_b (None without factors)."""
+    grads = types.SimpleNamespace(
+        d_w=[np.empty((l.d_out, l.d_in)) for l in net.layers],
+        d_v=np.empty(net.head.V.shape),
+        d_bias=np.empty(net.head.b.shape),
+        d_a=[np.empty(l.A.shape) for l in net.layers] if factors else None,
+        d_b=[np.empty(l.B.shape) for l in net.layers] if factors else None,
+    )
+    loss = backward(net, cache, rows, grads.d_w, grads.d_v, grads.d_bias, grads.d_a, grads.d_b)
+    return loss, grads
 
 
 def make_batch(net: Network, n, seed, scale=1.0):

@@ -13,9 +13,13 @@ import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
-# gone from lrcl (fisher.estimate now takes every estimate); the next
-# benchmark change drops them from SPAN_METRICS
-RETIRED_SPANS = {"regularize.penalty_precomputed", "fisher.estimate_factor_space", "fisher.precompute_dataset_fisher"}
+# gone from lrcl (fisher.estimate now takes every estimate, and
+# model.backward every gradient); the next benchmark change drops them
+# from SPAN_METRICS
+RETIRED_SPANS = {
+    "regularize.penalty_precomputed", "fisher.estimate_factor_space", "fisher.precompute_dataset_fisher",
+    "model.backward_wrt_base",
+}
 
 
 def _load(name):

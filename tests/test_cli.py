@@ -423,6 +423,22 @@ class TestRunCommand:
             train = experiment_config_from_raw(dict.fromkeys(keys, value)).train
             assert all(getattr(train, key) == float(value) for key in keys)
 
+    @pytest.mark.parametrize("command", ["run", "compare-strategies", "sweep", "diagnose", "reference", "pretrain"])
+    @pytest.mark.parametrize("flag,seeds,repeated", [("0,0", "0", 0), ("5, 3,5", "0", 5), (None, "0,7,0", 0), (None, "4,4,4", 4)])
+    def test_repeated_seed_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, flag, seeds, repeated):
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the seeds were checked")
+
+        for name in ("run_many", "track_fisher_drift", "pretrain"):
+            monkeypatch.setattr(cli_mod, name, no_compute)
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path, TINY.replace("seeds = 0", f"seeds = {seeds}")), "--out", str(out)]
+        assert main(argv + (["--seed", flag] if flag else [])) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: seed {repeated} appears more than once in seeds"]
+        assert not out.exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -809,10 +825,13 @@ class TestGoldenOutputs:
     """`run`, `compare-strategies`, `sweep`, `pretrain` and `diagnose` on TINY reproduce the recorded bytes.
 
     Floating-point bits depend on the numpy and BLAS builds, so the digests
-    hold only on the platform they were recorded on.
+    hold only on the platform they were recorded on. That includes the
+    kernel set ("core") OpenBLAS picks for the CPU when it loads: one wheel
+    sums a matmul in another order under another core, and the last bits
+    of run.jsonl, the checkpoint and the drift rows move.
     """
 
-    PLATFORM = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+    PLATFORM = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0", "core": "SkylakeX"}
     DIGESTS = {
         "accuracy_matrix.csv": "eb19a51e00aac5a8294f8721335b8c343b40924e2feec7124772c52a8d896ad2",
         "metrics.json": "90ee77f5102e278e2587754ae643671144ed105fc75712e4335feeecbb37bfde",
@@ -830,13 +849,38 @@ class TestGoldenOutputs:
     # every file pretrain writes on TINY (checkpoint/ and pretrain.json), as a tree digest
     PRETRAIN_TREE = "eb4523ebbe6fcfc91da7ebdc763d4898ef6801c3efae84f5458968c2d3c6df64"
 
+    @staticmethod
+    def _openblas_core() -> str | None:
+        """The core name of numpy's bundled OpenBLAS, or None where the library or its symbol is missing."""
+        import ctypes
+        import glob
+
+        import numpy as np
+
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
+        corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+        if corename is None:
+            return None
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+
     def _skip_on_other_platform(self):
         import numpy as np
 
+        core = self._openblas_core()
+        if core is None:
+            pytest.skip("cannot read the OpenBLAS core name (no scipy_openblas_get_corename64_ in numpy's bundled library), which the digests depend on")
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+        here = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "core": core}
         if here != self.PLATFORM:
             pytest.skip(f"digests were recorded on {self.PLATFORM}, this is {here}")
+
+    @pytest.mark.parametrize("core", ["Sandybridge", "Haswell", None])
+    def test_other_or_unknown_core_skips(self, monkeypatch, core):
+        monkeypatch.setattr(TestGoldenOutputs, "_openblas_core", staticmethod(lambda: core))
+        reason = "cannot read the OpenBLAS core name" if core is None else f"'core': '{core}'"
+        with pytest.raises(pytest.skip.Exception, match=re.escape(reason)):
+            self._skip_on_other_platform()
 
     @staticmethod
     def _tree_digest(out) -> str:

@@ -24,23 +24,23 @@ from lrcl.fisher import (
     uniform_fisher,
     zeros_like,
 )
-from lrcl.model import backward, expand_head, forward, label_rows
+from lrcl.model import expand_head, forward, label_rows
 from lrcl.tasks import Dataset, StreamConfig, concat_datasets
 from lrcl.tensor import RngState, _softmax_rows
 from lrcl.trainer import TrainConfig, pretrain, run_continual
 
-from conftest import make_batch, make_net
+from conftest import backprop, make_batch, make_net
 
 
 def persample_loglik_grads(net, x_row: np.ndarray, label: int):
     """Gradient of log p(label | x) for one sample, via the batch backward.
 
-    backward() returns the gradient of the mean negative log-likelihood;
+    backward writes the gradient of the mean negative log-likelihood;
     with one sample that is minus the log-likelihood gradient.
     """
     cache = forward(net, x_row)
-    _, grads = backward(net, cache, label_rows(net.head, [label]))
-    d_dw = [-g for g in grads.d_delta_w]
+    _, grads = backprop(net, cache, label_rows(net.head, [label]))
+    d_dw = [-g for g in grads.d_w]
     d_a = [-g for g in grads.d_a]
     d_b = [-g for g in grads.d_b]
     return d_dw, d_a, d_b

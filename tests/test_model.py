@@ -10,8 +10,6 @@ from lrcl.model import (
     Head,
     LoRALinear,
     Network,
-    backward,
-    backward_wrt_base,
     expand_head,
     forward,
     label_rows,
@@ -23,7 +21,7 @@ from lrcl.model import (
 )
 from lrcl.tensor import RngState
 
-from conftest import make_batch, make_net
+from conftest import backprop, make_batch, make_net
 
 
 def central_diff(f, matrix: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -104,7 +102,7 @@ class TestBackward:
         net.head.b[:] = 0.0
         x, labels = make_batch(net, 6, seed=5)
         cache = forward(net, x)
-        loss, _ = backward(net, cache, label_rows(net.head, labels))
+        loss, _ = backprop(net, cache, label_rows(net.head, labels))
         assert abs(loss - math.log(5)) < 1e-12
 
     def test_unknown_label_raises(self):
@@ -112,7 +110,7 @@ class TestBackward:
         x, _ = make_batch(net, 2, seed=3)
         cache = forward(net, x)
         with pytest.raises(LabelError):
-            backward(net, cache, label_rows(net.head, [0, 99]))
+            backprop(net, cache, label_rows(net.head, [0, 99]))
 
     def test_gradients_match_finite_differences(self):
         net = make_net((6, 6, 6), rank=2, seed=11, nonzero_adapter=True)
@@ -120,11 +118,11 @@ class TestBackward:
 
         def loss_fn():
             cache = forward(net, x)
-            loss, _ = backward(net, cache, label_rows(net.head, labels))
+            loss, _ = backprop(net, cache, label_rows(net.head, labels))
             return loss
 
         cache = forward(net, x)
-        _, grads = backward(net, cache, label_rows(net.head, labels))
+        _, grads = backprop(net, cache, label_rows(net.head, labels))
 
         for k, layer in enumerate(net.layers):
             assert_grad_close(grads.d_a[k], central_diff(loss_fn, layer.A))
@@ -133,30 +131,30 @@ class TestBackward:
         assert_grad_close(grads.d_bias, central_diff(loss_fn, net.head.b))
 
     def test_chain_rule_consistency(self):
-        # dA and dB must equal the matmul of d_delta_w with the factors
+        # dA and dB must equal the matmul of d_w with the factors
         for seed in range(10):
             net = make_net((6, 5, 4), rank=2, seed=seed, nonzero_adapter=True)
             x, labels = make_batch(net, 5, seed=seed + 100)
             cache = forward(net, x)
-            _, grads = backward(net, cache, label_rows(net.head, labels))
+            _, grads = backprop(net, cache, label_rows(net.head, labels))
             for k, layer in enumerate(net.layers):
-                assert np.allclose(grads.d_a[k], grads.d_delta_w[k] @ layer.B.T, atol=1e-10)
-                assert np.allclose(grads.d_b[k], layer.A.T @ grads.d_delta_w[k], atol=1e-10)
+                assert np.allclose(grads.d_a[k], grads.d_w[k] @ layer.B.T, atol=1e-10)
+                assert np.allclose(grads.d_b[k], layer.A.T @ grads.d_w[k], atol=1e-10)
 
     def test_update_gradient_equals_base_gradient(self):
-        # Two derivations of the same gradient: one through the adapter
-        # branch with the update as the free variable, one with the base
-        # matrix as the free variable. They must coincide.
+        # The update's gradient and the base matrix's are one quantity,
+        # d_w: task training also fills d_a and d_b from it, pretraining
+        # does not. Asking for the factors must leave d_w's bits alone.
         for seed in range(10):
             net = make_net((6, 6, 6), rank=2, seed=seed, nonzero_adapter=True)
             x, labels = make_batch(net, 4, seed=seed + 77)
             cache = forward(net, x)
-            loss_a, grads = backward(net, cache, label_rows(net.head, labels))
-            loss_b, d_w, d_v, d_bias = backward_wrt_base(net, cache, label_rows(net.head, labels))
+            loss_a, grads = backprop(net, cache, label_rows(net.head, labels))
+            loss_b, base = backprop(net, cache, label_rows(net.head, labels), factors=False)
             assert loss_a == loss_b
             for k in range(len(net.layers)):
-                assert np.allclose(grads.d_delta_w[k], d_w[k], rtol=0, atol=1e-12)
-            assert np.allclose(grads.d_v, d_v, rtol=0, atol=1e-12)
+                assert np.array_equal(grads.d_w[k], base.d_w[k])
+            assert np.array_equal(grads.d_v, base.d_v)
 
     def test_update_gradient_matches_merged_network(self):
         # Third derivation: fold W + AB into a plain-weight network and
@@ -170,11 +168,11 @@ class TestBackward:
             layer.A[:] = 0.0
 
         cache = forward(net, x)
-        _, grads = backward(net, cache, label_rows(net.head, labels))
+        _, grads = backprop(net, cache, label_rows(net.head, labels))
         cache_m = forward(merged, x)
-        _, d_w, _, _ = backward_wrt_base(merged, cache_m, label_rows(merged.head, labels))
+        _, base = backprop(merged, cache_m, label_rows(merged.head, labels), factors=False)
         for k in range(len(net.layers)):
-            assert np.allclose(grads.d_delta_w[k], d_w[k], rtol=1e-10, atol=1e-12)
+            assert np.allclose(grads.d_w[k], base.d_w[k], rtol=1e-10, atol=1e-12)
 
 
 class TestMergeAndReset:

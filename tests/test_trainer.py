@@ -16,7 +16,7 @@ import lrcl.trainer as trainer_mod
 from lrcl.errors import ConfigError, MetricError, NumericalError, ProtocolError
 from lrcl.fisher import EstimatorKind, FisherDiag, uniform_fisher
 from lrcl.metrics import avg_anytime, plasticity, stability
-from lrcl.model import accuracy, backward, backward_wrt_base, expand_head, forward, label_rows, new_network, reset_adapter
+from lrcl.model import accuracy, expand_head, forward, label_rows, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES
 from lrcl.tasks import Dataset, StreamConfig, Task, TaskStream, gen_gaussian_stream, stratified_split
 from lrcl.tensor import RngState, load_state, save_state
@@ -33,7 +33,7 @@ from lrcl.trainer import (
     train_task,
 )
 
-from conftest import uniform
+from conftest import backprop, uniform
 
 
 def tiny_stream(seed=0, num_tasks=3):
@@ -292,17 +292,15 @@ def reference_fit(net, body, X, rows, config, epochs, lr, rng=None, penalty=None
         for start, stop in slices:
             cache = forward(net, epoch_X[start:stop])
             total = reference_loss(cache.logits, epoch_rows[start:stop])
+            _, grads = backprop(net, cache, epoch_rows[start:stop], factors=body != "W")
             if body == "W":
-                _, d_w, d_v, d_bias = backward_wrt_base(net, cache, epoch_rows[start:stop])
-                main.step(d_w, None, body_lr)
+                main.step(grads.d_w, None, body_lr)
             else:
-                _, grads = backward(net, cache, epoch_rows[start:stop])
                 pen = penalty()
                 if pen is not None:
                     total += pen[0]
                 main.step(grads.d_a + grads.d_b, None if pen is None else pen[1], body_lr)
-                d_v, d_bias = grads.d_v, grads.d_bias
-            head.step([d_v, d_bias], None, head_lr)
+            head.step([grads.d_v, grads.d_bias], None, head_lr)
             epoch_loss += total
         trace.append(epoch_loss / len(slices))
     return trace
