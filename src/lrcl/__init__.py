@@ -40,7 +40,7 @@ from .model import (
     new_network,
     reset_adapter,
 )
-from .regularize import PenaltyTerm, penalty_deltaw, penalty_separate
+from .regularize import penalty_deltaw, penalty_separate
 from .tasks import Dataset, Task, TaskStream, gen_gaussian_stream, load_csv_stream, standard_stream
 from .tensor import RngState, uniform_matrix
 from .trainer import (

@@ -60,6 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        outside = [s for s in self.seeds if not 0 <= s < 2**64]
+        if outside:  # RngState keeps a seed's low 64 bits, so such a seed would run as another one
+            raise ConfigError(f"seed {outside[0]} lies outside [0, 2^64)")
         repeated = [s for s in self.seeds if self.seeds.count(s) > 1]
         if repeated:  # each seed's rows would be computed and written again
             raise ConfigError(f"seed {repeated[0]} appears more than once in seeds")

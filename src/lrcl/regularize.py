@@ -13,6 +13,10 @@ precomputed strategies reuse the update-space formula with a Fisher that
 never changes across tasks; STRATEGIES says, per strategy, which penalty
 and which Fisher a run uses.
 
+Both kernels follow model.backward's convention: they return the value
+and add their gradients into the caller's grad_a and grad_b. They check
+nothing; Strategy.check, run once per task, checks their inputs.
+
 The two placements genuinely disagree: projecting a diagonal update-space
 Fisher onto the factors keeps only the diagonal of J^T F J and drops the
 factor cross terms, so apart from degenerate cases (rank-1 updates that
@@ -35,47 +39,52 @@ from .fisher import FisherDiag
 class Strategy:
     """Where a strategy puts its penalty and which Fisher weights it.
 
-    penalty: "update" (penalty_deltaw on AB), "factor" (penalty_separate
-    on A and B) or None. learned: the space, "update" or "factor", of the
-    Fisher the learner estimates after each task and folds into its decayed
-    accumulator, or None. fixed: the Fisher held for the whole run instead,
-    "uniform" (all ones) or "dataset" (estimated once on the union of every
-    task's training data), or None.
+    name: the strategy's key in STRATEGIES. penalty: "update"
+    (penalty_deltaw on AB), "factor" (penalty_separate on A and B) or None.
+    learned: the space, "update" or "factor", of the Fisher the learner
+    estimates after each task and folds into its decayed accumulator, or
+    None. fixed: the Fisher held for the whole run instead, "uniform" (all
+    ones) or "dataset" (estimated once on the union of every task's
+    training data), or None.
 
     Entries are plain data, not functions: the code that reads an entry
     calls through the defining module, so a function patched there is the
     one that runs.
     """
 
+    name: str
     penalty: str | None
     learned: str | None
     fixed: str | None
 
-    def penalty_term(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float, out: tuple | None = None) -> PenaltyTerm | None:
-        """The penalty at (A, B), or None for a strategy without one and at lam = 0; out as for penalty_deltaw."""
-        if lam == 0:  # weighs the value and the gradients to exactly zero wherever the weighted terms are finite
-            return None
-        if self.penalty == "update":
-            return penalty_deltaw(As, Bs, f, lam, out)
-        if self.penalty == "factor":
-            return penalty_separate(As, Bs, B_inits, f, lam, out)
-        return None
-
     def check(self, As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray] | None, f: FisherDiag | None, lam: float) -> None:
-        """The checks penalty_term runs when it is given no out buffers."""
-        if self.penalty == "update":
-            _check_update(As, Bs, f, lam)
-        elif self.penalty == "factor":
-            _check_factor(As, Bs, B_inits, f, lam)
+        """Raise unless the strategy's penalty kernel can run on these arrays: the kernels check nothing, so train_task runs this once per task."""
+        if self.penalty is None:
+            return
+        if f is None:
+            raise ParameterError(f"strategy {self.name!r} needs a Fisher to weight its penalty")
+        if self.penalty == "factor" and not f.has_factor_space:
+            raise ParameterError(f"strategy {self.name!r} needs factor-space Fisher blocks")
+        if lam < 0:
+            raise ParameterError(f"lambda must be nonnegative, got {lam}")
+        blocks = f.fdw if self.penalty == "update" else f.fa
+        if not (len(As) == len(Bs) == len(blocks)):
+            raise ShapeError("layer count mismatch", (len(As), len(Bs)), (len(blocks),))
+        for k, (A, B) in enumerate(zip(As, Bs)):
+            if self.penalty == "update":
+                if f.fdw[k].shape != (A.shape[0], B.shape[1]) or A.shape[1] != B.shape[0]:
+                    raise ShapeError("penalty shape mismatch", (A.shape, B.shape), f.fdw[k].shape)
+            elif f.fa[k].shape != A.shape or f.fb[k].shape != B.shape or B_inits[k].shape != B.shape:
+                raise ShapeError("separate penalty shape mismatch", (A.shape, B.shape), (f.fa[k].shape, f.fb[k].shape))
 
 
-STRATEGIES = {
-    "none": Strategy(penalty=None, learned=None, fixed=None),
-    "deltaw": Strategy(penalty="update", learned="update", fixed=None),
-    "separate": Strategy(penalty="factor", learned="factor", fixed=None),
-    "precomputed_uniform": Strategy(penalty="update", learned=None, fixed="uniform"),
-    "precomputed_dataset": Strategy(penalty="update", learned=None, fixed="dataset"),
-}
+STRATEGIES = {s.name: s for s in (
+    Strategy("none", penalty=None, learned=None, fixed=None),
+    Strategy("deltaw", penalty="update", learned="update", fixed=None),
+    Strategy("separate", penalty="factor", learned="factor", fixed=None),
+    Strategy("precomputed_uniform", penalty="update", learned=None, fixed="uniform"),
+    Strategy("precomputed_dataset", penalty="update", learned=None, fixed="dataset"),
+)}
 
 
 def parse_strategy(text: str) -> str:
@@ -85,55 +94,16 @@ def parse_strategy(text: str) -> str:
     return norm
 
 
-@dataclass
-class PenaltyTerm:
-    """Penalty value plus per-layer gradients for both factors."""
-
-    value: float
-    grad_a: list[np.ndarray]
-    grad_b: list[np.ndarray]
-
-
-def _check_layerwise(As: list[np.ndarray], Bs: list[np.ndarray], layers: list[np.ndarray], lam: float) -> None:
-    if lam < 0:
-        raise ParameterError(f"lambda must be nonnegative, got {lam}")
-    if not (len(As) == len(Bs) == len(layers)):
-        raise ShapeError("layer count mismatch", (len(As), len(Bs)), (len(layers),))
-
-
-def _check_update(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float) -> None:
-    _check_layerwise(As, Bs, f_cum.fdw, lam)
-    for A, B, F in zip(As, Bs, f_cum.fdw):
-        if F.shape != (A.shape[0], B.shape[1]) or A.shape[1] != B.shape[0]:
-            raise ShapeError("penalty shape mismatch", (A.shape, B.shape), F.shape)
-
-
-def _check_factor(As: list[np.ndarray], Bs: list[np.ndarray], B_inits: list[np.ndarray], f: FisherDiag, lam: float) -> None:
-    if not f.has_factor_space:
-        raise ParameterError("separate penalty needs factor-space Fisher blocks")
-    _check_layerwise(As, Bs, f.fa, lam)
-    for A, B, B0, FA, FB in zip(As, Bs, B_inits, f.fa, f.fb):
-        if FA.shape != A.shape or FB.shape != B.shape or B0.shape != B.shape:
-            raise ShapeError("separate penalty shape mismatch", (A.shape, B.shape), (FA.shape, FB.shape))
-
-
-def penalty_deltaw(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float, out: tuple | None = None) -> PenaltyTerm:
-    """Update-space penalty: quadratic form of the accumulated Fisher on AB.
-
-    The gradients go into out = (grad_a, grad_b), whose shapes the caller
-    checked with Strategy.check; without out, the checks run here.
-    """
-    if out is None:
-        _check_update(As, Bs, f_cum, lam)
-        out = [np.empty(A.shape) for A in As], [np.empty(B.shape) for B in Bs]
+def penalty_deltaw(As: list[np.ndarray], Bs: list[np.ndarray], f_cum: FisherDiag, lam: float, grad_a: list[np.ndarray], grad_b: list[np.ndarray]) -> float:
+    """Update-space penalty: quadratic form of the accumulated Fisher on AB; adds its gradients into grad_a and grad_b."""
     value = 0.0
-    for A, B, F, ga, gb in zip(As, Bs, f_cum.fdw, *out):
+    for A, B, F, ga, gb in zip(As, Bs, f_cum.fdw, grad_a, grad_b):
         delta = A @ B
         weighted = F * delta
         value += 0.5 * lam * float(np.add.reduce(weighted * delta, axis=None))  # np.sum's bits, minus its wrapper
-        np.multiply(weighted @ B.T, lam, out=ga)
-        np.multiply(A.T @ weighted, lam, out=gb)
-    return PenaltyTerm(value, *out)
+        ga += np.multiply(weighted @ B.T, lam)
+        gb += np.multiply(A.T @ weighted, lam)
+    return value
 
 
 def penalty_separate(
@@ -142,16 +112,14 @@ def penalty_separate(
     B_inits: list[np.ndarray],
     f: FisherDiag,
     lam: float,
-    out: tuple | None = None,
-) -> PenaltyTerm:
-    """Factor-space penalty with A anchored at 0 and B at its task init; out as for penalty_deltaw."""
-    if out is None:
-        _check_factor(As, Bs, B_inits, f, lam)
-        out = [np.empty(A.shape) for A in As], [np.empty(B.shape) for B in Bs]
+    grad_a: list[np.ndarray],
+    grad_b: list[np.ndarray],
+) -> float:
+    """Factor-space penalty with A anchored at 0 and B at its task init; adds its gradients into grad_a and grad_b."""
     value = 0.0
-    for A, B, B0, FA, FB, ga, gb in zip(As, Bs, B_inits, f.fa, f.fb, *out):
+    for A, B, B0, FA, FB, ga, gb in zip(As, Bs, B_inits, f.fa, f.fb, grad_a, grad_b):
         db = B - B0
         value += 0.5 * lam * float(np.add.reduce(FA * A * A, axis=None) + np.add.reduce(FB * db * db, axis=None))
-        np.multiply(lam * FA, A, out=ga)
-        np.multiply(lam * FB, db, out=gb)
-    return PenaltyTerm(value, *out)
+        ga += np.multiply(lam * FA, A)
+        gb += np.multiply(lam * FB, db)
+    return value

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import fisher as fisher_mod
+from . import regularize
 from .errors import ConfigError, DataError, NumericalError, ProtocolError
 from .fisher import EstimatorKind, FisherDiag, accumulate, uniform_fisher, zeros_like
 from .metrics import AccuracyMatrix
@@ -227,24 +228,21 @@ def train_task(
 
     strategy = STRATEGIES[config.strategy]
     arena = _Arena(net, "AB", config)
-    n_layers = len(net.layers)
     As, Bs = [layer.A for layer in net.layers], [layer.B for layer in net.layers]
     b_inits = [B.copy() for B in Bs] if strategy.penalty == "factor" else None
     strategy.check(As, Bs, b_inits, f_cum, config.lam)
     d_w = [np.empty((l.d_out, l.d_in)) for l in net.layers]  # the full-weight gradient, from which the factors' follow
-    out = (d_w, *arena.grads[-2:], arena.grads[:n_layers], arena.grads[n_layers:-2])
-    pen = np.empty_like(arena.grad)
-    pen_views = arena.views(pen)
-    pen_out = (pen_views[:n_layers], pen_views[n_layers:-2])
-    body_grad, body_pen = arena.grad[: arena.n_body], pen[: arena.n_body]
+    grad_ab = (arena.grads[: len(As)], arena.grads[len(As) : -2])
+    out = (d_w, *arena.grads[-2:], *grad_ab)
+    penalty = None  # at lam = 0, the value and the gradients weigh exactly zero wherever the weighted terms are finite
+    if strategy.penalty == "update" and config.lam != 0:
+        penalty = functools.partial(regularize.penalty_deltaw, As, Bs, f_cum, config.lam, *grad_ab)
+    elif strategy.penalty == "factor" and config.lam != 0:
+        penalty = functools.partial(regularize.penalty_separate, As, Bs, b_inits, f_cum, config.lam, *grad_ab)
 
     def gradient(x: np.ndarray, rows: np.ndarray) -> float:
-        loss = backward(net, forward(net, x), rows, *out)
-        term = strategy.penalty_term(As, Bs, b_inits, f_cum, config.lam, pen_out)
-        if term is None:
-            return loss
-        np.add(body_grad, body_pen, out=body_grad)
-        return loss + term.value
+        loss = backward(net, forward(net, x), rows, *out)  # fills the gradients the penalty then adds into
+        return loss if penalty is None else loss + penalty()
 
     shuffle = rng if config.shuffle else None
     return _fit(net, arena, task_data, gradient, config, config.epochs, config.lr, shuffle, "loss became non-finite at epoch {epoch}")

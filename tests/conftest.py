@@ -16,6 +16,7 @@ from lrcl.errors import ParameterError
 from lrcl.fisher import FisherDiag
 from lrcl.metrics import AccuracyMatrix
 from lrcl.model import Network, backward, expand_head, new_network, reset_adapter
+from lrcl.regularize import STRATEGIES, penalty_deltaw, penalty_separate
 from lrcl.tasks import Dataset
 from lrcl.tensor import RngState, atomic_write, format_float, uniform_matrix
 
@@ -76,6 +77,18 @@ def backprop(net: Network, cache, rows, factors=True):
     )
     loss = backward(net, cache, rows, grads.d_w, grads.d_v, grads.d_bias, grads.d_a, grads.d_b)
     return loss, grads
+
+
+def penalty(kind, As, Bs, B_inits, f, lam):
+    """The kernel of penalty strategy kind ("deltaw" or "separate") after its checks, into zero-filled arrays: (value, grad_a, grad_b)."""
+    strategy = STRATEGIES[kind]
+    strategy.check(As, Bs, B_inits, f, lam)
+    grad_a, grad_b = [np.zeros(A.shape) for A in As], [np.zeros(B.shape) for B in Bs]
+    if strategy.penalty == "update":
+        value = penalty_deltaw(As, Bs, f, lam, grad_a, grad_b)
+    else:
+        value = penalty_separate(As, Bs, B_inits, f, lam, grad_a, grad_b)
+    return value, grad_a, grad_b
 
 
 def make_batch(net: Network, n, seed, scale=1.0):

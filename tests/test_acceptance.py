@@ -25,7 +25,6 @@ from lrcl.model import (
     merge_and_reset,
     reset_adapter,
 )
-from lrcl.regularize import penalty_deltaw, penalty_separate
 from lrcl.tasks import Dataset, standard_stream
 from lrcl.tensor import RngState, _softmax_rows
 from lrcl.trainer import (
@@ -37,7 +36,7 @@ from lrcl.trainer import (
     train_task,
 )
 
-from conftest import acc_matrix, backprop, divergence_witness, make_batch, make_net, mat, uniform
+from conftest import acc_matrix, backprop, divergence_witness, make_batch, make_net, mat, penalty, uniform
 
 SEEDS = (0, 1, 2, 3, 4)
 LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)
@@ -146,13 +145,14 @@ class TestCriterion1GradientCorrectness:
                 fb=[mat(l.rank, l.d_in, [rng.next_float() for _ in range(l.rank * l.d_in)]) for l in net.layers],
             )
             lam = 2.5
-            for name, value_fn, pen in (
-                ("deltaw", lambda: penalty_deltaw(As, Bs, f_dw, lam).value, penalty_deltaw(As, Bs, f_dw, lam)),
-                ("separate", lambda: penalty_separate(As, Bs, b_inits, f_sep, lam).value, penalty_separate(As, Bs, b_inits, f_sep, lam)),
-            ):
+            for kind, f in (("deltaw", f_dw), ("separate", f_sep)):
+                def value_fn():
+                    return penalty(kind, As, Bs, b_inits, f, lam)[0]
+
+                _, grad_a, grad_b = penalty(kind, As, Bs, b_inits, f, lam)
                 for k in range(len(net.layers)):
-                    ok &= grads_close(pen.grad_a[k], central_diff(value_fn, As[k]))
-                    ok &= grads_close(pen.grad_b[k], central_diff(value_fn, Bs[k]))
+                    ok &= grads_close(grad_a[k], central_diff(value_fn, As[k]))
+                    ok &= grads_close(grad_b[k], central_diff(value_fn, Bs[k]))
         elapsed = time.perf_counter() - started
         report(1, "gradient correctness vs finite differences", ok and elapsed < 30, f"{elapsed:.1f}s")
         assert ok
@@ -205,11 +205,11 @@ class TestCriterion3PenaltyDivergence:
         )
         A2 = 2.0 * A
         B2 = 0.5 * B
-        v_dw1 = penalty_deltaw([A], [B], f, 3.0).value
-        v_dw2 = penalty_deltaw([A2], [B2], f, 3.0).value
+        v_dw1 = penalty("deltaw", [A], [B], None, f, 3.0)[0]
+        v_dw2 = penalty("deltaw", [A2], [B2], None, f, 3.0)[0]
         dw_invariant = abs(v_dw1 - v_dw2) <= 1e-10 * max(1.0, abs(v_dw1))
-        v_sep1 = penalty_separate([A], [B], [B0], f, 3.0).value
-        v_sep2 = penalty_separate([A2], [B2], [B0], f, 3.0).value
+        v_sep1 = penalty("separate", [A], [B], [B0], f, 3.0)[0]
+        v_sep2 = penalty("separate", [A2], [B2], [B0], f, 3.0)[0]
         sep_changes = abs(v_sep1 - v_sep2) > 1e-6 * max(1.0, abs(v_sep1))
 
         ok = witness_ok and dw_invariant and sep_changes
@@ -227,7 +227,7 @@ class TestCriterion4OracleEquivalence:
         B = mat(2, 7, [uniform(rng, -1, 1) for _ in range(14)])
         F = mat(7, 7, [rng.next_float() for _ in range(49)])
         lam = 3.7
-        vec = penalty_deltaw([A], [B], FisherDiag([F]), lam).value
+        vec = penalty("deltaw", [A], [B], None, FisherDiag([F]), lam)[0]
         delta = A @ B
         loop = 0.5 * lam * sum(
             F[i, j] * delta[i, j] ** 2 for i in range(7) for j in range(7)

@@ -423,9 +423,7 @@ class TestRunCommand:
             train = experiment_config_from_raw(dict.fromkeys(keys, value)).train
             assert all(getattr(train, key) == float(value) for key in keys)
 
-    @pytest.mark.parametrize("command", ["run", "compare-strategies", "sweep", "diagnose", "reference", "pretrain"])
-    @pytest.mark.parametrize("flag,seeds,repeated", [("0,0", "0", 0), ("5, 3,5", "0", 5), (None, "0,7,0", 0), (None, "4,4,4", 4)])
-    def test_repeated_seed_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, flag, seeds, repeated):
+    def _seeds_exit_2_before_compute(self, tmp_path, capsys, monkeypatch, command, flag, seeds, message):
         import lrcl.cli as cli_mod
 
         def no_compute(*args, **kwargs):
@@ -436,8 +434,19 @@ class TestRunCommand:
         out = tmp_path / "out"
         argv = [command, "--config", write_config(tmp_path, TINY.replace("seeds = 0", f"seeds = {seeds}")), "--out", str(out)]
         assert main(argv + (["--seed", flag] if flag else [])) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: seed {repeated} appears more than once in seeds"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare-strategies", "sweep", "diagnose", "reference", "pretrain"])
+    @pytest.mark.parametrize("flag,seeds,repeated", [("0,0", "0", 0), ("5, 3,5", "0", 5), (None, "0,7,0", 0), (None, "4,4,4", 4)])
+    def test_repeated_seed_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, flag, seeds, repeated):
+        self._seeds_exit_2_before_compute(tmp_path, capsys, monkeypatch, command, flag, seeds, f"seed {repeated} appears more than once in seeds")
+
+    @pytest.mark.parametrize("command", ["run", "compare-strategies", "sweep", "diagnose", "reference", "pretrain"])
+    @pytest.mark.parametrize("flag,seeds,outside", [("18446744073709551616", "0", 2**64), ("-1", "0", -1), (None, "0,-3", -3)])
+    def test_seed_outside_64_bits_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, flag, seeds, outside):
+        # RngState keeps a seed's low 64 bits, so such a seed would silently run as another one
+        self._seeds_exit_2_before_compute(tmp_path, capsys, monkeypatch, command, flag, seeds, f"seed {outside} lies outside [0, 2^64)")
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)

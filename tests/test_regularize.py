@@ -8,7 +8,7 @@ from lrcl.fisher import FisherDiag
 from lrcl.regularize import parse_strategy, penalty_deltaw, penalty_separate
 from lrcl.tensor import RngState
 
-from conftest import divergence_witness, mat, project_update_fisher, uniform
+from conftest import divergence_witness, mat, penalty, project_update_fisher, uniform
 
 
 def rand_matrix(rng, rows, cols, lo=-1.0, hi=1.0):
@@ -39,18 +39,18 @@ class TestPenaltyDeltaW:
         A = np.zeros((4, 2))
         B = rand_matrix(rng, 2, 4)
         f = FisherDiag([rand_fisher(rng, 4, 4)])
-        pen = penalty_deltaw([A], [B], f, lam=3.0)
-        assert pen.value == 0.0
-        assert np.all(pen.grad_a[0] == 0.0)
-        assert np.all(pen.grad_b[0] == 0.0)
+        value, grad_a, grad_b = penalty("deltaw", [A], [B], None, f, lam=3.0)
+        assert value == 0.0
+        assert np.all(grad_a[0] == 0.0)
+        assert np.all(grad_b[0] == 0.0)
 
     def test_hand_computed_value(self):
         # AB is the all-ones 2x2, F all-ones, lam 2: value = (2/2) * 4 = 4
         A = np.ones((2, 1))
         B = np.ones((1, 2))
         f = FisherDiag([np.ones((2, 2))])
-        pen = penalty_deltaw([A], [B], f, lam=2.0)
-        assert pen.value == 4.0
+        value, _, _ = penalty("deltaw", [A], [B], None, f, lam=2.0)
+        assert value == 4.0
 
     def test_gradients_match_finite_differences(self):
         rng = RngState(2)
@@ -61,13 +61,13 @@ class TestPenaltyDeltaW:
             lam = 1.7
 
             def value():
-                return penalty_deltaw([A], [B], f, lam).value
+                return penalty("deltaw", [A], [B], None, f, lam)[0]
 
-            pen = penalty_deltaw([A], [B], f, lam)
+            _, grad_a, grad_b = penalty("deltaw", [A], [B], None, f, lam)
             fd_a = fd_penalty_grad(value, A)
             fd_b = fd_penalty_grad(value, B)
-            assert np.allclose(pen.grad_a[0], fd_a, rtol=1e-6, atol=1e-8)
-            assert np.allclose(pen.grad_b[0], fd_b, rtol=1e-6, atol=1e-8)
+            assert np.allclose(grad_a[0], fd_a, rtol=1e-6, atol=1e-8)
+            assert np.allclose(grad_b[0], fd_b, rtol=1e-6, atol=1e-8)
 
     def test_invariant_to_factorization_of_same_product(self):
         # scaling A by c and B by 1/c keeps AB, so the value cannot move
@@ -75,10 +75,10 @@ class TestPenaltyDeltaW:
         A = rand_matrix(rng, 6, 2)
         B = rand_matrix(rng, 2, 6)
         f = FisherDiag([rand_fisher(rng, 6, 6)])
-        v1 = penalty_deltaw([A], [B], f, 5.0).value
+        v1 = penalty("deltaw", [A], [B], None, f, 5.0)[0]
         A2 = 2.0 * A
         B2 = 0.5 * B
-        v2 = penalty_deltaw([A2], [B2], f, 5.0).value
+        v2 = penalty("deltaw", [A2], [B2], None, f, 5.0)[0]
         assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
     def test_lambda_homogeneity_exact(self):
@@ -86,11 +86,11 @@ class TestPenaltyDeltaW:
         A = rand_matrix(rng, 4, 2)
         B = rand_matrix(rng, 2, 4)
         f = FisherDiag([rand_fisher(rng, 4, 4)])
-        p1 = penalty_deltaw([A], [B], f, 2.5)
-        p2 = penalty_deltaw([A], [B], f, 5.0)
-        assert p2.value == 2.0 * p1.value
-        assert np.array_equal(p2.grad_a[0], 2.0 * p1.grad_a[0])
-        assert np.array_equal(p2.grad_b[0], 2.0 * p1.grad_b[0])
+        v1, ga1, gb1 = penalty("deltaw", [A], [B], None, f, 2.5)
+        v2, ga2, gb2 = penalty("deltaw", [A], [B], None, f, 5.0)
+        assert v2 == 2.0 * v1
+        assert np.array_equal(ga2[0], 2.0 * ga1[0])
+        assert np.array_equal(gb2[0], 2.0 * gb1[0])
 
     def test_value_nonnegative(self):
         rng = RngState(5)
@@ -98,21 +98,21 @@ class TestPenaltyDeltaW:
             A = rand_matrix(rng, 5, 2)
             B = rand_matrix(rng, 2, 5)
             f = FisherDiag([rand_fisher(rng, 5, 5)])
-            assert penalty_deltaw([A], [B], f, rng.next_float() * 10).value >= 0.0
+            assert penalty("deltaw", [A], [B], None, f, rng.next_float() * 10)[0] >= 0.0
 
     def test_negative_lambda_rejected(self):
         A = np.zeros((2, 1))
         B = np.zeros((1, 2))
         f = FisherDiag([np.zeros((2, 2))])
         with pytest.raises(ParameterError):
-            penalty_deltaw([A], [B], f, -1.0)
+            penalty("deltaw", [A], [B], None, f, -1.0)
 
     def test_shape_mismatch_rejected(self):
         A = np.zeros((2, 1))
         B = np.zeros((1, 2))
         f = FisherDiag([np.zeros((3, 3))])
         with pytest.raises(ShapeError):
-            penalty_deltaw([A], [B], f, 1.0)
+            penalty("deltaw", [A], [B], None, f, 1.0)
 
     def test_vectorized_value_matches_elementwise_loop(self):
         rng = RngState(6)
@@ -120,14 +120,14 @@ class TestPenaltyDeltaW:
         B = rand_matrix(rng, 2, 7)
         f = FisherDiag([rand_fisher(rng, 7, 7)])
         lam = 3.3
-        pen = penalty_deltaw([A], [B], f, lam)
+        value, _, _ = penalty("deltaw", [A], [B], None, f, lam)
         delta = A @ B
         slow = 0.0
         for i in range(7):
             for j in range(7):
                 slow += f.fdw[0][i, j] * delta[i, j] ** 2
         slow *= 0.5 * lam
-        assert abs(pen.value - slow) < 1e-12 * max(1.0, abs(slow))
+        assert abs(value - slow) < 1e-12 * max(1.0, abs(slow))
 
 
 class TestPenaltySeparate:
@@ -146,10 +146,10 @@ class TestPenaltySeparate:
     def test_anchor_is_exact_zero(self):
         A, B, B0, f = self._instance(10)
         zero_a = np.zeros(A.shape)
-        pen = penalty_separate([zero_a], [B0], [B0], f, lam=4.0)
-        assert pen.value == 0.0
-        assert np.all(pen.grad_a[0] == 0.0)
-        assert np.all(pen.grad_b[0] == 0.0)
+        value, grad_a, grad_b = penalty("separate", [zero_a], [B0], [B0], f, lam=4.0)
+        assert value == 0.0
+        assert np.all(grad_a[0] == 0.0)
+        assert np.all(grad_b[0] == 0.0)
 
     def test_hand_computed_value(self):
         A = np.ones((2, 1))
@@ -160,26 +160,26 @@ class TestPenaltySeparate:
             fa=[np.ones((2, 1))],
             fb=[np.ones((1, 2))],
         )
-        pen = penalty_separate([A], [B], [B0], f, lam=2.0)
-        assert pen.value == 4.0
+        value, _, _ = penalty("separate", [A], [B], [B0], f, lam=2.0)
+        assert value == 4.0
 
     def test_gradients_match_finite_differences(self):
         A, B, B0, f = self._instance(11)
 
         def value():
-            return penalty_separate([A], [B], [B0], f, 2.2).value
+            return penalty("separate", [A], [B], [B0], f, 2.2)[0]
 
-        pen = penalty_separate([A], [B], [B0], f, 2.2)
-        assert np.allclose(pen.grad_a[0], fd_penalty_grad(value, A), rtol=1e-6, atol=1e-8)
-        assert np.allclose(pen.grad_b[0], fd_penalty_grad(value, B), rtol=1e-6, atol=1e-8)
+        _, grad_a, grad_b = penalty("separate", [A], [B], [B0], f, 2.2)
+        assert np.allclose(grad_a[0], fd_penalty_grad(value, A), rtol=1e-6, atol=1e-8)
+        assert np.allclose(grad_b[0], fd_penalty_grad(value, B), rtol=1e-6, atol=1e-8)
 
     def test_not_factorization_invariant(self):
         # same product AB, different factors: the value must move
         A, B, B0, f = self._instance(12)
-        v1 = penalty_separate([A], [B], [B0], f, 1.0).value
+        v1 = penalty("separate", [A], [B], [B0], f, 1.0)[0]
         A2 = 2.0 * A
         B2 = 0.5 * B
-        v2 = penalty_separate([A2], [B2], [B0], f, 1.0).value
+        v2 = penalty("separate", [A2], [B2], [B0], f, 1.0)[0]
         assert abs(v1 - v2) > 1e-6 * max(1.0, abs(v1))
 
     def test_requires_factor_blocks(self):
@@ -188,7 +188,31 @@ class TestPenaltySeparate:
         B = rand_matrix(rng, 1, 3)
         f = FisherDiag([rand_fisher(rng, 3, 3)])
         with pytest.raises(ParameterError):
-            penalty_separate([A], [B], [B], f, 1.0)
+            penalty("separate", [A], [B], [B], f, 1.0)
+
+
+class TestAddsIntoCallerArrays:
+    def test_kernels_add_to_preloaded_gradients(self):
+        # the kernels add into what backward left in the arrays: the sum is the preload plus the penalty's own gradients
+        rng = RngState(14)
+        d, r = 5, 2
+        As = [rand_matrix(rng, d, r) for _ in range(2)]
+        Bs = [rand_matrix(rng, r, d) for _ in range(2)]
+        B0s = [rand_matrix(rng, r, d) for _ in range(2)]
+        f = FisherDiag(
+            [rand_fisher(rng, d, d) for _ in range(2)],
+            fa=[rand_fisher(rng, d, r) for _ in range(2)],
+            fb=[rand_fisher(rng, r, d) for _ in range(2)],
+        )
+        lam = 1.3
+        for kind, kernel, anchors in (("deltaw", penalty_deltaw, ()), ("separate", penalty_separate, (B0s,))):
+            value, grad_a, grad_b = penalty(kind, As, Bs, B0s, f, lam)
+            pre_a = [rand_matrix(rng, d, r) for _ in range(2)]
+            pre_b = [rand_matrix(rng, r, d) for _ in range(2)]
+            got_a, got_b = [g.copy() for g in pre_a], [g.copy() for g in pre_b]
+            assert kernel(As, Bs, *anchors, f, lam, got_a, got_b) == value
+            for got, pre, own in zip(got_a + got_b, pre_a + pre_b, grad_a + grad_b):
+                assert np.array_equal(got, pre + own)
 
 
 class TestProjection:

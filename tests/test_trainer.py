@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lrcl.trainer as trainer_mod
-from lrcl.errors import ConfigError, MetricError, NumericalError, ProtocolError
+from lrcl.errors import ConfigError, MetricError, NumericalError, ParameterError, ProtocolError
 from lrcl.fisher import EstimatorKind, FisherDiag, uniform_fisher
 from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.model import accuracy, expand_head, forward, label_rows, new_network, reset_adapter
@@ -444,6 +444,15 @@ class TestTrainTask:
         train_task(net, stream.tasks[0].train, None, tiny_config(strategy="none"), RngState(3))
         for layer, snap in zip(net.layers, snapshots):
             assert np.array_equal(layer.W, snap)
+
+    @pytest.mark.parametrize("strategy", ["deltaw", "separate"])
+    def test_penalty_strategy_given_no_fisher_names_itself(self, strategy):
+        stream = tiny_stream()
+        net = pretrain(tiny_config(), stream)[0]
+        reset_adapter(net, RngState(1))
+        expand_head(net, stream.tasks[0].class_ids, RngState(2))
+        with pytest.raises(ParameterError, match=f"strategy '{strategy}' needs a Fisher"):
+            train_task(net, stream.tasks[0].train, None, tiny_config(strategy=strategy), RngState(3))
 
     def test_lambda_zero_equals_strategy_none_bitwise(self):
         stream = tiny_stream()
