@@ -15,7 +15,6 @@ module is analysis-only and exempt from the training loop's discard rule.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,66 +106,30 @@ def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, passes: list
     return [pass_means(net, concat_datasets([stream.tasks[i].train for i in tasks]), kind, draws) for tasks, draws in passes]
 
 
-class _Tracker:
-    """The state of one track_fisher_drift, all in this process: rngs, snapshots, rows and the units in flight."""
+def _rows_of(t: int, tracked: list[int], f_cum: FisherDiag, units: list[tuple], snapshots: dict[int, FisherDiag]) -> list[DriftRow]:
+    """Task t's rows of the tracked tasks in both regimes, each Fisher read in the serial loop's order; records task t's snapshot if tracked."""
+    @functools.cache  # made when first read, as the serial loop made them
+    def fisher(tasks: tuple) -> FisherDiag:
+        keys, unit = next((keys, unit) for keys, unit in units if tasks in keys)
+        return FisherDiag(*unit.result()[keys.index(tasks)])
 
-    def __init__(self, config: TrainConfig, stream: TaskStream, tracked: list[int], jobs: int, submit: Callable):
-        self.kind = config.estimator
-        self.stream = stream
-        self.tracked = tracked
-        self.jobs = jobs
-        self.submit = submit
-        self.rng = RngState(config.seed).derive("drift-estimates")  # the tracked tasks' passes
-        self.pool_rng = RngState(config.seed).derive("drift-pool")  # the pooled passes, which only rehearsal_based reads
-        self.snapshots: dict[int, FisherDiag] = {}
-        self.rows: list[DriftRow] = []
-        self.pending: list[tuple] = []  # (t, f_cum, units) of each task not yet folded
-
-    def after_task(self, t: int, learner: ContinualLearner) -> None:
-        """Draws and submits task t's passes in the serial loop's order, then folds each task whose units are done."""
-        net = learner.net.copy()  # the learner trains on in place
-        tracked = [i for i in self.tracked if i <= t]
-        plan = [((i,), self.rng) for i in tracked]  # each tracked task, then the pool of every task so far
-        if tracked and tracked[0] < t:
-            plan.append((tuple(range(t + 1)), self.pool_rng))
-        passes = [(tasks, draw(self.kind, sum(self.stream.tasks[j].train.n for j in tasks), rng)) for tasks, rng in plan]
-        # while the learner trains on, a task is one unit, so one worker at a time takes a core from it; after the last task, a pass
-        groups = [[p] for p in passes] if t == self.stream.num_tasks - 1 else [passes]
-        units = [([tasks for tasks, _ in group], self.submit(net, group)) for group in groups if group]
-        self.pending.append((t, learner.f_cum, units))
-        self.fold(wait=self.jobs == 1)
-
-    def fold(self, wait: bool) -> None:
-        """Computes the rows of each task whose units are done, in task order; with wait, of each task."""
-        while self.pending and (wait or all(unit.done() for _, unit in self.pending[0][-1])):
+    rows = []
+    for regime in REGIMES:
+        for i in tracked:
             try:
-                self._rows_of(*self.pending.pop(0))
-            except BaseException:
-                self.pending.clear()  # nothing later is read: the first failure is the one raised
-                raise
-
-    def _rows_of(self, t: int, f_cum: FisherDiag, units: list[tuple]) -> None:
-        @functools.cache  # made when first read, as the serial loop made them
-        def fisher(tasks: tuple) -> FisherDiag:
-            keys, unit = next((keys, unit) for keys, unit in units if tasks in keys)
-            return FisherDiag(*unit.result()[keys.index(tasks)])
-
-        tracked = [i for i in self.tracked if i <= t]
-        for regime in REGIMES:
-            for i in tracked:
-                try:
-                    f_now = fisher((i,))
-                    if i == t:
-                        self.snapshots[i] = f_now
-                        self.rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
-                        continue
-                    base = self.snapshots[i]
-                    comparator = f_cum if regime == "rehearsal_free" else fisher(tuple(range(t + 1)))
-                    pair = (flatten(comparator), flatten(base))
-                    self.rows.append(DriftRow(t, i, regime, norm_ratio(f_now, base), spearman(*pair), cosine_sim(*pair)))
-                except (MetricError, NumericalError) as exc:
-                    # the config passed every check; training made a Fisher degenerate or overflow
-                    raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
+                f_now = fisher((i,))
+                if i == t:
+                    snapshots[i] = f_now
+                    rows.append(DriftRow(t, i, regime, 1.0, 1.0, 1.0))
+                    continue
+                base = snapshots[i]
+                comparator = f_cum if regime == "rehearsal_free" else fisher(tuple(range(t + 1)))
+                pair = (flatten(comparator), flatten(base))
+                rows.append(DriftRow(t, i, regime, norm_ratio(f_now, base), spearman(*pair), cosine_sim(*pair)))
+            except (MetricError, NumericalError) as exc:
+                # the config passed every check; training made a Fisher degenerate or overflow
+                raise NumericalError(f"drift of task {i} after task {t}: {exc}") from exc
+    return rows
 
 
 def track_fisher_drift(
@@ -190,22 +153,43 @@ def track_fisher_drift(
     tracked tasks' passes draw from one stream, the pooled passes from
     another. The strategy must learn a Fisher (deltaw or separate).
 
-    Every draw, snapshot and row is made here, in task order, while jobs
-    forked workers (none for jobs = 1) run the serial loop's whole Fisher
-    passes, one unit per task while this process trains on and one per
-    pass after the last task; so the bits and the first failure are the
-    serial loop's for any jobs.
+    Every draw is made here, in task order, as the hook runs, while up to
+    jobs forked workers (none for jobs = 1) run the serial loop's whole
+    Fisher passes: one unit per task while this process trains on, one per
+    pass after the last task. The snapshots and rows are made here too,
+    in task order, once the trajectory ends or fails, so the bits and the
+    first failure are the serial loop's for any jobs: a drift failure
+    replaces a later training failure.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
     for i in tracked_tasks:
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
+    kind, tracked = config.estimator, sorted(set(tracked_tasks))
+    rng = RngState(config.seed).derive("drift-estimates")  # the tracked tasks' passes
+    pool_rng = RngState(config.seed).derive("drift-pool")  # the pooled passes, which only rehearsal_based reads
+    measured: list[tuple] = []  # (t, tracked tasks up to t, f_cum, units) of each finished task
 
-    with fork_pool(jobs if jobs > 1 else 0, functools.partial(_measure, stream, config.estimator)) as submit:
-        tracker = _Tracker(config, stream, sorted(set(tracked_tasks)), jobs, submit)
+    def after_task(t: int, learner: ContinualLearner) -> None:
+        """Draws and submits task t's passes in the serial loop's order."""
+        net = learner.net.copy()  # the learner trains on in place
+        mine = [i for i in tracked if i <= t]
+        plan = [((i,), rng) for i in mine]  # each tracked task, then the pool of every task so far
+        if mine and mine[0] < t:
+            plan.append((tuple(range(t + 1)), pool_rng))
+        passes = [(tasks, draw(kind, sum(stream.tasks[j].train.n for j in tasks), r)) for tasks, r in plan]
+        # while the learner trains on, a task is one unit, so one worker at a time takes a core from it; after the last task, a pass
+        groups = [[p] for p in passes] if t == stream.num_tasks - 1 else [passes]
+        measured.append((t, mine, learner.f_cum, [([tasks for tasks, _ in group], submit(net, group)) for group in groups if group]))
+
+    rows: list[DriftRow] = []
+    snapshots: dict[int, FisherDiag] = {}
+    workers = min(jobs, stream.num_tasks + len(tracked))  # the most units: one per task before the last, then one per pass
+    with fork_pool(workers if workers > 1 else 0, functools.partial(_measure, stream, kind)) as submit:
         try:
-            acc = run_continual(config, stream, after_task=tracker.after_task).acc_matrix
+            acc = run_continual(config, stream, after_task=after_task).acc_matrix
         finally:
-            tracker.fold(wait=True)
-    return sorted(tracker.rows, key=lambda r: REGIMES.index(r.regime)), tracker.snapshots, acc
+            for task in measured:
+                rows += _rows_of(*task, snapshots)
+    return sorted(rows, key=lambda r: REGIMES.index(r.regime)), snapshots, acc

@@ -148,8 +148,9 @@ def gen_gaussian_stream(shape: StreamConfig, seed: int) -> TaskStream:
     pretrain_classes, pretrain_n = shape.pretrain_classes, shape.pretrain_n
     if dim < 2:
         raise ParameterError("dim must be >= 2")
-    if shape.radius <= 0 or shape.sigma <= 0:
-        raise ParameterError("radius and sigma must be positive")
+    for name in ("radius", "sigma"):
+        if not 0.0 < getattr(shape, name) <= 1e6:  # a larger one overflows the data or the first Fisher
+            raise ParameterError(f"{name} must lie in (0, 1e6], got {getattr(shape, name)}")
     for name in ("num_tasks", "classes_per_task", "n_train", "n_test"):
         if getattr(shape, name) < 1:
             raise ParameterError(f"{name} must be >= 1, got {getattr(shape, name)}")

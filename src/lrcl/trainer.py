@@ -16,14 +16,14 @@ import copy
 import functools
 import math
 from collections.abc import Callable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import fisher as fisher_mod
 from . import regularize
-from .errors import ConfigError, DataError, NumericalError, ProtocolError
+from .errors import ConfigError, DataError, EngineError, NumericalError, ProtocolError
 from .fisher import EstimatorKind, FisherDiag, accumulate, uniform_fisher, zeros_like
 from .metrics import AccuracyMatrix
 from .model import (
@@ -473,57 +473,42 @@ def run_many(
 
     One base network is pretrained per pretrain_key, in this process, and
     every unit trains a copy of it. Configs of one first_task_key, whose
-    Fisher is zero until task 0 is finished, share the unit that trains task
-    0 and continue from its Fisher estimate on in units of their own. Up to
-    jobs forked workers run the units (first tasks, unshared runs,
-    continuations, then references) and return what the serial loop returns.
-    The results are read in serial order, so a failure raises the error the
-    serial loop would raise first; with jobs = 1 each unit runs here as it
-    is read, so none runs after the first failure.
+    Fisher is zero until task 0 is finished, share one training of task 0
+    and continue from its Fisher estimate on in units of their own. With a
+    pool, this process trains each shared task 0 before the workers fork,
+    so they inherit it, and up to jobs forked workers run the units, which
+    depend on nothing: runs first, then references. The results are read in
+    serial order, so a failure raises the error the serial loop would raise
+    first; with jobs = 1 each unit runs here as it is read (a shared task 0
+    with its first run), so none runs after the first failure.
     """
     bases: dict[tuple, Network] = {}
     for config in [base_cfg, *configs]:
         if pretrain_key(config) not in bases:
             bases[pretrain_key(config)] = pretrain(config, stream)[0]
-    units = [functools.partial(run_reference, bases[pretrain_key(base_cfg)], base_cfg, task) for task in stream.tasks]
-    n_refs = len(units)
     keys = [first_task_key(config) or i for i, config in enumerate(configs)]  # a config that shares nothing is its own key
-    reads, needs, firsts = list(range(n_refs)), {}, {}  # needs: continuation -> its key's first-task unit
+    firsts: dict = {}
     for key, config in zip(keys, configs):
-        base = bases[pretrain_key(config)]
         if keys.count(key) > 1 and key not in firsts:
-            firsts[key] = len(units)
-            units.append(functools.partial(_first_task, config, stream, base))
-        reads.append(len(units))
+            firsts[key] = functools.cache(functools.partial(_first_task, config, stream, bases[pretrain_key(config)]))
+
+    def run(config: TrainConfig, key) -> RunRecord:
         if key in firsts:
-            needs[len(units)] = firsts[key]
-        units.append(functools.partial(_continue, config, stream) if key in firsts else functools.partial(run_continual, config, stream, base))
-    priority = [*firsts.values(), *(u for u in reads[n_refs:] if u not in needs), *needs, *range(n_refs)]
+            return _continue(config, stream, *firsts[key]())
+        return run_continual(config, stream, bases[pretrain_key(config)])
+
+    units = [functools.partial(run, config, key) for config, key in zip(configs, keys)]
+    units += [functools.partial(run_reference, bases[pretrain_key(base_cfg)], base_cfg, task) for task in stream.tasks]
     workers = min(jobs, len(units))
     pool = workers if workers > 1 else 0
-    with fork_pool(pool, lambda i, *args: units[i](*args)) as submit:
-        if pool:
-            from concurrent.futures import FIRST_COMPLETED, wait
-        futures = {}
-
-        def start(u: int) -> None:
-            futures[u] = submit(u, *(futures[needs[u]].result() if u in needs else ()))
-
-        def read(u: int):
-            for w in (needs[u], u) if u in needs else (u,):  # a failed first task raises at each of its configs
-                if not pool and w not in futures:
-                    start(w)
-                while pool and not (w in futures and futures[w].done()):  # the ready units of highest priority fill free workers
-                    finished = {v for v, f in futures.items() if f.done() and not f.exception()}
-                    ready = [v for v in priority if v not in futures and (v not in needs or needs[v] in finished)]
-                    for v in ready[: pool - sum(not f.done() for f in futures.values())]:
-                        start(v)
-                    wait([f for f in futures.values() if not f.done()], return_when=FIRST_COMPLETED)
-                result = futures[w].result()
-            return result
-
-        results = [read(u) for u in reads]
-    return results[:n_refs], results[n_refs:]
+    if pool:  # the workers inherit each shared task 0; a failed one they train again, to fail at its runs' places
+        for first in firsts.values():
+            with suppress(EngineError):
+                first()
+    with fork_pool(pool, lambda i: units[i]()) as submit:
+        futures = [submit(i) for i in range(len(units))]
+        refs = [f.result() for f in futures[len(configs):]]
+        return refs, [f.result() for f in futures[: len(configs)]]
 
 
 def desk_profile(seed: int, **overrides) -> TrainConfig:

@@ -394,7 +394,7 @@ class TestRunCommand:
          "beta1 = 1", "beta1 = -0.5", "beta2 = 1", "beta2 = 1.5", "epsilon = 0", "epsilon = -1",
          "w0_noise_scale = 0", "hidden_dims = 8,0", "lr = 0", "head_lr = -1", "hidden_dims = ,",
          "lr_schedule = step", "pretrain_mode = frozen", "classes_per_task = 0", "n_test = 0",
-         "w0_identity_scale = -1e308", "w0_feature_gain = 1e308"],
+         "w0_identity_scale = -1e308", "w0_feature_gain = 1e308", "sigma = 1e308", "radius = 1e200"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -639,8 +639,8 @@ class TestJobs:
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
     @pytest.mark.parametrize("failure", ["pretrain_lr = 1e250", "head_lr = 1e300"])
     def test_diagnose_failure_independent_of_jobs(self, tmp_path, estimator, failure):
-        # training saturates or overflows a Fisher; the drift rows, now made
-        # in the hook, stop training at the first failing task for any N
+        # training saturates or overflows a Fisher; the drift rows, made in
+        # task order once the trajectory ends, raise the first failing task's error for any N
         text = re.sub(rf"^{failure.split()[0]} = .*$", failure, TINY, flags=re.M) + f"estimator = {estimator}\n"
         cfg_path = write_config(tmp_path, text)
         errs = [self._failing_stderr(["diagnose", "--config", cfg_path, "--jobs", jobs], tmp_path / f"out{jobs}") for jobs in ("1", "2", "3")]

@@ -252,6 +252,24 @@ class TestTrackFisherDrift:
         track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)
         assert submitted == [passes(0), passes(1), passes(2)] + [[p] for p in passes(3)]
 
+    @pytest.mark.parametrize("jobs,num_tasks,tracked,workers", [(64, 3, [0, 1], 5), (2, 3, [0, 1], 2), (64, 4, [0, 1, 2], 7), (64, 1, [], 0)])
+    def test_pool_capped_at_its_units(self, monkeypatch, jobs, num_tasks, tracked, workers):
+        # at most one unit per task before the last, then one per pass of
+        # the last task; the real pool gets at most 2 workers here
+        asked = []
+        real_pool = diagnostics_mod.fork_pool
+
+        def recording_pool(n, work):
+            asked.append(n)
+            return real_pool(min(n, 2), work)
+
+        monkeypatch.setattr(diagnostics_mod, "fork_pool", recording_pool)
+        cfg, stream = self._setup(num_tasks=num_tasks)
+        rows, _, acc = track_fisher_drift(cfg, stream, tracked, jobs=jobs)
+        want, _, want_acc = track_fisher_drift(cfg, stream, tracked)
+        assert asked == [workers, 0]
+        assert rows == want and acc.rows == want_acc.rows
+
     @pytest.mark.parametrize("estimator", ["empirical", "exact", "exact_subset(5)", "sampled"])
     def test_regimes_share_the_norm_ratio(self, estimator):
         # the regimes differ only in the comparator: task i's re-estimate and
@@ -272,9 +290,8 @@ class TestTrackFisherDrift:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_earlier_drift_failure_wins_over_later_training_failure(self, monkeypatch, jobs):
-        # with jobs = 1 the hook raises after task 1; with jobs = 2 the parent
-        # may train on, even fail at task 3, before the worker's task 1
-        # measurement is done, and the error is the same
+        # for any jobs the parent trains on and fails at task 3; the rows,
+        # made in task order after that, raise task 1's drift error in its place
         def degenerate(f_now, f_orig):
             raise MetricError("stand-in degenerate Fisher")
 

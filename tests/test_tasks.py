@@ -119,6 +119,13 @@ class TestGaussianStream:
             small_stream(radius=-1.0)
         with pytest.raises(ParameterError):
             small_stream(sigma=0.0)
+        for name, value in (("sigma", 1e308), ("radius", 1e200), ("sigma", 1e6 * (1 + 2**-52))):
+            with pytest.raises(ParameterError, match=f"^{name} must lie in"):
+                small_stream(**{name: value})
+
+    def test_radius_and_sigma_bounds_include_1e6(self):
+        stream = small_stream(radius=1e6, sigma=1e6)
+        assert np.isfinite(stream.tasks[0].train.X).all()
 
 
 class TestStreamInvariants:

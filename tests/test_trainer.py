@@ -572,6 +572,27 @@ class TestRunMany:
             assert ran == (refs if reference_fails else refs + [("reference", 2)] + runs)
         assert trainer_mod._WORK is None
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_pool_trains_each_shared_first_task_once_before_forking(self, monkeypatch):
+        # the workers inherit every shared task 0, so none trains one and no
+        # learner is pickled; every config here shares its task 0 with another
+        import multiprocessing
+
+        parent, real = os.getpid(), trainer_mod._first_task
+        ran = []
+
+        def first_task(config, stream, base):
+            if os.getpid() != parent:
+                raise AssertionError("a worker trained a shared first task")
+            ran.append((config.strategy, config.lr, len(multiprocessing.active_children())))
+            return real(config, stream, base)
+
+        monkeypatch.setattr(trainer_mod, "_first_task", first_task)
+        configs = [tiny_config(strategy="none"), tiny_config(strategy="deltaw", lam=1e8),
+                   tiny_config(strategy="separate", lr=0.1), tiny_config(strategy="deltaw", lr=0.1)]
+        run_many(tiny_stream(), tiny_config(), configs, jobs=2)
+        assert ran == [("none", tiny_config().lr, 0), ("separate", 0.1, 0)]
+
 
 class TestSharedFirstTask:
     """run_many trains task 0 once for the configs of one first_task_key, to the bytes of one run each."""
