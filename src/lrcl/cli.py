@@ -185,7 +185,11 @@ _OUTPUTS = {
 }
 # the state directories: diagnose's Fisher snapshot of each tracked task per seed, and pretrain's network
 _SNAPSHOT, _CHECKPOINT = os.path.join("fisher_snapshots_seed{seed}", "task{task}"), "checkpoint"
-_TRACKED = 3  # diagnose tracks the first tasks, up to this many
+
+
+def _tracked(cfg: ExperimentConfig) -> list[int]:
+    """The tasks diagnose tracks and snapshots: the first ones, up to three."""
+    return list(range(min(3, cfg.stream.num_tasks)))
 
 
 def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
@@ -196,9 +200,9 @@ def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
     if not os.path.isdir(probe):
         raise ConfigError(f"cannot use {cfg.out_dir!r} as output directory: {probe!r} is not a directory")
     names = [name.format(seed=seed) for name in _OUTPUTS[command] for seed in cfg.seeds]
-    layers, tracked = len(cfg.train.hidden_dims), range(min(_TRACKED, cfg.stream.num_tasks))
+    layers = len(cfg.train.hidden_dims)
     if command == "diagnose":  # the files of the state directories, as their writers name them
-        names += [f for seed in cfg.seeds for i in tracked for f in state_files(_SNAPSHOT.format(seed=seed, task=i), fisher_names(layers))]
+        names += [f for seed in cfg.seeds for i in _tracked(cfg) for f in state_files(_SNAPSHOT.format(seed=seed, task=i), fisher_names(layers))]
     if command == "pretrain":
         names += state_files(_CHECKPOINT, checkpoint_names(layers))
     for name in names:
@@ -297,11 +301,10 @@ def cmd_sweep(cfg: ExperimentConfig, parameter: str, jobs: int) -> int:
 
 
 def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
-    tracked = list(range(min(_TRACKED, cfg.stream.num_tasks)))
     for seed in cfg.seeds:
         stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
-        rows, snapshots, _ = track_fisher_drift(config, stream, tracked, jobs)
+        rows, snapshots, _ = track_fisher_drift(config, stream, _tracked(cfg), jobs)
         lines = ["task_trained,task_data,regime,norm_ratio,spearman,cosine"]
         for r in rows:
             values = [format_float(v) for v in (r.norm_ratio, r.spearman, r.cosine)]

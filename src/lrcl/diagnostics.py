@@ -101,18 +101,14 @@ class DriftRow:
     cosine: float
 
 
-def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, passes: list[tuple]) -> list:
-    """A unit: for each (tasks, draws), the pass_means of a pass over the tasks' training rows (read through fork_pool's slot)."""
-    return [pass_means(net, concat_datasets([stream.tasks[i].train for i in tasks]), kind, draws) for tasks, draws in passes]
+def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, tasks: tuple, draws) -> list:
+    """A unit: the pass_means of one pass over the tasks' training rows (run through fork_pool's slot)."""
+    return pass_means(net, concat_datasets([stream.tasks[i].train for i in tasks]), kind, draws)
 
 
-def _rows_of(t: int, tracked: list[int], f_cum: FisherDiag, units: list[tuple], snapshots: dict[int, FisherDiag]) -> list[DriftRow]:
+def _rows_of(t: int, tracked: list[int], f_cum: FisherDiag, futures: dict, snapshots: dict[int, FisherDiag]) -> list[DriftRow]:
     """Task t's rows of the tracked tasks in both regimes, each Fisher read in the serial loop's order; records task t's snapshot if tracked."""
-    @functools.cache  # made when first read, as the serial loop made them
-    def fisher(tasks: tuple) -> FisherDiag:
-        keys, unit = next((keys, unit) for keys, unit in units if tasks in keys)
-        return FisherDiag(*unit.result()[keys.index(tasks)])
-
+    fisher = functools.cache(lambda tasks: FisherDiag(*futures[tasks].result()))  # made when first read, as the serial loop made them
     rows = []
     for regime in REGIMES:
         for i in tracked:
@@ -153,11 +149,12 @@ def track_fisher_drift(
     tracked tasks' passes draw from one stream, the pooled passes from
     another. The strategy must learn a Fisher (deltaw or separate).
 
-    Every draw is made here, in task order, as the hook runs, while up to
-    jobs forked workers (none for jobs = 1) run the serial loop's whole
-    Fisher passes: one unit per task while this process trains on, one per
-    pass after the last task. The snapshots and rows are made here too,
-    in task order, once the trajectory ends or fails, so the bits and the
+    Every pass is planned and drawn here, in task order, before training
+    starts; the after_task hook then submits task t's passes, each one a
+    unit, on a copy of the network, and up to jobs forked workers (none
+    for jobs = 1, and never more than there are passes) run them while
+    this process trains on. The snapshots and rows are made here too, in
+    task order, once the trajectory ends or fails, so the bits and the
     first failure are the serial loop's for any jobs: a drift failure
     replaces a later training failure.
     """
@@ -169,23 +166,21 @@ def track_fisher_drift(
     kind, tracked = config.estimator, sorted(set(tracked_tasks))
     rng = RngState(config.seed).derive("drift-estimates")  # the tracked tasks' passes
     pool_rng = RngState(config.seed).derive("drift-pool")  # the pooled passes, which only rehearsal_based reads
-    measured: list[tuple] = []  # (t, tracked tasks up to t, f_cum, units) of each finished task
+    plan = []  # each task's (tasks, draws): every tracked task so far, then the pool of every task so far
+    for t in range(stream.num_tasks):
+        passes = [((i,), rng) for i in tracked if i <= t]
+        if tracked and tracked[0] < t:
+            passes.append((tuple(range(t + 1)), pool_rng))
+        plan.append([(tasks, draw(kind, sum(stream.tasks[j].train.n for j in tasks), r)) for tasks, r in passes])
+    measured: list[tuple] = []  # (t, tracked tasks up to t, f_cum, {tasks: future}) of each finished task
 
     def after_task(t: int, learner: ContinualLearner) -> None:
-        """Draws and submits task t's passes in the serial loop's order."""
         net = learner.net.copy()  # the learner trains on in place
-        mine = [i for i in tracked if i <= t]
-        plan = [((i,), rng) for i in mine]  # each tracked task, then the pool of every task so far
-        if mine and mine[0] < t:
-            plan.append((tuple(range(t + 1)), pool_rng))
-        passes = [(tasks, draw(kind, sum(stream.tasks[j].train.n for j in tasks), r)) for tasks, r in plan]
-        # while the learner trains on, a task is one unit, so one worker at a time takes a core from it; after the last task, a pass
-        groups = [[p] for p in passes] if t == stream.num_tasks - 1 else [passes]
-        measured.append((t, mine, learner.f_cum, [([tasks for tasks, _ in group], submit(net, group)) for group in groups if group]))
+        measured.append((t, [i for i in tracked if i <= t], learner.f_cum, {tasks: submit(net, tasks, draws) for tasks, draws in plan[t]}))
 
     rows: list[DriftRow] = []
     snapshots: dict[int, FisherDiag] = {}
-    workers = min(jobs, stream.num_tasks + len(tracked))  # the most units: one per task before the last, then one per pass
+    workers = min(jobs, sum(map(len, plan)))
     with fork_pool(workers if workers > 1 else 0, functools.partial(_measure, stream, kind)) as submit:
         try:
             acc = run_continual(config, stream, after_task=after_task).acc_matrix

@@ -13,6 +13,7 @@ with transposed products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -262,12 +263,16 @@ def backward(net: Network, cache: ForwardCache, rows: np.ndarray, d_w: list, d_v
     return loss
 
 
-def merge_and_reset(net: Network, rng: RngState, b_scale: float = 1.0) -> None:
-    """Fold each adapter into the base (W += AB) and re-initialize it."""
+def merge_and_reset(net: Network, rng: RngState, b_scale: float = 1.0) -> float:
+    """Fold each adapter into the base (W += AB) and re-initialize it; returns the Frobenius norm of the folded update."""
+    norm_sq = 0.0
     for layer in net.layers:
-        layer.W += layer.A @ layer.B
+        delta = layer.A @ layer.B
+        norm_sq += float(np.sum(delta * delta))
+        layer.W += delta
         _check_finite(layer.W)
     reset_adapter(net, rng, b_scale=b_scale)
+    return math.sqrt(norm_sq)
 
 
 def expand_head(net: Network, new_class_ids: list[int], rng: RngState) -> None:

@@ -289,13 +289,7 @@ class ContinualLearner:
             except NumericalError as exc:
                 raise NumericalError(f"Fisher estimate of task {task.id}: {exc}") from exc
             self.f_cum = accumulate(self.f_cum, fisher_t, self.config.gamma)
-
-        norm_sq = 0.0
-        for layer in self.net.layers:
-            delta = layer.A @ layer.B
-            norm_sq += float(np.sum(delta * delta))
-        merge_and_reset(self.net, self._rng_init, b_scale=self.config.b_init_scale)
-        return math.sqrt(norm_sq)
+        return merge_and_reset(self.net, self._rng_init, b_scale=self.config.b_init_scale)
 
 
 @dataclass

@@ -233,8 +233,7 @@ class TestTrackFisherDrift:
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_last_task_submits_a_unit_per_pass(self, monkeypatch, jobs, estimator):
-        # while the learner trains on, a task's passes are one unit; after
-        # the last task, each pass is a unit of its own; both regimes read
+        # every pass is a unit of its own, at every task; both regimes read
         # the same passes, whether the estimator draws or not
         submitted = []
         real_pool = diagnostics_mod.fork_pool
@@ -242,7 +241,7 @@ class TestTrackFisherDrift:
         @contextmanager
         def counting_pool(workers, work):
             with real_pool(workers, work) as submit:
-                yield lambda net, passes: submitted.append([tasks for tasks, _ in passes]) or submit(net, passes)
+                yield lambda net, tasks, draws: submitted.append(tasks) or submit(net, tasks, draws)
 
         def passes(t):
             return [(i,) for i in (0, 1, 2) if i <= t] + ([tuple(range(t + 1))] if t else [])
@@ -250,12 +249,14 @@ class TestTrackFisherDrift:
         monkeypatch.setattr(diagnostics_mod, "fork_pool", counting_pool)
         cfg, stream = self._setup(estimator=estimator, num_tasks=4)
         track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)
-        assert submitted == [passes(0), passes(1), passes(2)] + [[p] for p in passes(3)]
+        assert submitted == passes(0) + passes(1) + passes(2) + passes(3)
 
-    @pytest.mark.parametrize("jobs,num_tasks,tracked,workers", [(64, 3, [0, 1], 5), (2, 3, [0, 1], 2), (64, 4, [0, 1, 2], 7), (64, 1, [], 0)])
+    @pytest.mark.parametrize("jobs,num_tasks,tracked,workers", [
+        (64, 3, [0, 1], 7), (2, 3, [0, 1], 2), (64, 4, [0, 1, 2], 12), (64, 1, [], 0), (2, 1, [0], 0), (64, 3, [2], 0),
+    ])
     def test_pool_capped_at_its_units(self, monkeypatch, jobs, num_tasks, tracked, workers):
-        # at most one unit per task before the last, then one per pass of
-        # the last task; the real pool gets at most 2 workers here
+        # one unit per planned pass, and no pool for a single pass; the real
+        # pool gets at most 2 workers here
         asked = []
         real_pool = diagnostics_mod.fork_pool
 
@@ -269,6 +270,23 @@ class TestTrackFisherDrift:
         want, _, want_acc = track_fisher_drift(cfg, stream, tracked)
         assert asked == [workers, 0]
         assert rows == want and acc.rows == want_acc.rows
+
+    def test_serial_run_computes_each_planned_pass_once(self, monkeypatch):
+        # jobs = 1 computes a pass when its Fisher is first read: each of the
+        # 1 + 3 + 4 + 4 planned passes once, in plan order (pools of 2, 3, 4 tasks)
+        sizes = []
+        real_pass_means = diagnostics_mod.pass_means
+
+        def counting_pass_means(net, data, kind, draws):
+            sizes.append(data.n)
+            return real_pass_means(net, data, kind, draws)
+
+        monkeypatch.setattr(diagnostics_mod, "pass_means", counting_pass_means)
+        cfg, stream = self._setup(estimator="sampled", num_tasks=4)
+        rows, snapshots, _ = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=1)
+        n = stream.tasks[0].train.n
+        assert sizes == [n] + [n, n, 2 * n] + [n, n, n, 3 * n] + [n, n, n, 4 * n]
+        assert len(rows) == 18 and list(snapshots) == [0, 1, 2]
 
     @pytest.mark.parametrize("estimator", ["empirical", "exact", "exact_subset(5)", "sampled"])
     def test_regimes_share_the_norm_ratio(self, estimator):
@@ -355,8 +373,7 @@ class TestUnits:
         stream = SimpleNamespace(tasks=[SimpleNamespace(train=part) for part in parts])
         for tasks in [(0,), (1,), (2,), (0, 1, 2)]:
             data = concat_datasets([parts[i] for i in tasks])
-            (means,) = _measure(stream, kind, net, [(tasks, draw(kind, data.n, RngState(seed)))])
-            got = FisherDiag(*means)
+            got = FisherDiag(*_measure(stream, kind, net, tasks, draw(kind, data.n, RngState(seed))))
             want = estimate(net, data, kind, RngState(seed))
             assert all(np.array_equal(x, y) for x, y in zip(got.fdw, want.fdw))
 
