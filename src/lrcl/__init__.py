@@ -27,7 +27,7 @@ from .fisher import (
     estimate,
     uniform_fisher,
 )
-from .metrics import AccuracyMatrix, avg_anytime, plasticity, stability, tradeoff
+from .metrics import avg_anytime, plasticity, stability, tradeoff
 from .model import (
     Head,
     LoRALinear,

@@ -165,7 +165,7 @@ def load_experiment_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the first key
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
@@ -225,12 +225,12 @@ def _writing(out_dir: str):
 
 
 def compute_metrics(record: RunRecord, refs: list[float], run: str) -> dict:
-    m = record.acc_matrix
-    abar, avg = avg_anytime(m)
+    rows = record.rows
+    abar, avg = avg_anytime(rows)
     final_acc = abar[-1]
-    stab = stability(m) if m.num_tasks >= 2 else None
+    stab = stability(rows) if len(rows) >= 2 else None
     try:
-        plas = plasticity(m, refs)
+        plas = plasticity(rows, refs)
         trade = tradeoff(stab, plas) if stab is not None else None
     except MetricError as exc:  # the config passed every check: training left a reference accuracy, or both scores, at 0
         raise NumericalError(f"metrics of {run}: {exc}") from exc
@@ -252,7 +252,7 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
 
     jsonl = "".join(json.dumps(log, sort_keys=True) + "\n" for log in record.task_logs)
     ref_lines = ["task,ref_accuracy"] + [f"{i},{format_float(r)}" for i, r in enumerate(refs)]
-    matrix = "".join(",".join(format_float(v) for v in row) + "\n" for row in record.acc_matrix.rows)
+    matrix = "".join(",".join(format_float(v) for v in row) + "\n" for row in record.rows)
     texts = [matrix, json.dumps(metrics, indent=2, sort_keys=True) + "\n", jsonl, "\n".join(ref_lines) + "\n"]
     with _writing(cfg.out_dir):
         for name, text in zip(_OUTPUTS["run"], texts):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import MetricError, NumericalError, ParameterError
 from .fisher import EstimatorKind, FisherDiag, draw, fisher_norm, flatten, pass_means
-from .metrics import AccuracyMatrix
 from .model import Network, accuracy  # accuracy is unused here: bench/test_bench.py checks that its tracer rebinds it
 from .regularize import STRATEGIES
 from .tasks import TaskStream, concat_datasets
@@ -133,30 +132,32 @@ def track_fisher_drift(
     stream: TaskStream,
     tracked_tasks: list[int],
     jobs: int = 1,
-) -> tuple[list[DriftRow], dict[int, FisherDiag], AccuracyMatrix]:
+) -> tuple[list[DriftRow], dict[int, FisherDiag], list[list[float]]]:
     """Run run_continual once and report Fisher drift for the tracked tasks.
 
     Drift is measured from run_continual's after_task hook; measuring
     leaves the learner untouched, so one trajectory serves both regimes,
-    and the accuracy matrix is the run's own. Returns the rows (every
+    and the accuracy rows are the run's own. Returns the drift rows (every
     rehearsal_free row in task order, then every rehearsal_based one),
     each tracked task's Fisher snapshot from when it was learned, and the
-    accuracy matrix. A row's norm ratio, the same in both regimes, is the
-    task's Fisher, recomputed on the post-merge model with the config's
-    estimator, over its snapshot; its Spearman and cosine compare the
-    regime's comparator with the snapshot. At task_trained == task_data
-    it is exactly (1, 1, 1). A task listed twice is measured once. The
-    tracked tasks' passes draw from one stream, the pooled passes from
-    another. The strategy must learn a Fisher (deltaw or separate).
+    run's RunRecord.rows. A drift row's norm ratio, the same in both
+    regimes, is the task's Fisher, recomputed on the post-merge model with
+    the config's estimator, over its snapshot; its Spearman and cosine
+    compare the regime's comparator with the snapshot. At task_trained ==
+    task_data it is exactly (1, 1, 1). A task listed twice is measured
+    once. The tracked tasks' passes draw from one stream, the pooled
+    passes from another. The strategy must learn a Fisher (deltaw or
+    separate).
 
     Every pass is planned and drawn here, in task order, before training
-    starts; the after_task hook then submits task t's passes, each one a
-    unit, on a copy of the network, and up to jobs forked workers (none
-    for jobs = 1, and never more than there are passes) run them while
-    this process trains on. The snapshots and rows are made here too, in
-    task order, once the trajectory ends or fails, so the bits and the
-    first failure are the serial loop's for any jobs: a drift failure
-    replaces a later training failure.
+    starts; the after_task hook then submits task t's passes, the pooled
+    one first, each one a unit, on a copy of the network, and up to jobs
+    forked workers (none for jobs = 1, and never more than there are
+    passes) run them at a lower priority while this process trains on.
+    The snapshots and rows are made here too, in task order, once the
+    trajectory ends or fails, so the bits and the first failure are the
+    serial loop's for any jobs: a drift failure replaces a later training
+    failure.
     """
     if not STRATEGIES[config.strategy].learned:
         raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
@@ -166,11 +167,11 @@ def track_fisher_drift(
     kind, tracked = config.estimator, sorted(set(tracked_tasks))
     rng = RngState(config.seed).derive("drift-estimates")  # the tracked tasks' passes
     pool_rng = RngState(config.seed).derive("drift-pool")  # the pooled passes, which only rehearsal_based reads
-    plan = []  # each task's (tasks, draws): every tracked task so far, then the pool of every task so far
+    plan = []  # each task's (tasks, draws): the pool of every task so far, then every tracked task so far
     for t in range(stream.num_tasks):
         passes = [((i,), rng) for i in tracked if i <= t]
-        if tracked and tracked[0] < t:
-            passes.append((tuple(range(t + 1)), pool_rng))
+        if tracked and tracked[0] < t:  # the longest pass starts first; each stream draws in task order either way
+            passes.insert(0, (tuple(range(t + 1)), pool_rng))
         plan.append([(tasks, draw(kind, sum(stream.tasks[j].train.n for j in tasks), r)) for tasks, r in passes])
     measured: list[tuple] = []  # (t, tracked tasks up to t, f_cum, {tasks: future}) of each finished task
 
@@ -183,7 +184,7 @@ def track_fisher_drift(
     workers = min(jobs, sum(map(len, plan)))
     with fork_pool(workers if workers > 1 else 0, functools.partial(_measure, stream, kind)) as submit:
         try:
-            acc = run_continual(config, stream, after_task=after_task).acc_matrix
+            acc = run_continual(config, stream, after_task=after_task).rows
         finally:
             for task in measured:
                 rows += _rows_of(*task, snapshots)

@@ -111,9 +111,9 @@ def new_network(
     layer_dims: list[int],
     rank: int,
     rng: RngState,
-    identity_scale: float = 0.5,
-    noise_scale: float = 0.1,
-    feature_gain: float = 8.0,
+    identity_scale: float,
+    noise_scale: float,
+    feature_gain: float,
 ) -> Network:
     """Fresh network with near-isometric base weights and a reset adapter.
 

@@ -9,7 +9,7 @@ seeded Gaussian-mixture generator or from a CSV file.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,21 +95,22 @@ class Task:
 class TaskStream:
     tasks: list[Task]
     pretrain: Dataset | None = None
-    pretrain_class_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
         seen: set[int] = set()
-        groups = [t.class_ids for t in self.tasks]
-        if self.pretrain is not None:
-            groups = groups + [self.pretrain_class_ids]
-        for ids in groups:
+        for ids in [t.class_ids for t in self.tasks] + [self.pretrain_class_ids]:
             overlap = seen & set(ids)
             if overlap:
                 raise ProtocolError(f"class ids reused across tasks: {sorted(overlap)}")
             seen.update(ids)
+
+    @property
+    def pretrain_class_ids(self) -> list[int]:
+        """The classes of the pretraining data, sorted; none without it."""
+        return [] if self.pretrain is None else sorted(set(self.pretrain.y))
 
     @property
     def num_tasks(self) -> int:
@@ -175,21 +176,19 @@ def gen_gaussian_stream(shape: StreamConfig, seed: int) -> TaskStream:
         tasks.append(Task(id=t, class_ids=ids, train=train, test=Dataset(blobs[n_train:].reshape(-1, dim), ids * n_test)))
 
     pretrain = None
-    pre_ids: list[int] = []
     if pretrain_classes > 0:
-        pre_ids = list(range(total_stream, total_stream + pretrain_classes))
         xs, ys = [], []
-        for cid in pre_ids:
+        for cid in range(total_stream, total_stream + pretrain_classes):
             xs.append(_class_blob(rng_samples, means[cid], shape.sigma, pretrain_n))
             ys.extend([cid] * pretrain_n)
         pretrain = Dataset(np.vstack(xs), ys)
 
-    return TaskStream(tasks=tasks, pretrain=pretrain, pretrain_class_ids=pre_ids)
+    return TaskStream(tasks=tasks, pretrain=pretrain)
 
 
 def read_dataset_csv(path) -> Dataset:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the header
             lines = fh.read().split("\n")
     except OSError as exc:
         raise DataError(f"cannot read dataset csv: {exc}")

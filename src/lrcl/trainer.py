@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import os
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
@@ -25,7 +26,6 @@ from . import fisher as fisher_mod
 from . import regularize
 from .errors import ConfigError, DataError, EngineError, NumericalError, ProtocolError
 from .fisher import EstimatorKind, FisherDiag, accumulate, uniform_fisher, zeros_like
-from .metrics import AccuracyMatrix
 from .model import (
     Head,
     Network,
@@ -294,10 +294,13 @@ class ContinualLearner:
 
 @dataclass
 class RunRecord:
-    """Everything a single continual run produced."""
+    """Everything a single continual run produced: one log per task, whose row is the accuracy on tasks 0..t after task t."""
 
-    acc_matrix: AccuracyMatrix
     task_logs: list[dict]
+
+    @property
+    def rows(self) -> list[list[float]]:  # the lower-triangular accuracy matrix, read from the logs
+        return [log["row"] for log in self.task_logs]
 
 
 def pretrain(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | None]:
@@ -313,11 +316,11 @@ def pretrain(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | 
     dims = [stream.dim] + list(config.hidden_dims)
     net = new_network(dims, config.rank, rng, config.w0_identity_scale, config.w0_noise_scale, config.w0_feature_gain)
     data = stream.pretrain
+    classes = stream.pretrain_class_ids
     if config.pretrain_mode == "random":
-        return net, None if data is None else 1.0 / len(set(data.y))
+        return net, None if data is None else 1.0 / len(classes)
     if data is None:
         raise ProtocolError("pretrain_mode=train needs a stream with pretraining data")
-    classes = sorted(set(data.y))
     expand_head(net, classes, rng)
     train_ds, test_ds = stratified_split(data, 0.8, rng, classes)
     arena = _Arena(net, "W", config)
@@ -375,20 +378,18 @@ def _continue(config: TrainConfig, stream: TaskStream, shared: ContinualLearner,
     """config's run on from (shared, trace), the _first_task of a config with its first_task_key; shared stays unchanged."""
     learner = ContinualLearner(shared.net.copy(), config, f_fixed=shared.f_cum if shared.strategy.fixed else None)
     learner._rng_init, learner._rng_train, learner._rng_fisher = (copy.copy(r) for r in (shared._rng_init, shared._rng_train, shared._rng_fisher))
-    acc = AccuracyMatrix(stream.num_tasks)
     logs: list[dict] = []
     for t, task in enumerate(stream.tasks):
         trace, norm = learner.step(task) if t else (trace, learner.finish(task))
         row = [accuracy(learner.net, stream.tasks[i].test.X, stream.tasks[i].test.y) for i in range(t + 1)]
-        acc.add_row(row)
         logs.append({"task": t, "class_ids": list(task.class_ids), "loss_trace": trace, "adapter_norm": norm, "row": row})
         if after_task is not None:
             after_task(t, learner)
-    return RunRecord(acc_matrix=acc, task_logs=logs)
+    return RunRecord(logs)
 
 
 def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None = None, after_task: Callable | None = None) -> RunRecord:
-    """Full sequential run over the stream, filling the accuracy matrix.
+    """Full sequential run over the stream, scoring every task seen after each task.
 
     The learner starts on a copy of base (by default, pretrain's network),
     with the fixed Fisher its strategy needs; a given base must come from
@@ -415,6 +416,8 @@ def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
     return accuracy(net, task.test.X, task.test.y)
 
 
+_WORKER_NICENESS = 10  # how far a forked worker lowers its priority: beside a training process it takes the CPU time left
+
 # the work of the fork_pool with workers in progress; they inherit it through
 # fork, so what it reaches (streams, base networks, the drift tracker) is never pickled
 _WORK: Callable | None = None
@@ -436,10 +439,10 @@ def fork_pool(workers: int, work: Callable):
     """Yields submit(*args), which returns a future of work(*args).
 
     With workers > 0 the calls run on that many forked workers, which fork at
-    the first submit and inherit work through the module slot _WORK, so only
-    the arguments and the results are pickled; leaving the pool cancels the
-    calls that have not started. With workers = 0 nothing forks, and each
-    call runs in this process when its result is read.
+    the first submit, lower their priority by _WORKER_NICENESS and inherit
+    work through the module slot _WORK, so only the arguments and the results
+    are pickled; leaving the pool cancels the calls that have not started.
+    With workers = 0 nothing forks, and each call runs here when read.
     """
     if not workers:
         yield lambda *args: _InProcess(work, args)
@@ -450,7 +453,7 @@ def fork_pool(workers: int, work: Callable):
 
     # unlike multiprocessing.Pool, the executor raises when a worker
     # dies (say, killed for memory) instead of waiting forever
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"), initializer=os.nice, initargs=(_WORKER_NICENESS,))
     global _WORK
     _WORK = work
     try:

@@ -14,7 +14,6 @@ import pytest  # noqa: E402
 
 from lrcl.errors import ParameterError
 from lrcl.fisher import FisherDiag
-from lrcl.metrics import AccuracyMatrix
 from lrcl.model import Network, backward, expand_head, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES, penalty_deltaw, penalty_separate
 from lrcl.tasks import Dataset
@@ -31,14 +30,6 @@ def uniform(rng: RngState, lo, hi):
     return lo + (hi - lo) * rng.next_float()
 
 
-def acc_matrix(rows):
-    """A complete AccuracyMatrix with the given rows."""
-    m = AccuracyMatrix(len(rows))
-    for row in rows:
-        m.add_row(row)
-    return m
-
-
 def write_dataset_csv(path, dataset: Dataset):
     """The CSV format read_dataset_csv reads: header f0..f{d-1},label, full-precision decimals."""
     lines = [",".join([f"f{j}" for j in range(dataset.dim)] + ["label"])]
@@ -50,7 +41,7 @@ def write_dataset_csv(path, dataset: Dataset):
 def make_net(dims, rank, seed, class_ids=None, nonzero_adapter=False):
     """Small network with an expanded head; adapter optionally perturbed."""
     rng = RngState(seed)
-    net = new_network(list(dims), rank, rng)
+    net = new_network(list(dims), rank, rng, 0.5, 0.1, 8.0)
     reset_adapter(net, rng)
     if class_ids is None:
         class_ids = list(range(3))

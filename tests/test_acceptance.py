@@ -36,7 +36,7 @@ from lrcl.trainer import (
     train_task,
 )
 
-from conftest import acc_matrix, backprop, divergence_witness, make_batch, make_net, mat, penalty, uniform
+from conftest import backprop, divergence_witness, make_batch, make_net, mat, penalty, uniform
 
 SEEDS = (0, 1, 2, 3, 4)
 LAMBDA_GRID = (0.0, 1e2, 1e4, 1e6, 1e8)
@@ -101,11 +101,11 @@ def campaign():
         assert all(pretrain_key(cfg) == pretrain_key(base_cfg) for cfg in configs)
         refs[seed], records = run_many(standard_stream(seed), base_cfg, configs, jobs=2)
         for key, rec in zip(keys, records):
-            abar, avg = avg_anytime(rec.acc_matrix)
+            abar, avg = avg_anytime(rec.rows)
             metrics[(*key, seed)] = {
                 "final": abar[-1],
-                "stability": stability(rec.acc_matrix),
-                "plasticity": plasticity(rec.acc_matrix, refs[seed]),
+                "stability": stability(rec.rows),
+                "plasticity": plasticity(rec.rows, refs[seed]),
             }
     return {"refs": refs, "metrics": metrics, "seconds": time.perf_counter() - started}
 
@@ -334,14 +334,14 @@ class TestCriterion5LoopSemantics:
 
 class TestCriterion6MetricOracles:
     def test_hand_computed_fixtures(self):
-        two = acc_matrix([[0.8], [0.4, 0.9]])
-        three = acc_matrix([[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]])
+        two = [[0.8], [0.4, 0.9]]
+        three = [[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]]
         ok = abs(stability(two) - 0.5) <= 1e-12
         ok &= abs(stability(three) - (1.0 - 0.5 * (0.5 + 1.0 / 3.0))) <= 1e-12
-        abar, avg = avg_anytime(acc_matrix([[0.8], [0.6, 0.9]]))
+        abar, avg = avg_anytime([[0.8], [0.6, 0.9]])
         ok &= abs(avg - 0.775) <= 1e-12
         ok &= abs(plasticity(two, [0.8, 1.0]) - ((0.8 / 0.8) + (0.9 / 1.0)) / 2) <= 1e-12
-        diag2 = acc_matrix([[0.9], [0.0, 0.8]])
+        diag2 = [[0.9], [0.0, 0.8]]
         ok &= abs(plasticity(diag2, [0.9, 1.0]) - 0.9) <= 1e-12
         ok &= abs(tradeoff(1.0, 0.5) - 2.0 / 3.0) <= 1e-12
         ok &= tradeoff(0.7, 0.7) == 0.7

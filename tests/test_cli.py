@@ -193,6 +193,22 @@ class TestRunCommand:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
+    def test_byte_order_mark_writes_the_same_bytes(self, tmp_path):
+        # editors on some platforms save UTF-8 with a leading BOM; it is no part of the first key
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + TINY.lstrip().encode())
+        assert load_experiment_config(str(bom)) == load_experiment_config(write_config(tmp_path))
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_bytes(b"\xef\xbb\xbfepochs = 3\n")
+        assert load_experiment_config(str(keyed)).train.epochs == 3
+        out_plain, out_bom = tmp_path / "plain", tmp_path / "bom"
+        assert main(["run", "--config", write_config(tmp_path), "--out", str(out_plain)]) == 0
+        assert main(["run", "--config", str(bom), "--out", str(out_bom)]) == 0
+        names = sorted(p.name for p in out_plain.iterdir())
+        assert names == sorted(p.name for p in out_bom.iterdir())
+        for name in names:
+            assert (out_bom / name).read_bytes() == (out_plain / name).read_bytes(), name
+
     def test_bad_key_exits_2_without_outputs(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY + "bogus_key = 1\n")
         out = tmp_path / "out"
@@ -950,3 +966,70 @@ class TestGoldenOutputs:
         out = tmp_path / "out"
         assert main(["diagnose", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
         assert self._tree_digest(out) == self.DIAGNOSE_TREES[(estimator, strategy)]
+
+
+def _tiny_outputs(out) -> dict:
+    """Every file `run` and `diagnose` (exact, deltaw) write on TINY at seed 0, by "command/relative path"; each writes below out."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for command, text in (("run", TINY), ("diagnose", TINY + "estimator = exact\nstrategy = deltaw\n")):
+        cfg = write_config(out, text, f"{command}.cfg")
+        assert main([command, "--config", cfg, "--out", str(out / command), "--seed", "0", "--jobs", "1"]) == 0
+        files.update({f"{command}/{p.relative_to(out / command).as_posix()}": p.read_text() for p in sorted((out / command).rglob("*")) if p.is_file()})
+    return files
+
+
+class TestAnyKernel:
+    """TINY's `run` and `diagnose` outputs match a recorded text copy on any OpenBLAS kernel.
+
+    Another kernel sums a matmul in another order, so the last bits of a
+    loss, a norm or a Fisher move (by ~1e-15 relative) while every
+    prediction, and so every accuracy, stays the same. The check: the
+    files of accuracies and of values derived from accuracies alone match
+    exactly, as does each run.jsonl row; every other number matches to a
+    relative 1e-12, and the text around the numbers exactly.
+
+    tiny_outputs.json holds _tiny_outputs, recorded on TestGoldenOutputs.PLATFORM:
+        json.dump(_tiny_outputs(out), open("tests/tiny_outputs.json", "w"), indent=1, sort_keys=True)
+    """
+
+    RECORDED = Path(__file__).with_name("tiny_outputs.json")
+    ACCURACY_FILES = ("accuracy_matrix.csv", "metrics.json", "references.csv")
+    NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+    def _check(self, got: dict, want: dict) -> None:
+        assert sorted(got) == sorted(want)
+        for name, text in want.items():
+            if name.rsplit("/", 1)[-1] in self.ACCURACY_FILES:
+                assert got[name] == text, name
+                continue
+            assert self.NUMBER.split(got[name]) == self.NUMBER.split(text), name
+            for g, w in zip(self.NUMBER.findall(got[name]), self.NUMBER.findall(text)):
+                assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w)), (name, g, w)
+            if name.endswith("run.jsonl"):
+                assert [json.loads(l)["row"] for l in got[name].splitlines()] == [json.loads(l)["row"] for l in text.splitlines()]
+
+    def test_outputs_match_recorded_text(self, tmp_path):
+        self._check(_tiny_outputs(tmp_path), json.loads(self.RECORDED.read_text()))
+
+    def test_sandybridge_kernel_matches_recorded_text(self, tmp_path):
+        # the kernel is fixed when OpenBLAS loads, so another one needs a process of its own
+        import lrcl
+
+        script = (
+            "import json, sys\n"
+            "from test_cli import TestGoldenOutputs, _tiny_outputs\n"
+            "print(json.dumps({'core': TestGoldenOutputs._openblas_core(), 'outputs': _tiny_outputs(sys.argv[1])}))\n"
+        )
+        paths = [os.path.dirname(os.path.dirname(lrcl.__file__)), os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge", PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        if result["core"] != "Sandybridge":
+            pytest.skip(f"OPENBLAS_CORETYPE=SandyBridge gave the core {result['core']!r} here")
+        want = json.loads(self.RECORDED.read_text())
+        self._check(result["outputs"], want)
+        # the copy was recorded on another core, whose bits differ: the tolerance is what holds
+        assert result["outputs"] != want

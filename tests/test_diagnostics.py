@@ -186,7 +186,7 @@ class TestTrackFisherDrift:
     @pytest.mark.parametrize("estimator,strategy", [("sampled", "deltaw"), ("exact", "separate")])
     def test_trains_the_run_continual_trajectory(self, estimator, strategy):
         cfg, stream = self._setup(7, estimator, strategy=strategy, shuffle=True)
-        assert track_fisher_drift(cfg, stream, [0, 1])[2].rows == run_continual(cfg, stream).acc_matrix.rows
+        assert track_fisher_drift(cfg, stream, [0, 1])[2] == run_continual(cfg, stream).rows
 
     def test_self_comparison_rows_exact(self):
         rows, _, _ = self._run()
@@ -207,7 +207,7 @@ class TestTrackFisherDrift:
         rows, snapshots, acc = self._run()
         assert [(REGIMES.index(r.regime), r.task_trained) for r in rows] == sorted((REGIMES.index(r.regime), r.task_trained) for r in rows)
         assert list(snapshots) == [0, 1]
-        assert acc.complete
+        assert [len(row) for row in acc] == [1, 2, 3]
 
     def test_metric_ranges(self):
         rows, _, _ = self._run()
@@ -224,7 +224,7 @@ class TestTrackFisherDrift:
         rows, snapshots, acc = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=1)
         for jobs in (2, 3):
             rows2, snapshots2, acc2 = track_fisher_drift(cfg, stream, [0, 1, 2], jobs=jobs)
-            assert rows2 == rows and acc2.rows == acc.rows
+            assert rows2 == rows and acc2 == acc
             assert list(snapshots) == list(snapshots2) == [0, 1, 2]
             for i, f in snapshots.items():
                 assert flatten(f).tobytes() == flatten(snapshots2[i]).tobytes()
@@ -233,8 +233,9 @@ class TestTrackFisherDrift:
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_last_task_submits_a_unit_per_pass(self, monkeypatch, jobs, estimator):
-        # every pass is a unit of its own, at every task; both regimes read
-        # the same passes, whether the estimator draws or not
+        # every pass is a unit of its own, at every task, the pooled one
+        # first; both regimes read the same passes, whether the estimator
+        # draws or not
         submitted = []
         real_pool = diagnostics_mod.fork_pool
 
@@ -244,7 +245,7 @@ class TestTrackFisherDrift:
                 yield lambda net, tasks, draws: submitted.append(tasks) or submit(net, tasks, draws)
 
         def passes(t):
-            return [(i,) for i in (0, 1, 2) if i <= t] + ([tuple(range(t + 1))] if t else [])
+            return ([tuple(range(t + 1))] if t else []) + [(i,) for i in (0, 1, 2) if i <= t]
 
         monkeypatch.setattr(diagnostics_mod, "fork_pool", counting_pool)
         cfg, stream = self._setup(estimator=estimator, num_tasks=4)
@@ -269,7 +270,7 @@ class TestTrackFisherDrift:
         rows, _, acc = track_fisher_drift(cfg, stream, tracked, jobs=jobs)
         want, _, want_acc = track_fisher_drift(cfg, stream, tracked)
         assert asked == [workers, 0]
-        assert rows == want and acc.rows == want_acc.rows
+        assert rows == want and acc == want_acc
 
     def test_serial_run_computes_each_planned_pass_once(self, monkeypatch):
         # jobs = 1 computes a pass when its Fisher is first read: each of the

@@ -3,105 +3,107 @@
 import pytest
 
 from lrcl.errors import MetricError, ParameterError, StateError
-from lrcl.metrics import AccuracyMatrix, avg_anytime, plasticity, stability, tradeoff
-
-from conftest import acc_matrix
+from lrcl.metrics import avg_anytime, plasticity, stability, tradeoff
 
 
 class TestAccuracyMatrix:
+    """The rows every metric reads: row t holds t + 1 accuracies in [0, 1]."""
+
     def test_row_lengths_enforced(self):
-        m = AccuracyMatrix(2)
-        m.add_row([0.5])
         with pytest.raises(StateError):
-            m.add_row([0.5])  # row 1 needs two entries
+            avg_anytime([[0.5], [0.5]])  # row 1 needs two entries
 
     def test_range_enforced(self):
-        m = AccuracyMatrix(1)
         with pytest.raises(ParameterError):
-            m.add_row([1.5])
+            avg_anytime([[1.5]])
 
-    def test_incomplete_matrix_blocks_metrics(self):
-        m = AccuracyMatrix(3)
-        m.add_row([0.9])
-        with pytest.raises(StateError):
-            avg_anytime(m)
+    def test_no_rows_rejected(self):
+        with pytest.raises(ParameterError):
+            avg_anytime([])
+
+    def test_stability_and_plasticity_check_the_rows_too(self):
+        for metric in (stability, lambda rows: plasticity(rows, [1.0, 1.0])):
+            with pytest.raises(StateError):
+                metric([[0.5], [0.5]])
+            with pytest.raises(ParameterError):
+                metric([[0.5], [0.5, 1.5]])
 
 
 class TestAvgAnytime:
     def test_all_ones(self):
-        m = acc_matrix([[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]])
+        m = [[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]]
         abar, avg = avg_anytime(m)
         assert abar == [1.0, 1.0, 1.0]
         assert avg == 1.0
 
     def test_hand_computed_two_tasks(self):
-        m = acc_matrix([[0.8], [0.6, 0.9]])
+        m = [[0.8], [0.6, 0.9]]
         abar, avg = avg_anytime(m)
         assert abs(abar[0] - 0.8) < 1e-15
         assert abs(abar[1] - 0.75) < 1e-15
         assert abs(avg - 0.775) < 1e-15
 
     def test_single_task_degenerate(self):
-        m = acc_matrix([[0.7]])
+        m = [[0.7]]
         abar, avg = avg_anytime(m)
         assert avg == 0.7
 
     def test_monotone_in_entries(self):
         base = [[0.5], [0.5, 0.5], [0.5, 0.5, 0.5]]
-        _, avg0 = avg_anytime(acc_matrix(base))
+        _, avg0 = avg_anytime(base)
         for t in range(3):
             for i in range(t + 1):
                 bumped = [list(r) for r in base]
                 bumped[t][i] = 0.9
-                _, avg1 = avg_anytime(acc_matrix(bumped))
+                _, avg1 = avg_anytime(bumped)
                 assert avg1 > avg0
 
 
 class TestStability:
     def test_no_forgetting_is_one(self):
-        m = acc_matrix([[0.8], [0.8, 0.9], [0.8, 0.9, 0.7]])
+        m = [[0.8], [0.8, 0.9], [0.8, 0.9, 0.7]]
         assert stability(m) == 1.0
 
     def test_hand_computed_two_tasks(self):
-        m = acc_matrix([[0.8], [0.4, 0.9]])
+        m = [[0.8], [0.4, 0.9]]
         assert abs(stability(m) - 0.5) < 1e-15
 
     def test_hand_computed_three_tasks(self):
         # peaks over rows before the last: task0 max(0.8, 0.6) = 0.8,
         # task1 max(0.9) = 0.9; drops: (0.8-0.4)/0.8 = 0.5, (0.9-0.6)/0.9 = 1/3
-        m = acc_matrix([[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]])
+        m = [[0.8], [0.6, 0.9], [0.4, 0.6, 0.95]]
         want = 1.0 - 0.5 * (0.5 + 1.0 / 3.0)
         assert abs(stability(m) - want) < 1e-12
 
     def test_never_learned_task_contributes_zero(self):
-        m = acc_matrix([[0.0], [0.0, 0.9]])
+        m = [[0.0], [0.0, 0.9]]
         assert stability(m) == 1.0
 
     def test_single_task_undefined(self):
         with pytest.raises(MetricError):
-            stability(acc_matrix([[0.5]]))
+            stability([[0.5]])
 
     def test_depends_only_on_column_peaks_and_last_row(self):
-        a = acc_matrix([[0.9], [0.5, 0.8], [0.4, 0.6, 0.7]])
-        b = acc_matrix([[0.5], [0.9, 0.8], [0.4, 0.6, 0.7]])
+        a = [[0.9], [0.5, 0.8], [0.4, 0.6, 0.7]]
+        b = [[0.5], [0.9, 0.8], [0.4, 0.6, 0.7]]
         assert abs(stability(a) - stability(b)) < 1e-15
 
 
 class TestPlasticity:
     def test_matching_references_give_one(self):
-        m = acc_matrix([[0.8], [0.1, 0.9]])
+        m = [[0.8], [0.1, 0.9]]
         assert plasticity(m, [0.8, 0.9]) == 1.0
 
     def test_hand_computed(self):
-        m = acc_matrix([[0.9], [0.0, 0.8]])
+        m = [[0.9], [0.0, 0.8]]
         assert abs(plasticity(m, [0.9, 1.0]) - 0.9) < 1e-15
 
     def test_can_exceed_one_without_clamping(self):
-        m = acc_matrix([[1.0], [0.0, 1.0]])
+        m = [[1.0], [0.0, 1.0]]
         assert plasticity(m, [0.5, 0.5]) == 2.0
 
     def test_nonpositive_reference_rejected(self):
-        m = acc_matrix([[0.9], [0.0, 0.8]])
+        m = [[0.9], [0.0, 0.8]]
         with pytest.raises(MetricError):
             plasticity(m, [0.9, 0.0])
 
@@ -136,7 +138,7 @@ class TestTwoCodePaths:
                           epsilon=0.1, hidden_dims=(8, 8), rank=2,
                           pretrain_epochs=4, pretrain_lr=0.005, lam=1.0)
         refs, (record,) = run_many(stream, cfg, [cfg])
-        rows = record.acc_matrix.rows
+        rows = record.rows
         T = len(rows)
 
         total = 0.0
@@ -147,5 +149,5 @@ class TestTwoCodePaths:
         want_stability = 1.0 - total / (T - 1)
         want_plasticity = sum(rows[i][i] / refs[i] for i in range(T)) / T
 
-        assert abs(stability(record.acc_matrix) - want_stability) <= 1e-12
-        assert abs(plasticity(record.acc_matrix, refs) - want_plasticity) <= 1e-12
+        assert abs(stability(record.rows) - want_stability) <= 1e-12
+        assert abs(plasticity(record.rows, refs) - want_plasticity) <= 1e-12

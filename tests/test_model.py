@@ -239,7 +239,7 @@ class TestCheckpoint:
 
     def test_headless_checkpoint(self, tmp_path):
         rng = RngState(14)
-        net = new_network([4, 4], 2, rng)
+        net = new_network([4, 4], 2, rng, 0.5, 0.1, 8.0)
         save_checkpoint(net, tmp_path / "ckpt")
         back = load_checkpoint(tmp_path / "ckpt")
         assert back.head.V is None

@@ -154,6 +154,13 @@ class TestDatasetCsv:
                 assert np.array_equal(back.X, split.X)
                 assert back.y == split.y
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbff0,f1,label\n1.5,-2,0\n0.25,3,1\n")
+        data = read_dataset_csv(path)
+        assert data.X.tolist() == [[1.5, -2.0], [0.25, 3.0]]
+        assert data.y == [0, 1]
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1\n1.0,2.0\n")
