@@ -22,10 +22,10 @@ from .errors import (
 )
 from .fisher import (
     EstimatorKind,
-    FisherDiag,
+    FactorFisher,
+    UpdateFisher,
     accumulate,
     estimate,
-    uniform_fisher,
 )
 from .metrics import avg_anytime, plasticity, stability, tradeoff
 from .model import (

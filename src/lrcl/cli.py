@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import track_fisher_drift
 from .errors import ConfigError, EngineError, MetricError, NumericalError, ParameterError, ParseError
-from .fisher import EstimatorKind, fisher_names, save_fisher
+from .fisher import EstimatorKind, UpdateFisher, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
 from .model import checkpoint_names, save_checkpoint
 from .regularize import parse_strategy
@@ -202,7 +202,7 @@ def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
     names = [name.format(seed=seed) for name in _OUTPUTS[command] for seed in cfg.seeds]
     layers = len(cfg.train.hidden_dims)
     if command == "diagnose":  # the files of the state directories, as their writers name them
-        names += [f for seed in cfg.seeds for i in _tracked(cfg) for f in state_files(_SNAPSHOT.format(seed=seed, task=i), fisher_names(layers))]
+        names += [f for seed in cfg.seeds for i in _tracked(cfg) for f in state_files(_SNAPSHOT.format(seed=seed, task=i), UpdateFisher.names(layers))]
     if command == "pretrain":
         names += state_files(_CHECKPOINT, checkpoint_names(layers))
     for name in names:
@@ -271,6 +271,9 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
     """
     if not runs:
         raise ConfigError(f"{grid_key} is empty")
+    labels = [" ".join(label) for label, _ in runs]
+    if len(set(labels)) < len(labels):  # a repeat would train again, into a duplicate row
+        raise ConfigError(f"{next(x for x in labels if labels.count(x) > 1)} appears more than once in {grid_key}")
     keys = ["final_acc", "avg", "stability", "plasticity", "tradeoff"]
     rows = [",".join(columns + ["seed"] + keys)]
     for seed in cfg.seeds:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError, NumericalError, ParameterError
-from .fisher import EstimatorKind, FisherDiag, draw, fisher_norm, flatten, pass_means
+from .fisher import EstimatorKind, FactorFisher, UpdateFisher, draw, pass_means
 from .model import Network, accuracy  # accuracy is unused here: bench/test_bench.py checks that its tracer rebinds it
 from .regularize import STRATEGIES
 from .tasks import TaskStream, concat_datasets
@@ -30,12 +30,12 @@ from .trainer import ContinualLearner, TrainConfig, fork_pool, run_continual
 REGIMES = ("rehearsal_free", "rehearsal_based")
 
 
-def norm_ratio(f_now: FisherDiag, f_orig: FisherDiag) -> float:
+def norm_ratio(f_now: UpdateFisher, f_orig: UpdateFisher) -> float:
     """||f_now|| / ||f_orig||, Frobenius over all layers concatenated."""
-    denom = fisher_norm(f_orig)
-    if denom == 0.0:
+    now, orig = (float(np.sqrt(np.dot(v, v))) for v in (f_now.flat(), f_orig.flat()))
+    if orig == 0.0:
         raise MetricError("norm ratio undefined for a zero baseline Fisher")
-    return fisher_norm(f_now) / denom
+    return now / orig
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
@@ -105,9 +105,9 @@ def _measure(stream: TaskStream, kind: EstimatorKind, net: Network, tasks: tuple
     return pass_means(net, concat_datasets([stream.tasks[i].train for i in tasks]), kind, draws)
 
 
-def _rows_of(t: int, tracked: list[int], f_cum: FisherDiag, futures: dict, snapshots: dict[int, FisherDiag]) -> list[DriftRow]:
+def _rows_of(t: int, tracked: list[int], f_cum: UpdateFisher | FactorFisher, futures: dict, snapshots: dict[int, UpdateFisher]) -> list[DriftRow]:
     """Task t's rows of the tracked tasks in both regimes, each Fisher read in the serial loop's order; records task t's snapshot if tracked."""
-    fisher = functools.cache(lambda tasks: FisherDiag(*futures[tasks].result()))  # made when first read, as the serial loop made them
+    fisher = functools.cache(lambda tasks: UpdateFisher(*futures[tasks].result()))  # made when first read, as the serial loop made them
     rows = []
     for regime in REGIMES:
         for i in tracked:
@@ -119,7 +119,7 @@ def _rows_of(t: int, tracked: list[int], f_cum: FisherDiag, futures: dict, snaps
                     continue
                 base = snapshots[i]
                 comparator = f_cum if regime == "rehearsal_free" else fisher(tuple(range(t + 1)))
-                pair = (flatten(comparator), flatten(base))
+                pair = (comparator.flat(), base.flat())
                 rows.append(DriftRow(t, i, regime, norm_ratio(f_now, base), spearman(*pair), cosine_sim(*pair)))
             except (MetricError, NumericalError) as exc:
                 # the config passed every check; training made a Fisher degenerate or overflow
@@ -132,7 +132,7 @@ def track_fisher_drift(
     stream: TaskStream,
     tracked_tasks: list[int],
     jobs: int = 1,
-) -> tuple[list[DriftRow], dict[int, FisherDiag], list[list[float]]]:
+) -> tuple[list[DriftRow], dict[int, UpdateFisher], list[list[float]]]:
     """Run run_continual once and report Fisher drift for the tracked tasks.
 
     Drift is measured from run_continual's after_task hook; measuring
@@ -146,8 +146,8 @@ def track_fisher_drift(
     compare the regime's comparator with the snapshot. At task_trained ==
     task_data it is exactly (1, 1, 1). A task listed twice is measured
     once. The tracked tasks' passes draw from one stream, the pooled
-    passes from another. The strategy must learn a Fisher (deltaw or
-    separate).
+    passes from another. The strategy's Fisher must be learned (its
+    source in STRATEGIES).
 
     Every pass is planned and drawn here, in task order, before training
     starts; the after_task hook then submits task t's passes, the pooled
@@ -159,8 +159,9 @@ def track_fisher_drift(
     serial loop's for any jobs: a drift failure replaces a later training
     failure.
     """
-    if not STRATEGIES[config.strategy].learned:
-        raise ParameterError(f"drift tracking needs a strategy that accumulates a Fisher (deltaw or separate), not {config.strategy!r}")
+    learned = [s.name for s in STRATEGIES.values() if s.learns]
+    if config.strategy not in learned:
+        raise ParameterError(f"drift tracking needs a strategy that learns its Fisher ({' or '.join(learned)}), not {config.strategy!r}")
     for i in tracked_tasks:
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")
@@ -180,7 +181,7 @@ def track_fisher_drift(
         measured.append((t, [i for i in tracked if i <= t], learner.f_cum, {tasks: submit(net, tasks, draws) for tasks, draws in plan[t]}))
 
     rows: list[DriftRow] = []
-    snapshots: dict[int, FisherDiag] = {}
+    snapshots: dict[int, UpdateFisher] = {}
     workers = min(jobs, sum(map(len, plan)))
     with fork_pool(workers if workers > 1 else 0, functools.partial(_measure, stream, kind)) as submit:
         try:

@@ -1,6 +1,6 @@
-"""Diagonal Fisher information in update space, with decayed accumulation.
+"""Diagonal Fisher information, one importance type per penalty space, with decayed accumulation.
 
-The diagonal is stored per layer in the shape of the full update AB, so
+The update-space diagonal is stored per layer in the shape of the full update AB, so
 entries line up one-to-one with base weights. Because the base is frozen,
 the gradient of log p(y|x) with respect to a layer's weight matrix equals
 the gradient with respect to its update, and for a single sample it is the
@@ -13,18 +13,24 @@ Four inner-expectation variants are supported: the empirical Fisher (true
 label), the exact Fisher (full class sum weighted by the predictive
 distribution), the exact Fisher on a sampled subset, and a single class
 draw per sample.
+
+An estimate is an UpdateFisher (the diagonal on each layer's AB) or a
+FactorFisher (those on A and B, beside the AB one), and each binds its
+own penalty: no code outside the two types branches on the space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
 from .model import ForwardCache, Network, dz_per_layer, forward, label_rows
 from .tasks import Dataset
-from .tensor import RngState, _check_finite, _softmax_rows, load_state, save_state
+from .tensor import RngState, _check_finite, _softmax_rows, save_state
 
 
 @dataclass(frozen=True)
@@ -67,78 +73,118 @@ class EstimatorKind:
         return self.name
 
 
-@dataclass
-class FisherDiag:
-    """Per-layer finite, nonnegative diagonals; factor-space blocks are optional."""
+class _Accumulator:
+    """Squared per-sample gradients of one pass on each layer's update AB, summed over its rows.
 
-    fdw: list[np.ndarray]
-    fa: list[np.ndarray] | None = None
-    fb: list[np.ndarray] | None = None
+    The squared layer inputs h*h do not depend on the logit gradient, so
+    they are made once per cache and every term reuses them.
+    """
+
+    def __init__(self, net: Network, cache: ForwardCache):
+        self.net = net
+        self.cache = cache
+        self.h2 = [h * h for h in cache.inputs]
+
+    def term(self, g_logits: np.ndarray) -> list[np.ndarray]:
+        """One logit gradient's sums, in the order of the importance type's blocks."""
+        return self.sums(dz_per_layer(self.net, self.cache, g_logits))
+
+    def sums(self, dzs: list[np.ndarray]) -> list[np.ndarray]:
+        return [np.square(dz, out=dz).T @ h2 for dz, h2 in zip(dzs, self.h2)]  # squared in place: nothing reads d_z after this
+
+
+class _FactorAccumulator(_Accumulator):
+    """Also the sums on each layer's factors A and B; (h B^T)^2 is made once per cache too."""
+
+    def __init__(self, net: Network, cache: ForwardCache):
+        super().__init__(net, cache)
+        self.bh2 = [bh * bh for bh in (h @ l.B.T for h, l in zip(cache.inputs, net.layers))]
+
+    def sums(self, dzs: list[np.ndarray]) -> list[np.ndarray]:
+        dzas = [dz @ layer.A for dz, layer in zip(dzs, self.net.layers)]
+        sdw = super().sums(dzs)  # which leaves each d_z squared
+        return sdw + [dz2.T @ bh2 for dz2, bh2 in zip(dzs, self.bh2)] + [np.square(dza, out=dza).T @ h2 for dza, h2 in zip(dzas, self.h2)]
+
+
+class _Importance:
+    """What the two importance types share. Their dataclass fields are their blocks,
+    each a list of finite, nonnegative arrays, one per layer; fdw comes first."""
 
     def __post_init__(self):
-        for group in (self.fdw, self.fa, self.fb):
-            if group is None:
-                continue
-            for m in group:
+        for block in self.blocks():
+            for m in block:
                 _check_finite(m)
                 if (m < 0).any():
                     raise ParameterError("Fisher entries must be nonnegative")
 
-    @property
-    def has_factor_space(self) -> bool:
-        return self.fa is not None and self.fb is not None
+    def blocks(self) -> list[list[np.ndarray]]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def shapes(self) -> list[list[tuple[int, int]]]:
+        return [[m.shape for m in block] for block in self.blocks()]
+
+    @classmethod
+    def full(cls, net: Network, value: float) -> "_Importance":
+        """This type with every entry value, in the shapes that net's adapters bind."""
+        return cls(*([np.full(shape, value) for shape in block] for block in cls.expected([l.A for l in net.layers], [l.B for l in net.layers])))
+
+    def bind(self, As: list[np.ndarray], Bs: list[np.ndarray], lam: float, grad_a: list[np.ndarray], grad_b: list[np.ndarray]) -> Callable[[], float] | None:
+        """The type's penalty kernel on these adapters, after the checks that the kernel leaves out: a call of
+        no arguments that adds its gradients into grad_a and grad_b and returns its value; None at lam = 0."""
+        if lam < 0:
+            raise ParameterError(f"lambda must be nonnegative, got {lam}")
+        if len(As) != len(Bs) or any(A.shape[1] != B.shape[0] for A, B in zip(As, Bs)) or self.shapes() != self.expected(As, Bs):
+            raise ShapeError("penalty shape mismatch", [(A.shape, B.shape) for A, B in zip(As, Bs)], self.shapes())
+        from . import regularize  # not at the top: regularize imports this module for its table
+        return None if lam == 0 else functools.partial(getattr(regularize, self.kernel), As, Bs, *self.anchors(Bs), self, lam, grad_a, grad_b)
+
+    def decayed(self, new: "_Importance", gamma: float) -> "_Importance":
+        """gamma * self + new, elementwise, block by block; new must be of this type and these shapes."""
+        if type(new) is not type(self):
+            raise ParameterError(f"cannot add a {type(new).__name__} to a {type(self).__name__}")
+        if new.shapes() != self.shapes():
+            raise ShapeError("fisher shape mismatch", self.shapes(), new.shapes())
+        return type(self)(*([gamma * mc + mn for mc, mn in zip(cum, add)] for cum, add in zip(self.blocks(), new.blocks())))
+
+    @classmethod
+    def names(cls, layers: int) -> list[str]:
+        """The names of arrays() for that many layers, in its order."""
+        return [f"layer{k}_{f.name}" for f in fields(cls) for k in range(layers)]
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every block's layers by name, for save_state."""
+        return dict(zip(self.names(len(self.fdw)), (m for block in self.blocks() for m in block)))
+
+    def flat(self) -> np.ndarray:
+        """All layers' update-space entries, layer order then row-major: the vector diagnose compares."""
+        return np.concatenate([m.ravel() for m in self.fdw])
 
 
-def zeros_like(net: Network, factor_space: bool = False) -> FisherDiag:
-    fdw = [np.zeros((l.d_out, l.d_in)) for l in net.layers]
-    fa = fb = None
-    if factor_space:
-        fa = [np.zeros((l.d_out, l.rank)) for l in net.layers]
-        fb = [np.zeros((l.rank, l.d_in)) for l in net.layers]
-    return FisherDiag(fdw, fa, fb)
+@dataclass
+class UpdateFisher(_Importance):
+    """Update-space importance: each layer's diagonal Fisher on its full update AB, which weighs penalty_deltaw."""
+
+    fdw: list[np.ndarray]
+    fa = fb = ()  # no factor blocks, for readers of every block name, as a learner's saved state is written
+    accumulator = _Accumulator
+    kernel = "penalty_deltaw"
+    expected = staticmethod(lambda As, Bs: [[(A.shape[0], B.shape[1]) for A, B in zip(As, Bs)]])  # the blocks' shapes on these adapters
+    anchors = staticmethod(lambda Bs: ())  # the kernel's arguments between Bs and the Fisher, taken at bind
 
 
-def uniform_fisher(net: Network) -> FisherDiag:
-    """Uniform parameter importance: every diagonal entry exactly 1."""
-    return FisherDiag([np.ones((l.d_out, l.d_in)) for l in net.layers])
+@dataclass
+class FactorFisher(_Importance):
+    """Factor-space importance: each layer's diagonals on A (fa) and on B (fb), which weigh penalty_separate
+    with each B anchored where it is at bind, the task's start; and the update-space fdw that the same
+    passes give, which diagnose compares."""
 
-
-def flatten(f: FisherDiag) -> np.ndarray:
-    """All layers' update-space entries, layer order then row-major."""
-    return np.concatenate([m.ravel() for m in f.fdw])
-
-
-def fisher_norm(f: FisherDiag) -> float:
-    flat = flatten(f)
-    return float(np.sqrt(np.dot(flat, flat)))
-
-
-class _Accumulator:
-    """Squared per-sample gradients of one pass, update and factor space, summed over its rows.
-
-    The squared layer inputs h*h (and, for the factor space, (h B^T)^2) do
-    not depend on the logit gradient, so they are made once per cache and
-    every term reuses them.
-    """
-
-    def __init__(self, net: Network, cache: ForwardCache, factor_space: bool):
-        self.net = net
-        self.cache = cache
-        self.h2 = [h * h for h in cache.inputs]
-        self.bh2 = [bh * bh for bh in (h @ l.B.T for h, l in zip(cache.inputs, net.layers))] if factor_space else None
-
-    def term(self, g_logits: np.ndarray) -> list[np.ndarray]:
-        """One logit gradient's sums: fdw per layer, then, in the factor space, fa and fb per layer."""
-        dzs = dz_per_layer(self.net, self.cache, g_logits)
-        sdw, sa, sb = [], [], []
-        for k, layer in enumerate(self.net.layers):
-            dza = dzs[k] @ layer.A if self.bh2 is not None else None
-            dz2 = np.square(dzs[k], out=dzs[k])  # squared in place: nothing reads d_z after this
-            sdw.append(dz2.T @ self.h2[k])
-            if self.bh2 is not None:
-                sa.append(dz2.T @ self.bh2[k])
-                sb.append(np.square(dza, out=dza).T @ self.h2[k])
-        return sdw + sa + sb
+    fdw: list[np.ndarray]
+    fa: list[np.ndarray]
+    fb: list[np.ndarray]
+    accumulator = _FactorAccumulator
+    kernel = "penalty_separate"
+    expected = staticmethod(lambda As, Bs: UpdateFisher.expected(As, Bs) + [[A.shape for A in As], [B.shape for B in Bs]])
+    anchors = staticmethod(lambda Bs: ([B.copy() for B in Bs],))
 
 
 def _onehot_minus_probs(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -166,8 +212,8 @@ def draw(kind: EstimatorKind, n: int, rng: RngState | None) -> np.ndarray | None
     return None
 
 
-def pass_means(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarray | None, factor_space: bool = False) -> tuple:
-    """One estimate's pass on its draws (see draw): the row means of its squared gradients, as FisherDiag's fdw, fa and fb.
+def pass_means(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarray | None, importance: type = UpdateFisher) -> tuple:
+    """One estimate's pass on its draws (see draw): the row means of its squared gradients, as importance's blocks.
 
     The one-term estimators take each row's class (its label, or its draw);
     exact sums head class c weighted by its probability, in class order.
@@ -176,7 +222,7 @@ def pass_means(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarr
         data = data.subset(draws)
     cache = forward(net, data.X)
     probs = _softmax_rows(cache.logits)
-    acc = _Accumulator(net, cache, factor_space)
+    acc = importance.accumulator(net, cache)
     if kind.name.startswith("exact"):
         roots = np.sqrt(probs)  # sqrt, squared later
         for c in range(probs.shape[1]):
@@ -189,12 +235,11 @@ def pass_means(net: Network, data: Dataset, kind: EstimatorKind, draws: np.ndarr
         rows = label_rows(net.head, data.y) if kind.name == "empirical" else _sample_classes(probs, draws)
         sums = acc.term(_onehot_minus_probs(probs, rows))
     n = len(net.layers)
-    means = [s / data.n for s in sums]
-    return means[:n], means[n : 2 * n] or None, means[2 * n :] or None
+    return tuple([s / data.n for s in sums[i : i + n]] for i in range(0, len(sums), n))
 
 
-def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None, factor_space: bool = False) -> FisherDiag:
-    """Update-space diagonal Fisher at the network's current parameters; with factor_space, also in A- and B-space.
+def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | None = None, importance: type = UpdateFisher) -> _Importance:
+    """The importance type's diagonal Fisher at the network's current parameters.
 
     The outer expectation runs over the dataset; the inner one follows the
     estimator kind. Head parameters are never included.
@@ -203,46 +248,20 @@ def estimate(net: Network, data: Dataset, kind: EstimatorKind, rng: RngState | N
         raise DataError("cannot estimate Fisher on an empty dataset")
     if kind.draws and rng is None:
         raise ParameterError(f"the {kind.label()} estimator needs an rng for its draws")
-    return FisherDiag(*pass_means(net, data, kind, draw(kind, data.n, rng), factor_space))
+    return importance(*pass_means(net, data, kind, draw(kind, data.n, rng), importance))
 
 
-def accumulate(f_cum: FisherDiag, f_t: FisherDiag, gamma: float) -> FisherDiag:
-    """Decayed running combination gamma * f_cum + f_t, elementwise."""
+def accumulate(f_cum: _Importance, f_t: _Importance, gamma: float) -> _Importance:
+    """Decayed running combination gamma * f_cum + f_t, elementwise; both of one importance type."""
     if not 0.0 <= gamma <= 1.0:
         raise ParameterError(f"gamma must lie in [0, 1], got {gamma}")
-
-    def comb(cum: list[np.ndarray], new: list[np.ndarray]) -> list[np.ndarray]:
-        if len(cum) != len(new):
-            raise ShapeError("layer count mismatch", (len(cum),), (len(new),))
-        out = []
-        for mc, mn in zip(cum, new):
-            if mc.shape != mn.shape:
-                raise ShapeError("fisher shape mismatch", mc.shape, mn.shape)
-            out.append(gamma * mc + mn)
-        return out
-
-    fdw = comb(f_cum.fdw, f_t.fdw)
-    fa = fb = None
-    if f_cum.has_factor_space and f_t.has_factor_space:
-        fa = comb(f_cum.fa, f_t.fa)
-        fb = comb(f_cum.fb, f_t.fb)
-    return FisherDiag(fdw, fa, fb)
+    return f_cum.decayed(f_t, gamma)
 
 
-def fisher_names(layers: int, factor_space: bool = False) -> list[str]:
-    """The arrays save_fisher writes for a Fisher of that many layers, in its order."""
-    return [f"layer{k}_{name}" for name in ("fdw", "fa", "fb")[: 3 if factor_space else 1] for k in range(layers)]
-
-
-def save_fisher(f: FisherDiag, directory, kind_label: str = "", task_index: int | None = None) -> None:
-    """The Fisher as a state directory: each layer's fdw (and fa, fb), and how it was estimated."""
-    arrays = dict(zip(fisher_names(len(f.fdw), f.has_factor_space), f.fdw + f.fa + f.fb if f.has_factor_space else f.fdw))
-    # gamma_history has no writer; it stays, empty, so that saved manifests keep their bytes
-    meta = {"estimator": kind_label, "gamma_history": [], "task_index": task_index, "layers": len(f.fdw), "factor_space": f.has_factor_space}
+def save_fisher(f: _Importance, directory, kind_label: str = "", task_index: int | None = None) -> None:
+    """The Fisher as a state directory: its arrays, and how it was estimated."""
+    arrays = f.arrays()
+    # gamma_history has no writer, and the flag of the factor blocks no reader;
+    # both stay so that saved manifests keep their bytes
+    meta = {"estimator": kind_label, "gamma_history": [], "task_index": task_index, "layers": len(f.fdw), "factor_space": len(arrays) > len(f.fdw)}
     save_state(directory, arrays, meta)
-
-
-def load_fisher(directory) -> FisherDiag:
-    arrays, meta = load_state(directory)
-    names = ("fdw", "fa", "fb") if meta["factor_space"] else ("fdw",)
-    return FisherDiag(*([arrays[f"layer{k}_{name}"] for k in range(meta["layers"])] for name in names))

@@ -2,9 +2,9 @@
 
 One task step is: reset the shared adapter, grow the head for the new
 classes, minimize cross-entropy plus the configured importance penalty
-over the task's batches, estimate the update-space Fisher at the task
-optimum, fold it into the decayed accumulator, merge the adapter into the
-base weights, and evaluate on every task seen so far. Between steps the
+over the task's batches, estimate a learned Fisher at the task optimum,
+fold it into the decayed accumulator, merge the adapter into the base
+weights, and evaluate on every task seen so far. Between steps the
 learner keeps exactly two pieces of training state: the merged weights
 and the accumulated Fisher. Task data and the per-task Fisher estimate
 are dropped when the step returns.
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import fisher as fisher_mod
-from . import regularize
-from .errors import ConfigError, DataError, EngineError, NumericalError, ProtocolError
-from .fisher import EstimatorKind, FisherDiag, accumulate, uniform_fisher, zeros_like
+from .errors import ConfigError, DataError, EngineError, NumericalError, ParameterError, ProtocolError
+from .fisher import EstimatorKind
 from .model import (
     Head,
     Network,
@@ -150,6 +149,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     params -= step
     if not np.isfinite(params).all():
         raise NumericalError("parameters left the finite range during Adam update")
+    if not v.max() < math.inf:  # an overflowed g^2 would make those coordinates' steps 0
+        raise NumericalError("Adam's second moment left the finite range: the squared gradient overflowed")
 
 
 class _Arena:
@@ -212,7 +213,7 @@ def _fit(net: Network, arena: _Arena, data: Dataset, gradient, config: TrainConf
 def train_task(
     net: Network,
     task_data: Dataset,
-    f_cum: FisherDiag | None,
+    f_cum: fisher_mod.UpdateFisher | fisher_mod.FactorFisher | None,
     config: TrainConfig,
     rng: RngState,
 ) -> list[float]:
@@ -226,19 +227,15 @@ def train_task(
     if task_data.n < 1:
         raise DataError("cannot train on an empty task")
 
-    strategy = STRATEGIES[config.strategy]
+    importance = STRATEGIES[config.strategy].importance
+    if importance is not None and not isinstance(f_cum, importance):
+        raise ParameterError(f"strategy {config.strategy!r} needs a Fisher to weight its penalty: a {importance.__name__}, not {type(f_cum).__name__}")
     arena = _Arena(net, "AB", config)
-    As, Bs = [layer.A for layer in net.layers], [layer.B for layer in net.layers]
-    b_inits = [B.copy() for B in Bs] if strategy.penalty == "factor" else None
-    strategy.check(As, Bs, b_inits, f_cum, config.lam)
     d_w = [np.empty((l.d_out, l.d_in)) for l in net.layers]  # the full-weight gradient, from which the factors' follow
-    grad_ab = (arena.grads[: len(As)], arena.grads[len(As) : -2])
+    grad_ab = (arena.grads[: len(net.layers)], arena.grads[len(net.layers) : -2])
     out = (d_w, *arena.grads[-2:], *grad_ab)
-    penalty = None  # at lam = 0, the value and the gradients weigh exactly zero wherever the weighted terms are finite
-    if strategy.penalty == "update" and config.lam != 0:
-        penalty = functools.partial(regularize.penalty_deltaw, As, Bs, f_cum, config.lam, *grad_ab)
-    elif strategy.penalty == "factor" and config.lam != 0:
-        penalty = functools.partial(regularize.penalty_separate, As, Bs, b_inits, f_cum, config.lam, *grad_ab)
+    # at lam = 0 there is none: the value and the gradients weigh exactly zero wherever the weighted terms are finite
+    penalty = None if importance is None else f_cum.bind([layer.A for layer in net.layers], [layer.B for layer in net.layers], config.lam, *grad_ab)
 
     def gradient(x: np.ndarray, rows: np.ndarray) -> float:
         loss = backward(net, forward(net, x), rows, *out)  # fills the gradients the penalty then adds into
@@ -253,19 +250,18 @@ class ContinualLearner:
 
     step() consumes one task, as train() then finish(); everything
     task-specific (data references, the freshly estimated Fisher) leaves
-    scope when it returns. A precomputed strategy's f_cum is its fixed
-    Fisher, which step() never updates since the strategy learns none.
+    scope when it returns. f_cum is a learned Fisher's decayed sum, from
+    zero; or a precomputed strategy's fixed Fisher, which step() never
+    updates; or None, without an importance type.
     """
 
-    def __init__(self, net: Network, config: TrainConfig, f_fixed: FisherDiag | None = None):
+    def __init__(self, net: Network, config: TrainConfig, f_fixed: fisher_mod.UpdateFisher | fisher_mod.FactorFisher | None = None):
         self.net = net
         self.config = config
         self.strategy = STRATEGIES[config.strategy]
-        if self.strategy.fixed and f_fixed is None:
-            raise ConfigError("precomputed strategies need a fixed Fisher")
-        if f_fixed is not None and not self.strategy.fixed:
-            raise ConfigError(f"strategy {config.strategy!r} takes no fixed Fisher: only the precomputed strategies read one")
-        self.f_cum = f_fixed if self.strategy.fixed else zeros_like(net, factor_space=(self.strategy.learned == "factor"))
+        if (f_fixed is None) == self.strategy.precomputed:
+            raise ConfigError(f"strategy {config.strategy!r} {'needs a' if f_fixed is None else 'takes no'} fixed Fisher: the precomputed strategies, and only they, read one")
+        self.f_cum = self.strategy.importance.full(net, 0.0) if self.strategy.learns else f_fixed
         root = RngState(config.seed)
         self._rng_init = root.derive("adapter-init")
         self._rng_train = root.derive("train")
@@ -283,12 +279,12 @@ class ContinualLearner:
 
     def finish(self, task: Task) -> float:
         """Fold task's Fisher into the accumulator and merge the adapter; returns the norm of the merged update."""
-        if self.strategy.learned:
+        if self.strategy.learns:
             try:
-                fisher_t = fisher_mod.estimate(self.net, task.train, self.config.estimator, self._rng_fisher, factor_space=self.strategy.learned == "factor")
+                fisher_t = fisher_mod.estimate(self.net, task.train, self.config.estimator, self._rng_fisher, self.strategy.importance)
             except NumericalError as exc:
                 raise NumericalError(f"Fisher estimate of task {task.id}: {exc}") from exc
-            self.f_cum = accumulate(self.f_cum, fisher_t, self.config.gamma)
+            self.f_cum = fisher_mod.accumulate(self.f_cum, fisher_t, self.config.gamma)
         return merge_and_reset(self.net, self._rng_init, b_scale=self.config.b_init_scale)
 
 
@@ -351,8 +347,8 @@ def pretrain_key(config: TrainConfig) -> tuple:
 
 def first_task_key(config: TrainConfig) -> tuple | None:
     """Configs with one key train task 0 to the same bytes: a learned Fisher is zero until
-    task 0 is finished, so task 0 trains with no penalty. None with a fixed Fisher, which weighs task 0."""
-    return None if STRATEGIES[config.strategy].fixed else tuple(getattr(config, f.name) for f in fields(config) if f.name not in ("strategy", "lam", "gamma"))
+    task 0 is finished, so task 0 trains with no penalty. None with a precomputed Fisher, which weighs task 0."""
+    return None if STRATEGIES[config.strategy].precomputed else tuple(getattr(config, f.name) for f in fields(config) if f.name not in ("strategy", "lam", "gamma"))
 
 
 def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -> tuple[ContinualLearner, list[float]]:
@@ -361,22 +357,20 @@ def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -
         raise DataError("stream has no tasks")
     stream.validate()
     net = base.copy() if base is not None else pretrain(config, stream)[0]
-    fixed = STRATEGIES[config.strategy].fixed
-    f_fixed = None
-    if fixed == "uniform":
-        f_fixed = uniform_fisher(net)
-    elif fixed == "dataset":
+    strategy = STRATEGIES[config.strategy]
+    f_fixed = strategy.importance.full(net, 1.0) if strategy.source == "uniform" else None
+    if strategy.source == "dataset":  # one estimate on every task's training data, at the base with a head over every class
         probe = net.copy()
         rng = RngState(config.seed).derive("precompute")
         expand_head(probe, [cid for task in stream.tasks for cid in task.class_ids], rng)
-        f_fixed = fisher_mod.estimate(probe, concat_datasets(stream.all_train()), config.estimator, rng)  # every task's data, at the base
-    learner = ContinualLearner(net, config if fixed else replace(config, lam=0.0), f_fixed=f_fixed)  # a zero Fisher, no penalty
+        f_fixed = fisher_mod.estimate(probe, concat_datasets(stream.all_train()), config.estimator, rng, strategy.importance)
+    learner = ContinualLearner(net, config, f_fixed) if strategy.precomputed else ContinualLearner(net, replace(config, lam=0.0))  # a zero Fisher, no penalty
     return learner, learner.train(stream.tasks[0])
 
 
 def _continue(config: TrainConfig, stream: TaskStream, shared: ContinualLearner, trace: list[float], after_task: Callable | None = None) -> RunRecord:
     """config's run on from (shared, trace), the _first_task of a config with its first_task_key; shared stays unchanged."""
-    learner = ContinualLearner(shared.net.copy(), config, f_fixed=shared.f_cum if shared.strategy.fixed else None)
+    learner = ContinualLearner(shared.net.copy(), config, f_fixed=shared.f_cum if shared.strategy.precomputed else None)
     learner._rng_init, learner._rng_train, learner._rng_fisher = (copy.copy(r) for r in (shared._rng_init, shared._rng_train, shared._rng_fisher))
     logs: list[dict] = []
     for t, task in enumerate(stream.tasks):

@@ -13,9 +13,9 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from lrcl.errors import ParameterError
-from lrcl.fisher import FisherDiag
+from lrcl.fisher import FactorFisher, UpdateFisher
 from lrcl.model import Network, backward, expand_head, new_network, reset_adapter
-from lrcl.regularize import STRATEGIES, penalty_deltaw, penalty_separate
+from lrcl.regularize import penalty_deltaw, penalty_separate
 from lrcl.tasks import Dataset
 from lrcl.tensor import RngState, atomic_write, format_float, uniform_matrix
 
@@ -71,11 +71,14 @@ def backprop(net: Network, cache, rows, factors=True):
 
 
 def penalty(kind, As, Bs, B_inits, f, lam):
-    """The kernel of penalty strategy kind ("deltaw" or "separate") after its checks, into zero-filled arrays: (value, grad_a, grad_b)."""
-    strategy = STRATEGIES[kind]
-    strategy.check(As, Bs, B_inits, f, lam)
+    """The kernel of penalty strategy kind ("deltaw" or "separate") after its checks, into zero-filled arrays: (value, grad_a, grad_b).
+
+    The checks are f.bind's; the separate kernel then runs from the anchors B_inits,
+    where the bound one would take Bs.
+    """
     grad_a, grad_b = [np.zeros(A.shape) for A in As], [np.zeros(B.shape) for B in Bs]
-    if strategy.penalty == "update":
+    f.bind(As, Bs, lam, grad_a, grad_b)
+    if kind == "deltaw":
         value = penalty_deltaw(As, Bs, f, lam, grad_a, grad_b)
     else:
         value = penalty_separate(As, Bs, B_inits, f, lam, grad_a, grad_b)
@@ -90,7 +93,7 @@ def make_batch(net: Network, n, seed, scale=1.0):
     return x, labels
 
 
-def project_update_fisher(f: FisherDiag, A0s: list[np.ndarray], B0s: list[np.ndarray]) -> FisherDiag:
+def project_update_fisher(f: UpdateFisher, A0s: list[np.ndarray], B0s: list[np.ndarray]) -> FactorFisher:
     """Factor-space diagonals induced by an update-space diagonal.
 
     Squared-Jacobian projection at the anchor point: FA = F (B0 o B0)^T and
@@ -100,7 +103,7 @@ def project_update_fisher(f: FisherDiag, A0s: list[np.ndarray], B0s: list[np.nda
     for F, A0, B0 in zip(f.fdw, A0s, B0s):
         fa.append(F @ (B0 * B0).T)
         fb.append((A0 * A0).T @ F)
-    return FisherDiag(fdw=[m.copy() for m in f.fdw], fa=fa, fb=fb)
+    return FactorFisher(fdw=[m.copy() for m in f.fdw], fa=fa, fb=fb)
 
 
 def divergence_witness(rng: RngState, dims: tuple[int, int, int], trials: int) -> float:
@@ -129,7 +132,7 @@ def divergence_witness(rng: RngState, dims: tuple[int, int, int], trials: int) -
         dev = A @ B - A0 @ B0
         r_dw = 0.5 * float(np.sum(F * dev * dev))
 
-        projected = project_update_fisher(FisherDiag([F]), [A0], [B0])
+        projected = project_update_fisher(UpdateFisher([F]), [A0], [B0])
         FA, FB = projected.fa[0], projected.fb[0]
         da = A - A0
         db = B - B0

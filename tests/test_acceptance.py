@@ -16,7 +16,7 @@ import pytest
 import lrcl.trainer as trainer_mod
 from lrcl.cli import main as cli_main
 from lrcl.diagnostics import cosine_sim, spearman, track_fisher_drift
-from lrcl.fisher import EstimatorKind, FisherDiag, accumulate, estimate, zeros_like
+from lrcl.fisher import EstimatorKind, FactorFisher, UpdateFisher, accumulate, estimate
 from lrcl.metrics import avg_anytime, plasticity, stability, tradeoff
 from lrcl.model import (
     expand_head,
@@ -138,8 +138,8 @@ class TestCriterion1GradientCorrectness:
             As = [l.A for l in net.layers]
             Bs = [l.B for l in net.layers]
             b_inits = [l.B * 0.5 for l in net.layers]
-            f_dw = FisherDiag([mat(l.d_out, l.d_in, [rng.next_float() for _ in range(l.d_out * l.d_in)]) for l in net.layers])
-            f_sep = FisherDiag(
+            f_dw = UpdateFisher([mat(l.d_out, l.d_in, [rng.next_float() for _ in range(l.d_out * l.d_in)]) for l in net.layers])
+            f_sep = FactorFisher(
                 [m.copy() for m in f_dw.fdw],
                 fa=[mat(l.d_out, l.rank, [rng.next_float() for _ in range(l.d_out * l.rank)]) for l in net.layers],
                 fb=[mat(l.rank, l.d_in, [rng.next_float() for _ in range(l.rank * l.d_in)]) for l in net.layers],
@@ -198,15 +198,15 @@ class TestCriterion3PenaltyDivergence:
         A = mat(6, 2, [uniform(rng, -1, 1) for _ in range(12)])
         B = mat(2, 6, [uniform(rng, -1, 1) for _ in range(12)])
         B0 = mat(2, 6, [uniform(rng, -1, 1) for _ in range(12)])
-        f = FisherDiag(
+        f = FactorFisher(
             [mat(6, 6, [rng.next_float() for _ in range(36)])],
             fa=[mat(6, 2, [rng.next_float() for _ in range(12)])],
             fb=[mat(2, 6, [rng.next_float() for _ in range(12)])],
         )
         A2 = 2.0 * A
         B2 = 0.5 * B
-        v_dw1 = penalty("deltaw", [A], [B], None, f, 3.0)[0]
-        v_dw2 = penalty("deltaw", [A2], [B2], None, f, 3.0)[0]
+        v_dw1 = penalty("deltaw", [A], [B], None, UpdateFisher(f.fdw), 3.0)[0]
+        v_dw2 = penalty("deltaw", [A2], [B2], None, UpdateFisher(f.fdw), 3.0)[0]
         dw_invariant = abs(v_dw1 - v_dw2) <= 1e-10 * max(1.0, abs(v_dw1))
         v_sep1 = penalty("separate", [A], [B], [B0], f, 3.0)[0]
         v_sep2 = penalty("separate", [A2], [B2], [B0], f, 3.0)[0]
@@ -227,7 +227,7 @@ class TestCriterion4OracleEquivalence:
         B = mat(2, 7, [uniform(rng, -1, 1) for _ in range(14)])
         F = mat(7, 7, [rng.next_float() for _ in range(49)])
         lam = 3.7
-        vec = penalty("deltaw", [A], [B], None, FisherDiag([F]), lam)[0]
+        vec = penalty("deltaw", [A], [B], None, UpdateFisher([F]), lam)[0]
         delta = A @ B
         loop = 0.5 * lam * sum(
             F[i, j] * delta[i, j] ** 2 for i in range(7) for j in range(7)
@@ -304,7 +304,7 @@ class TestCriterion5LoopSemantics:
         fb = estimate(net2, d2, EstimatorKind("empirical"))
         gamma0 = accumulate(fa, fb, 0.0)
         acc_ok = all(np.array_equal(x, y) for x, y in zip(gamma0.fdw, fb.fdw))
-        running = accumulate(accumulate(zeros_like(net2), fa, 1.0), fb, 1.0)
+        running = accumulate(accumulate(UpdateFisher.full(net2, 0.0), fa, 1.0), fb, 1.0)
         acc_ok &= all(np.array_equal(x, a + b) for x, a, b in zip(running.fdw, fa.fdw, fb.fdw))
 
         # two-state retention

@@ -79,3 +79,25 @@ def test_expected_outputs_are_names_the_cli_writes(bench):
     for command, names in run.EXPECTED_OUTPUTS.items():
         for name in names:
             assert name in cli._OUTPUTS[command] or name == snapshot_dir, f"{command}: {name}"
+
+
+@pytest.mark.parametrize("strategy,kernel", [("deltaw", "penalty_deltaw"), ("separate", "penalty_separate")])
+def test_a_run_calls_the_traced_module_attributes(tmp_path, monkeypatch, strategy, kernel):
+    # --trace 1 times regularize.penalty.* and fisher.* by rebinding these
+    # module attributes, so a run must call its kernel, estimate and
+    # accumulate through their modules, whichever object calls them
+    from collections import Counter
+
+    from lrcl import cli, fisher, regularize
+    from test_cli import TINY, write_config
+
+    calls = Counter()
+    for module, name in ((regularize, "penalty_deltaw"), (regularize, "penalty_separate"), (fisher, "estimate"), (fisher, "accumulate")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    config = write_config(tmp_path, TINY + f"strategy = {strategy}\n")
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    assert {name for name, n in calls.items() if n} == {kernel, "estimate", "accumulate"}

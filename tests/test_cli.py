@@ -220,6 +220,14 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 3
 
+    @pytest.mark.parametrize("lam,err", [("1e200", ["numerical failure: Adam's second moment left the finite range: the squared gradient overflowed"]), ("1e150", [])])
+    def test_overflowed_second_moment_exits_3(self, tmp_path, capsys, lam, err):
+        # at lambda = 1e200 the penalty gradient's square overflows; Adam's second
+        # moment would turn Inf there and those coordinates' steps 0, without a word
+        cfg_path = write_config(tmp_path, TINY.replace("lambda = 1.0", f"lambda = {lam}"))
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out"), "--jobs", "1"]) == (3 if err else 0)
+        assert capsys.readouterr().err.splitlines() == err
+
     @pytest.mark.parametrize(
         "command,run",
         [(["run"], "the run of seed 0"), (["compare-strategies"], "the none run of seed 0"),
@@ -516,6 +524,25 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,line,message",
+        [(["compare-strategies"], "strategies = deltaw, DeltaW", "deltaw appears more than once in strategies"),
+         (["sweep", "--parameter", "lambda"], "lambda_grid = 1, 1.0", "lambda 1.0 appears more than once in lambda_grid"),
+         (["sweep", "--parameter", "gamma"], "gamma_grid = 0.5,0.9,0.5", "gamma 0.5 appears more than once in gamma_grid")],
+    )
+    def test_repeated_grid_entry_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line, message):
+        # each repeat would be trained again, into a duplicate row
+        import lrcl.cli as cli_mod
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute started before the grid was checked")
+
+        monkeypatch.setattr(cli_mod, "run_many", no_compute)
+        out = tmp_path / "out"
+        assert main(command + ["--config", write_config(tmp_path, TINY + line + "\n"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_grid_value_checked_before_compute(self, tmp_path, monkeypatch):
         import lrcl.cli as cli_mod
 
@@ -551,7 +578,7 @@ class TestDiagnoseCommand:
         # the huge rate saturates the pretrained network, so task 0's exact
         # Fisher snapshot is all zeros and its norm ratio is undefined; with
         # --jobs 2 the worker that measures drift raises it
-        text = TINY.replace("pretrain_lr = 0.02", "pretrain_lr = 1e250") + "estimator = exact\n"
+        text = TINY.replace("pretrain_lr = 0.02", "pretrain_lr = 1e100") + "estimator = exact\n"
         cfg_path = write_config(tmp_path, text)
         for jobs in ("1", "2"):
             out = tmp_path / f"diag{jobs}"
@@ -653,9 +680,9 @@ class TestJobs:
         self._assert_identical_for_any_jobs(tmp_path, ["diagnose"], text)
 
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
-    @pytest.mark.parametrize("failure", ["pretrain_lr = 1e250", "head_lr = 1e300"])
+    @pytest.mark.parametrize("failure", ["pretrain_lr = 1e100", "head_lr = 1e150"])
     def test_diagnose_failure_independent_of_jobs(self, tmp_path, estimator, failure):
-        # training saturates or overflows a Fisher; the drift rows, made in
+        # training saturates the network, so task 0's Fisher is zero; the drift rows, made in
         # task order once the trajectory ends, raise the first failing task's error for any N
         text = re.sub(rf"^{failure.split()[0]} = .*$", failure, TINY, flags=re.M) + f"estimator = {estimator}\n"
         cfg_path = write_config(tmp_path, text)
@@ -696,8 +723,11 @@ class TestJobs:
         [["run", "--jobs", "1"], ["run", "--jobs", "2"], ["diagnose", "--jobs", "1"], ["diagnose", "--jobs", "2"]],
     )
     def test_fisher_failure_names_the_task(self, tmp_path, command):
-        # at seed 1 the huge head rate overflows task 0's squared gradients
-        cfg_path = write_config(tmp_path, TINY.replace("head_lr = 1e-6", "head_lr = 1e300"))
+        # at seed 1 the huge head rate overflows task 0's squared per-sample
+        # weight gradients, which only the Fisher squares: the tiny adapter
+        # keeps the gradients of its factors, which Adam squares, finite
+        text = TINY.replace("head_lr = 1e-6", "head_lr = 1e300").replace("lr = 0.05", "lr = 1e-200")
+        cfg_path = write_config(tmp_path, text + "pretrain_mode = random\nb_init_scale = 1e-200\n")
         err = self._failing_stderr(command + ["--config", cfg_path, "--seed", "1"], tmp_path / "out")
         assert err == "numerical failure: Fisher estimate of task 0: matrix contains NaN or Inf\n"
 

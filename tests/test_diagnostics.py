@@ -23,7 +23,7 @@ from lrcl.diagnostics import (
     track_fisher_drift,
 )
 from lrcl.errors import MetricError, NumericalError, ParameterError
-from lrcl.fisher import EstimatorKind, FisherDiag, draw, estimate, flatten
+from lrcl.fisher import EstimatorKind, UpdateFisher, draw, estimate
 from lrcl.tasks import Dataset, StreamConfig, concat_datasets, gen_gaussian_stream
 from lrcl.tensor import RngState
 from lrcl.trainer import ContinualLearner, TrainConfig, run_continual
@@ -34,7 +34,7 @@ from conftest import make_batch, make_net, mat, uniform
 def small_fisher(seed, shape=(4, 5)):
     rng = RngState(seed)
     vals = [rng.next_float() + 0.01 for _ in range(shape[0] * shape[1])]
-    return FisherDiag([mat(shape[0], shape[1], vals)])
+    return UpdateFisher([mat(shape[0], shape[1], vals)])
 
 
 class TestNormRatio:
@@ -44,18 +44,18 @@ class TestNormRatio:
 
     def test_homogeneity(self):
         f = small_fisher(2)
-        doubled = FisherDiag([2.0 * m for m in f.fdw])
+        doubled = UpdateFisher([2.0 * m for m in f.fdw])
         assert abs(norm_ratio(doubled, f) - 2.0) < 1e-12
 
     def test_matches_flat_vector_oracle(self):
         a = small_fisher(3)
         b = small_fisher(4)
-        va, vb = flatten(a), flatten(b)
+        va, vb = a.flat(), b.flat()
         want = np.sqrt((va * va).sum()) / np.sqrt((vb * vb).sum())
         assert abs(norm_ratio(a, b) - want) < 1e-12
 
     def test_zero_baseline_rejected(self):
-        z = FisherDiag([np.zeros((2, 2))])
+        z = UpdateFisher([np.zeros((2, 2))])
         with pytest.raises(MetricError):
             norm_ratio(small_fisher(5, (2, 2)), z)
 
@@ -161,7 +161,7 @@ class TestCosine:
 
         f1 = estimate(net, Dataset(x, labels), EstimatorKind("empirical"))
         f2 = estimate(net, Dataset(x, list(reversed(labels))), EstimatorKind("empirical"))
-        c = cosine_sim(flatten(f1), flatten(f2))
+        c = cosine_sim(f1.flat(), f2.flat())
         assert 0.0 <= c <= 1.0
 
 
@@ -227,7 +227,7 @@ class TestTrackFisherDrift:
             assert rows2 == rows and acc2 == acc
             assert list(snapshots) == list(snapshots2) == [0, 1, 2]
             for i, f in snapshots.items():
-                assert flatten(f).tobytes() == flatten(snapshots2[i]).tobytes()
+                assert f.flat().tobytes() == snapshots2[i].flat().tobytes()
         assert trainer_mod._WORK is None
 
     @pytest.mark.parametrize("estimator", ["exact", "sampled"])
@@ -374,7 +374,7 @@ class TestUnits:
         stream = SimpleNamespace(tasks=[SimpleNamespace(train=part) for part in parts])
         for tasks in [(0,), (1,), (2,), (0, 1, 2)]:
             data = concat_datasets([parts[i] for i in tasks])
-            got = FisherDiag(*_measure(stream, kind, net, tasks, draw(kind, data.n, RngState(seed))))
+            got = UpdateFisher(*_measure(stream, kind, net, tasks, draw(kind, data.n, RngState(seed))))
             want = estimate(net, data, kind, RngState(seed))
             assert all(np.array_equal(x, y) for x, y in zip(got.fdw, want.fdw))
 

@@ -11,22 +11,18 @@ from hypothesis import strategies as st
 from lrcl.errors import ParameterError, ShapeError
 from lrcl.fisher import (
     EstimatorKind,
-    FisherDiag,
+    FactorFisher,
+    UpdateFisher,
     _Accumulator,
     _sample_classes,
     accumulate,
     draw,
     estimate,
-    fisher_norm,
-    flatten,
-    load_fisher,
     save_fisher,
-    uniform_fisher,
-    zeros_like,
 )
 from lrcl.model import expand_head, forward, label_rows
 from lrcl.tasks import Dataset, StreamConfig, concat_datasets
-from lrcl.tensor import RngState, _softmax_rows
+from lrcl.tensor import RngState, _softmax_rows, load_state
 from lrcl.trainer import TrainConfig, pretrain, run_continual
 
 from conftest import backprop, make_batch, make_net
@@ -244,13 +240,13 @@ class TestFactorSpace:
     def test_fb_zero_when_adapter_zero(self):
         net = make_net((5, 5), rank=2, seed=20)  # A = 0 after reset
         data = make_dataset(net, 6, seed=21)
-        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
+        f = estimate(net, data, EstimatorKind("empirical"), importance=FactorFisher)
         assert all(np.all(m == 0.0) for m in f.fb)
 
     def test_shapes(self):
         net = make_net((6, 5, 4), rank=2, seed=22, nonzero_adapter=True)
         data = make_dataset(net, 4, seed=23)
-        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
+        f = estimate(net, data, EstimatorKind("empirical"), importance=FactorFisher)
         for layer, fa, fb in zip(net.layers, f.fa, f.fb):
             assert fa.shape == (layer.d_out, layer.rank)
             assert fb.shape == (layer.rank, layer.d_in)
@@ -258,7 +254,7 @@ class TestFactorSpace:
     def test_fa_fb_match_loop_oracle(self):
         net = make_net((5, 5), rank=2, seed=24, nonzero_adapter=True)
         data = make_dataset(net, 8, seed=25)
-        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
+        f = estimate(net, data, EstimatorKind("empirical"), importance=FactorFisher)
         sums_a = [np.zeros((l.d_out, l.rank)) for l in net.layers]
         sums_b = [np.zeros((l.rank, l.d_in)) for l in net.layers]
         for k in range(data.n):
@@ -277,7 +273,7 @@ class TestFactorSpace:
         # squares of d_a and d_b, weighted as the estimator weighs its terms
         net = make_net((5, 4, 3), rank=2, seed=28, nonzero_adapter=True)
         data = make_dataset(net, 8, seed=29)
-        f = estimate(net, data, kind, RngState(30), factor_space=True)
+        f = estimate(net, data, kind, RngState(30), importance=FactorFisher)
         assert all(np.array_equal(a, b) for a, b in zip(f.fdw, estimate(net, data, kind, RngState(30)).fdw))
         draws = draw(kind, data.n, RngState(30))
         rows = list(draws) if kind.name == "exact_subset" else range(data.n)
@@ -363,8 +359,8 @@ class TestExactHoist:
         data = make_dataset(net, n, seed + 1)
         fdw, fa, fb = exact_per_class_loop(net, data)
         plain = estimate(net, data, EstimatorKind("exact"))
-        factor = estimate(net, data, EstimatorKind("exact"), factor_space=True)
-        assert plain.fa is None
+        factor = estimate(net, data, EstimatorKind("exact"), importance=FactorFisher)
+        assert type(plain) is UpdateFisher
         for got, want in [(plain.fdw, fdw), (factor.fdw, fdw), (factor.fa, fa), (factor.fb, fb)]:
             assert len(got) == len(want) == len(widths) - 1
             assert all(np.array_equal(x, y) for x, y in zip(got, want))
@@ -380,7 +376,7 @@ class TestScaleLaw:
         g = -probs.copy()
         g[np.arange(data.n), rows] += 1.0
 
-        acc = _Accumulator(net, cache, factor_space=False)
+        acc = _Accumulator(net, cache)
         for s1, s3 in zip(acc.term(g), acc.term(3.0 * g)):
             assert np.allclose(s3, 9.0 * s1, rtol=1e-12, atol=1e-14)
 
@@ -402,7 +398,7 @@ class TestAccumulate:
 
     def test_gamma_one_running_sum(self):
         net, f1, f2 = self._pair(33)
-        zero = zeros_like(net)
+        zero = UpdateFisher.full(net, 0.0)
         out = accumulate(accumulate(zero, f1, 1.0), f2, 1.0)
         for o, a, b in zip(out.fdw, f1.fdw, f2.fdw):
             assert np.array_equal(o, a + b)
@@ -415,11 +411,11 @@ class TestAccumulate:
 
     def test_linear_in_new_homogeneous_in_cum(self):
         net, f1, f2 = self._pair(39)
-        scaled_new = FisherDiag([2.0 * m for m in f2.fdw])
+        scaled_new = UpdateFisher([2.0 * m for m in f2.fdw])
         out = accumulate(f1, scaled_new, 0.5)
         for o, a, b in zip(out.fdw, f1.fdw, f2.fdw):
             assert np.allclose(o, 0.5 * a + 2.0 * b, rtol=0, atol=1e-15)
-        scaled_cum = FisherDiag([3.0 * m for m in f1.fdw])
+        scaled_cum = UpdateFisher([3.0 * m for m in f1.fdw])
         out2 = accumulate(scaled_cum, f2, 0.5)
         for o, a, b in zip(out2.fdw, f1.fdw, f2.fdw):
             assert np.allclose(o, 1.5 * a + b, rtol=0, atol=1e-15)
@@ -439,6 +435,14 @@ class TestAccumulate:
         with pytest.raises(ParameterError):
             accumulate(f1, f2, 1.5)
 
+    def test_types_do_not_mix(self):
+        # a factor-space sum would drop its fa and fb blocks if it took an update-space estimate
+        net, _, f2 = self._pair(54)
+        with pytest.raises(ParameterError, match="cannot add a UpdateFisher to a FactorFisher"):
+            accumulate(FactorFisher.full(net, 0.0), f2, 0.9)
+        with pytest.raises(ParameterError, match="cannot add a FactorFisher to a UpdateFisher"):
+            accumulate(f2, FactorFisher.full(net, 0.0), 0.9)
+
     def test_shape_mismatch(self):
         net, f1, _ = self._pair(48)
         other = make_net((6, 6), rank=1, seed=50, nonzero_adapter=True)
@@ -450,7 +454,7 @@ class TestAccumulate:
 class TestPrecomputed:
     def test_uniform_variant_all_ones(self):
         net = make_net((5, 4), rank=2, seed=52)
-        f = uniform_fisher(net)
+        f = UpdateFisher.full(net, 1.0)
         assert all(np.all(m == 1.0) for m in f.fdw)
 
     def test_dataset_variant_equals_estimate_on_concat(self):
@@ -464,7 +468,7 @@ class TestPrecomputed:
         rng = RngState(cfg.seed).derive("precompute")
         expand_head(probe, [0, 1, 2, 3], rng)
         direct = estimate(probe, concat_datasets(stream.all_train()), cfg.estimator, rng)
-        assert fixed[0] is fixed[1] and fixed[0].fa is None
+        assert fixed[0] is fixed[1] and type(fixed[0]) is UpdateFisher
         for a, b in zip(fixed[0].fdw, direct.fdw):
             assert np.array_equal(a, b)
 
@@ -473,26 +477,25 @@ class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
         net = make_net((5, 4), rank=2, seed=60, nonzero_adapter=True)
         data = make_dataset(net, 5, seed=61)
-        f = estimate(net, data, EstimatorKind("empirical"), factor_space=True)
+        f = estimate(net, data, EstimatorKind("empirical"), importance=FactorFisher)
         save_fisher(f, tmp_path / "snap", kind_label="empirical", task_index=2)
-        back = load_fisher(tmp_path / "snap")
-        for a, b in zip(f.fdw, back.fdw):
-            assert np.array_equal(a, b)
-        for a, b in zip(f.fa, back.fa):
-            assert np.array_equal(a, b)
-        for a, b in zip(f.fb, back.fb):
-            assert np.array_equal(a, b)
+        back, meta = load_state(tmp_path / "snap")
+        assert sorted(back) == sorted(FactorFisher.names(1)) == ["layer0_fa", "layer0_fb", "layer0_fdw"]
+        for name, m in f.arrays().items():
+            assert np.array_equal(m, back[name])
+        assert meta == {"estimator": "empirical", "factor_space": True, "gamma_history": [], "layers": 1, "task_index": 2}
 
-    def test_flatten_and_norm(self):
+    def test_flat_is_the_update_space_entries(self):
+        # diagnose compares flat(): a factor-space Fisher gives its fdw, bit for bit an update-space estimate's
         net = make_net((3, 2), rank=1, seed=62, nonzero_adapter=True)
-        f = uniform_fisher(net)
-        flat = flatten(f)
+        data = make_dataset(net, 5, seed=63)
+        flat = estimate(net, data, EstimatorKind("empirical"), importance=FactorFisher).flat()
         assert flat.shape == (6,)
-        assert abs(fisher_norm(f) - np.sqrt(6.0)) < 1e-15
+        assert flat.tobytes() == estimate(net, data, EstimatorKind("empirical")).flat().tobytes()
 
 
 def test_no_module_imports_a_private_fisher_name():
-    # fisher's public names are its interface: a draw, a pass, the FisherDiag
+    # fisher's public names are its interface: a draw, a pass, the importance types
     src = Path(__file__).resolve().parents[1] / "src" / "lrcl"
     private = []
     for path in sorted(src.glob("*.py")):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lrcl.errors import ParameterError, ShapeError
-from lrcl.fisher import FisherDiag
+from lrcl.fisher import FactorFisher, UpdateFisher
 from lrcl.regularize import parse_strategy, penalty_deltaw, penalty_separate
 from lrcl.tensor import RngState
 
@@ -38,7 +38,7 @@ class TestPenaltyDeltaW:
         rng = RngState(1)
         A = np.zeros((4, 2))
         B = rand_matrix(rng, 2, 4)
-        f = FisherDiag([rand_fisher(rng, 4, 4)])
+        f = UpdateFisher([rand_fisher(rng, 4, 4)])
         value, grad_a, grad_b = penalty("deltaw", [A], [B], None, f, lam=3.0)
         assert value == 0.0
         assert np.all(grad_a[0] == 0.0)
@@ -48,7 +48,7 @@ class TestPenaltyDeltaW:
         # AB is the all-ones 2x2, F all-ones, lam 2: value = (2/2) * 4 = 4
         A = np.ones((2, 1))
         B = np.ones((1, 2))
-        f = FisherDiag([np.ones((2, 2))])
+        f = UpdateFisher([np.ones((2, 2))])
         value, _, _ = penalty("deltaw", [A], [B], None, f, lam=2.0)
         assert value == 4.0
 
@@ -57,7 +57,7 @@ class TestPenaltyDeltaW:
         for _ in range(10):
             A = rand_matrix(rng, 8, 2)
             B = rand_matrix(rng, 2, 8)
-            f = FisherDiag([rand_fisher(rng, 8, 8)])
+            f = UpdateFisher([rand_fisher(rng, 8, 8)])
             lam = 1.7
 
             def value():
@@ -74,7 +74,7 @@ class TestPenaltyDeltaW:
         rng = RngState(3)
         A = rand_matrix(rng, 6, 2)
         B = rand_matrix(rng, 2, 6)
-        f = FisherDiag([rand_fisher(rng, 6, 6)])
+        f = UpdateFisher([rand_fisher(rng, 6, 6)])
         v1 = penalty("deltaw", [A], [B], None, f, 5.0)[0]
         A2 = 2.0 * A
         B2 = 0.5 * B
@@ -85,7 +85,7 @@ class TestPenaltyDeltaW:
         rng = RngState(4)
         A = rand_matrix(rng, 4, 2)
         B = rand_matrix(rng, 2, 4)
-        f = FisherDiag([rand_fisher(rng, 4, 4)])
+        f = UpdateFisher([rand_fisher(rng, 4, 4)])
         v1, ga1, gb1 = penalty("deltaw", [A], [B], None, f, 2.5)
         v2, ga2, gb2 = penalty("deltaw", [A], [B], None, f, 5.0)
         assert v2 == 2.0 * v1
@@ -97,20 +97,20 @@ class TestPenaltyDeltaW:
         for _ in range(20):
             A = rand_matrix(rng, 5, 2)
             B = rand_matrix(rng, 2, 5)
-            f = FisherDiag([rand_fisher(rng, 5, 5)])
+            f = UpdateFisher([rand_fisher(rng, 5, 5)])
             assert penalty("deltaw", [A], [B], None, f, rng.next_float() * 10)[0] >= 0.0
 
     def test_negative_lambda_rejected(self):
         A = np.zeros((2, 1))
         B = np.zeros((1, 2))
-        f = FisherDiag([np.zeros((2, 2))])
+        f = UpdateFisher([np.zeros((2, 2))])
         with pytest.raises(ParameterError):
             penalty("deltaw", [A], [B], None, f, -1.0)
 
     def test_shape_mismatch_rejected(self):
         A = np.zeros((2, 1))
         B = np.zeros((1, 2))
-        f = FisherDiag([np.zeros((3, 3))])
+        f = UpdateFisher([np.zeros((3, 3))])
         with pytest.raises(ShapeError):
             penalty("deltaw", [A], [B], None, f, 1.0)
 
@@ -118,7 +118,7 @@ class TestPenaltyDeltaW:
         rng = RngState(6)
         A = rand_matrix(rng, 7, 2)
         B = rand_matrix(rng, 2, 7)
-        f = FisherDiag([rand_fisher(rng, 7, 7)])
+        f = UpdateFisher([rand_fisher(rng, 7, 7)])
         lam = 3.3
         value, _, _ = penalty("deltaw", [A], [B], None, f, lam)
         delta = A @ B
@@ -136,7 +136,7 @@ class TestPenaltySeparate:
         A = rand_matrix(rng, d, r)
         B = rand_matrix(rng, r, d)
         B0 = rand_matrix(rng, r, d)
-        f = FisherDiag(
+        f = FactorFisher(
             [rand_fisher(rng, d, d)],
             fa=[rand_fisher(rng, d, r)],
             fb=[rand_fisher(rng, r, d)],
@@ -155,7 +155,7 @@ class TestPenaltySeparate:
         A = np.ones((2, 1))
         B0 = np.zeros((1, 2))
         B = np.ones((1, 2))
-        f = FisherDiag(
+        f = FactorFisher(
             [np.ones((2, 2))],
             fa=[np.ones((2, 1))],
             fb=[np.ones((1, 2))],
@@ -183,12 +183,13 @@ class TestPenaltySeparate:
         assert abs(v1 - v2) > 1e-6 * max(1.0, abs(v1))
 
     def test_requires_factor_blocks(self):
+        # an UpdateFisher's fa and fb are empty: the kernel fails on it rather than weighing nothing
         rng = RngState(13)
         A = rand_matrix(rng, 3, 1)
         B = rand_matrix(rng, 1, 3)
-        f = FisherDiag([rand_fisher(rng, 3, 3)])
-        with pytest.raises(ParameterError):
-            penalty("separate", [A], [B], [B], f, 1.0)
+        f = UpdateFisher([rand_fisher(rng, 3, 3)])
+        with pytest.raises(ValueError):
+            penalty_separate([A], [B], [B], f, 1.0, [np.zeros(A.shape)], [np.zeros(B.shape)])
 
 
 class TestAddsIntoCallerArrays:
@@ -199,18 +200,18 @@ class TestAddsIntoCallerArrays:
         As = [rand_matrix(rng, d, r) for _ in range(2)]
         Bs = [rand_matrix(rng, r, d) for _ in range(2)]
         B0s = [rand_matrix(rng, r, d) for _ in range(2)]
-        f = FisherDiag(
+        f = FactorFisher(
             [rand_fisher(rng, d, d) for _ in range(2)],
             fa=[rand_fisher(rng, d, r) for _ in range(2)],
             fb=[rand_fisher(rng, r, d) for _ in range(2)],
         )
         lam = 1.3
-        for kind, kernel, anchors in (("deltaw", penalty_deltaw, ()), ("separate", penalty_separate, (B0s,))):
-            value, grad_a, grad_b = penalty(kind, As, Bs, B0s, f, lam)
+        for kind, kernel, anchors, weights in (("deltaw", penalty_deltaw, (), UpdateFisher(f.fdw)), ("separate", penalty_separate, (B0s,), f)):
+            value, grad_a, grad_b = penalty(kind, As, Bs, B0s, weights, lam)
             pre_a = [rand_matrix(rng, d, r) for _ in range(2)]
             pre_b = [rand_matrix(rng, r, d) for _ in range(2)]
             got_a, got_b = [g.copy() for g in pre_a], [g.copy() for g in pre_b]
-            assert kernel(As, Bs, *anchors, f, lam, got_a, got_b) == value
+            assert kernel(As, Bs, *anchors, weights, lam, got_a, got_b) == value
             for got, pre, own in zip(got_a + got_b, pre_a + pre_b, grad_a + grad_b):
                 assert np.array_equal(got, pre + own)
 
@@ -218,7 +219,7 @@ class TestAddsIntoCallerArrays:
 class TestProjection:
     def test_squared_jacobian_diagonals(self):
         rng = RngState(15)
-        f = FisherDiag([rand_fisher(rng, 4, 5)])
+        f = UpdateFisher([rand_fisher(rng, 4, 5)])
         A0 = rand_matrix(rng, 4, 2)
         B0 = rand_matrix(rng, 2, 5)
         proj = project_update_fisher(f, [A0], [B0])

@@ -8,7 +8,7 @@ import pytest
 
 from lrcl.cli import main
 from lrcl.errors import NumericalError, ParameterError, ParseError, ShapeError
-from lrcl.fisher import FisherDiag
+from lrcl.fisher import UpdateFisher
 from lrcl.model import accuracy, load_checkpoint, save_checkpoint
 from lrcl.tasks import Dataset, read_dataset_csv
 from lrcl.tensor import (
@@ -85,7 +85,7 @@ ENTRY_POINTS = {
     "read_matrix_csv": lambda tmp, tok: read_matrix_csv(_checkpoint_with(tmp, tok) / "layer0_W.csv"),
     "load_checkpoint": lambda tmp, tok: load_checkpoint(_checkpoint_with(tmp, tok)),
     "run_csv": _run_on_csv,
-    "fisher": lambda tmp, tok: FisherDiag([np.ones((2, 2)), np.full((2, 3), float(tok))]),
+    "fisher": lambda tmp, tok: UpdateFisher([np.ones((2, 2)), np.full((2, 3), float(tok))]),
     "accuracy": _bad_logit_accuracy,
     "uniform_matrix": lambda tmp, tok: uniform_matrix(RngState(0), int(tok), 3, -1.0, 1.0),
 }

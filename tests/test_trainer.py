@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import lrcl.trainer as trainer_mod
 from lrcl.errors import ConfigError, MetricError, NumericalError, ParameterError, ProtocolError
-from lrcl.fisher import EstimatorKind, FisherDiag, uniform_fisher
+from lrcl.fisher import EstimatorKind, FactorFisher, UpdateFisher
 from lrcl.metrics import avg_anytime, plasticity, stability
 from lrcl.model import accuracy, expand_head, forward, label_rows, new_network, reset_adapter
 from lrcl.regularize import STRATEGIES
@@ -367,11 +367,11 @@ class TestStepOracle:
         data = _data(case["dims"], case["n"], [7, 8, 0], seed=9)
         strategy = STRATEGIES[cfg.strategy]
         f = None
-        if strategy.penalty is not None:
+        if strategy.importance is not None:
             fdw = [rng.floats(l.W.size).reshape(l.W.shape) for l in net.layers]
             fa = [rng.floats(l.A.size).reshape(l.A.shape) for l in net.layers]
             fb = [rng.floats(l.B.size).reshape(l.B.shape) for l in net.layers]
-            f = FisherDiag(fdw, *((fa, fb) if strategy.penalty == "factor" else ()))
+            f = strategy.importance(fdw, *((fa, fb) if strategy.importance is FactorFisher else ()))
 
         ref_net = net.copy()
         trace = train_task(net, data, f, cfg, RngState(1))
@@ -379,11 +379,11 @@ class TestStepOracle:
         b_inits = [layer.B.copy() for layer in ref_net.layers]
 
         def penalty():
-            if strategy.penalty is None:
+            if strategy.importance is None:
                 return None
             # the adapters as the loop has rebound them: views into its buffer
             As, Bs = [layer.A for layer in ref_net.layers], [layer.B for layer in ref_net.layers]
-            return reference_penalty(strategy.penalty, As, Bs, b_inits, f, cfg.lam)
+            return reference_penalty("factor" if strategy.importance is FactorFisher else "update", As, Bs, b_inits, f, cfg.lam)
 
         rows = label_rows(ref_net.head, data.y)
         ref_trace = reference_fit(ref_net, "AB", data.X, rows, cfg, cfg.epochs, cfg.lr, RngState(1) if cfg.shuffle else None, penalty)
@@ -454,18 +454,27 @@ class TestTrainTask:
         with pytest.raises(ParameterError, match=f"strategy '{strategy}' needs a Fisher"):
             train_task(net, stream.tasks[0].train, None, tiny_config(strategy=strategy), RngState(3))
 
+    @pytest.mark.parametrize("strategy, other", [("deltaw", FactorFisher), ("separate", UpdateFisher)])
+    def test_penalty_strategy_given_the_other_space_names_itself(self, strategy, other):
+        # train_task's type check is what keeps separate off UpdateFisher.bind's kernel, and deltaw off FactorFisher's
+        stream = tiny_stream()
+        net = pretrain(tiny_config(), stream)[0]
+        reset_adapter(net, RngState(1))
+        expand_head(net, stream.tasks[0].class_ids, RngState(2))
+        with pytest.raises(ParameterError, match=f"strategy '{strategy}' needs a Fisher to weight its penalty: a {STRATEGIES[strategy].importance.__name__}, not {other.__name__}"):
+            train_task(net, stream.tasks[0].train, other.full(net, 1.0), tiny_config(strategy=strategy), RngState(3))
+
     def test_lambda_zero_equals_strategy_none_bitwise(self):
         stream = tiny_stream()
         results = {}
         for strategy, lam in (("deltaw", 0.0), ("none", 0.0)):
             cfg = tiny_config(strategy=strategy, lam=lam)
             net = pretrain(cfg, stream)[0]
-            from lrcl.fisher import zeros_like
             from lrcl.model import expand_head, reset_adapter
 
             reset_adapter(net, RngState(5))
             expand_head(net, stream.tasks[0].class_ids, RngState(6))
-            f = zeros_like(net) if strategy == "deltaw" else None
+            f = UpdateFisher.full(net, 0.0) if strategy == "deltaw" else None
             trace = train_task(net, stream.tasks[0].train, f, cfg, RngState(7))
             results[strategy] = (trace, [l.A.copy() for l in net.layers], net.head.V.copy())
         assert results["deltaw"][0] == results["none"][0]
@@ -740,7 +749,7 @@ class TestRunContinual:
         cfg = tiny_config(strategy=strategy)
         net = pretrain(cfg, tiny_stream())[0]
         with pytest.raises(ConfigError, match=repr(strategy)):
-            ContinualLearner(net, cfg, f_fixed=uniform_fisher(net))
+            ContinualLearner(net, cfg, f_fixed=UpdateFisher.full(net, 1.0))
 
 
 class TestConstantStorage:
