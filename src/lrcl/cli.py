@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .diagnostics import track_fisher_drift
+from .diagnostics import check_drift_strategy, track_fisher_drift
 from .errors import ConfigError, EngineError, MetricError, NumericalError, ParameterError, ParseError
 from .fisher import EstimatorKind, UpdateFisher, save_fisher
 from .metrics import avg_anytime, plasticity, stability, tradeoff
@@ -104,7 +104,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float(text: str) -> float:
-    value = float(text)
+    value = float(text) + 0.0  # -0 reads as 0, so a grid cannot hold both
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
@@ -161,28 +161,21 @@ def experiment_config_from_raw(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_experiment_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the first key
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}")
-    return experiment_config_from_raw(parse_config_text(text))
+def load_experiment_config(path: str | None, **overrides: str | None) -> ExperimentConfig:
+    """The file's keys (none without a path), each override that is not None replacing its key's text before any is parsed."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the first key
+                raw = parse_config_text(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}")
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    return experiment_config_from_raw(raw)
 
 
-# the files each command writes directly under the output directory; diagnose writes one per seed
-_OUTPUTS = {
-    "run": ("accuracy_matrix.csv", "metrics.json", "run.jsonl", "references.csv"),
-    "compare-strategies": ("strategies.csv",),
-    "sweep": ("sweep.csv",),
-    "diagnose": ("drift_seed{seed}.csv",),
-    "reference": ("references.csv",),
-    "pretrain": ("pretrain.json",),
-}
 # the state directories: diagnose's Fisher snapshot of each tracked task per seed, and pretrain's network
 _SNAPSHOT, _CHECKPOINT = os.path.join("fisher_snapshots_seed{seed}", "task{task}"), "checkpoint"
 
@@ -192,6 +185,12 @@ def _tracked(cfg: ExperimentConfig) -> list[int]:
     return list(range(min(3, cfg.stream.num_tasks)))
 
 
+def output_files(cfg: ExperimentConfig, command: str) -> list[str]:
+    """Every file command writes, relative to cfg.out_dir: its outputs for each seed, then its state directories' files."""
+    row = COMMANDS[command]
+    return [name.format(seed=seed) for name in row.outputs for seed in cfg.seeds] + row.state(cfg)
+
+
 def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
     """Fail before any compute when cfg.out_dir cannot become the output directory, or a file command writes there, or a directory it goes in, is taken."""
     probe = os.path.abspath(cfg.out_dir)
@@ -199,13 +198,7 @@ def _check_out_dir(cfg: ExperimentConfig, command: str) -> None:
         probe = os.path.dirname(probe)
     if not os.path.isdir(probe):
         raise ConfigError(f"cannot use {cfg.out_dir!r} as output directory: {probe!r} is not a directory")
-    names = [name.format(seed=seed) for name in _OUTPUTS[command] for seed in cfg.seeds]
-    layers = len(cfg.train.hidden_dims)
-    if command == "diagnose":  # the files of the state directories, as their writers name them
-        names += [f for seed in cfg.seeds for i in _tracked(cfg) for f in state_files(_SNAPSHOT.format(seed=seed, task=i), UpdateFisher.names(layers))]
-    if command == "pretrain":
-        names += state_files(_CHECKPOINT, checkpoint_names(layers))
-    for name in names:
+    for name in output_files(cfg, command):
         parts = name.split(os.sep)
         for path in (os.path.join(cfg.out_dir, *parts[:k]) for k in range(1, len(parts))):  # the directories it goes in
             if os.path.exists(path) and not os.path.isdir(path):
@@ -234,17 +227,10 @@ def compute_metrics(record: RunRecord, refs: list[float], run: str) -> dict:
         trade = tradeoff(stab, plas) if stab is not None else None
     except MetricError as exc:  # the config passed every check: training left a reference accuracy, or both scores, at 0
         raise NumericalError(f"metrics of {run}: {exc}") from exc
-    return {
-        "final_acc": final_acc,
-        "avg": avg,
-        "stability": stab,
-        "plasticity": plas,
-        "tradeoff": trade,
-        "per_task_abar": abar,
-    }
+    return {"final_acc": final_acc, "avg": avg, "stability": stab, "plasticity": plas, "tradeoff": trade, "per_task_abar": abar}
 
 
-def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
+def cmd_run(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
     seed = cfg.seeds[0]
     config = cfg.train_config(seed)
     refs, (record,) = run_many(cfg.build_stream(seed), config, [config], jobs)
@@ -255,7 +241,7 @@ def cmd_run(cfg: ExperimentConfig, jobs: int) -> int:
     matrix = "".join(",".join(format_float(v) for v in row) + "\n" for row in record.rows)
     texts = [matrix, json.dumps(metrics, indent=2, sort_keys=True) + "\n", jsonl, "\n".join(ref_lines) + "\n"]
     with _writing(cfg.out_dir):
-        for name, text in zip(_OUTPUTS["run"], texts):
+        for name, text in zip(outputs, texts):
             atomic_write(os.path.join(cfg.out_dir, name), text)
     return 0
 
@@ -287,27 +273,25 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
     return 0
 
 
-def cmd_compare_strategies(cfg: ExperimentConfig, jobs: int) -> int:
+def cmd_compare_strategies(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
     runs = [([strategy], {"strategy": strategy}) for strategy in cfg.strategies]
-    return _run_grid(cfg, "strategies", ["strategy"], runs, _OUTPUTS["compare-strategies"][0], jobs)
+    return _run_grid(cfg, "strategies", ["strategy"], runs, outputs[0], jobs)
 
 
 _SWEEPS = {"lambda": ("lam", "lambda_grid"), "gamma": ("gamma", "gamma_grid")}
 
 
-def cmd_sweep(cfg: ExperimentConfig, parameter: str, jobs: int) -> int:
-    if parameter not in _SWEEPS:
-        raise ConfigError(f"sweep parameter must be lambda or gamma, got {parameter!r}")
+def cmd_sweep(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int, parameter: str) -> int:
     name, grid_key = _SWEEPS[parameter]
     runs = [([parameter, format_float(value)], {name: value}) for value in getattr(cfg, grid_key)]
-    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, _OUTPUTS["sweep"][0], jobs)
+    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, outputs[0], jobs)
 
 
-def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
+def cmd_diagnose(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
+    check_drift_strategy(cfg.train.strategy)  # before any seed's stream is built
     for seed in cfg.seeds:
-        stream = cfg.build_stream(seed)
         config = cfg.train_config(seed)
-        rows, snapshots, _ = track_fisher_drift(config, stream, _tracked(cfg), jobs)
+        rows, snapshots, _ = track_fisher_drift(config, cfg.build_stream(seed), _tracked(cfg), jobs)
         lines = ["task_trained,task_data,regime,norm_ratio,spearman,cosine"]
         for r in rows:
             values = [format_float(v) for v in (r.norm_ratio, r.spearman, r.cosine)]
@@ -315,36 +299,56 @@ def cmd_diagnose(cfg: ExperimentConfig, jobs: int) -> int:
         with _writing(cfg.out_dir):
             for i, snap in snapshots.items():
                 save_fisher(snap, os.path.join(cfg.out_dir, _SNAPSHOT.format(seed=seed, task=i)), kind_label=config.estimator.label(), task_index=i)
-            atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["diagnose"][0].format(seed=seed)), "\n".join(lines) + "\n")
+            atomic_write(os.path.join(cfg.out_dir, outputs[0].format(seed=seed)), "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_reference(cfg: ExperimentConfig, jobs: int) -> int:
+def cmd_reference(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
     rows = ["seed,task,ref_accuracy"]
     for seed in cfg.seeds:
         refs, _ = run_many(cfg.build_stream(seed), cfg.train_config(seed), [], jobs)
         rows.extend(f"{seed},{i},{format_float(r)}" for i, r in enumerate(refs))
     with _writing(cfg.out_dir):
-        atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["reference"][0]), "\n".join(rows) + "\n")
+        atomic_write(os.path.join(cfg.out_dir, outputs[0]), "\n".join(rows) + "\n")
     return 0
 
 
-def cmd_pretrain(cfg: ExperimentConfig) -> int:
+def cmd_pretrain(cfg: ExperimentConfig, outputs: tuple[str, ...]) -> int:
     seed = cfg.seeds[0]
     stream = cfg.build_stream(seed)
     if stream.pretrain is None:
         raise ConfigError("stream has no pretraining classes")
-    config = cfg.train_config(seed)
-    net, acc = pretrain(config, stream)
+    net, acc = pretrain(cfg.train_config(seed), stream)
     with _writing(cfg.out_dir):
         save_checkpoint(net, os.path.join(cfg.out_dir, _CHECKPOINT), seed=seed)
-        atomic_write(os.path.join(cfg.out_dir, _OUTPUTS["pretrain"][0]), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
+        atomic_write(os.path.join(cfg.out_dir, outputs[0]), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-# the commands that take --jobs: run_many spreads their trainings over the
-# workers, and diagnose measures drift on them while it trains
-_POOLED_COMMANDS = ("run", "compare-strategies", "sweep", "diagnose", "reference")
+@dataclass(frozen=True)
+class Command:
+    """A row of COMMANDS: handler(cfg, outputs, **options) writes outputs directly under the output directory ({seed}: each seed).
+
+    state(cfg) lists its state directories' files. A pooled command takes --jobs, passed on as jobs: run_many spreads its trainings
+    over the workers, and diagnose measures drift on them while it trains. options are its own flags, argparse keywords by name.
+    """
+
+    handler: typing.Callable[..., int]
+    outputs: tuple[str, ...]
+    pooled: bool = True
+    state: typing.Callable[[ExperimentConfig], list[str]] = lambda cfg: []
+    options: dict = field(default_factory=dict)
+
+
+COMMANDS = {
+    "run": Command(cmd_run, ("accuracy_matrix.csv", "metrics.json", "run.jsonl", "references.csv")),
+    "compare-strategies": Command(cmd_compare_strategies, ("strategies.csv",)),
+    "sweep": Command(cmd_sweep, ("sweep.csv",), options={"parameter": {"default": "lambda", "choices": tuple(_SWEEPS)}}),
+    "diagnose": Command(cmd_diagnose, ("drift_seed{seed}.csv",), state=lambda cfg: [
+        f for seed in cfg.seeds for i in _tracked(cfg) for f in state_files(_SNAPSHOT.format(seed=seed, task=i), UpdateFisher.names(len(cfg.train.hidden_dims)))]),
+    "reference": Command(cmd_reference, ("references.csv",)),
+    "pretrain": Command(cmd_pretrain, ("pretrain.json",), pooled=False, state=lambda cfg: state_files(_CHECKPOINT, checkpoint_names(len(cfg.train.hidden_dims)))),
+}
 
 
 def _jobs(text: str | None) -> int:
@@ -352,10 +356,7 @@ def _jobs(text: str | None) -> int:
     if text is None:
         if not hasattr(os, "fork"):
             return 1
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:
-            return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
         jobs = int(text)
     except ValueError:
@@ -368,19 +369,16 @@ def _jobs(text: str | None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lrcl",
-        description="Continual learning with an importance-regularized shared low-rank adapter.",
-    )
+    parser = argparse.ArgumentParser(prog="lrcl", description="Continual learning with an importance-regularized shared low-rank adapter.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "compare-strategies", "sweep", "diagnose", "reference", "pretrain"):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a key = value config file")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", default=None, help="seed or comma-separated seeds (overrides config)")
-        if name == "sweep":
-            p.add_argument("--parameter", default="lambda", choices=("lambda", "gamma"))
-        if name in _POOLED_COMMANDS:
+        p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
+        p.add_argument("--seed", default=None, help="seed or comma-separated seeds (overrides seeds)")
+        for option, kwargs in command.options.items():
+            p.add_argument(f"--{option}", **kwargs)
+        if command.pooled:
             p.add_argument("--jobs", default=None, help="worker processes (default: usable CPUs)")
     return parser
 
@@ -404,35 +402,17 @@ def main(argv: list[str] | None = None) -> int:
     _keep_heap()
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_experiment_config(args.config)
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            try:
-                seeds = tuple(int(s) for s in str(args.seed).split(",") if s.strip())
-            except ValueError:
-                raise ConfigError(f"bad --seed value {args.seed!r}")
-            if not seeds:
-                raise ConfigError("--seed produced no seeds")
-            cfg = replace(cfg, seeds=seeds)  # checked as a config's seeds are
-        jobs = _jobs(args.jobs) if args.command in _POOLED_COMMANDS else 1
+        cfg = load_experiment_config(args.config, seeds=args.seed, out_dir=args.out)
+        command = COMMANDS[args.command]
+        options = {option: getattr(args, option) for option in command.options}
+        if command.pooled:
+            options["jobs"] = _jobs(args.jobs)
         _check_out_dir(cfg, args.command)
 
         # the program reports NaN/Inf itself, in one line; numpy's warnings
         # would add lines that depend on --jobs (forked workers inherit this)
         with np.errstate(all="ignore"):
-            if args.command == "run":
-                return cmd_run(cfg, jobs)
-            if args.command == "compare-strategies":
-                return cmd_compare_strategies(cfg, jobs)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, args.parameter, jobs)
-            if args.command == "diagnose":
-                return cmd_diagnose(cfg, jobs)
-            if args.command == "reference":
-                return cmd_reference(cfg, jobs)
-            if args.command == "pretrain":
-                return cmd_pretrain(cfg)
+            return command.handler(cfg, command.outputs, **options)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -127,6 +127,13 @@ def _rows_of(t: int, tracked: list[int], f_cum: UpdateFisher | FactorFisher, fut
     return rows
 
 
+def check_drift_strategy(strategy: str) -> None:
+    """Drift compares snapshots of a learned Fisher, so the strategy must learn one (its source in STRATEGIES)."""
+    learned = [s.name for s in STRATEGIES.values() if s.learns]
+    if strategy not in learned:
+        raise ParameterError(f"drift tracking needs a strategy that learns its Fisher ({' or '.join(learned)}), not {strategy!r}")
+
+
 def track_fisher_drift(
     config: TrainConfig,
     stream: TaskStream,
@@ -159,9 +166,7 @@ def track_fisher_drift(
     serial loop's for any jobs: a drift failure replaces a later training
     failure.
     """
-    learned = [s.name for s in STRATEGIES.values() if s.learns]
-    if config.strategy not in learned:
-        raise ParameterError(f"drift tracking needs a strategy that learns its Fisher ({' or '.join(learned)}), not {config.strategy!r}")
+    check_drift_strategy(config.strategy)
     for i in tracked_tasks:
         if not 0 <= i < stream.num_tasks:
             raise ParameterError(f"tracked task {i} outside the stream")

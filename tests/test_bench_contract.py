@@ -78,7 +78,7 @@ def test_expected_outputs_are_names_the_cli_writes(bench):
     snapshot_dir = Path(cli._SNAPSHOT).parts[0]
     for command, names in run.EXPECTED_OUTPUTS.items():
         for name in names:
-            assert name in cli._OUTPUTS[command] or name == snapshot_dir, f"{command}: {name}"
+            assert name in cli.COMMANDS[command].outputs or name == snapshot_dir, f"{command}: {name}"
 
 
 @pytest.mark.parametrize("strategy,kernel", [("deltaw", "penalty_deltaw"), ("separate", "penalty_separate")])

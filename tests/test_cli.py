@@ -12,12 +12,14 @@ from pathlib import Path
 import pytest
 
 from lrcl.cli import (
+    COMMANDS,
     CONFIG_KEYS,
     ExperimentConfig,
     build_parser,
     experiment_config_from_raw,
     load_experiment_config,
     main,
+    output_files,
     parse_config_text,
 )
 from lrcl.errors import ConfigError, ParseError
@@ -472,6 +474,19 @@ class TestRunCommand:
         # RngState keeps a seed's low 64 bits, so such a seed would silently run as another one
         self._seeds_exit_2_before_compute(tmp_path, capsys, monkeypatch, command, flag, seeds, f"seed {outside} lies outside [0, 2^64)")
 
+    def test_flags_parse_as_the_keys_they_override(self, tmp_path):
+        flags = load_experiment_config(write_config(tmp_path), seeds="0,7", out_dir="elsewhere")
+        keys = load_experiment_config(write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 0,7\nout_dir = elsewhere"), name="keys.cfg"))
+        assert flags == keys and (flags.seeds, flags.out_dir) == ((0, 7), "elsewhere")
+
+    def test_seed_flag_replaces_the_seeds_key_before_it_is_checked(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, TINY.replace("seeds = 0", "seeds = 1,1"))
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", cfg_path, "--out", str(out), "--seed", "7"]) == 0
+        assert json.loads((out / "pretrain.json").read_text())["seed"] == 7
+        assert main(["pretrain", "--config", cfg_path, "--out", str(out), "--seed", "x"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: bad value for 'seeds': invalid literal for int() with base 10: 'x'"]
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
@@ -528,7 +543,9 @@ class TestSweepCommand:
         "command,line,message",
         [(["compare-strategies"], "strategies = deltaw, DeltaW", "deltaw appears more than once in strategies"),
          (["sweep", "--parameter", "lambda"], "lambda_grid = 1, 1.0", "lambda 1.0 appears more than once in lambda_grid"),
-         (["sweep", "--parameter", "gamma"], "gamma_grid = 0.5,0.9,0.5", "gamma 0.5 appears more than once in gamma_grid")],
+         (["sweep", "--parameter", "gamma"], "gamma_grid = 0.5,0.9,0.5", "gamma 0.5 appears more than once in gamma_grid"),
+         (["sweep", "--parameter", "lambda"], "lambda_grid = 0, -0", "lambda 0.0 appears more than once in lambda_grid"),
+         (["sweep", "--parameter", "gamma"], "gamma_grid = -0.0,0.5,0", "gamma 0.0 appears more than once in gamma_grid")],
     )
     def test_repeated_grid_entry_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line, message):
         # each repeat would be trained again, into a duplicate row
@@ -606,6 +623,20 @@ class TestDiagnoseCommand:
         assert not out.exists()
 
 
+    def test_strategy_checked_before_any_stream_is_built(self, tmp_path, capsys, monkeypatch):
+        from lrcl.tasks import StreamConfig
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a stream was built before the strategy was checked")
+
+        monkeypatch.setattr(StreamConfig, "build_stream", no_stream)
+        out = tmp_path / "diag"
+        assert main(["diagnose", "--config", write_config(tmp_path, TINY + "strategy = none\n"), "--out", str(out), "--seed", "0,7"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: drift tracking needs a strategy that learns its Fisher (deltaw or separate), not 'none'"]
+        assert not out.exists()
+
+
 class TestReferenceAndPretrain:
     def test_reference_csv(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -652,6 +683,17 @@ class TestPretrainOncePerSeed:
         out = tmp_path / "out"
         assert main(command + ["--config", write_config(tmp_path, text), "--out", str(out), "--seed", "0,7"]) == 0
         assert calls == seeds
+
+
+class TestDeclaredOutputs:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_writes_exactly_the_files_it_declares(self, tmp_path, command):
+        # the names _check_out_dir guards before compute are every file the command leaves under --out
+        cfg_path, out = write_config(tmp_path), tmp_path / "out"
+        jobs = ["--jobs", "1"] if COMMANDS[command].pooled else []
+        assert main([command, "--config", cfg_path, "--out", str(out), "--seed", "0,7"] + jobs) == 0
+        written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert written == set(output_files(load_experiment_config(cfg_path, seeds="0,7"), command))
 
 
 class TestJobs:
