@@ -249,11 +249,11 @@ def cmd_run(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
 def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str, jobs: int) -> int:
     """One stream and one reference set per seed, then one continual run per override.
 
-    run_many shares one pretrained backbone per pretrain_key among the
-    references and the runs of a seed.
+    run_many pretrains one backbone per seed and shares it among the
+    references and the runs of that seed.
 
-    runs holds (row label, TrainConfig overrides) pairs; each output row is
-    the label (one value per column), the seed and the run's metrics.
+    runs holds (row label, overrides of trainer.VARIED fields) pairs; each
+    output row is the label (one value per column), the seed and the run's metrics.
     """
     if not runs:
         raise ConfigError(f"{grid_key} is empty")

@@ -78,14 +78,15 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "head_lr", "pretrain_lr"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
+        if not self.lam >= 0:
+            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
-        if not 0.0 < self.b_init_scale <= 1e6:
-            raise ConfigError(f"b_init_scale must lie in (0, 1e6], got {self.b_init_scale}")
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+        for name in ("b_init_scale", "w0_noise_scale"):
+            if not 0.0 < getattr(self, name) <= 1e6:
+                raise ConfigError(f"{name} must lie in (0, 1e6], got {getattr(self, name)}")
         for name in ("w0_identity_scale", "w0_feature_gain"):
             if not abs(getattr(self, name)) <= 1e6:
                 raise ConfigError(f"{name} must lie in [-1e6, 1e6], got {getattr(self, name)}")
@@ -105,8 +106,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.w0_noise_scale > 0:
-            raise ConfigError(f"w0_noise_scale must be positive, got {self.w0_noise_scale}")
 
 
 class AdamState:
@@ -121,10 +120,10 @@ class AdamState:
         self.epsilon = epsilon
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float | list[tuple[slice, float]]) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: list[tuple[slice, float]]) -> None:
     """One bias-corrected Adam update, in place on a flat parameter buffer.
 
-    lr is one rate or (slice, rate) pairs covering params. Each element sees the per-array
+    lr is (slice, rate) pairs covering params. Each element sees the per-array
     update's operations in its order, so the bits match it. grads is overwritten (scratch).
     """
     state.t += 1
@@ -143,7 +142,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     np.sqrt(g, out=g)
     g += state.epsilon
     np.divide(m, bc1, out=step)
-    for part, rate in lr if isinstance(lr, list) else [(slice(None), lr)]:
+    for part, rate in lr:
         step[part] *= rate
     step /= g  # lr (m / bc1) / (sqrt(v / bc2) + eps)
     params -= step
@@ -331,24 +330,9 @@ def pretrain(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | 
     return net, acc
 
 
-# every TrainConfig field that pretrain reads; rank counts because
-# new_network draws B from the pretraining stream
-_PRETRAIN_FIELDS = (
-    "seed", "pretrain_mode", "hidden_dims", "rank", "w0_identity_scale", "w0_noise_scale",
-    "w0_feature_gain", "pretrain_epochs", "pretrain_lr", "head_lr", "lr_schedule",
-    "batch_size", "beta1", "beta2", "epsilon",
-)
-
-
-def pretrain_key(config: TrainConfig) -> tuple:
-    """Configs with equal keys get the same base network from one stream."""
-    return tuple(getattr(config, name) for name in _PRETRAIN_FIELDS)
-
-
-def first_task_key(config: TrainConfig) -> tuple | None:
-    """Configs with one key train task 0 to the same bytes: a learned Fisher is zero until
-    task 0 is finished, so task 0 trains with no penalty. None with a precomputed Fisher, which weighs task 0."""
-    return None if STRATEGIES[config.strategy].precomputed else tuple(getattr(config, f.name) for f in fields(config) if f.name not in ("strategy", "lam", "gamma"))
+# the fields in which run_many's configs may differ from its base_cfg: pretraining reads none of
+# them, and without a precomputed Fisher, task 0 trains to the same bytes whatever their values
+VARIED = ("strategy", "lam", "gamma")
 
 
 def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -> tuple[ContinualLearner, list[float]]:
@@ -369,7 +353,7 @@ def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -
 
 
 def _continue(config: TrainConfig, stream: TaskStream, shared: ContinualLearner, trace: list[float], after_task: Callable | None = None) -> RunRecord:
-    """config's run on from (shared, trace), the _first_task of a config with its first_task_key; shared stays unchanged."""
+    """config's run on from (shared, trace), the _first_task of config or of a config it shares task 0 with in run_many; shared stays unchanged."""
     learner = ContinualLearner(shared.net.copy(), config, f_fixed=shared.f_cum if shared.strategy.precomputed else None)
     learner._rng_init, learner._rng_train, learner._rng_fisher = (copy.copy(r) for r in (shared._rng_init, shared._rng_train, shared._rng_fisher))
     logs: list[dict] = []
@@ -387,7 +371,7 @@ def run_continual(config: TrainConfig, stream: TaskStream, base: Network | None 
 
     The learner starts on a copy of base (by default, pretrain's network),
     with the fixed Fisher its strategy needs; a given base must come from
-    pretrain with a config of the same pretrain_key, and is left untouched.
+    pretrain with a config equal to config outside VARIED; it stays untouched.
     after_task(t, learner), when given, runs after task t is scored.
     """
     return _continue(config, stream, *_first_task(config, stream, base), after_task)
@@ -462,40 +446,38 @@ def run_many(
 ) -> tuple[list[float], list[RunRecord]]:
     """base_cfg's reference accuracy on every task, and one continual run per config.
 
-    One base network is pretrained per pretrain_key, in this process, and
-    every unit trains a copy of it. Configs of one first_task_key, whose
-    Fisher is zero until task 0 is finished, share one training of task 0
-    and continue from its Fisher estimate on in units of their own. With a
-    pool, this process trains each shared task 0 before the workers fork,
-    so they inherit it, and up to jobs forked workers run the units, which
+    A config that differs from base_cfg outside VARIED raises ParameterError
+    before any training. base_cfg is pretrained once, here, and every unit
+    trains a copy. The configs without a precomputed Fisher (zero until task
+    0 is finished) share one training of task 0, on the first of them, and
+    continue from its Fisher estimate on in units of their own. With a
+    pool, this process trains the shared task 0 before the workers fork, so
+    they inherit it, and up to jobs forked workers run the units, which
     depend on nothing: runs first, then references. The results are read in
     serial order, so a failure raises the error the serial loop would raise
-    first; with jobs = 1 each unit runs here as it is read (a shared task 0
-    with its first run), so none runs after the first failure.
+    first; with jobs = 1 each unit runs here as it is read (the shared task
+    0 with its first run), so none runs after the first failure.
     """
-    bases: dict[tuple, Network] = {}
-    for config in [base_cfg, *configs]:
-        if pretrain_key(config) not in bases:
-            bases[pretrain_key(config)] = pretrain(config, stream)[0]
-    keys = [first_task_key(config) or i for i, config in enumerate(configs)]  # a config that shares nothing is its own key
-    firsts: dict = {}
-    for key, config in zip(keys, configs):
-        if keys.count(key) > 1 and key not in firsts:
-            firsts[key] = functools.cache(functools.partial(_first_task, config, stream, bases[pretrain_key(config)]))
+    for config in configs:
+        for name in (f.name for f in fields(TrainConfig) if f.name not in VARIED):
+            if getattr(config, name) != getattr(base_cfg, name):
+                raise ParameterError(f"run_many's configs may differ from base_cfg only in {', '.join(VARIED)}, not in {name}")
+    base = pretrain(base_cfg, stream)[0]
+    sharing = [i for i, config in enumerate(configs) if not STRATEGIES[config.strategy].precomputed]
+    first = functools.cache(functools.partial(_first_task, configs[sharing[0]], stream, base)) if len(sharing) > 1 else None
 
-    def run(config: TrainConfig, key) -> RunRecord:
-        if key in firsts:
-            return _continue(config, stream, *firsts[key]())
-        return run_continual(config, stream, bases[pretrain_key(config)])
+    def run(i: int) -> RunRecord:
+        if first is not None and i in sharing:
+            return _continue(configs[i], stream, *first())
+        return run_continual(configs[i], stream, base)
 
-    units = [functools.partial(run, config, key) for config, key in zip(configs, keys)]
-    units += [functools.partial(run_reference, bases[pretrain_key(base_cfg)], base_cfg, task) for task in stream.tasks]
+    units = [functools.partial(run, i) for i in range(len(configs))]
+    units += [functools.partial(run_reference, base, base_cfg, task) for task in stream.tasks]
     workers = min(jobs, len(units))
     pool = workers if workers > 1 else 0
-    if pool:  # the workers inherit each shared task 0; a failed one they train again, to fail at its runs' places
-        for first in firsts.values():
-            with suppress(EngineError):
-                first()
+    if pool and first is not None:  # the workers inherit the shared task 0; if it failed, they train it again, to fail at its runs' places
+        with suppress(EngineError):
+            first()
     with fork_pool(pool, lambda i: units[i]()) as submit:
         futures = [submit(i) for i in range(len(units))]
         refs = [f.result() for f in futures[len(configs):]]

@@ -418,7 +418,7 @@ class TestRunCommand:
          "lambda_grid = 0,nan", "gamma_grid = 0.5,inf", "pretrain_classes = -3",
          "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1",
          "beta1 = 1", "beta1 = -0.5", "beta2 = 1", "beta2 = 1.5", "epsilon = 0", "epsilon = -1",
-         "w0_noise_scale = 0", "hidden_dims = 8,0", "lr = 0", "head_lr = -1", "hidden_dims = ,",
+         "w0_noise_scale = 0", "w0_noise_scale = 1e308", "hidden_dims = 8,0", "lr = 0", "head_lr = -1", "hidden_dims = ,",
          "lr_schedule = step", "pretrain_mode = frozen", "classes_per_task = 0", "n_test = 0",
          "w0_identity_scale = -1e308", "w0_feature_gain = 1e308", "sigma = 1e308", "radius = 1e200"],
     )
@@ -560,16 +560,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
-    def test_grid_value_checked_before_compute(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("parameter,line,bad", [("gamma", "gamma_grid = 0.5,2", "2.0"), ("lambda", "lambda_grid = 1,-3", "-3.0")])
+    def test_grid_value_checked_before_compute(self, tmp_path, capsys, monkeypatch, parameter, line, bad):
         import lrcl.cli as cli_mod
 
         def no_compute(*args, **kwargs):
             raise AssertionError("compute started before the grid was checked")
 
         monkeypatch.setattr(cli_mod, "run_many", no_compute)
-        cfg_path = write_config(tmp_path, TINY + "gamma_grid = 0.5,2\n")
-        out = tmp_path / "gsweep"
-        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--parameter", "gamma"]) == 2
+        cfg_path = write_config(tmp_path, TINY + line + "\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--parameter", parameter]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {parameter} must") and err[0].endswith(f"got {bad}")
         assert not out.exists()
 
 
@@ -874,6 +877,25 @@ class TestReadme:
                         parsed.setdefault(flag, set()).add(name)
         assert "--jobs" in documented
         assert documented == parsed
+
+    def test_config_table_defaults_match_code(self):
+        # a row of several keys gives their defaults in order, comma-separated; `unset` is None
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config format", 1)[1].split("###", 1)[0]
+        defaults = ExperimentConfig()
+        checked = set()
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                key_cell, _, default_cell = (cell.strip() for cell in line.split("|")[1:4])
+                keys = re.findall(r"`(\w+)`", key_cell)
+                texts = default_cell.split(", ") if len(keys) > 1 else [default_cell]
+                assert len(texts) == len(keys), line
+                for key, text in zip(keys, texts):
+                    section, name, parse = CONFIG_KEYS[key]
+                    code = getattr(getattr(defaults, section) if section else defaults, name)
+                    assert (None if text == "unset" else parse(text)) == code, key
+                    checked.add(key)
+        assert checked == set(CONFIG_KEYS)
 
     def test_library_use_imports_resolve(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -94,14 +94,14 @@ class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         p, state = self._fresh()
         before = p.copy()
-        adam_step(state, p, np.zeros_like(p), lr=0.1)
+        adam_step(state, p, np.zeros_like(p), [(slice(None), 0.1)])
         assert np.array_equal(p, before)
 
     def test_first_step_closed_form(self):
         # m_hat = v_hat = 1 after one unit-gradient step, so the update is
         # -lr / (1 + eps), within eps of -lr
         p, state = self._fresh(1)
-        adam_step(state, p, np.array([1.0]), lr=0.1)
+        adam_step(state, p, np.array([1.0]), [(slice(None), 0.1)])
         assert abs(p[0] + 0.1) < 1e-8
 
     def test_two_steps_match_loop_oracle(self):
@@ -110,8 +110,8 @@ class TestAdam:
         g1 = np.array([uniform(rng, -1, 1) for _ in range(6)])
         g2 = np.array([uniform(rng, -1, 1) for _ in range(6)])
         # adam_step uses its gradient buffer as scratch
-        adam_step(state, p, g1.copy(), lr=0.01)
-        adam_step(state, p, g2.copy(), lr=0.01)
+        adam_step(state, p, g1.copy(), [(slice(None), 0.01)])
+        adam_step(state, p, g2.copy(), [(slice(None), 0.01)])
 
         # scalar reference loop over each coordinate
         theta = np.zeros(6)
@@ -128,7 +128,7 @@ class TestAdam:
     # the adapter group (A and B of three layers) and the head group (V, b),
     # each at its own learning rate and Adam constants; the third case is
     # both groups in one buffer, one call with a (slice, rate) pair per
-    # group against the two scalar-rate calls of the separate groups
+    # group against the oracle's scalar-rate calls, one per group
     @pytest.mark.parametrize(
         "shapes,lr,eps",
         [
@@ -157,7 +157,7 @@ class TestAdam:
         for step in range(6):
             grads = [draw(s, 10.0 ** (step - 3)) for s in shapes]
             rates = [(slice(ends[lo], ends[hi]), rate * (1 + step)) for lo, hi, rate in groups]
-            adam_step(state, flat, np.concatenate([g.ravel() for g in grads]), rates if len(groups) > 1 else lr * (1 + step))
+            adam_step(state, flat, np.concatenate([g.ravel() for g in grads]), rates)
             for ref, (lo, hi, rate) in zip(refs, groups):
                 adam_step_per_array(ref, arrays[lo:hi], grads[lo:hi], rate * (1 + step))
             assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
@@ -169,7 +169,7 @@ class TestAdam:
     def test_blowup_raises(self):
         p, state = self._fresh(1)
         with pytest.raises(NumericalError, match="^parameters left the finite range during Adam update$"):
-            adam_step(state, p, np.array([1e308]), lr=1e308)
+            adam_step(state, p, np.array([1e308]), [(slice(None), 1e308)])
 
 
 class TestArena:
@@ -243,7 +243,7 @@ class _Group:
                 view[...] = g
             else:
                 np.add(g, extra[i], out=view)
-        adam_step(self.state, self.params, self.grad, lr)
+        adam_step(self.state, self.params, self.grad, [(slice(None), lr)])
 
 
 def reference_penalty(kind, As, Bs, B_inits, f, lam):
@@ -583,8 +583,8 @@ class TestRunMany:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_pool_trains_each_shared_first_task_once_before_forking(self, monkeypatch):
-        # the workers inherit every shared task 0, so none trains one and no
-        # learner is pickled; every config here shares its task 0 with another
+        # the workers inherit the shared task 0, so none trains it and no
+        # learner is pickled; every config here shares it
         import multiprocessing
 
         parent, real = os.getpid(), trainer_mod._first_task
@@ -593,18 +593,18 @@ class TestRunMany:
         def first_task(config, stream, base):
             if os.getpid() != parent:
                 raise AssertionError("a worker trained a shared first task")
-            ran.append((config.strategy, config.lr, len(multiprocessing.active_children())))
+            ran.append((config.strategy, len(multiprocessing.active_children())))
             return real(config, stream, base)
 
         monkeypatch.setattr(trainer_mod, "_first_task", first_task)
         configs = [tiny_config(strategy="none"), tiny_config(strategy="deltaw", lam=1e8),
-                   tiny_config(strategy="separate", lr=0.1), tiny_config(strategy="deltaw", lr=0.1)]
+                   tiny_config(strategy="separate", gamma=0.5), tiny_config(strategy="deltaw", gamma=0.0)]
         run_many(tiny_stream(), tiny_config(), configs, jobs=2)
-        assert ran == [("none", tiny_config().lr, 0), ("separate", 0.1, 0)]
+        assert ran == [("none", 0)]
 
 
 class TestSharedFirstTask:
-    """run_many trains task 0 once for the configs of one first_task_key, to the bytes of one run each."""
+    """run_many trains task 0 once for its configs without a precomputed Fisher, to the bytes of one run each."""
 
     # every strategy without a fixed Fisher, and one with, at each lambda and gamma
     GRID = [(s, lam, gamma) for s in ("none", "deltaw", "separate", "precomputed_dataset") for lam in (0.0, 10.0, 1e8) for gamma in (0.0, 0.5, 1.0)]
@@ -621,15 +621,27 @@ class TestSharedFirstTask:
             for config, record, one in zip(configs, records, alone):
                 assert record.rows == one.rows and record.task_logs == one.task_logs, (jobs, config)
 
-    def test_only_strategy_lambda_and_gamma_may_differ(self):
-        # one changed value per other TrainConfig field splits the key; a fixed Fisher never shares
+    def test_a_field_outside_varied_raises_before_pretraining(self, monkeypatch):
+        # one changed value per other TrainConfig field, after a config that may differ
+        def no_pretrain(*args):
+            raise AssertionError("pretrained before the configs were checked")
+
+        monkeypatch.setattr(trainer_mod, "pretrain", no_pretrain)
+        assert set(TestSharedBase.CHANGED) == {f.name for f in fields(TrainConfig)}
         cfg = tiny_config()
         for name, value in TestSharedBase.CHANGED.items():
-            other = replace(cfg, **{name: value})
-            shares = trainer_mod.first_task_key(other) == trainer_mod.first_task_key(cfg)
-            assert shares == (name in ("strategy", "lam", "gamma")), name
-        for strategy in ("precomputed_uniform", "precomputed_dataset"):
-            assert trainer_mod.first_task_key(tiny_config(strategy=strategy)) is None
+            assert value != getattr(cfg, name), name
+            if name not in trainer_mod.VARIED:
+                configs = [tiny_config(strategy="separate", lam=3.0, gamma=0.5), replace(cfg, **{name: value})]
+                with pytest.raises(ParameterError, match=f"not in {name}$"):
+                    run_many(tiny_stream(), cfg, configs)
+
+    @pytest.mark.parametrize("name", ["lr", "head_lr", "pretrain_lr", "lam"])
+    def test_nan_is_refused_by_the_config(self, name):
+        # NaN passes no comparison, NaN == NaN included: run_many would refuse
+        # a config that copies base_cfg's NaN rate as differing from it
+        with pytest.raises(ConfigError, match="got nan$"):
+            tiny_config(**{name: math.nan})
 
     def test_each_key_trains_task_0_once(self, monkeypatch):
         calls = []
@@ -643,11 +655,12 @@ class TestSharedFirstTask:
         stream = tiny_stream()
         configs = [tiny_config(strategy="none"), tiny_config(strategy="deltaw", lam=1e8), tiny_config(strategy="separate", gamma=0.5),
                    tiny_config(strategy="precomputed_dataset"), tiny_config(strategy="precomputed_dataset"),
-                   tiny_config(strategy="deltaw", lr=0.1), tiny_config(strategy="deltaw", epochs=3), tiny_config(strategy="deltaw", shuffle=True)]
+                   tiny_config(strategy="deltaw", lam=0.0), tiny_config(strategy="separate", gamma=1.0), tiny_config(strategy="precomputed_uniform", lam=1e8)]
         run_many(stream, tiny_config(), configs, jobs=1)
-        # 3 references, then task 0 once for the first three configs and once
-        # for each other config, and tasks 1 and 2 for every config
-        assert len(calls) == 3 + (1 + 5) + 2 * len(configs)
+        # 3 references, then task 0 once for the five configs without a
+        # precomputed Fisher and once for each of the three with one (the
+        # two equal ones apart), and tasks 1 and 2 for every config
+        assert len(calls) == 3 + (1 + 3) + 2 * len(configs)
 
 
 class TestRunContinual:
@@ -866,8 +879,7 @@ def _weight_bytes(net):
 
 
 class TestSharedBase:
-    # one changed value per TrainConfig field; pretraining reads a field
-    # exactly when the field is part of pretrain_key
+    # one changed value per TrainConfig field
     CHANGED = dict(
         epochs=5, batch_size=8, lr=0.1, head_lr=1e-2, lam=3.0, gamma=0.5, rank=3,
         strategy="separate", estimator=EstimatorKind("exact"), seed=1, beta1=0.8, beta2=0.99,
@@ -875,18 +887,6 @@ class TestSharedBase:
         w0_identity_scale=0.4, w0_noise_scale=0.2, w0_feature_gain=4.0, pretrain_mode="random",
         pretrain_epochs=3, pretrain_lr=0.01,
     )
-
-    def test_key_changes_exactly_when_base_weights_change(self):
-        assert set(self.CHANGED) == {f.name for f in fields(TrainConfig)}
-        stream = tiny_stream(12)
-        cfg = tiny_config(seed=0, pretrain_mode="train")
-        weights = _weight_bytes(pretrain(cfg, stream)[0])
-        for name, value in self.CHANGED.items():
-            other = replace(cfg, **{name: value})
-            assert getattr(other, name) != getattr(cfg, name), name
-            key_moved = trainer_mod.pretrain_key(other) != trainer_mod.pretrain_key(cfg)
-            weights_moved = _weight_bytes(pretrain(other, stream)[0]) != weights
-            assert key_moved == weights_moved, name
 
     @pytest.mark.parametrize("strategy", ["deltaw", "separate", "precomputed_dataset"])
     def test_learner_leaves_shared_base_untouched(self, strategy):
