@@ -117,7 +117,8 @@ def _parser(annotation):
     """Value parser for a field annotated T, T | None or tuple[T, ...]."""
     if typing.get_origin(annotation) is tuple:
         item = _SCALAR_PARSERS[typing.get_args(annotation)[0]]
-        return lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
+        # every entry is parsed, so an empty one is refused; an empty value is ()
+        return lambda text: tuple(item(v.strip()) for v in text.split(",")) if text.strip() else ()
     kinds = [a for a in typing.get_args(annotation) if a is not type(None)]
     return _SCALAR_PARSERS[kinds[0] if kinds else annotation]
 

@@ -14,6 +14,7 @@ module is analysis-only and exempt from the training loop's discard rule.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -182,7 +183,7 @@ def track_fisher_drift(
     measured: list[tuple] = []  # (t, tracked tasks up to t, f_cum, {tasks: future}) of each finished task
 
     def after_task(t: int, learner: ContinualLearner) -> None:
-        net = learner.net.copy()  # the learner trains on in place
+        net = copy.deepcopy(learner.net)  # the learner trains on in place
         measured.append((t, [i for i in tracked if i <= t], learner.f_cum, {tasks: submit(net, tasks, draws) for tasks, draws in plan[t]}))
 
     rows: list[DriftRow] = []

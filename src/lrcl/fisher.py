@@ -22,6 +22,7 @@ own penalty: no code outside the two types branches on the space.
 from __future__ import annotations
 
 import functools
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -44,7 +45,7 @@ class EstimatorKind:
 
     def __post_init__(self):
         if self.name not in self._VALID:
-            raise ParameterError(f"unknown estimator {self.name!r}")
+            raise ParameterError(f"unknown estimator {self.name!r}; pick one of empirical, exact, exact_subset(N), sampled")
         if self.name == "exact_subset":
             if self.subset is None or self.subset < 1:
                 raise ParameterError("exact_subset needs n >= 1")
@@ -54,13 +55,11 @@ class EstimatorKind:
     @classmethod
     def parse(cls, text: str) -> "EstimatorKind":
         text = text.strip().lower()
-        if text.startswith("exact_subset"):
-            inner = text[len("exact_subset"):].strip("() ")
-            try:
-                return cls("exact_subset", int(inner))
-            except ValueError:
-                raise ParameterError(f"exact_subset needs an integer size, got {text!r}")
-        return cls(text)
+        sized = re.fullmatch(r"exact_subset\s*\((.*)\)", text)
+        try:
+            return cls("exact_subset", int(sized[1])) if sized else cls(text)
+        except ValueError:
+            raise ParameterError(f"exact_subset needs an integer size, got {text!r}")
 
     @property
     def draws(self) -> bool:
@@ -165,7 +164,6 @@ class UpdateFisher(_Importance):
     """Update-space importance: each layer's diagonal Fisher on its full update AB, which weighs penalty_deltaw."""
 
     fdw: list[np.ndarray]
-    fa = fb = ()  # no factor blocks, for readers of every block name, as a learner's saved state is written
     accumulator = _Accumulator
     kernel = "penalty_deltaw"
     expected = staticmethod(lambda As, Bs: [[(A.shape[0], B.shape[1]) for A, B in zip(As, Bs)]])  # the blocks' shapes on these adapters

@@ -55,16 +55,13 @@ class LoRALinear:
         z += (h @ self.B.T) @ self.A.T
         return z
 
-    def copy(self) -> "LoRALinear":
-        return LoRALinear(self.W.copy(), self.A.copy(), self.B.copy(), self.rank)
-
 
 @dataclass
 class Head:
-    """Linear classifier over all classes seen so far; rows track class_ids."""
+    """Linear classifier over all classes seen so far; rows track class_ids, and an empty head has zero rows."""
 
-    V: np.ndarray | None
-    b: np.ndarray | None
+    V: np.ndarray
+    b: np.ndarray
     class_ids: list[int] = field(default_factory=list)
 
     def row_of(self, class_id: int) -> int:
@@ -72,13 +69,6 @@ class Head:
             return self.class_ids.index(class_id)
         except ValueError:
             raise LabelError(f"class {class_id} unknown to the head")
-
-    def copy(self) -> "Head":
-        return Head(
-            V=self.V.copy() if self.V is not None else None,
-            b=self.b.copy() if self.b is not None else None,
-            class_ids=list(self.class_ids),
-        )
 
 
 class Network:
@@ -102,9 +92,6 @@ class Network:
     @property
     def feature_dim(self) -> int:
         return self.layers[-1].d_out
-
-    def copy(self) -> "Network":
-        return Network([l.copy() for l in self.layers], self.head.copy())
 
 
 def new_network(
@@ -140,7 +127,7 @@ def new_network(
         A = np.zeros((d_out, rank))
         B = uniform_matrix(rng, rank, d_in, -1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in))
         layers.append(LoRALinear(W, A, B, rank))
-    return Network(layers, Head(V=None, b=None, class_ids=[]))
+    return Network(layers, Head(V=np.zeros((0, layer_dims[-1])), b=np.zeros((0, 1))))
 
 
 def reset_adapter(net: Network, rng: RngState, b_scale: float = 1.0) -> None:
@@ -169,7 +156,7 @@ def forward(net: Network, x: np.ndarray) -> ForwardCache:
     """Run a batch of rows through the network; the cache holds the logits."""
     if x.shape[1] != net.input_dim:
         raise ShapeError("input dim mismatch", x.shape, (x.shape[0], net.input_dim))
-    if net.head.V is None:
+    if not net.head.class_ids:
         raise StateError("head is empty; expand_head before forward")
     h = x
     inputs = []
@@ -288,12 +275,8 @@ def expand_head(net: Network, new_class_ids: list[int], rng: RngState) -> None:
     bound = 1.0 / np.sqrt(d)
     new_v = uniform_matrix(rng, len(new_class_ids), d, -bound, bound)
     new_b = uniform_matrix(rng, len(new_class_ids), 1, -bound, bound)
-    if net.head.V is None:
-        net.head.V = new_v
-        net.head.b = new_b
-    else:
-        net.head.V = np.vstack([net.head.V, new_v])
-        net.head.b = np.vstack([net.head.b, new_b])
+    net.head.V = np.vstack([net.head.V, new_v])
+    net.head.b = np.vstack([net.head.b, new_b])
     net.head.class_ids.extend(new_class_ids)
 
 
@@ -316,7 +299,7 @@ def checkpoint_names(layers: int, head: bool = False) -> list[str]:
 
 def save_checkpoint(net: Network, directory, seed: int | None = None) -> None:
     """The network as a state directory: each layer's W, A and B, and the head's V and b if it has rows."""
-    head = [net.head.V, net.head.b] if net.head.V is not None else []
+    head = [net.head.V, net.head.b] if net.head.class_ids else []
     blocks = [getattr(layer, name) for layer in net.layers for name in "WAB"] + head
     arrays = dict(zip(checkpoint_names(len(net.layers), bool(head)), blocks))
     meta = {
@@ -331,4 +314,5 @@ def save_checkpoint(net: Network, directory, seed: int | None = None) -> None:
 def load_checkpoint(directory) -> Network:
     arrays, meta = load_state(directory)
     layers = [LoRALinear(*(arrays[f"layer{k}_{name}"] for name in "WAB"), meta["rank"]) for k in range(len(meta["layer_dims"]) - 1)]
-    return Network(layers, Head(V=arrays.get("head_V"), b=arrays.get("head_b"), class_ids=list(meta["class_ids"])))
+    head = Head(arrays.get("head_V", np.zeros((0, meta["layer_dims"][-1]))), arrays.get("head_b", np.zeros((0, 1))), list(meta["class_ids"]))
+    return Network(layers, head)

@@ -99,7 +99,7 @@ def penalty_separate(
 ) -> float:
     """Factor-space penalty with A anchored at 0 and B at its task init; adds its gradients into grad_a and grad_b."""
     value = 0.0
-    for A, B, B0, FA, FB, ga, gb in zip(As, Bs, B_inits, f.fa, f.fb, grad_a, grad_b, strict=True):  # strict: an UpdateFisher's empty fa fails
+    for A, B, B0, FA, FB, ga, gb in zip(As, Bs, B_inits, f.fa, f.fb, grad_a, grad_b, strict=True):  # strict: lists of unequal layer counts fail, not truncate
         db = B - B0
         value += 0.5 * lam * float(np.add.reduce(FA * A * A, axis=None) + np.add.reduce(FB * db * db, axis=None))
         ga += np.multiply(lam * FA, A)

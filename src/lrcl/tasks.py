@@ -100,6 +100,8 @@ class TaskStream:
         self.validate()
 
     def validate(self) -> None:
+        if not self.tasks:
+            raise DataError("stream has no tasks")
         seen: set[int] = set()
         for ids in [t.class_ids for t in self.tasks] + [self.pretrain_class_ids]:
             overlap = seen & set(ids)

@@ -326,7 +326,7 @@ def pretrain(config: TrainConfig, stream: TaskStream) -> tuple[Network, float | 
 
     _fit(net, arena, train_ds, gradient, config, config.pretrain_epochs, config.pretrain_lr, None, "pretraining loss became non-finite")
     acc = accuracy(net, test_ds.X, test_ds.y)
-    net.head = Head(V=None, b=None)
+    net.head = Head(V=np.zeros((0, net.feature_dim)), b=np.zeros((0, 1)))
     return net, acc
 
 
@@ -337,14 +337,12 @@ VARIED = ("strategy", "lam", "gamma")
 
 def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -> tuple[ContinualLearner, list[float]]:
     """A learner for config on a copy of base (by default, pretrain's network) that has trained task 0, not finished it; and the loss trace."""
-    if stream.num_tasks < 1:
-        raise DataError("stream has no tasks")
     stream.validate()
-    net = base.copy() if base is not None else pretrain(config, stream)[0]
+    net = copy.deepcopy(base) if base is not None else pretrain(config, stream)[0]
     strategy = STRATEGIES[config.strategy]
     f_fixed = strategy.importance.full(net, 1.0) if strategy.source == "uniform" else None
     if strategy.source == "dataset":  # one estimate on every task's training data, at the base with a head over every class
-        probe = net.copy()
+        probe = copy.deepcopy(net)
         rng = RngState(config.seed).derive("precompute")
         expand_head(probe, [cid for task in stream.tasks for cid in task.class_ids], rng)
         f_fixed = fisher_mod.estimate(probe, concat_datasets(stream.all_train()), config.estimator, rng, strategy.importance)
@@ -354,7 +352,7 @@ def _first_task(config: TrainConfig, stream: TaskStream, base: Network | None) -
 
 def _continue(config: TrainConfig, stream: TaskStream, shared: ContinualLearner, trace: list[float], after_task: Callable | None = None) -> RunRecord:
     """config's run on from (shared, trace), the _first_task of config or of a config it shares task 0 with in run_many; shared stays unchanged."""
-    learner = ContinualLearner(shared.net.copy(), config, f_fixed=shared.f_cum if shared.strategy.precomputed else None)
+    learner = ContinualLearner(copy.deepcopy(shared.net), config, f_fixed=shared.f_cum if shared.strategy.precomputed else None)
     learner._rng_init, learner._rng_train, learner._rng_fisher = (copy.copy(r) for r in (shared._rng_init, shared._rng_train, shared._rng_fisher))
     logs: list[dict] = []
     for t, task in enumerate(stream.tasks):
@@ -383,7 +381,7 @@ def run_reference(net_w0: Network, config: TrainConfig, task: Task) -> float:
     The returned accuracy is over this task's classes only; it is the
     denominator of the plasticity score.
     """
-    net = net_w0.copy()
+    net = copy.deepcopy(net_w0)
     root = RngState(config.seed)
     rng_init = root.derive(f"ref-init-{task.id}")
     rng_train = root.derive(f"ref-train-{task.id}")

@@ -419,6 +419,7 @@ class TestRunCommand:
          "pretrain_epochs = -5", "pretrain_n = -3", "pretrain_n = 1",
          "beta1 = 1", "beta1 = -0.5", "beta2 = 1", "beta2 = 1.5", "epsilon = 0", "epsilon = -1",
          "w0_noise_scale = 0", "w0_noise_scale = 1e308", "hidden_dims = 8,0", "lr = 0", "head_lr = -1", "hidden_dims = ,",
+         "hidden_dims = 8,", "lambda_grid = 0,,1e2", "estimator = exact_subset(3", "estimator = exact_subset3",
          "lr_schedule = step", "pretrain_mode = frozen", "classes_per_task = 0", "n_test = 0",
          "w0_identity_scale = -1e308", "w0_feature_gain = 1e308", "sigma = 1e308", "radius = 1e200"],
     )
@@ -661,7 +662,7 @@ class TestReferenceAndPretrain:
         from lrcl.model import load_checkpoint
 
         net = load_checkpoint(out / "checkpoint")
-        assert net.head.V is None
+        assert net.head.V.shape == (0, 8) and net.head.b.shape == (0, 1)
         assert [l.W.shape for l in net.layers] == [(8, 6), (8, 8)]
 
 

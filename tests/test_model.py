@@ -1,11 +1,12 @@
 """Network forward/backward against finite differences and algebraic identities."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from lrcl.errors import LabelError, ProtocolError, ShapeError
+from lrcl.errors import LabelError, ProtocolError, ShapeError, StateError
 from lrcl.model import (
     Head,
     LoRALinear,
@@ -19,7 +20,7 @@ from lrcl.model import (
     reset_adapter,
     save_checkpoint,
 )
-from lrcl.tensor import RngState
+from lrcl.tensor import RngState, uniform_matrix
 
 from conftest import backprop, make_batch, make_net
 
@@ -162,7 +163,7 @@ class TestBackward:
         net = make_net((6, 6, 6), rank=2, seed=21, nonzero_adapter=True)
         x, labels = make_batch(net, 4, seed=22)
 
-        merged = net.copy()
+        merged = copy.deepcopy(net)
         for layer in merged.layers:
             layer.W += layer.A @ layer.B
             layer.A[:] = 0.0
@@ -207,6 +208,19 @@ class TestExpandHead:
         assert np.array_equal(net.head.V, v_before)
         assert net.head.class_ids == [0, 1]
 
+    def test_first_expansion_fills_the_empty_head(self):
+        # an empty head is zero rows, which forward refuses; the first
+        # expansion stacks onto them and keeps the drawn rows' bits
+        net = new_network([4, 3], 1, RngState(13), 0.5, 0.1, 8.0)
+        assert net.head.V.shape == (0, 3) and net.head.b.shape == (0, 1)
+        with pytest.raises(StateError, match="^head is empty"):
+            forward(net, np.zeros((2, 4)))
+        expand_head(net, [5, 6], RngState(14))
+        rng, bound = RngState(14), 1.0 / np.sqrt(3)
+        assert net.head.V.tobytes() == uniform_matrix(rng, 2, 3, -bound, bound).tobytes()
+        assert net.head.b.tobytes() == uniform_matrix(rng, 2, 1, -bound, bound).tobytes()
+        assert forward(net, np.zeros((2, 4))).logits.shape == (2, 2)
+
     def test_old_logits_preserved(self):
         net = make_net((4, 4), rank=1, seed=10, class_ids=[0, 1, 2, 3, 4])
         x, _ = make_batch(net, 6, seed=11)
@@ -242,5 +256,5 @@ class TestCheckpoint:
         net = new_network([4, 4], 2, rng, 0.5, 0.1, 8.0)
         save_checkpoint(net, tmp_path / "ckpt")
         back = load_checkpoint(tmp_path / "ckpt")
-        assert back.head.V is None
+        assert back.head.V.shape == (0, 4) and back.head.b.shape == (0, 1)
         assert back.head.class_ids == []

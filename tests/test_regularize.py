@@ -183,12 +183,12 @@ class TestPenaltySeparate:
         assert abs(v1 - v2) > 1e-6 * max(1.0, abs(v1))
 
     def test_requires_factor_blocks(self):
-        # an UpdateFisher's fa and fb are empty: the kernel fails on it rather than weighing nothing
+        # an UpdateFisher has no fa or fb: the kernel fails on it rather than weighing nothing
         rng = RngState(13)
         A = rand_matrix(rng, 3, 1)
         B = rand_matrix(rng, 1, 3)
         f = UpdateFisher([rand_fisher(rng, 3, 3)])
-        with pytest.raises(ValueError):
+        with pytest.raises(AttributeError, match="'fa'"):
             penalty_separate([A], [B], [B], f, 1.0, [np.zeros(A.shape)], [np.zeros(B.shape)])
 
 

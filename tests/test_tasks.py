@@ -136,6 +136,11 @@ class TestStreamInvariants:
         with pytest.raises(ProtocolError):
             TaskStream(tasks=[t0, clone])
 
+    def test_empty_stream_rejected(self):
+        # pretrain and run_many read stream.dim from task 0 before any check of their own
+        with pytest.raises(DataError, match="^stream has no tasks$"):
+            TaskStream(tasks=[])
+
     def test_foreign_labels_rejected(self):
         stream = small_stream()
         t0 = stream.tasks[0]

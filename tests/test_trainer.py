@@ -1,5 +1,6 @@
 """Optimizer, per-task training, and the continual loop on a small stream."""
 
+import copy
 import gc
 import math
 import os
@@ -173,26 +174,39 @@ class TestAdam:
 
 
 class TestArena:
+    @staticmethod
+    def arrays(net):
+        return [getattr(layer, k) for layer in net.layers for k in "WAB"] + [net.head.V, net.head.b]
+
     def test_copies_share_no_memory_with_the_trained_net(self):
         # run_many hands one pretrained base to every unit, and each unit
-        # trains base.copy(); the base's W and the trained adapters and head
-        # are views into flat buffers, which a copy must not share
+        # trains copy.deepcopy(base); the base's W and the trained adapters
+        # and head are views into flat buffers, which a copy must not share
         stream = tiny_stream()
         cfg = tiny_config(strategy="separate", shuffle=True)
         base = pretrain(cfg, stream)[0]
-        before = base.copy()
+        before = copy.deepcopy(base)
         learners = []
         run_continual(cfg, stream, base, lambda t, learner: learners.append(learner))
         learner = learners[0]
-
-        def arrays(net):
-            out = [getattr(layer, k) for layer in net.layers for k in ("W", "A", "B")]
-            return out + ([net.head.V, net.head.b] if net.head.V is not None else [])
-
         for net in (base, learner.net):
-            for x, y in zip(arrays(net), arrays(net.copy())):
+            for x, y in zip(self.arrays(net), self.arrays(copy.deepcopy(net))):
                 assert np.array_equal(x, y) and not np.shares_memory(x, y)
-        assert all(np.array_equal(x, y) for x, y in zip(arrays(base), arrays(before)))
+        assert all(np.array_equal(x, y) for x, y in zip(self.arrays(base), self.arrays(before)))
+
+    def test_a_copy_taken_after_a_task_owns_every_array(self):
+        # diagnose copies the learner's network in after_task, while its
+        # adapters and head are still views into the task's flat buffer: a
+        # copy of only those views keeps no training buffer alive
+        views, owned = [], []
+
+        def after_task(t, learner):
+            views.append(learner.net.head.V.base is not None and learner.net.layers[0].A.base is not None)
+            owned.append(all(m.base is None for m in self.arrays(copy.deepcopy(learner.net))))
+
+        run_continual(tiny_config(), tiny_stream(), after_task=after_task)
+        assert owned == [True] * 3
+        assert views == [False, True, True]  # task 0 is finished on a copy of the shared learner's network
 
     def test_adam_steps_once_per_optimizer_step(self, monkeypatch):
         calls = []
@@ -373,7 +387,7 @@ class TestStepOracle:
             fb = [rng.floats(l.B.size).reshape(l.B.shape) for l in net.layers]
             f = strategy.importance(fdw, *((fa, fb) if strategy.importance is FactorFisher else ()))
 
-        ref_net = net.copy()
+        ref_net = copy.deepcopy(net)
         trace = train_task(net, data, f, cfg, RngState(1))
 
         b_inits = [layer.B.copy() for layer in ref_net.layers]
@@ -779,7 +793,7 @@ class TestConstantStorage:
             arrays = {f"layer{k}_W": layer.W for k, layer in enumerate(net.layers)}
             arrays.update(head_V=net.head.V, head_b=net.head.b)
             for group in ("fdw", "fa", "fb"):
-                arrays.update({f"layer{k}_F_cum_{group}": m for k, m in enumerate(getattr(f_cum, group) or [])})
+                arrays.update({f"layer{k}_F_cum_{group}": m for k, m in enumerate(getattr(f_cum, group, []))})
             save_state(tmp_path / f"task{t}", arrays, {"task": t})
             saved.append({name: m.copy() for name, m in arrays.items()})
 
@@ -844,7 +858,7 @@ class TestPretrain:
         stream = tiny_stream(6)
         net = pretrain(tiny_config(seed=6), stream)[0]
         assert all(np.isfinite(l.W).all() for l in net.layers)
-        assert net.head.V is None
+        assert net.head.V.shape == (0, 8) and net.head.b.shape == (0, 1)
         assert net.head.class_ids == []
 
     def test_same_seed_bit_identical(self):
@@ -896,7 +910,7 @@ class TestSharedBase:
         before = _weight_bytes(base)
         shared = run_continual(cfg, stream, base)
         assert _weight_bytes(base) == before
-        assert base.head.class_ids == [] and base.head.V is None
+        assert base.head.class_ids == [] and base.head.V.shape == (0, 8) and base.head.b.shape == (0, 1)
         assert shared.rows == run_continual(cfg, stream).rows
 
 
