@@ -3,8 +3,9 @@
 Configuration is a flat ``key = value`` text file (``#`` starts a comment).
 The keys are the fields of ``TrainConfig`` (``lambda`` names ``lam``; the
 seed comes from ``seeds``), of ``StreamConfig``, and the run-control fields
-of ``ExperimentConfig``; each value is parsed by its field's type. Unknown
-keys and malformed values are rejected before any compute happens.
+of ``ExperimentConfig``; each value is parsed by its field's type, a
+strategy as a strategy name. Unknown keys and malformed values are
+rejected before any compute happens.
 
 Every output file is written atomically (temp file, then rename) and uses
 full-precision shortest round-trip decimals, so reruns with the same
@@ -113,14 +114,14 @@ def _parse_float(text: str) -> float:
 _SCALAR_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str, EstimatorKind: EstimatorKind.parse}
 
 
-def _parser(annotation):
-    """Value parser for a field annotated T, T | None or tuple[T, ...]."""
+def _parser(annotation, name: str):
+    """Value parser for field name, annotated T, T | None or tuple[T, ...]; a strategy name is parsed here, so a bad one names its key."""
     if typing.get_origin(annotation) is tuple:
-        item = _SCALAR_PARSERS[typing.get_args(annotation)[0]]
+        item = _parser(typing.get_args(annotation)[0], name)
         # every entry is parsed, so an empty one is refused; an empty value is ()
         return lambda text: tuple(item(v.strip()) for v in text.split(",")) if text.strip() else ()
     kinds = [a for a in typing.get_args(annotation) if a is not type(None)]
-    return _SCALAR_PARSERS[kinds[0] if kinds else annotation]
+    return parse_strategy if name in ("strategy", "strategies") else _SCALAR_PARSERS[kinds[0] if kinds else annotation]
 
 
 def _field_types(cls) -> dict:
@@ -133,11 +134,11 @@ def _config_keys() -> dict:
     keys = {}
     for name, hint in _field_types(ExperimentConfig).items():
         if not is_dataclass(hint):
-            keys[name] = (None, name, _parser(hint))
+            keys[name] = (None, name, _parser(hint, name))
             continue
         for inner, inner_hint in _field_types(hint).items():
             if inner != "seed":
-                keys["lambda" if inner == "lam" else inner] = (name, inner, _parser(inner_hint))
+                keys["lambda" if inner == "lam" else inner] = (name, inner, _parser(inner_hint, inner))
     return keys
 
 
@@ -231,7 +232,7 @@ def compute_metrics(record: RunRecord, refs: list[float], run: str) -> dict:
     return {"final_acc": final_acc, "avg": avg, "stability": stab, "plasticity": plas, "tradeoff": trade, "per_task_abar": abar}
 
 
-def cmd_run(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
+def cmd_run(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> None:
     seed = cfg.seeds[0]
     config = cfg.train_config(seed)
     refs, (record,) = run_many(cfg.build_stream(seed), config, [config], jobs)
@@ -244,10 +245,9 @@ def cmd_run(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
     with _writing(cfg.out_dir):
         for name, text in zip(outputs, texts):
             atomic_write(os.path.join(cfg.out_dir, name), text)
-    return 0
 
 
-def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str, jobs: int) -> int:
+def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: list, filename: str, jobs: int) -> None:
     """One stream and one reference set per seed, then one continual run per override.
 
     run_many pretrains one backbone per seed and shares it among the
@@ -271,24 +271,23 @@ def _run_grid(cfg: ExperimentConfig, grid_key: str, columns: list[str], runs: li
             rows.append(",".join(label + [str(seed)] + [format_float(metrics[k]) if metrics[k] is not None else "" for k in keys]))
     with _writing(cfg.out_dir):
         atomic_write(os.path.join(cfg.out_dir, filename), "\n".join(rows) + "\n")
-    return 0
 
 
-def cmd_compare_strategies(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
+def cmd_compare_strategies(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> None:
     runs = [([strategy], {"strategy": strategy}) for strategy in cfg.strategies]
-    return _run_grid(cfg, "strategies", ["strategy"], runs, outputs[0], jobs)
+    _run_grid(cfg, "strategies", ["strategy"], runs, outputs[0], jobs)
 
 
 _SWEEPS = {"lambda": ("lam", "lambda_grid"), "gamma": ("gamma", "gamma_grid")}
 
 
-def cmd_sweep(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int, parameter: str) -> int:
+def cmd_sweep(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int, parameter: str) -> None:
     name, grid_key = _SWEEPS[parameter]
     runs = [([parameter, format_float(value)], {name: value}) for value in getattr(cfg, grid_key)]
-    return _run_grid(cfg, grid_key, ["parameter", "value"], runs, outputs[0], jobs)
+    _run_grid(cfg, grid_key, ["parameter", "value"], runs, outputs[0], jobs)
 
 
-def cmd_diagnose(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
+def cmd_diagnose(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> None:
     check_drift_strategy(cfg.train.strategy)  # before any seed's stream is built
     for seed in cfg.seeds:
         config = cfg.train_config(seed)
@@ -301,20 +300,18 @@ def cmd_diagnose(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> 
             for i, snap in snapshots.items():
                 save_fisher(snap, os.path.join(cfg.out_dir, _SNAPSHOT.format(seed=seed, task=i)), kind_label=config.estimator.label(), task_index=i)
             atomic_write(os.path.join(cfg.out_dir, outputs[0].format(seed=seed)), "\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_reference(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> int:
+def cmd_reference(cfg: ExperimentConfig, outputs: tuple[str, ...], jobs: int) -> None:
     rows = ["seed,task,ref_accuracy"]
     for seed in cfg.seeds:
         refs, _ = run_many(cfg.build_stream(seed), cfg.train_config(seed), [], jobs)
         rows.extend(f"{seed},{i},{format_float(r)}" for i, r in enumerate(refs))
     with _writing(cfg.out_dir):
         atomic_write(os.path.join(cfg.out_dir, outputs[0]), "\n".join(rows) + "\n")
-    return 0
 
 
-def cmd_pretrain(cfg: ExperimentConfig, outputs: tuple[str, ...]) -> int:
+def cmd_pretrain(cfg: ExperimentConfig, outputs: tuple[str, ...]) -> None:
     seed = cfg.seeds[0]
     stream = cfg.build_stream(seed)
     if stream.pretrain is None:
@@ -323,7 +320,6 @@ def cmd_pretrain(cfg: ExperimentConfig, outputs: tuple[str, ...]) -> int:
     with _writing(cfg.out_dir):
         save_checkpoint(net, os.path.join(cfg.out_dir, _CHECKPOINT), seed=seed)
         atomic_write(os.path.join(cfg.out_dir, outputs[0]), json.dumps({"seed": seed, "test_accuracy": acc}, indent=2, sort_keys=True) + "\n")
-    return 0
 
 
 @dataclass(frozen=True)
@@ -334,7 +330,7 @@ class Command:
     over the workers, and diagnose measures drift on them while it trains. options are its own flags, argparse keywords by name.
     """
 
-    handler: typing.Callable[..., int]
+    handler: typing.Callable[..., None]
     outputs: tuple[str, ...]
     pooled: bool = True
     state: typing.Callable[[ExperimentConfig], list[str]] = lambda cfg: []
@@ -413,7 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         # the program reports NaN/Inf itself, in one line; numpy's warnings
         # would add lines that depend on --jobs (forked workers inherit this)
         with np.errstate(all="ignore"):
-            return command.handler(cfg, command.outputs, **options)
+            command.handler(cfg, command.outputs, **options)
+        return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -188,8 +188,7 @@ def track_fisher_drift(
 
     rows: list[DriftRow] = []
     snapshots: dict[int, UpdateFisher] = {}
-    workers = min(jobs, sum(map(len, plan)))
-    with fork_pool(workers if workers > 1 else 0, functools.partial(_measure, stream, kind)) as submit:
+    with fork_pool(min(jobs, sum(map(len, plan))), functools.partial(_measure, stream, kind)) as submit:
         try:
             acc = run_continual(config, stream, after_task=after_task).rows
         finally:

@@ -17,13 +17,13 @@ import functools
 import math
 import os
 from collections.abc import Callable
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import fisher as fisher_mod
-from .errors import ConfigError, DataError, EngineError, NumericalError, ParameterError, ProtocolError
+from .errors import ConfigError, DataError, NumericalError, ParameterError, ProtocolError
 from .fisher import EstimatorKind
 from .model import (
     Head,
@@ -414,13 +414,13 @@ class _InProcess:
 def fork_pool(workers: int, work: Callable):
     """Yields submit(*args), which returns a future of work(*args).
 
-    With workers > 0 the calls run on that many forked workers, which fork at
-    the first submit, lower their priority by _WORKER_NICENESS and inherit
-    work through the module slot _WORK, so only the arguments and the results
-    are pickled; leaving the pool cancels the calls that have not started.
-    With workers = 0 nothing forks, and each call runs here when read.
+    With two workers or more the calls run on that many forked workers, which
+    fork at the first submit, lower their priority by _WORKER_NICENESS and
+    inherit work through the module slot _WORK, so only the arguments and the
+    results are pickled; leaving the pool cancels the calls that have not
+    started. With fewer nothing forks, and each call runs here when read.
     """
-    if not workers:
+    if workers < 2:
         yield lambda *args: _InProcess(work, args)
         return
     # imported here, not with lrcl: together they take ~20 ms
@@ -447,14 +447,14 @@ def run_many(
     A config that differs from base_cfg outside VARIED raises ParameterError
     before any training. base_cfg is pretrained once, here, and every unit
     trains a copy. The configs without a precomputed Fisher (zero until task
-    0 is finished) share one training of task 0, on the first of them, and
-    continue from its Fisher estimate on in units of their own. With a
-    pool, this process trains the shared task 0 before the workers fork, so
-    they inherit it, and up to jobs forked workers run the units, which
-    depend on nothing: runs first, then references. The results are read in
-    serial order, so a failure raises the error the serial loop would raise
-    first; with jobs = 1 each unit runs here as it is read (the shared task
-    0 with its first run), so none runs after the first failure.
+    0 is finished) share one training of task 0, on the first of them,
+    which this process does right after pretraining, for any jobs: its
+    failure ends the call before any unit runs, and forked workers inherit
+    it. Each continues from its Fisher estimate on in a unit of its own. The
+    units depend on nothing and go to fork_pool(min(jobs, units)), runs
+    first, then references. The results are read in serial order, so a
+    failure raises the error the serial loop would raise first; in process
+    each unit runs as it is read, and none runs after a failure.
     """
     for config in configs:
         for name in (f.name for f in fields(TrainConfig) if f.name not in VARIED):
@@ -462,21 +462,16 @@ def run_many(
                 raise ParameterError(f"run_many's configs may differ from base_cfg only in {', '.join(VARIED)}, not in {name}")
     base = pretrain(base_cfg, stream)[0]
     sharing = [i for i, config in enumerate(configs) if not STRATEGIES[config.strategy].precomputed]
-    first = functools.cache(functools.partial(_first_task, configs[sharing[0]], stream, base)) if len(sharing) > 1 else None
+    first = _first_task(configs[sharing[0]], stream, base) if len(sharing) > 1 else None
 
     def run(i: int) -> RunRecord:
         if first is not None and i in sharing:
-            return _continue(configs[i], stream, *first())
+            return _continue(configs[i], stream, *first)
         return run_continual(configs[i], stream, base)
 
     units = [functools.partial(run, i) for i in range(len(configs))]
     units += [functools.partial(run_reference, base, base_cfg, task) for task in stream.tasks]
-    workers = min(jobs, len(units))
-    pool = workers if workers > 1 else 0
-    if pool and first is not None:  # the workers inherit the shared task 0; if it failed, they train it again, to fail at its runs' places
-        with suppress(EngineError):
-            first()
-    with fork_pool(pool, lambda i: units[i]()) as submit:
+    with fork_pool(min(jobs, len(units)), lambda i: units[i]()) as submit:
         futures = [submit(i) for i in range(len(units))]
         refs = [f.result() for f in futures[len(configs):]]
         return refs, [f.result() for f in futures[: len(configs)]]

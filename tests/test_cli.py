@@ -421,7 +421,8 @@ class TestRunCommand:
          "w0_noise_scale = 0", "w0_noise_scale = 1e308", "hidden_dims = 8,0", "lr = 0", "head_lr = -1", "hidden_dims = ,",
          "hidden_dims = 8,", "lambda_grid = 0,,1e2", "estimator = exact_subset(3", "estimator = exact_subset3",
          "lr_schedule = step", "pretrain_mode = frozen", "classes_per_task = 0", "n_test = 0",
-         "w0_identity_scale = -1e308", "w0_feature_gain = 1e308", "sigma = 1e308", "radius = 1e200"],
+         "w0_identity_scale = -1e308", "w0_feature_gain = 1e308", "sigma = 1e308", "radius = 1e200",
+         "strategies = deltaw,,none", "strategies = deltaw,bogus", "strategy = bogus"],
     )
     def test_bad_value_exits_2_before_compute(self, tmp_path, capsys, monkeypatch, command, line):
         import lrcl.cli as cli_mod
@@ -438,6 +439,8 @@ class TestRunCommand:
         assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        if key.startswith("strateg"):  # reported as a bad value of its key, not only as an unknown name
+            assert err[0].startswith(f"error: bad value for {key!r}: unknown strategy")
         assert not out.exists()
 
     def test_adam_bounds_include_their_closed_ends(self):
@@ -905,6 +908,12 @@ class TestReadme:
         assert len(imports) >= 2
         for line in imports:
             exec(line, {})
+
+    def test_library_use_runs(self, capsys):
+        # the example as written, pool included: one printed line per config
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        exec(readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0], {})
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_every_code_block_import_resolves(self):
         # an example that imports a folded or renamed name fails here, not in a reader's hands

@@ -253,11 +253,12 @@ class TestTrackFisherDrift:
         assert submitted == passes(0) + passes(1) + passes(2) + passes(3)
 
     @pytest.mark.parametrize("jobs,num_tasks,tracked,workers", [
-        (64, 3, [0, 1], 7), (2, 3, [0, 1], 2), (64, 4, [0, 1, 2], 12), (64, 1, [], 0), (2, 1, [0], 0), (64, 3, [2], 0),
+        (64, 3, [0, 1], 7), (2, 3, [0, 1], 2), (64, 4, [0, 1, 2], 12), (64, 1, [], 0), (2, 1, [0], 1), (64, 3, [2], 1),
     ])
     def test_pool_capped_at_its_units(self, monkeypatch, jobs, num_tasks, tracked, workers):
-        # one unit per planned pass, and no pool for a single pass; the real
-        # pool gets at most 2 workers here
+        # fork_pool is asked for min(jobs, planned passes), one unit per pass
+        # (whether that forks is its own decision); the real pool gets at most
+        # 2 workers here
         asked = []
         real_pool = diagnostics_mod.fork_pool
 
@@ -269,7 +270,7 @@ class TestTrackFisherDrift:
         cfg, stream = self._setup(num_tasks=num_tasks)
         rows, _, acc = track_fisher_drift(cfg, stream, tracked, jobs=jobs)
         want, _, want_acc = track_fisher_drift(cfg, stream, tracked)
-        assert asked == [workers, 0]
+        assert asked == [workers, min(workers, 1)]
         assert rows == want and acc == want_acc
 
     def test_serial_run_computes_each_planned_pass_once(self, monkeypatch):

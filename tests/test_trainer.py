@@ -554,46 +554,52 @@ class TestRunMany:
         assert trainer_mod._WORK is None
 
 
+    # configs 1 and 2 share task 0; configs 0 and 3 train their own
+    CONFIGS = (("precomputed_uniform", 1.0), ("deltaw", 1.0), ("none", 0.0), ("precomputed_dataset", 1.0))
+
+    @staticmethod
+    def _record(monkeypatch, failing=()):
+        """Records each first task, continuation and reference run here, as (kind, strategy or task id); those in failing raise."""
+        ran = []
+
+        def spy(name, key):
+            real = getattr(trainer_mod, name)
+
+            def call(*args):
+                ran.append(key(*args))
+                if ran[-1] in failing:
+                    raise NumericalError(f"stand-in failure of {ran[-1]}")
+                return real(*args)
+
+            monkeypatch.setattr(trainer_mod, name, call)
+
+        spy("_first_task", lambda config, *_: ("first", config.strategy))
+        spy("_continue", lambda config, *_: ("continue", config.strategy))
+        spy("run_reference", lambda net, config, task: ("reference", task.id))
+        return ran
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("reference_fails", [False, True])
     def test_shared_first_task_failure_in_serial_order(self, monkeypatch, jobs, reference_fails):
-        # configs 1 and 2 share task 0, which fails, and config 3 fails on its
-        # own: the serial loop raises config 1's error, or reference 1's, read
-        # before it, and with jobs = 1 runs nothing after the first failure
-        real_first, real_continue, real_ref = trainer_mod._first_task, trainer_mod._continue, trainer_mod.run_reference
-        ran = []
-
-        def first_task(config, stream, base):
-            ran.append(("first", config.strategy))
-            if config.strategy == "deltaw":
-                raise NumericalError("stand-in failure of the shared task 0")
-            return real_first(config, stream, base)
-
-        def continue_(config, *args):
-            ran.append(("continue", config.strategy))
-            if config.strategy == "precomputed_dataset":
-                raise NumericalError("stand-in failure of config 3")
-            return real_continue(config, *args)
-
-        def reference(net, config, task):
-            ran.append(("reference", task.id))
-            if reference_fails and task.id == 1:
-                raise NumericalError("stand-in failure of reference 1")
-            return real_ref(net, config, task)
-
-        monkeypatch.setattr(trainer_mod, "_first_task", first_task)
-        monkeypatch.setattr(trainer_mod, "_continue", continue_)
-        monkeypatch.setattr(trainer_mod, "run_reference", reference)
-        configs = [tiny_config(strategy=s, lam=lam) for s, lam in
-                   (("precomputed_uniform", 1.0), ("deltaw", 1.0), ("none", 0.0), ("precomputed_dataset", 1.0))]
-        expected = "stand-in failure of reference 1" if reference_fails else "stand-in failure of the shared task 0"
-        with pytest.raises(NumericalError, match=expected):
+        # the shared task 0 fails, and config 3 (and reference 1) would fail
+        # later: the shared task trains before any unit, so for any jobs its
+        # error ends the call and nothing else runs
+        failing = {("first", "deltaw"), ("continue", "precomputed_dataset")} | ({("reference", 1)} if reference_fails else set())
+        ran = self._record(monkeypatch, failing)
+        configs = [tiny_config(strategy=s, lam=lam) for s, lam in self.CONFIGS]
+        with pytest.raises(NumericalError, match=r"stand-in failure of \('first', 'deltaw'\)"):
             run_many(tiny_stream(), tiny_config(), configs, jobs=jobs)
-        if jobs == 1:
-            refs = [("reference", 0), ("reference", 1)]
-            runs = [("first", "precomputed_uniform"), ("continue", "precomputed_uniform"), ("first", "deltaw")]
-            assert ran == (refs if reference_fails else refs + [("reference", 2)] + runs)
+        assert ran == [("first", "deltaw")]
         assert trainer_mod._WORK is None
+
+    def test_shared_first_task_trains_before_the_first_reference(self, monkeypatch):
+        # jobs = 1 runs each unit as it is read, references first; the shared
+        # task 0 trains before them all, as it does before a pool forks
+        ran = self._record(monkeypatch)
+        run_many(tiny_stream(), tiny_config(), [tiny_config(strategy=s, lam=lam) for s, lam in self.CONFIGS], jobs=1)
+        assert ran == [("first", "deltaw"), ("reference", 0), ("reference", 1), ("reference", 2),
+                       ("first", "precomputed_uniform"), ("continue", "precomputed_uniform"), ("continue", "deltaw"),
+                       ("continue", "none"), ("first", "precomputed_dataset"), ("continue", "precomputed_dataset")]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_pool_trains_each_shared_first_task_once_before_forking(self, monkeypatch):
@@ -615,6 +621,22 @@ class TestRunMany:
                    tiny_config(strategy="separate", gamma=0.5), tiny_config(strategy="deltaw", gamma=0.0)]
         run_many(tiny_stream(), tiny_config(), configs, jobs=2)
         assert ran == [("none", 0)]
+
+
+class TestForkPool:
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_fewer_than_two_workers_fork_nothing(self, workers):
+        # below two workers each call runs in this process when read, and no child starts
+        import multiprocessing
+
+        if workers > 1 and not hasattr(os, "fork"):
+            pytest.skip("needs fork")
+        parent = os.getpid()
+        with trainer_mod.fork_pool(workers, lambda x: (os.getpid() == parent, 2 * x)) as submit:
+            futures = [submit(x) for x in range(3)]
+            assert [f.result() for f in futures] == [(workers < 2, 0), (workers < 2, 2), (workers < 2, 4)]
+            assert bool(multiprocessing.active_children()) == (workers > 1)
+        assert trainer_mod._WORK is None
 
 
 class TestSharedFirstTask:
